@@ -14,7 +14,7 @@ import numpy as np
 from .errors import BadParameter, CoincidentPoints, DegenerateSphere, PoleOnCurve
 from .frames import complete_orthonormal
 from .links import TWO_PI
-from .spheres import metric_coefficient, metric_grid
+from .spheres import metric_coefficient, metric_kernel
 
 #: minimum clearance between a chart pole and either curve
 POLE_CLEARANCE = 0.3
@@ -110,12 +110,7 @@ def conformal_angle_wedge(c1, c2, s, t) -> float:
 
 def conformal_angle_wedge_grid(c1, c2, s, t):
     """Vectorized wedge-route angle on the product grid s x t."""
-    g = metric_grid(c1, c2, s, t)
-    x, xp = c1.evaluate(np.asarray(s, dtype=float))
-    y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    chord2 = 2.0 - 2.0 * (x @ y.T)
-    speeds = np.outer(np.linalg.norm(xp, axis=1), np.linalg.norm(yp, axis=1))
-    return _clamped_arccos(g * chord2 / (2.0 * speeds))
+    return density_grids(c1, c2, s, t)[1]
 
 
 def conformal_angle_chart_grid(c1, c2, s, t, pole=None):
@@ -170,9 +165,9 @@ def inf_cross_ratio(c1, c2, s, t) -> CrossRatioDensity:
 
 def density_grids(c1, c2, s, t):
     """(g, theta, abs, re) arrays on the product grid s x t."""
-    g = metric_grid(c1, c2, s, t)
     x, xp = c1.evaluate(np.asarray(s, dtype=float))
     y, yp = c2.evaluate(np.asarray(t, dtype=float))
+    g = metric_kernel(x, xp, y, yp)
     chord2 = 2.0 - 2.0 * (x @ y.T)
     speeds = np.outer(np.linalg.norm(xp, axis=1), np.linalg.norm(yp, axis=1))
     absval = speeds / chord2

@@ -11,7 +11,6 @@ methods accept scalar or array parameters and broadcast.
 import json
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from . import minkowski as mk
 from .errors import (BadLinkFile, BadParameter, BadPolygon,
@@ -109,6 +108,12 @@ def _fourier_design(s, n_modes, derivative=False):
     return np.stack(cols, axis=-1)
 
 
+def radial_velocity(f, fp):
+    """Derivative of f/|f| in R^4 given f and its derivative fp (broadcasts)."""
+    n = np.linalg.norm(f, axis=-1, keepdims=True)
+    return fp / n - f * np.sum(f * fp, axis=-1, keepdims=True) / n ** 3
+
+
 class FourierCurve(LinkCurve):
     """Truncated Fourier curve in R^4, radially normalized onto S^3.
 
@@ -137,18 +142,13 @@ class FourierCurve(LinkCurve):
     def _raw(self, s):
         return _fourier_design(s, self.n_modes) @ self.coeffs.T
 
-    def _raw_deriv(self, s):
-        return _fourier_design(s, self.n_modes, derivative=True) @ self.coeffs.T
-
     def point(self, s):
         f = self._raw(s)
         return f / np.linalg.norm(f, axis=-1, keepdims=True)
 
     def velocity(self, s):
-        f = self._raw(s)
-        fp = self._raw_deriv(s)
-        n = np.linalg.norm(f, axis=-1, keepdims=True)
-        return fp / n - f * np.sum(f * fp, axis=-1, keepdims=True) / n ** 3
+        fp = _fourier_design(s, self.n_modes, derivative=True) @ self.coeffs.T
+        return radial_velocity(self._raw(s), fp)
 
     def reversed(self):
         flipped = self.coeffs.copy()
@@ -164,6 +164,8 @@ class SampledCurve(LinkCurve):
     """
 
     def __init__(self, nodes):
+        from scipy.interpolate import make_interp_spline  # costly; only splines need it
+
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 4 or nodes.shape[0] < 8:
             raise BadPolygon("need at least 8 nodes of dimension 4")
@@ -187,10 +189,7 @@ class SampledCurve(LinkCurve):
 
     def velocity(self, s):
         sm = np.mod(_as_param(s), TWO_PI)
-        f = self._spline(sm)
-        fp = self._dspline(sm)
-        n = np.linalg.norm(f, axis=-1, keepdims=True)
-        return fp / n - f * np.sum(f * fp, axis=-1, keepdims=True) / n ** 3
+        return radial_velocity(self._spline(sm), self._dspline(sm))
 
     def reversed(self):
         rev = np.vstack([self.nodes[:1], self.nodes[:0:-1]])

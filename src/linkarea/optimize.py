@@ -3,17 +3,20 @@
 Shape vectors concatenate the Fourier coefficients of both components;
 the objective is the area functional at a fixed grid resolution so that
 runs are deterministic.  Gradients are central differences over the
-coefficients, evaluated in one batched pass, with backtracking halving of
-the step on non-decrease.
+coefficients, evaluated in one batched call that works in blocks of about
+BLOCK_CELLS grid cells, so each block's arrays stay in cache.
+Backtracking halves the step on non-decrease.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadParameter, DisjointnessViolation
-from .links import (DELTA_SEP, TWO_PI, FourierCurve, Link2, LinkCurve,
-                    _fourier_design)
+from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
+from .links import (TWO_PI, FourierCurve, Link2, LinkCurve, _fourier_design,
+                    radial_velocity)
+from .spheres import metric_kernel
 
 #: optimizer defaults: mode cap, coefficient step, quadrature resolution
 K_OPT = 4
@@ -22,6 +25,9 @@ GRID_OPT = 64
 
 #: consecutive failed halvings before the descent reports a stall
 MAX_BACKTRACKS = 25
+
+#: grid cells per block of shapes in one batched objective evaluation
+BLOCK_CELLS = 100_000
 
 
 def shape_dim(n_modes: int = K_OPT) -> int:
@@ -68,38 +74,33 @@ def decode_link(vector, n_modes: int = K_OPT) -> Link2:
     return Link2(FourierCurve(a), FourierCurve(b))
 
 
-def _batch_eval(coeffs, design):
-    """coeffs (B, 4, M), design (n, M) -> normalized points (B, n, 4)."""
-    raw = np.einsum("bcm,nm->bnc", coeffs, design)
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    return raw, norms
+@lru_cache(maxsize=8)
+def _designs(grid_n: int, n_modes: int):
+    """Read-only Fourier design matrix and its derivative on grid_n nodes."""
+    s = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+    mats = _fourier_design(s, n_modes), _fourier_design(s, n_modes, derivative=True)
+    for m in mats:
+        m.flags.writeable = False
+    return mats
 
 
 def _batch_objective(vectors, n_modes: int, grid_n: int):
     """Area objective for a batch of shape vectors at fixed resolution."""
     V = np.asarray(vectors, dtype=float).reshape(len(vectors), 2, 4, 2 * n_modes + 1)
-    s = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    design = _fourier_design(s, n_modes)
-    ddesign = _fourier_design(s, n_modes, derivative=True)
-
-    def component(block):
-        raw, norms = _batch_eval(block, design)
-        draw = np.einsum("bcm,nm->bnc", block, ddesign)
-        pts = raw / norms
-        radial = np.sum(raw * draw, axis=-1, keepdims=True)
-        vel = draw / norms - raw * radial / norms ** 3
-        return pts, vel
-
-    x, xp = component(V[:, 0])
-    y, yp = component(V[:, 1])
-    dots = np.einsum("bic,bjc->bij", x, y)
-    if np.max(dots) >= 1.0 - 0.5 * DELTA_SEP ** 2:
-        raise DisjointnessViolation("components touch on the objective grid")
-    b = dots - 1.0
-    g = (np.einsum("bic,bjc->bij", xp, yp) * b
-         - np.einsum("bic,bjc->bij", xp, y) * np.einsum("bic,bjc->bij", x, yp)) / (b * b)
-    cell = (TWO_PI / grid_n) ** 2
-    return np.sum(np.abs(g), axis=(1, 2)) * cell
+    design, ddesign = _designs(grid_n, n_modes)
+    rows = max(1, BLOCK_CELLS // (grid_n * grid_n))
+    total = np.empty(len(V))
+    for start in range(0, len(V), rows):
+        coeffs = np.swapaxes(V[start:start + rows], -1, -2)
+        raw = design @ coeffs
+        pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        vel = radial_velocity(raw, ddesign @ coeffs)
+        try:
+            g = metric_kernel(pts[:, 0], vel[:, 0], pts[:, 1], vel[:, 1])
+        except CoincidentPoints as exc:
+            raise DisjointnessViolation("components touch on the objective grid") from exc
+        total[start:start + rows] = np.sum(np.abs(g, out=g), axis=(1, 2))
+    return total * (TWO_PI / grid_n) ** 2
 
 
 def objective(vector, grid_n: int = GRID_OPT, n_modes: int = K_OPT) -> float:
@@ -110,8 +111,7 @@ def objective(vector, grid_n: int = GRID_OPT, n_modes: int = K_OPT) -> float:
 def _renormalize(vector, n_modes: int):
     """Rescale each component block to mean radius one (a pure gauge move)."""
     v = np.asarray(vector, dtype=float).reshape(2, 4, 2 * n_modes + 1)
-    s = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-    design = _fourier_design(s, n_modes)
+    design = _designs(64, n_modes)[0]
     out = v.copy()
     for c in range(2):
         radii = np.linalg.norm(design @ v[c].T, axis=-1)
@@ -148,7 +148,6 @@ def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
     status = "completed"
     for _ in range(steps):
         if f <= stop_below:
-            status = "converged"
             break
         perturbed = np.repeat(v[None, :], 2 * dim, axis=0)
         idx = np.arange(dim)
@@ -176,11 +175,10 @@ def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
                 break
             step_lr *= 0.5
         if not accepted:
-            status = "stalled"
+            status = "stalled"  # f is unchanged, hence still above stop_below
             break
-    else:
-        if f <= stop_below:
-            status = "converged"
+    if f <= stop_below:
+        status = "converged"
     return MinimizeResult(vector=v, trace=trace, status=status)
 
 

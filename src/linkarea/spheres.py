@@ -98,24 +98,40 @@ def metric_coefficient(c1, c2, s, t) -> float:
     return float((xp @ yp) * b - (xp @ y) * (x @ yp)) / float(b * b)
 
 
+def metric_kernel(x, xp, y, yp):
+    """g[..., i, j] = ((x'.y') b - (x'.y)(x.y')) / b^2, b = x.y - 1, for all pairs.
+
+    Points and velocities are (..., n, 4) and (..., m, 4) stacks; the four
+    products are matmuls and the temporaries are updated in place.
+    """
+    yt, ypt = np.swapaxes(y, -1, -2), np.swapaxes(yp, -1, -2)
+    b = x @ yt
+    b -= 1.0
+    if np.max(b) >= -0.5 * DELTA_SEP * DELTA_SEP:
+        raise CoincidentPoints("coincident component points")
+    g = xp @ ypt
+    g *= b
+    cross = xp @ yt
+    cross *= x @ ypt
+    g -= cross
+    b *= b
+    g /= b
+    return g
+
+
 def metric_pairs(c1, c2, s, t):
     """Metric coefficient at paired parameter samples (same-shape s and t)."""
     x, xp = c1.evaluate(np.asarray(s, dtype=float))
     y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    _check_separated(x, y)
-    b = np.sum(x * y, axis=-1) - 1.0
-    return (np.sum(xp * yp, axis=-1) * b
-            - np.sum(xp * y, axis=-1) * np.sum(x * yp, axis=-1)) / (b * b)
+    pair = (a[..., None, :] for a in (x, xp, y, yp))
+    return metric_kernel(*pair)[..., 0, 0]
 
 
 def metric_grid(c1, c2, s, t):
     """Vectorized metric coefficient on the product grid s x t."""
     x, xp = c1.evaluate(np.asarray(s, dtype=float))
     y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    b = x @ y.T - 1.0
-    if np.max(b) >= -0.5 * DELTA_SEP * DELTA_SEP:
-        raise CoincidentPoints("grid contains coincident component points")
-    return ((xp @ yp.T) * b - (xp @ y.T) * (x @ yp.T)) / (b * b)
+    return metric_kernel(x, xp, y, yp)
 
 
 def _pair_tangent_vectors(x, y):

@@ -173,6 +173,17 @@ class TestMinimize:
         refined = float(parse_report(out2.strip())["area"])
         assert abs(refined - objective) <= 0.15 * objective + 2e-3
 
+    def test_unlinked_pair_fails_without_outputs(self, capsys, tmp_path):
+        start = tmp_path / "sep10.lk1"
+        la.write_link(la.separated_link(1.0), start)
+        trace, final = tmp_path / "t.csv", tmp_path / "f.lk1"
+        code, _, err = run_cli(capsys, "minimize", str(start), "--steps", "20",
+                               "--trace-out", str(trace), "--link-out", str(final))
+        assert code == 3
+        assert err.startswith("error: speed")
+        assert not trace.exists()
+        assert not final.exists()
+
     def test_hopf_immediate(self, capsys, link_files, tmp_path):
         code, out, _ = run_cli(capsys, "minimize", link_files["hopf"],
                                "--steps", "5",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +239,26 @@ class TestLinkFiles:
         path.write_text(json.dumps(doc))
         link = la.read_link(path)
         assert link.min_separation() > 0.1
+
+    def test_scipy_loaded_only_for_splines(self, tmp_path, perturbed02):
+        s = np.linspace(0, TWO_PI, 64, endpoint=False)
+        path = tmp_path / "spline.lk1"
+        la.write_link(la.Link2(la.SampledCurve(perturbed02.c1.point(s)),
+                               la.SampledCurve(perturbed02.c2.point(s))), path)
+        script = (
+            "import sys\n"
+            "import linkarea as la\n"
+            "assert 'scipy' not in sys.modules, 'import linkarea loaded scipy'\n"
+            f"link = la.read_link({str(path)!r})\n"
+            "assert isinstance(link.c1, la.SampledCurve)\n"
+            "print(link.min_separation())\n")
+        src = str(Path(la.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == pytest.approx(perturbed02.min_separation(), rel=1e-3)
 
     @pytest.mark.parametrize("mangle,field", [
         (lambda d: d.update(version="lk-2"), "version"),

@@ -3,8 +3,23 @@ import pytest
 
 import linkarea as la
 from linkarea import optimize as opt
+from linkarea import spheres as sp
 from linkarea.errors import BadParameter, DisjointnessViolation
 from linkarea.links import CircleCurve, FourierCurve
+from linkarea.rng import Lcg64
+
+TWO_PI = 2 * np.pi
+
+#: shape vectors in one block of a batched objective at the default grid
+ROWS_PER_BLOCK = max(1, opt.BLOCK_CELLS // opt.GRID_OPT ** 2)
+
+
+def jittered_batch(link, rows, seed, amplitude=1e-3):
+    """rows shape vectors near the encoding of link, each moved at random."""
+    rng = Lcg64(seed)
+    v = opt.encode_link(link)
+    return np.array([v + amplitude * np.array([rng.uniform_in(-1.0, 1.0) for _ in v])
+                     for _ in range(rows)])
 
 
 class TestEncodeDecode:
@@ -54,6 +69,41 @@ class TestObjective:
         v[opt.shape_dim() // 2:] = v[:opt.shape_dim() // 2]  # both components equal
         with pytest.raises(DisjointnessViolation):
             opt.objective(v)
+
+
+class TestBatchObjective:
+    def test_blocks_match_single_rows(self):
+        batch = jittered_batch(la.perturbed_hopf_link(0.1, 0), 2 * ROWS_PER_BLOCK + 3, 51)
+        got = opt._batch_objective(batch, opt.K_OPT, opt.GRID_OPT)
+        want = np.array([opt.objective(v) for v in batch])
+        assert np.array_equal(got, want)
+
+    def test_collision_in_last_block(self, hopf):
+        batch = jittered_batch(hopf, 2 * ROWS_PER_BLOCK + 1, 52)
+        half = opt.shape_dim() // 2
+        assert np.all(opt._batch_objective(batch[:-1], opt.K_OPT, opt.GRID_OPT) > 0.0)
+        batch[-1, half:] = batch[-1, :half]  # both components of the last row equal
+        with pytest.raises(DisjointnessViolation):
+            opt._batch_objective(batch, opt.K_OPT, opt.GRID_OPT)
+
+    def test_kernel_matches_scalar_metric(self):
+        rng = Lcg64(53)
+        stacks = []
+        for link in la.catalogue().values():
+            s = np.array([rng.uniform_in(0.0, TWO_PI) for _ in range(7)])
+            t = np.array([rng.uniform_in(0.0, TWO_PI) for _ in range(5)])
+            x, xp = link.c1.evaluate(s)
+            y, yp = link.c2.evaluate(t)
+            g = sp.metric_kernel(x, xp, y, yp)
+            want = np.array([[sp.metric_coefficient(link.c1, link.c2, a, b) for b in t]
+                             for a in s])
+            # |g| <= 2|Omega| = |x'||y'| / |x - y|^2, the density's own scale
+            scale = np.outer(np.linalg.norm(xp, axis=1), np.linalg.norm(yp, axis=1))
+            scale /= 2.0 - 2.0 * (x @ y.T)
+            assert np.max(np.abs(g - want) / scale) <= 1e-12
+            stacks.append((x, xp, y, yp, g))
+        stacked = sp.metric_kernel(*(np.stack(arrs) for arrs in list(zip(*stacks))[:4]))
+        assert np.array_equal(stacked, np.stack([st[4] for st in stacks]))
 
 
 class TestMinimize:
