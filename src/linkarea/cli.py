@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import conformal as cf
-from . import spheres as sp
 from . import symplectic as sy
 from . import verify as vf
 from .errors import BadLinkFile, BadParameter, IoFailure, LinkAreaError
@@ -77,6 +76,8 @@ def _density_fields(link, n: int = 32):
 
 
 def cmd_invariance(args) -> int:
+    if args.transforms < 1:
+        raise BadParameter("at least 1 transform")
     if args.transforms > 100:
         raise BadParameter("at most 100 transforms")
     link = _load_link(args.file)
@@ -103,22 +104,20 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.samples < 1:
+        raise BadParameter("at least 1 sample")
     if args.samples > 10000:
         raise BadParameter("at most 10000 samples")
     link = _load_link(args.file)
     rng = Lcg64(args.seed)
     pole = cf.chart_pole(link.c1, link.c2)
-    dev_chart = dev_fd = 0.0
-    for _ in range(args.samples):
-        s0 = rng.uniform_in(0.0, TWO_PI)
-        t0 = rng.uniform_in(0.0, TWO_PI)
-        g = sp.metric_coefficient(link.c1, link.c2, s0, t0)
-        density = cf.inf_cross_ratio(link.c1, link.c2, s0, t0)
-        theta_chart = cf.conformal_angle_chart(link.c1, link.c2, s0, t0, pole=pole)
-        re_chart = density.abs * np.cos(theta_chart)
-        dev_chart = max(dev_chart, abs(g - 2.0 * re_chart))
-        re_fd = cf.cross_ratio_fd_auto(link.c1, link.c2, s0, t0, args.eps, pole=pole)
-        dev_fd = max(dev_fd, abs(density.re - re_fd))
+    st = [(rng.uniform_in(0.0, TWO_PI), rng.uniform_in(0.0, TWO_PI)) for _ in range(args.samples)]
+    s, t = np.array(st).T
+    g, _, absval, re = cf.density_pairs(link.c1, link.c2, s, t)
+    theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t, pole=pole)
+    dev_chart = float(np.max(np.abs(g - 2.0 * absval * np.cos(theta_chart))))
+    re_fd = [cf.cross_ratio_fd_auto(link.c1, link.c2, s0, t0, args.eps, pole=pole) for s0, t0 in st]
+    dev_fd = float(np.max(np.abs(re - re_fd)))
     sign = sy.determine_global_sign(separated_link(1.0))
     residual, _ = sy.exterior_derivative_check(link.c1, link.c2, 128, 128, sign=sign)
     print(f"samples={args.samples} wedge_vs_chart={_fmt(dev_chart)} "

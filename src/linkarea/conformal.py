@@ -5,7 +5,10 @@ provided: a closed form through the wedge metric, a chart-geometric
 construction with tangent circles in a stereographic chart, and a
 finite-difference cross ratio of four nearby points fitted to a sphere.
 Their agreement is the main cross-validation instrument of the package.
-"""
+
+The wedge and chart routes are each one broadcasting kernel on point
+stacks; their grid (s x t), paired (s[k], t[k]) and scalar entry points
+only evaluate the curves and insert axes.  The two kernels share no code."""
 
 from dataclasses import dataclass
 
@@ -14,7 +17,7 @@ import numpy as np
 from .errors import BadParameter, CoincidentPoints, DegenerateSphere, PoleOnCurve
 from .frames import complete_orthonormal
 from .links import TWO_PI
-from .spheres import metric_coefficient, metric_kernel
+from .spheres import metric_kernel
 
 #: minimum clearance between a chart pole and either curve
 POLE_CLEARANCE = 0.3
@@ -98,53 +101,44 @@ def _clamped_arccos(arg, slack: float = 1e-9):
     return np.arccos(np.clip(a, -1.0, 1.0))
 
 
+def _density_kernel(x, xp, y, yp):
+    """(g, theta, abs, re)[..., i, j] for all pairs of (..., n, 4) and (..., m, 4) stacks.
+
+    abs = |x'||y'|/|x-y|^2 and theta = arccos(g |x-y|^2 / (2|x'||y'|)), the
+    wedge-route angle in [0, pi]; re = abs cos(theta) is half the metric.
+    """
+    g = metric_kernel(x, xp, y, yp)
+    chord2 = 2.0 - 2.0 * (x @ np.swapaxes(y, -1, -2))
+    speeds = (np.linalg.norm(xp, axis=-1)[..., :, None]
+              * np.linalg.norm(yp, axis=-1)[..., None, :])
+    absval = speeds / chord2
+    theta = _clamped_arccos(g * chord2 / (2.0 * speeds))
+    return g, theta, absval, absval * np.cos(theta)
+
+
+def density_grids(c1, c2, s, t):
+    """(g, theta, abs, re) arrays on the product grid s x t."""
+    x, xp = c1.evaluate(np.asarray(s, dtype=float))
+    y, yp = c2.evaluate(np.asarray(t, dtype=float))
+    return _density_kernel(x, xp, y, yp)
+
+
+def density_pairs(c1, c2, s, t):
+    """(g, theta, abs, re) at paired samples (s[k], t[k]); 0-d arrays for scalars."""
+    x, xp = c1.evaluate(np.asarray(s, dtype=float))
+    y, yp = c2.evaluate(np.asarray(t, dtype=float))
+    fields = _density_kernel(*(a[..., None, :] for a in (x, xp, y, yp)))
+    return tuple(f[..., 0, 0] for f in fields)
+
+
 def conformal_angle_wedge(c1, c2, s, t) -> float:
     """Angle in [0, pi] from the wedge metric: arccos(g |x-y|^2 / (2|x'||y'|))."""
-    g = metric_coefficient(c1, c2, s, t)
-    x, xp = c1.evaluate(s)
-    y, yp = c2.evaluate(t)
-    chord2 = float(np.sum((x - y) ** 2))
-    arg = g * chord2 / (2.0 * np.linalg.norm(xp) * np.linalg.norm(yp))
-    return float(_clamped_arccos(arg))
+    return float(density_pairs(c1, c2, float(s), float(t))[1])
 
 
 def conformal_angle_wedge_grid(c1, c2, s, t):
     """Vectorized wedge-route angle on the product grid s x t."""
     return density_grids(c1, c2, s, t)[1]
-
-
-def conformal_angle_chart_grid(c1, c2, s, t, pole=None):
-    """Chart-route angle on the product grid s x t.
-
-    In a stereographic chart the circle tangent to the first curve at x
-    through y reaches y with direction 2(t_x . u)u - t_x, u the unit chord;
-    the returned angle is between that direction and the chart tangent of
-    the second curve at y.
-    """
-    if pole is None:
-        pole = chart_pole(c1, c2)
-    basis = chart_basis(pole)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x, xp = c1.evaluate(s)
-    y, yp = c2.evaluate(t)
-    xc = chart_point(x, pole, basis)
-    yc = chart_point(y, pole, basis)
-    tx = chart_velocity(x, xp, pole, basis)
-    ty = chart_velocity(y, yp, pole, basis)
-    tx = tx / np.linalg.norm(tx, axis=-1, keepdims=True)
-    ty = ty / np.linalg.norm(ty, axis=-1, keepdims=True)
-    u = yc[None, :, :] - xc[:, None, :]
-    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    proj = np.sum(tx[:, None, :] * u, axis=-1, keepdims=True)
-    w = 2.0 * proj * u - tx[:, None, :]
-    return _clamped_arccos(np.sum(w * ty[None, :, :], axis=-1))
-
-
-def conformal_angle_chart(c1, c2, s, t, pole=None) -> float:
-    """Scalar chart-route angle at (s, t)."""
-    grid = conformal_angle_chart_grid(c1, c2, [float(s)], [float(t)], pole=pole)
-    return float(grid[0, 0])
 
 
 def inf_cross_ratio(c1, c2, s, t) -> CrossRatioDensity:
@@ -153,26 +147,54 @@ def inf_cross_ratio(c1, c2, s, t) -> CrossRatioDensity:
     The real part equals half the metric coefficient; the angle comes from
     the wedge route.
     """
+    _, theta, absval, re = density_pairs(c1, c2, float(s), float(t))
+    return CrossRatioDensity(re=float(re), abs=float(absval), theta=float(theta))
+
+
+def _chart_angle(xc, tx, yc, ty):
+    """Chart-route angle[..., i, j] for (..., n, 3) and (..., m, 3) chart stacks.
+
+    In a stereographic chart the circle tangent to the first curve at x
+    through y reaches y with direction 2(t_x . u)u - t_x, u the unit chord;
+    the angle is between that direction and the chart tangent of the
+    second curve at y.
+    """
+    tx = tx / np.linalg.norm(tx, axis=-1, keepdims=True)
+    ty = ty / np.linalg.norm(ty, axis=-1, keepdims=True)
+    u = yc[..., None, :, :] - xc[..., :, None, :]
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    proj = np.sum(tx[..., :, None, :] * u, axis=-1, keepdims=True)
+    w = 2.0 * proj * u - tx[..., :, None, :]
+    return _clamped_arccos(np.sum(w * ty[..., None, :, :], axis=-1))
+
+
+def _chart_stacks(c1, c2, s, t, pole):
+    """Chart points and tangents (xc, tx, yc, ty) of both curves at s and t."""
+    if pole is None:
+        pole = chart_pole(c1, c2)
+    basis = chart_basis(pole)
     x, xp = c1.evaluate(s)
     y, yp = c2.evaluate(t)
-    chord2 = float(np.sum((x - y) ** 2))
-    if chord2 <= (1e-6) ** 2:
-        raise CoincidentPoints("points coincide")
-    absval = float(np.linalg.norm(xp) * np.linalg.norm(yp) / chord2)
-    theta = conformal_angle_wedge(c1, c2, s, t)
-    return CrossRatioDensity(re=absval * np.cos(theta), abs=absval, theta=float(theta))
+    return (chart_point(x, pole, basis), chart_velocity(x, xp, pole, basis),
+            chart_point(y, pole, basis), chart_velocity(y, yp, pole, basis))
 
 
-def density_grids(c1, c2, s, t):
-    """(g, theta, abs, re) arrays on the product grid s x t."""
-    x, xp = c1.evaluate(np.asarray(s, dtype=float))
-    y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    g = metric_kernel(x, xp, y, yp)
-    chord2 = 2.0 - 2.0 * (x @ y.T)
-    speeds = np.outer(np.linalg.norm(xp, axis=1), np.linalg.norm(yp, axis=1))
-    absval = speeds / chord2
-    theta = _clamped_arccos(g * chord2 / (2.0 * speeds))
-    return g, theta, absval, absval * np.cos(theta)
+def conformal_angle_chart_grid(c1, c2, s, t, pole=None):
+    """Chart-route angle on the product grid s x t."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return _chart_angle(*_chart_stacks(c1, c2, s, t, pole))
+
+
+def conformal_angle_chart_pairs(c1, c2, s, t, pole=None):
+    """Chart-route angle at paired samples (s[k], t[k]); 0-d arrays for scalars."""
+    stacks = _chart_stacks(c1, c2, np.asarray(s, dtype=float), np.asarray(t, dtype=float), pole)
+    return _chart_angle(*(a[..., None, :] for a in stacks))[..., 0, 0]
+
+
+def conformal_angle_chart(c1, c2, s, t, pole=None) -> float:
+    """Scalar chart-route angle at (s, t)."""
+    return float(conformal_angle_chart_pairs(c1, c2, float(s), float(t), pole=pole))
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +268,7 @@ def cross_ratio_fd(c1, c2, s, t, eps: float, pole=None) -> float:
     """
     if not 1e-5 <= eps <= 1e-2:
         raise BadParameter("eps must lie in [1e-5, 1e-2]")
-    if pole is None:
-        pole = chart_pole(c1, c2)
-    basis = chart_basis(pole)
-    x, xp = c1.evaluate(float(s))
-    y, yp = c2.evaluate(float(t))
-    xc = chart_point(x, pole, basis)
-    yc = chart_point(y, pole, basis)
-    tx = chart_velocity(x, xp, pole, basis)
-    ty = chart_velocity(y, yp, pole, basis)
+    xc, tx, yc, ty = _chart_stacks(c1, c2, float(s), float(t), pole)
     h = 0.5 * eps
     P = np.array([xc - h * tx, xc + h * tx, yc - h * ty, yc + h * ty])
     scale = float(np.max(np.linalg.norm(P - P.mean(axis=0), axis=1)))
@@ -268,10 +282,15 @@ def cross_ratio_fd(c1, c2, s, t, eps: float, pole=None) -> float:
     return float(omega.real) / (eps * eps)
 
 
-def cross_ratio_fd_auto(c1, c2, s, t, eps: float = 1e-3, pole=None) -> float:
-    """cross_ratio_fd with one automatic retry at eps scaled by the golden ratio."""
+def cross_ratio_fd_step(c1, c2, s, t, eps: float = 1e-3, pole=None):
+    """(value, step used) of cross_ratio_fd, retried once at a golden-ratio step if degenerate."""
     try:
-        return cross_ratio_fd(c1, c2, s, t, eps, pole=pole)
+        return cross_ratio_fd(c1, c2, s, t, eps, pole=pole), eps
     except DegenerateSphere:
         retry = eps * _GOLDEN if eps * _GOLDEN <= 1e-2 else eps / _GOLDEN
-        return cross_ratio_fd(c1, c2, s, t, retry, pole=pole)
+        return cross_ratio_fd(c1, c2, s, t, retry, pole=pole), retry
+
+
+def cross_ratio_fd_auto(c1, c2, s, t, eps: float = 1e-3, pole=None) -> float:
+    """cross_ratio_fd with one automatic retry at eps scaled by the golden ratio."""
+    return cross_ratio_fd_step(c1, c2, s, t, eps, pole=pole)[0]

@@ -6,7 +6,6 @@ until successive values agree to the requested tolerance, and the last
 difference is reported as the error estimate.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,37 +123,26 @@ def cross_energy(link: Link2, tol: float = 1e-8) -> float:
 
 def export_grid(grid: TorusGrid, path) -> None:
     """Write the grid as CSV, s-major rows, 17 significant digits."""
+    n_s, n_t = grid.shape
+    rows = np.column_stack([np.repeat(grid.s, n_t), np.tile(grid.t, n_s)]
+                           + [a.ravel() for a in (grid.g, grid.theta, grid.abs_omega, grid.re_omega)])
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            _write_grid(grid, fh)
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=CSV_HEADER, comments="")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _write_grid(grid: TorusGrid, fh) -> None:
-    fh.write(CSV_HEADER + "\n")
-    for i, s in enumerate(grid.s):
-        for j, t in enumerate(grid.t):
-            fh.write(f"{s:.17g},{t:.17g},{grid.g[i, j]:.17g},{grid.theta[i, j]:.17g},"
-                     f"{grid.abs_omega[i, j]:.17g},{grid.re_omega[i, j]:.17g}\n")
-
-
-def grid_csv_text(grid: TorusGrid) -> str:
-    buf = io.StringIO()
-    _write_grid(grid, buf)
-    return buf.getvalue()
 
 
 def read_grid(path) -> TorusGrid:
     """Re-import an exported grid; values round-trip bit-exactly."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().strip().split("\n")
+            if fh.readline().rstrip("\n") != CSV_HEADER:
+                raise IoFailure("unexpected CSV header")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise IoFailure("unexpected CSV header")
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    if rows.shape[1] != 6 or len(rows) == 0:
+        raise IoFailure("grid rows must hold 6 values each")
     s = np.unique(rows[:, 0])
     t = np.unique(rows[:, 1])
     n_s, n_t = len(s), len(t)

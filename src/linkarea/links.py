@@ -196,6 +196,18 @@ class SampledCurve(LinkCurve):
         return SampledCurve(rev)
 
 
+def _moved_lift(matrix, v, lead=1.0):
+    """matrix @ (lead, v): the light-cone lift of points (lead 1) or velocities (lead 0), moved."""
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([np.full(v.shape[:-1] + (1,), lead), v], axis=-1) @ matrix.T
+
+
+def _mobius_point(matrix, x):
+    """Moebius image of points x: lift to the light cone, apply matrix, rescale to x0 = 1."""
+    w = _moved_lift(matrix, x)
+    return w[..., 1:] / w[..., :1]
+
+
 class TransformedCurve(LinkCurve):
     """Moebius image of another curve, evaluated through the light cone."""
 
@@ -204,18 +216,12 @@ class TransformedCurve(LinkCurve):
         self.matrix = np.asarray(matrix, dtype=float)
 
     def point(self, s):
-        x = self.base.point(s)
-        xb = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-        w = xb @ self.matrix.T
-        return w[..., 1:] / w[..., :1]
+        return _mobius_point(self.matrix, self.base.point(s))
 
     def velocity(self, s):
-        x = self.base.point(s)
-        xp = self.base.velocity(s)
-        xb = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-        xbp = np.concatenate([np.zeros(x.shape[:-1] + (1,)), xp], axis=-1)
-        w = xb @ self.matrix.T
-        wp = xbp @ self.matrix.T
+        """Derivative of _mobius_point along the curve (quotient rule)."""
+        w = _moved_lift(self.matrix, self.base.point(s))
+        wp = _moved_lift(self.matrix, self.base.velocity(s), 0.0)
         w0 = w[..., :1]
         return wp[..., 1:] / w0 - w[..., 1:] * wp[..., :1] / w0 ** 2
 
@@ -229,10 +235,10 @@ class Link2:
     Disjointness is probed on a 256x256 parameter grid at construction.
     """
 
-    def __init__(self, c1: LinkCurve, c2: LinkCurve, probe: int = 256):
+    def __init__(self, c1: LinkCurve, c2: LinkCurve):
         self.c1 = c1
         self.c2 = c2
-        sep = self.min_separation(probe)
+        sep = self.min_separation()
         if sep <= DELTA_SEP:
             raise DisjointnessViolation(f"components approach to {sep:.3e}")
 
@@ -356,19 +362,13 @@ class MobiusMap:
         self.matrix = A
 
     def act_point(self, x):
-        x = np.asarray(x, dtype=float)
-        xb = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-        w = xb @ self.matrix.T
-        return w[..., 1:] / w[..., :1]
+        return _mobius_point(self.matrix, x)
 
     def transform_curve(self, c: LinkCurve) -> LinkCurve:
         return TransformedCurve(c, self.matrix)
 
     def transform_link(self, link: Link2) -> Link2:
         return Link2(self.transform_curve(link.c1), self.transform_curve(link.c2))
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(self.matrix @ other.matrix)
 
 
 def boost_matrix(rapidity: float, axis: int = 1):

@@ -11,7 +11,6 @@ import numpy as np
 from . import minkowski as mk
 from .errors import CoincidentPoints, DegenerateBasis, NotOnSphere
 from .frames import complete_orthonormal
-from .jacobi import jacobi_eigenvalues, signature_counts
 from .links import DELTA_SEP
 
 #: central-difference step for tangent construction on unit-scale geometry
@@ -160,12 +159,22 @@ def theta_tangent_signature(x, y):
     y = np.asarray(y, dtype=float)
     _check_separated(x, y)
     V = _pair_tangent_vectors(x, y)
+    if not np.all(np.isfinite(V)):
+        raise DegenerateBasis("non-finite tangent vectors")
     rank_gram = V @ V.T
-    rank_ev = jacobi_eigenvalues(rank_gram)
+    rank_ev = np.linalg.eigvalsh(rank_gram)
     if rank_ev[0] < 1e-8 * max(1.0, rank_ev[-1]):
         raise DegenerateBasis("tangent vectors have rank below 6")
     gram = (V * mk.EPS10) @ V.T
-    return signature_counts(jacobi_eigenvalues(gram), TAU_EIG)
+    return signature_counts(np.linalg.eigvalsh(gram), TAU_EIG)
+
+
+def signature_counts(eigenvalues, zero_threshold: float):
+    """(n_plus, n_minus, n_zero) with |lambda| <= zero_threshold counted as zero."""
+    ev = np.asarray(eigenvalues, dtype=float)
+    n_plus = int(np.sum(ev > zero_threshold))
+    n_minus = int(np.sum(ev < -zero_threshold))
+    return n_plus, n_minus, len(ev) - n_plus - n_minus
 
 
 def torus_tangent_type(c1, c2, s, t) -> str:

@@ -38,6 +38,12 @@ class TestVerify:
         assert "index(3,3)" in out
         assert "FAIL" not in out
 
+    def test_fd_order_after_retry(self, capsys):
+        # at this seed a 5e-4 stencil is degenerate and reruns at 5e-4 * golden ratio
+        code, out, _ = run_cli(capsys, "--seed", "994922", "verify")
+        assert code == 0
+        assert "verify: passed=11 failed=0" in out
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_sign_flip_detected(self, capsys, monkeypatch):
         from linkarea import minkowski as mk
@@ -129,6 +135,13 @@ class TestInvariance:
                                "--transforms", "101")
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_transforms_rejected(self, capsys, link_files, count):
+        code, out, err = run_cli(capsys, "invariance", link_files["hopf"], "--transforms", count)
+        assert code == 2
+        assert out == ""
+        assert "at least 1 transform" in err
+
 
 class TestOracle:
     def test_within_tolerances(self, capsys, link_files):
@@ -149,6 +162,19 @@ class TestOracle:
     def test_sample_cap(self, capsys, link_files):
         code, _, _ = run_cli(capsys, "oracle", link_files["hopf"], "--samples", "20000")
         assert code == 2
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_samples_rejected(self, capsys, link_files, count):
+        code, out, err = run_cli(capsys, "oracle", link_files["hopf"], "--samples", count)
+        assert code == 2
+        assert out == ""
+        assert "at least 1 sample" in err
+
+    def test_deterministic_output(self, capsys, link_files):
+        argv = ("--seed", "4", "oracle", link_files["perturbed"], "--samples", "50")
+        _, out1, _ = run_cli(capsys, *argv)
+        _, out2, _ = run_cli(capsys, *argv)
+        assert out1 == out2
 
 
 class TestMinimize:

@@ -59,6 +59,20 @@ class TestConformalAngleChart:
         assert np.max(np.abs(wedge - chart)) <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["hopf", "separated_1.0", "perturbed_hopf_0.2_s0"])
+def test_paired_forms_are_grid_diagonals(small_catalogue, name):
+    link = small_catalogue[name]
+    s = np.linspace(0, TWO_PI, 48, endpoint=False)
+    t = np.roll(s, 7)
+    grids = cf.density_grids(link.c1, link.c2, s, t)
+    pairs = cf.density_pairs(link.c1, link.c2, s, t)
+    for grid, paired in zip(grids, pairs):
+        assert np.max(np.abs(np.diagonal(grid) - paired)) <= 1e-13
+    chart_grid = cf.conformal_angle_chart_grid(link.c1, link.c2, s, t)
+    chart_pairs = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t)
+    assert np.max(np.abs(np.diagonal(chart_grid) - chart_pairs)) <= 1e-13
+
+
 class TestCrossRatioDensity:
     def test_hopf_real_part_vanishes(self, hopf):
         rng = Lcg64(32)

@@ -146,6 +146,18 @@ class TestExportImport:
         for field in ("s", "t", "g", "theta", "abs_omega", "re_omega"):
             assert np.array_equal(getattr(back, field), getattr(grid, field)), field
 
+    @pytest.mark.parametrize("body", [
+        "s,t,g,theta,abs_omega\n0,0,1,2,3\n",                                   # wrong header
+        fn.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,0,1,2,3,4\n",  # 3 of 2x2
+        fn.CSV_HEADER + "\n0,0,1,2,3\n0,1,1,2,3\n",                  # 5 columns
+    ])
+    def test_read_rejects_malformed(self, tmp_path, body):
+        from linkarea.errors import IoFailure
+        path = tmp_path / "grid.csv"
+        path.write_text(body)
+        with pytest.raises(IoFailure):
+            la.read_grid(path)
+
     def test_io_failure(self, hopf, tmp_path):
         grid = la.build_grid(hopf, 32, 32)
         from linkarea.errors import IoFailure

@@ -6,7 +6,6 @@ from linkarea import links as lk
 from linkarea import minkowski as mk
 from linkarea import spheres as sp
 from linkarea.errors import CoincidentPoints, NotOnSphere
-from linkarea.jacobi import jacobi_eigenvalues
 from linkarea.rng import Lcg64
 from conftest import random_unit4
 
@@ -140,8 +139,13 @@ class TestSignature:
         _, ss, st = sp.sigma_derivatives(separated10.c1, separated10.c2, 0.3, 1.1)
         gram = np.array([[mk.inner10(ss, ss), mk.inner10(ss, st)],
                          [mk.inner10(st, ss), mk.inner10(st, st)]])
-        ev = jacobi_eigenvalues(gram)
+        ev = np.linalg.eigvalsh(gram)
         assert np.allclose(ev, [-abs(g), abs(g)], atol=1e-10)
+
+
+def test_signature_counts():
+    assert sp.signature_counts(np.array([1.0, -2.0, 1e-9]), 1e-7) == (1, 1, 1)
+    assert sp.signature_counts(np.array([0.3, 0.4, -0.5, -0.1, 2.0, -9.0]), 1e-7) == (3, 3, 0)
 
 
 def test_degenerate_basis_detected(monkeypatch):
