@@ -8,8 +8,7 @@ routes, and a gradient-descent explorer of the area over curve shapes.
 """
 
 from .conformal import (CrossRatioDensity, chart_pole, conformal_angle_chart,
-                        conformal_angle_wedge, cross_ratio_fd,
-                        cross_ratio_fd_auto, inf_cross_ratio)
+                        conformal_angle_wedge, cross_ratio_fd, inf_cross_ratio)
 from .functionals import (FunctionalReport, TorusGrid, area, build_grid,
                           compute_functionals, cross_energy, export_grid,
                           read_grid, signed_area)

@@ -9,6 +9,8 @@ byte-identical output.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 
 import numpy as np
@@ -18,8 +20,8 @@ from . import symplectic as sy
 from . import verify as vf
 from .errors import BadLinkFile, BadParameter, IoFailure, LinkAreaError
 from .functionals import build_grid, compute_functionals, export_grid
-from .links import (TWO_PI, catalogue, random_mobius, read_link,
-                    separated_link, write_link)
+from .links import (TWO_PI, catalogue, link_text, random_mobius, read_link,
+                    separated_link)
 from .optimize import circle_fit_residual, decode_link, encode_link, minimize
 from .rng import Lcg64
 
@@ -42,6 +44,21 @@ def _load_link(path):
         raise BadLinkFile(f"no such file: {path}")
     except OSError as exc:
         raise BadLinkFile(f"cannot read {path}: {exc}")
+
+
+def _write_all(files):
+    """Write (path, text) pairs; on failure remove what was written and raise IoFailure."""
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError as exc:
+        for done in written:
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -111,12 +128,12 @@ def cmd_oracle(args) -> int:
     link = _load_link(args.file)
     rng = Lcg64(args.seed)
     pole = cf.chart_pole(link.c1, link.c2)
-    st = [(rng.uniform_in(0.0, TWO_PI), rng.uniform_in(0.0, TWO_PI)) for _ in range(args.samples)]
-    s, t = np.array(st).T
+    s, t = np.array([(rng.uniform_in(0.0, TWO_PI), rng.uniform_in(0.0, TWO_PI))
+                     for _ in range(args.samples)]).T
     g, _, absval, re = cf.density_pairs(link.c1, link.c2, s, t)
     theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t, pole=pole)
     dev_chart = float(np.max(np.abs(g - 2.0 * absval * np.cos(theta_chart))))
-    re_fd = [cf.cross_ratio_fd_auto(link.c1, link.c2, s0, t0, args.eps, pole=pole) for s0, t0 in st]
+    re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, args.eps, pole=pole)
     dev_fd = float(np.max(np.abs(re - re_fd)))
     sign = sy.determine_global_sign(separated_link(1.0))
     residual, _ = sy.exterior_derivative_check(link.c1, link.c2, 128, 128, sign=sign)
@@ -134,11 +151,8 @@ def cmd_minimize(args) -> int:
     result = minimize(v0, steps=args.steps, lr=args.lr, grid_n=args.grid,
                       stop_below=args.stop_below)
     final = decode_link(result.vector)  # validated before either file is written
-    with open(args.trace_out, "w", encoding="utf-8") as fh:
-        fh.write("step,objective\n")
-        for i, val in enumerate(result.trace):
-            fh.write(f"{i},{_fmt(val)}\n")
-    write_link(final, args.link_out)
+    trace = "step,objective\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(result.trace))
+    _write_all([(args.trace_out, trace), (args.link_out, link_text(final))])
     res1 = circle_fit_residual(final.c1)
     res2 = circle_fit_residual(final.c2)
     print(f"status={result.status} steps={len(result.trace) - 1} "

@@ -3,27 +3,27 @@
 Three mutually independent computations of the same pointwise density are
 provided: a closed form through the wedge metric, a chart-geometric
 construction with tangent circles in a stereographic chart, and a
-finite-difference cross ratio of four nearby points fitted to a sphere.
-Their agreement is the main cross-validation instrument of the package.
+finite-difference cross ratio of four nearby chart points, read off their
+six pairwise distances.  Their agreement is the main cross-validation
+instrument of the package.
 
 The wedge and chart routes are each one broadcasting kernel on point
 stacks; their grid (s x t), paired (s[k], t[k]) and scalar entry points
-only evaluate the curves and insert axes.  The two kernels share no code."""
+only evaluate the curves and insert axes.  The finite-difference route
+broadcasts over paired samples.  The three share no code beyond the chart
+stacks that the chart and finite-difference routes both lay out."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, CoincidentPoints, DegenerateSphere, PoleOnCurve
+from .errors import BadParameter, CoincidentPoints, PoleOnCurve
 from .frames import complete_orthonormal
 from .links import TWO_PI
 from .spheres import metric_kernel
 
 #: minimum clearance between a chart pole and either curve
 POLE_CLEARANCE = 0.3
-
-#: golden ratio used for the one automatic retry of the fd oracle
-_GOLDEN = 1.6180339887498949
 
 # deterministic pole scan order: the two poles of the last axis first, then
 # the remaining single-axis poles, then two-axis diagonals
@@ -200,97 +200,37 @@ def conformal_angle_chart(c1, c2, s, t, pole=None) -> float:
 # ---------------------------------------------------------------------------
 # finite-difference cross-ratio oracle
 
-_SPHERE_POLE_DIRS = np.concatenate([
-    np.eye(3), -np.eye(3),
-    np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]) / np.sqrt(3.0),
-])
-
-
-def _fit_sphere(P):
-    """Center and radius through 4 points, or None when they are coplanar."""
-    M = 2.0 * (P[1:] - P[0])
-    rhs = np.sum(P[1:] ** 2, axis=1) - np.sum(P[0] ** 2)
-    norms = np.linalg.norm(M, axis=1)
-    Mn = M / norms[:, None]
-    if abs(np.linalg.det(Mn)) < 1e-6:
-        return None
-    center = np.linalg.solve(Mn, rhs / norms)
-    radius = float(np.mean(np.linalg.norm(P - center, axis=1)))
-    return center, radius
-
-
-def _plane_complex_coords(P, scale):
-    """Complex coordinates of 4 nearly coplanar points; raises on concircular."""
-    c0 = P.mean(axis=0)
-    _, _, Vt = np.linalg.svd(P - c0)
-    a, b = Vt[0], Vt[1]
-    z = (P - c0) @ a + 1j * ((P - c0) @ b)
-    # concircularity: circumcircle through the first three, residual of the fourth
-    z1, z2, z3, z4 = z
-    den = 2.0 * np.imag(np.conj(z2 - z1) * (z3 - z1))
-    if abs(den) < 1e-10 * scale * scale:
-        raise DegenerateSphere("stencil points nearly collinear")
-    # circumcenter in complex form
-    w = (z3 - z1) * (abs(z2 - z1) ** 2) - (z2 - z1) * (abs(z3 - z1) ** 2)
-    cc = z1 - 1j * w / den
-    r = abs(z1 - cc)
-    if abs(abs(z4 - cc) - r) <= 1e-10 * scale:
-        raise DegenerateSphere("stencil points are concircular")
-    return z
-
-
-def _sphere_complex_coords(P, center, radius):
-    """Stereographic coordinates on the fitted sphere, pole away from all points."""
-    best_dir, best_d = None, -1.0
-    for n in _SPHERE_POLE_DIRS:
-        d = np.min(np.linalg.norm(P - (center + radius * n), axis=1))
-        if d > best_d:
-            best_d, best_dir = d, n
-    n = best_dir
-    pole = center + radius * n
-    anti = center - radius * n
-    ab = complete_orthonormal([n], 3)
-    a, b = ab[0], ab[1]
-    w = P - pole
-    tt = -2.0 * radius / (w @ n)
-    img = pole + tt[:, None] * w
-    return (img - anti) @ a + 1j * ((img - anti) @ b)
-
-
-def cross_ratio_fd(c1, c2, s, t, eps: float, pole=None) -> float:
-    """Real cross-ratio density from four explicit stencil points.
+def cross_ratio_fd(c1, c2, s, t, eps: float, pole=None):
+    """Real cross-ratio density at paired (s[k], t[k]) from four stencil points.
 
     A centered stencil of total spread eps along each tangent is laid out
-    in an R^3 chart, the unique sphere (or plane) through the four points
-    is fitted, the points are read as complex numbers on that sphere, and
-    the real part of their cross ratio is divided by eps^2.  Converges to
-    the closed-form density at second order in eps.
+    in an R^3 chart: p1,2 = xc -+ h tx and p3,4 = yc -+ h ty with h = eps/2.
+    For omega = (z2-z1)(z4-z3)/((z2-z4)(z1-z3)) the moduli |omega| =
+    d12 d34/(d13 d24) and |1-omega| = d14 d23/(d13 d24) are ratios of the
+    six pairwise distances, so Re omega = (1 + |omega|^2 - |1-omega|^2)/2 =
+    (d13^2 d24^2 + d12^2 d34^2 - d14^2 d23^2)/(2 d13^2 d24^2) needs no
+    sphere through the points.  With the midpoint difference
+    D = (p1+p2)/2 - (p3+p4)/2 and the half-differences a = (p2-p1)/2,
+    b = (p4-p3)/2 the numerator is exactly 16(D.a)(D.b) -
+    8(a.b)(|D|^2+|a|^2+|b|^2) + 16|a|^2|b|^2, which avoids cancelling the
+    distance products against each other.
+    Returns Re omega / eps^2, which converges to the closed-form density at
+    second order in eps; 0-d arrays for scalars.
     """
     if not 1e-5 <= eps <= 1e-2:
         raise BadParameter("eps must lie in [1e-5, 1e-2]")
-    xc, tx, yc, ty = _chart_stacks(c1, c2, float(s), float(t), pole)
+    xc, tx, yc, ty = _chart_stacks(c1, c2, np.asarray(s, dtype=float),
+                                   np.asarray(t, dtype=float), pole)
     h = 0.5 * eps
-    P = np.array([xc - h * tx, xc + h * tx, yc - h * ty, yc + h * ty])
-    scale = float(np.max(np.linalg.norm(P - P.mean(axis=0), axis=1)))
-    fit = _fit_sphere(P)
-    if fit is None:
-        z = _plane_complex_coords(P, scale)
-    else:
-        z = _sphere_complex_coords(P, *fit)
-    z1, z2, z3, z4 = z
-    omega = (z2 - z1) * (z4 - z3) / ((z2 - z4) * (z1 - z3))
-    return float(omega.real) / (eps * eps)
+    p1, p2, p3, p4 = xc - h * tx, xc + h * tx, yc - h * ty, yc + h * ty
 
+    def dot(u, v):
+        return np.sum(u * v, axis=-1)
 
-def cross_ratio_fd_step(c1, c2, s, t, eps: float = 1e-3, pole=None):
-    """(value, step used) of cross_ratio_fd, retried once at a golden-ratio step if degenerate."""
-    try:
-        return cross_ratio_fd(c1, c2, s, t, eps, pole=pole), eps
-    except DegenerateSphere:
-        retry = eps * _GOLDEN if eps * _GOLDEN <= 1e-2 else eps / _GOLDEN
-        return cross_ratio_fd(c1, c2, s, t, retry, pole=pole), retry
-
-
-def cross_ratio_fd_auto(c1, c2, s, t, eps: float = 1e-3, pole=None) -> float:
-    """cross_ratio_fd with one automatic retry at eps scaled by the golden ratio."""
-    return cross_ratio_fd_step(c1, c2, s, t, eps, pole=pole)[0]
+    d = 0.5 * (p1 + p2) - 0.5 * (p3 + p4)
+    a = 0.5 * (p2 - p1)
+    b = 0.5 * (p4 - p3)
+    aa, bb = dot(a, a), dot(b, b)
+    num = (16.0 * dot(d, a) * dot(d, b) - 8.0 * dot(a, b) * (dot(d, d) + aa + bb)
+           + 16.0 * aa * bb)
+    return num / (2.0 * dot(p1 - p3, p1 - p3) * dot(p2 - p4, p2 - p4) * eps * eps)

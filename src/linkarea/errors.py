@@ -33,10 +33,6 @@ class PoleOnCurve(LinkAreaError):
     """No chart pole with sufficient clearance from both curves exists."""
 
 
-class DegenerateSphere(LinkAreaError):
-    """The four stencil points are (nearly) concircular; no usable sphere fit."""
-
-
 class DegenerateBasis(LinkAreaError):
     """Constructed tangent vectors do not have full rank."""
 

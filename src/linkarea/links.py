@@ -475,14 +475,18 @@ def _component_to_dict(c: LinkCurve) -> dict:
     return {"kind": "samples4", "nodes": c.point(s).tolist()}
 
 
-def write_link(link: Link2, path) -> None:
+def link_text(link: Link2) -> str:
+    """The lk-1 JSON document of a link, as written to a link file."""
     doc = {
         "version": "lk-1",
         "components": [_component_to_dict(link.c1), _component_to_dict(link.c2)],
     }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def write_link(link: Link2, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(link_text(link))
 
 
 def _component_from_dict(comp, index: int) -> LinkCurve:

@@ -140,6 +140,8 @@ def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
         raise BadParameter("steps capped at 5000")
     if not 0.0 < lr < 1.0:
         raise BadParameter("lr must lie in (0, 1)")
+    if grid_n < 1:
+        raise BadParameter("grid_n must be at least 1")
     decode_coeffs(v0, n_modes)  # validates the vector length
     v = _renormalize(np.asarray(v0, dtype=float), n_modes)
     f = objective(v, grid_n, n_modes)

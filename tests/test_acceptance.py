@@ -107,8 +107,8 @@ def test_criterion_05_density_routes(separated10, perturbed02):
             s0 = rng.uniform_in(0, TWO_PI)
             t0 = rng.uniform_in(0, TWO_PI)
             want = 0.5 * sp.metric_coefficient(link.c1, link.c2, s0, t0)
-            full = cf.cross_ratio_fd_auto(link.c1, link.c2, s0, t0, 1e-3, pole=pole)
-            half = cf.cross_ratio_fd_auto(link.c1, link.c2, s0, t0, 5e-4, pole=pole)
+            full = cf.cross_ratio_fd(link.c1, link.c2, s0, t0, 1e-3, pole=pole)
+            half = cf.cross_ratio_fd(link.c1, link.c2, s0, t0, 5e-4, pole=pole)
             worst_fd = max(worst_fd, abs(full - want))
             if abs(full - want) > 1e-11 and abs(half - want) > 1e-13:
                 worst_order = min(worst_order, np.log2(abs(full - want) / abs(half - want)))

@@ -38,9 +38,10 @@ class TestVerify:
         assert "index(3,3)" in out
         assert "FAIL" not in out
 
-    def test_fd_order_after_retry(self, capsys):
-        # at this seed a 5e-4 stencil is degenerate and reruns at 5e-4 * golden ratio
-        code, out, _ = run_cli(capsys, "--seed", "994922", "verify")
+    @pytest.mark.parametrize("seed", ["994922", "3", "25", "115"])
+    def test_fd_order_at_former_failures(self, capsys, seed):
+        # seeds at which the sphere-fit stencil lost its order or was concircular
+        code, out, _ = run_cli(capsys, "--seed", seed, "verify")
         assert code == 0
         assert "verify: passed=11 failed=0" in out
 
@@ -159,6 +160,14 @@ class TestOracle:
         rep = parse_report(out.strip())
         assert float(rep["wedge_vs_fd"]) <= 1e-6
 
+    def test_round_pair_stencil(self, capsys, tmp_path):
+        # the sphere-fit stencil was concircular at one of these samples
+        path = tmp_path / "sep10.lk1"
+        la.write_link(la.separated_link(1.0), path)
+        code, out, _ = run_cli(capsys, "--seed", "3", "oracle", str(path), "--samples", "2000")
+        assert code == 0
+        assert float(parse_report(out.strip())["wedge_vs_fd"]) <= 5e-5
+
     def test_sample_cap(self, capsys, link_files):
         code, _, _ = run_cli(capsys, "oracle", link_files["hopf"], "--samples", "20000")
         assert code == 2
@@ -209,6 +218,24 @@ class TestMinimize:
         assert err.startswith("error: speed")
         assert not trace.exists()
         assert not final.exists()
+
+    def test_unwritable_trace_fails_without_outputs(self, capsys, link_files, tmp_path):
+        trace, final = tmp_path / "missing" / "t.csv", tmp_path / "f.lk1"
+        code, out, err = run_cli(capsys, "minimize", link_files["hopf"], "--steps", "5",
+                                 "--trace-out", str(trace), "--link-out", str(final))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not final.exists()
+
+    def test_unwritable_link_removes_trace(self, capsys, link_files, tmp_path):
+        trace, final = tmp_path / "t.csv", tmp_path / "missing" / "f.lk1"
+        code, out, err = run_cli(capsys, "minimize", link_files["hopf"], "--steps", "5",
+                                 "--trace-out", str(trace), "--link-out", str(final))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not trace.exists()
 
     def test_hopf_immediate(self, capsys, link_files, tmp_path):
         code, out, _ = run_cli(capsys, "minimize", link_files["hopf"],

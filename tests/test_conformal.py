@@ -4,7 +4,7 @@ import pytest
 import linkarea as la
 from linkarea import conformal as cf
 from linkarea import spheres as sp
-from linkarea.errors import BadParameter, CoincidentPoints, DegenerateSphere
+from linkarea.errors import BadParameter, CoincidentPoints
 from linkarea.rng import Lcg64
 from test_spheres import antipodal_test_curves
 
@@ -153,23 +153,26 @@ class TestCrossRatioFd:
         assert orders, "no usable order samples"
         assert min(orders) >= 1.9
 
-    def test_concircular_rejected(self, hopf):
+    def test_formerly_concircular_stencil(self, hopf):
         # both stencil pairs on one planar circle through the chart
-        c = hopf.c1
-        with pytest.raises(DegenerateSphere):
-            cf.cross_ratio_fd(c, c.reversed(), 0.0, np.pi / 2, 1e-3,
-                              pole=np.array([0.0, 0.0, 0.0, 1.0]))
+        c, pole = hopf.c1, np.array([0.0, 0.0, 0.0, 1.0])
+        val = cf.cross_ratio_fd(c, c.reversed(), 0.0, np.pi / 2, 1e-3, pole=pole)
+        want = 0.5 * sp.metric_coefficient(c, c.reversed(), 0.0, np.pi / 2)
+        assert abs(val - want) <= 5e-5
 
-    def test_auto_retry(self, hopf):
-        c = hopf.c1
-        value = None
-        try:
-            value = cf.cross_ratio_fd_auto(c, c.reversed(), 0.0, np.pi / 2, 1e-3,
-                                           pole=np.array([0.0, 0.0, 0.0, 1.0]))
-        except DegenerateSphere:
-            pass  # retry may legitimately remain degenerate for an exact circle
-        if value is not None:
-            assert np.isfinite(value)
+    def test_array_call_matches_scalar_calls(self, perturbed02):
+        pole = cf.chart_pole(perturbed02.c1, perturbed02.c2)
+        rng = Lcg64(38)
+        s, t = np.array([(rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI))
+                         for _ in range(50)]).T
+        batch = cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s, t, 1e-3, pole=pole)
+        assert batch.shape == s.shape
+        single = [cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s0, t0, 1e-3, pole=pole)
+                  for s0, t0 in zip(s, t)]
+        assert all(np.ndim(v) == 0 for v in single)
+        # scalar and stacked curve evaluation may differ in the last bit,
+        # which the stencil's 1/eps^2 magnifies
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
     def test_eps_range_enforced(self, perturbed02):
         with pytest.raises(BadParameter):

@@ -138,6 +138,7 @@ class TestMinimize:
         dict(steps=6000, lr=0.1),
         dict(steps=10, lr=0.0),
         dict(steps=10, lr=1.0),
+        dict(steps=10, lr=0.1, grid_n=0),
     ])
     def test_parameter_validation(self, hopf, bad):
         with pytest.raises(BadParameter):
