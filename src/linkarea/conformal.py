@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, CoincidentPoints, PoleOnCurve
-from .frames import complete_orthonormal
 from .links import TWO_PI
 from .spheres import metric_kernel
 
@@ -68,8 +67,8 @@ def chart_pole(c1, c2, n_scan: int = 512):
 
 
 def chart_basis(pole):
-    """Deterministic orthonormal basis of the hyperplane orthogonal to the pole."""
-    return complete_orthonormal([pole], 4)
+    """Orthonormal basis (rows) of the hyperplane orthogonal to the unit pole."""
+    return np.linalg.qr(pole[:, None], mode="complete")[0][:, 1:].T
 
 
 def chart_point(x, pole, basis):

@@ -84,7 +84,7 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     resolution cap; callers asking for tighter area tolerances get
     NoConvergence.
     """
-    if tol < 1e-10:
+    if not tol >= 1e-10:  # also rejects nan
         raise ValueError("tolerance below 1e-10 is not supported")
     _check_resolution(n_start)
     watch = _CRITERIA[criterion]

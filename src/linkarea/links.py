@@ -2,10 +2,11 @@
 Moebius group action, and link-file ingestion.
 
 All curves are 2*pi-periodic maps into S^3 in R^4 with analytic first
-derivatives.  Three representations are provided: exact circles, truncated
-Fourier series in R^4 composed with radial normalization, and uniformly
-sampled nodes with periodic quintic spline interpolation.  Evaluation
-methods accept scalar or array parameters and broadcast.
+derivatives.  Two representations are provided: truncated Fourier series
+in R^4 composed with radial normalization (a round circle is the one-mode
+case), and uniformly sampled nodes with periodic quintic spline
+interpolation; Moebius images of either are evaluated through the light
+cone.  Evaluation methods accept scalar or array parameters and broadcast.
 """
 
 import json
@@ -35,18 +36,21 @@ def _as_param(s):
 
 
 class LinkCurve:
-    """Interface shared by all curve representations."""
+    """Interface shared by all curve representations.
+
+    A representation implements _point_velocity(s), the point and the
+    tangent velocity from one evaluation; evaluate() adds the speed floor.
+    """
+
+    def _point_velocity(self, s):
+        raise NotImplementedError
 
     def point(self, s):
-        raise NotImplementedError
-
-    def velocity(self, s):
-        raise NotImplementedError
+        return self._point_velocity(s)[0]
 
     def evaluate(self, s):
         """Point on S^3 and tangent velocity at parameter s (mod 2*pi)."""
-        p = self.point(s)
-        v = self.velocity(s)
+        p, v = self._point_velocity(s)
         speed = np.linalg.norm(v, axis=-1)
         if np.min(speed) < V_MIN:
             raise ImmersionFailure(f"speed {np.min(speed):.3e} below {V_MIN}")
@@ -56,49 +60,11 @@ class LinkCurve:
         raise NotImplementedError
 
 
-class CircleCurve(LinkCurve):
-    """Exact round circle on S^3: center + radius*(cos(s) u + sin(s) v).
-
-    center, u, v must be mutually orthogonal with |center|^2 + radius^2 = 1
-    and u, v unit, so every point lies exactly on the sphere.
-    """
-
-    def __init__(self, center, u, v, radius):
-        center = np.asarray(center, dtype=float)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        radius = float(radius)
-        gram_ok = (abs(u @ u - 1) < 1e-9 and abs(v @ v - 1) < 1e-9
-                   and abs(u @ v) < 1e-9 and abs(center @ u) < 1e-9
-                   and abs(center @ v) < 1e-9)
-        if not gram_ok:
-            raise BadParameter("circle frame is not orthonormal")
-        if abs(center @ center + radius * radius - 1.0) > 1e-9:
-            raise BadParameter("circle does not lie on the unit sphere")
-        if radius < V_MIN:
-            raise ImmersionFailure("circle radius below speed floor")
-        self.center, self.u, self.v, self.radius = center, u, v, radius
-
-    def point(self, s):
-        s = _as_param(s)
-        return (self.center
-                + self.radius * (np.cos(s)[..., None] * self.u
-                                 + np.sin(s)[..., None] * self.v))
-
-    def velocity(self, s):
-        s = _as_param(s)
-        return self.radius * (-np.sin(s)[..., None] * self.u
-                              + np.cos(s)[..., None] * self.v)
-
-    def reversed(self):
-        return CircleCurve(self.center, self.u, -self.v, self.radius)
-
-
-def _fourier_design(s, n_modes, derivative=False):
-    """Rows [1, cos s, sin s, cos 2s, sin 2s, ...] or their derivatives."""
+def _fourier_design(s, modes, derivative=False):
+    """Rows [1, cos s, sin s, ..., cos(modes s), sin(modes s)] or their derivatives."""
     s = _as_param(s)
     cols = [np.zeros_like(s) if derivative else np.ones_like(s)]
-    for k in range(1, n_modes + 1):
+    for k in range(1, modes + 1):
         if derivative:
             cols.append(-k * np.sin(k * s))
             cols.append(k * np.cos(k * s))
@@ -129,31 +95,51 @@ class FourierCurve(LinkCurve):
             raise BadParameter("fourier coefficients must have shape (4, 2K+1)")
         if (coeffs.shape[1] - 1) // 2 > K_MAX:
             raise BadParameter(f"more than {K_MAX} fourier modes")
+        if not np.all(np.isfinite(coeffs)):
+            raise BadParameter("fourier coefficients must be finite")
         self.coeffs = coeffs
         self.n_modes = (coeffs.shape[1] - 1) // 2
         probe = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-        radii = np.linalg.norm(self._raw(probe), axis=-1)
+        radii = np.linalg.norm(_fourier_design(probe, self.n_modes) @ coeffs.T, axis=-1)
         if np.min(radii) < 0.05:
             raise BadParameter("fourier curve passes too close to the origin")
-        speed = np.linalg.norm(self.velocity(probe), axis=-1)
-        if np.min(speed) < V_MIN:
-            raise ImmersionFailure(f"speed {np.min(speed):.3e} below {V_MIN}")
+        self.evaluate(probe)
 
-    def _raw(self, s):
-        return _fourier_design(s, self.n_modes) @ self.coeffs.T
-
-    def point(self, s):
-        f = self._raw(s)
-        return f / np.linalg.norm(f, axis=-1, keepdims=True)
-
-    def velocity(self, s):
+    def _point_velocity(self, s):
+        f = _fourier_design(s, self.n_modes) @ self.coeffs.T
         fp = _fourier_design(s, self.n_modes, derivative=True) @ self.coeffs.T
-        return radial_velocity(self._raw(s), fp)
+        return f / np.linalg.norm(f, axis=-1, keepdims=True), radial_velocity(f, fp)
 
     def reversed(self):
         flipped = self.coeffs.copy()
         flipped[:, 2::2] = -flipped[:, 2::2]
         return FourierCurve(flipped)
+
+
+class CircleCurve(FourierCurve):
+    """Round circle on S^3, center + radius*(cos(s) u + sin(s) v).
+
+    center, u, v must be mutually orthogonal with |center|^2 + radius^2 = 1
+    and u, v unit, so every point lies on the sphere.  The circle is the
+    one-mode Fourier curve with coefficients [center, radius*u, radius*v],
+    so it evaluates, and is written to a link file, exactly as that curve.
+    """
+
+    def __init__(self, center, u, v, radius):
+        center = np.asarray(center, dtype=float)
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        radius = float(radius)
+        gram_ok = (abs(u @ u - 1) < 1e-9 and abs(v @ v - 1) < 1e-9
+                   and abs(u @ v) < 1e-9 and abs(center @ u) < 1e-9
+                   and abs(center @ v) < 1e-9)
+        if not gram_ok:
+            raise BadParameter("circle frame is not orthonormal")
+        if abs(center @ center + radius * radius - 1.0) > 1e-9:
+            raise BadParameter("circle does not lie on the unit sphere")
+        if radius < V_MIN:
+            raise ImmersionFailure("circle radius below speed floor")
+        super().__init__(np.column_stack([center, radius * u, radius * v]))
 
 
 class SampledCurve(LinkCurve):
@@ -178,18 +164,12 @@ class SampledCurve(LinkCurve):
         closed = np.vstack([self.nodes, self.nodes[:1]])
         self._spline = make_interp_spline(grid, closed, k=5, bc_type="periodic")
         self._dspline = self._spline.derivative()
-        probe = np.linspace(0.0, TWO_PI, 4 * n, endpoint=False)
-        speed = np.linalg.norm(self.velocity(probe), axis=-1)
-        if np.min(speed) < V_MIN:
-            raise ImmersionFailure(f"speed {np.min(speed):.3e} below {V_MIN}")
+        self.evaluate(np.linspace(0.0, TWO_PI, 4 * n, endpoint=False))
 
-    def point(self, s):
-        f = self._spline(np.mod(_as_param(s), TWO_PI))
-        return f / np.linalg.norm(f, axis=-1, keepdims=True)
-
-    def velocity(self, s):
+    def _point_velocity(self, s):
         sm = np.mod(_as_param(s), TWO_PI)
-        return radial_velocity(self._spline(sm), self._dspline(sm))
+        f, fp = self._spline(sm), self._dspline(sm)
+        return f / np.linalg.norm(f, axis=-1, keepdims=True), radial_velocity(f, fp)
 
     def reversed(self):
         rev = np.vstack([self.nodes[:1], self.nodes[:0:-1]])
@@ -215,15 +195,13 @@ class TransformedCurve(LinkCurve):
         self.base = base
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def point(self, s):
-        return _mobius_point(self.matrix, self.base.point(s))
-
-    def velocity(self, s):
-        """Derivative of _mobius_point along the curve (quotient rule)."""
-        w = _moved_lift(self.matrix, self.base.point(s))
-        wp = _moved_lift(self.matrix, self.base.velocity(s), 0.0)
+    def _point_velocity(self, s):
+        """Moebius image of the base point and, by the quotient rule, its derivative."""
+        x, xp = self.base._point_velocity(s)
+        w = _moved_lift(self.matrix, x)
+        wp = _moved_lift(self.matrix, xp, 0.0)
         w0 = w[..., :1]
-        return wp[..., 1:] / w0 - w[..., 1:] * wp[..., :1] / w0 ** 2
+        return w[..., 1:] / w0, wp[..., 1:] / w0 - w[..., 1:] * wp[..., :1] / w0 ** 2
 
     def reversed(self):
         return TransformedCurve(self.base.reversed(), self.matrix)
@@ -391,22 +369,12 @@ def rotation_embed(R):
     return A
 
 
-def _reorthonormalize(A):
-    """Newton polish toward the pseudo-orthogonal group."""
-    eta = np.diag(mk.ETA5)
-    for _ in range(3):
-        M = eta @ A.T @ eta @ A
-        A = A @ (1.5 * np.eye(5) - 0.5 * M)
-        if mk.pseudo_orthogonality_residual(A) <= 1e-13:
-            break
-    return A
-
-
 def random_mobius(seed: int, rapidity_max: float) -> MobiusMap:
     """Seeded random rotation composed with a seeded boost.
 
     rapidity_max = 0 yields a pure rotation with unit corner entry.  The
-    product is polished back to pseudo-orthogonality residual <= 1e-12.
+    product of the QR rotation and the boost is pseudo-orthogonal to
+    roundoff (residual about 1e-14), well inside MobiusMap's 1e-10.
     """
     if rapidity_max > 2.0:
         raise BadParameter("rapidity_max must be at most 2")
@@ -417,9 +385,7 @@ def random_mobius(seed: int, rapidity_max: float) -> MobiusMap:
     if np.linalg.det(Q) < 0:
         Q[:, -1] = -Q[:, -1]
     beta = rapidity_max * rng.uniform()
-    A = rotation_embed(Q) @ boost_matrix(beta)
-    A = _reorthonormalize(A)
-    return MobiusMap(A)
+    return MobiusMap(rotation_embed(Q) @ boost_matrix(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +429,6 @@ def chart_lift(points) -> SampledCurve:
 def _component_to_dict(c: LinkCurve) -> dict:
     if isinstance(c, FourierCurve):
         return {"kind": "fourier4", "coefficients": c.coeffs.tolist()}
-    if isinstance(c, CircleCurve):
-        coeffs = np.zeros((4, 3))
-        coeffs[:, 0] = c.center
-        coeffs[:, 1] = c.radius * c.u
-        coeffs[:, 2] = c.radius * c.v
-        return {"kind": "fourier4", "coefficients": coeffs.tolist()}
     if isinstance(c, SampledCurve):
         return {"kind": "samples4", "nodes": c.nodes.tolist()}
     s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)

@@ -30,64 +30,64 @@ MAX_BACKTRACKS = 25
 BLOCK_CELLS = 100_000
 
 
-def shape_dim(n_modes: int = K_OPT) -> int:
-    return 2 * 4 * (2 * n_modes + 1)
+def shape_dim() -> int:
+    return 2 * 4 * (2 * K_OPT + 1)
 
 
-def to_fourier_coeffs(curve: LinkCurve, n_modes: int = K_OPT, n_nodes: int = 256):
-    """Truncated Fourier fit of a curve through uniform samples."""
+def to_fourier_coeffs(curve: LinkCurve, n_nodes: int = 256):
+    """Truncated Fourier fit, up to mode K_OPT, of a curve through uniform samples."""
     s = np.linspace(0.0, TWO_PI, n_nodes, endpoint=False)
     pts = curve.point(s)
     spectrum = np.fft.rfft(pts, axis=0)
-    coeffs = np.zeros((4, 2 * n_modes + 1))
+    coeffs = np.zeros((4, 2 * K_OPT + 1))
     coeffs[:, 0] = spectrum[0].real / n_nodes
-    for k in range(1, n_modes + 1):
+    for k in range(1, K_OPT + 1):
         coeffs[:, 2 * k - 1] = 2.0 * spectrum[k].real / n_nodes
         coeffs[:, 2 * k] = -2.0 * spectrum[k].imag / n_nodes
     return coeffs
 
 
-def encode_link(link: Link2, n_modes: int = K_OPT):
+def encode_link(link: Link2):
     """Concatenated per-component Fourier coefficients of a link."""
     blocks = []
     for comp in (link.c1, link.c2):
-        if isinstance(comp, FourierCurve) and comp.n_modes <= n_modes:
-            block = np.zeros((4, 2 * n_modes + 1))
+        if isinstance(comp, FourierCurve) and comp.n_modes <= K_OPT:
+            block = np.zeros((4, 2 * K_OPT + 1))
             block[:, :comp.coeffs.shape[1]] = comp.coeffs
         else:
-            block = to_fourier_coeffs(comp, n_modes)
+            block = to_fourier_coeffs(comp)
         blocks.append(block)
     return np.concatenate([b.ravel() for b in blocks])
 
 
-def decode_coeffs(vector, n_modes: int = K_OPT):
+def decode_coeffs(vector):
     v = np.asarray(vector, dtype=float)
-    if v.size != shape_dim(n_modes):
-        raise BadParameter(f"shape vector must have length {shape_dim(n_modes)}")
-    both = v.reshape(2, 4, 2 * n_modes + 1)
+    if v.size != shape_dim():
+        raise BadParameter(f"shape vector must have length {shape_dim()}")
+    both = v.reshape(2, 4, 2 * K_OPT + 1)
     return both[0], both[1]
 
 
-def decode_link(vector, n_modes: int = K_OPT) -> Link2:
+def decode_link(vector) -> Link2:
     """Shape vector back to a validated link."""
-    a, b = decode_coeffs(vector, n_modes)
+    a, b = decode_coeffs(vector)
     return Link2(FourierCurve(a), FourierCurve(b))
 
 
 @lru_cache(maxsize=8)
-def _designs(grid_n: int, n_modes: int):
+def _designs(grid_n: int):
     """Read-only Fourier design matrix and its derivative on grid_n nodes."""
     s = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    mats = _fourier_design(s, n_modes), _fourier_design(s, n_modes, derivative=True)
+    mats = _fourier_design(s, K_OPT), _fourier_design(s, K_OPT, derivative=True)
     for m in mats:
         m.flags.writeable = False
     return mats
 
 
-def _batch_objective(vectors, n_modes: int, grid_n: int):
+def _batch_objective(vectors, grid_n: int):
     """Area objective for a batch of shape vectors at fixed resolution."""
-    V = np.asarray(vectors, dtype=float).reshape(len(vectors), 2, 4, 2 * n_modes + 1)
-    design, ddesign = _designs(grid_n, n_modes)
+    V = np.asarray(vectors, dtype=float).reshape(len(vectors), 2, 4, 2 * K_OPT + 1)
+    design, ddesign = _designs(grid_n)
     rows = max(1, BLOCK_CELLS // (grid_n * grid_n))
     total = np.empty(len(V))
     for start in range(0, len(V), rows):
@@ -103,15 +103,15 @@ def _batch_objective(vectors, n_modes: int, grid_n: int):
     return total * (TWO_PI / grid_n) ** 2
 
 
-def objective(vector, grid_n: int = GRID_OPT, n_modes: int = K_OPT) -> float:
+def objective(vector, grid_n: int = GRID_OPT) -> float:
     """Area of the decoded link at fixed grid resolution (no refinement)."""
-    return float(_batch_objective(np.asarray(vector)[None, :], n_modes, grid_n)[0])
+    return float(_batch_objective(np.asarray(vector)[None, :], grid_n)[0])
 
 
-def _renormalize(vector, n_modes: int):
+def _renormalize(vector):
     """Rescale each component block to mean radius one (a pure gauge move)."""
-    v = np.asarray(vector, dtype=float).reshape(2, 4, 2 * n_modes + 1)
-    design = _designs(64, n_modes)[0]
+    v = np.asarray(vector, dtype=float).reshape(2, 4, 2 * K_OPT + 1)
+    design = _designs(64)[0]
     out = v.copy()
     for c in range(2):
         radii = np.linalg.norm(design @ v[c].T, axis=-1)
@@ -127,7 +127,7 @@ class MinimizeResult:
 
 
 def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
-             n_modes: int = K_OPT, stop_below: float = 0.0) -> MinimizeResult:
+             stop_below: float = 0.0) -> MinimizeResult:
     """Backtracking gradient descent of the area objective.
 
     The trace holds the objective at the start and after each accepted
@@ -136,17 +136,17 @@ def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
     as "stalled", which is the expected outcome at the minimum itself) or
     when the objective drops to stop_below.
     """
-    if steps > 5000:
-        raise BadParameter("steps capped at 5000")
+    if not 0 <= steps <= 5000:
+        raise BadParameter("steps must lie in [0, 5000]")
     if not 0.0 < lr < 1.0:
         raise BadParameter("lr must lie in (0, 1)")
     if grid_n < 1:
         raise BadParameter("grid_n must be at least 1")
-    decode_coeffs(v0, n_modes)  # validates the vector length
-    v = _renormalize(np.asarray(v0, dtype=float), n_modes)
-    f = objective(v, grid_n, n_modes)
+    decode_coeffs(v0)  # validates the vector length
+    v = _renormalize(np.asarray(v0, dtype=float))
+    f = objective(v, grid_n)
     trace = [f]
-    dim = shape_dim(n_modes)
+    dim = shape_dim()
     status = "completed"
     for _ in range(steps):
         if f <= stop_below:
@@ -156,7 +156,7 @@ def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
         perturbed[2 * idx, idx] += H_OPT
         perturbed[2 * idx + 1, idx] -= H_OPT
         try:
-            values = _batch_objective(perturbed, n_modes, grid_n)
+            values = _batch_objective(perturbed, grid_n)
         except DisjointnessViolation:
             status = "stalled"  # too close to a collision to differentiate
             break
@@ -164,9 +164,9 @@ def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
         step_lr = lr
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            trial = _renormalize(v - step_lr * grad, n_modes)
+            trial = _renormalize(v - step_lr * grad)
             try:
-                ft = objective(trial, grid_n, n_modes)
+                ft = objective(trial, grid_n)
             except DisjointnessViolation:
                 step_lr *= 0.5  # colliding step rejected like a non-decrease
                 continue

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import minkowski as mk
 from .errors import CoincidentPoints, DegenerateBasis, NotOnSphere
-from .frames import complete_orthonormal
 from .links import DELTA_SEP
 
 #: central-difference step for tangent construction on unit-scale geometry
@@ -137,7 +136,7 @@ def _pair_tangent_vectors(x, y):
     """Six central-difference tangents of the embedding at the pair (x, y)."""
     vecs = []
     for base, other, first in ((x, y, True), (y, x, False)):
-        dirs = complete_orthonormal([base], 4)
+        dirs = np.linalg.qr(base[:, None], mode="complete")[0][:, 1:].T  # tangents at base
         for d in dirs:
             plus = np.cos(H_FD) * base + np.sin(H_FD) * d
             minus = np.cos(H_FD) * base - np.sin(H_FD) * d

@@ -78,6 +78,18 @@ class TestArea:
         assert code == 2
         assert "components" in err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_coefficient_rejected(self, capsys, tmp_path, bad):
+        path = tmp_path / "nonfinite.lk1"
+        la.write_link(la.hopf_link(), path)
+        doc = json.loads(path.read_text())
+        doc["components"][1]["coefficients"][3][2] = bad
+        path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
+        code, out, err = run_cli(capsys, "area", str(path))
+        assert code == 2
+        assert out == ""
+        assert "components[1].coefficients invalid" in err and "finite" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "area", str(tmp_path / "nope.lk1"))
         assert code == 2
@@ -87,6 +99,12 @@ class TestArea:
         code, _, err = run_cli(capsys, "area", link_files["sep15"], "--tol", "1e-09")
         assert code == 3
         assert "convergence" in err
+
+    def test_nan_tolerance_rejected(self, capsys, link_files):
+        code, out, err = run_cli(capsys, "area", link_files["sep15"], "--tol", "nan")
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
 
 
 class TestAnglemap:

@@ -22,7 +22,7 @@ class TestConformalAngleWedge:
     def test_antipodal_supplement(self):
         c1, c2 = antipodal_test_curves()
         theta = cf.conformal_angle_wedge(c1, c2, 0.0, 0.0)
-        between = np.arccos(np.clip(c1.velocity(0.0) @ c2.velocity(0.0), -1, 1))
+        between = np.arccos(np.clip(c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1], -1, 1))
         assert theta == pytest.approx(np.pi - between, abs=1e-12)
 
     def test_range(self, perturbed02):
@@ -47,7 +47,7 @@ class TestConformalAngleChart:
     def test_antipodal_supplement(self):
         c1, c2 = antipodal_test_curves()
         theta = cf.conformal_angle_chart(c1, c2, 0.0, 0.0)
-        between = np.arccos(np.clip(c1.velocity(0.0) @ c2.velocity(0.0), -1, 1))
+        between = np.arccos(np.clip(c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1], -1, 1))
         assert theta == pytest.approx(np.pi - between, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["hopf", "separated_1.0", "perturbed_hopf_0.2_s0"])

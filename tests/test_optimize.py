@@ -74,17 +74,17 @@ class TestObjective:
 class TestBatchObjective:
     def test_blocks_match_single_rows(self):
         batch = jittered_batch(la.perturbed_hopf_link(0.1, 0), 2 * ROWS_PER_BLOCK + 3, 51)
-        got = opt._batch_objective(batch, opt.K_OPT, opt.GRID_OPT)
+        got = opt._batch_objective(batch, opt.GRID_OPT)
         want = np.array([opt.objective(v) for v in batch])
         assert np.array_equal(got, want)
 
     def test_collision_in_last_block(self, hopf):
         batch = jittered_batch(hopf, 2 * ROWS_PER_BLOCK + 1, 52)
         half = opt.shape_dim() // 2
-        assert np.all(opt._batch_objective(batch[:-1], opt.K_OPT, opt.GRID_OPT) > 0.0)
+        assert np.all(opt._batch_objective(batch[:-1], opt.GRID_OPT) > 0.0)
         batch[-1, half:] = batch[-1, :half]  # both components of the last row equal
         with pytest.raises(DisjointnessViolation):
-            opt._batch_objective(batch, opt.K_OPT, opt.GRID_OPT)
+            opt._batch_objective(batch, opt.GRID_OPT)
 
     def test_kernel_matches_scalar_metric(self):
         rng = Lcg64(53)
@@ -136,6 +136,7 @@ class TestMinimize:
 
     @pytest.mark.parametrize("bad", [
         dict(steps=6000, lr=0.1),
+        dict(steps=-1, lr=0.1),
         dict(steps=10, lr=0.0),
         dict(steps=10, lr=1.0),
         dict(steps=10, lr=0.1, grid_n=0),
@@ -150,11 +151,11 @@ class TestMinimize:
         real = opt.objective
         calls = {"n": 0}
 
-        def guarded(vector, grid_n=opt.GRID_OPT, n_modes=opt.K_OPT):
+        def guarded(vector, grid_n=opt.GRID_OPT):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise DisjointnessViolation("forced collision")
-            return real(vector, grid_n, n_modes)
+            return real(vector, grid_n)
 
         monkeypatch.setattr(opt, "objective", guarded)
         res = opt.minimize(v0, steps=3, lr=0.1, stop_below=-1.0)

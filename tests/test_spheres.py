@@ -85,7 +85,7 @@ class TestSigmaDerivatives:
     def test_antipodal_cross_term(self):
         c1, c2 = antipodal_test_curves()
         _, ss, st = sp.sigma_derivatives(c1, c2, 0.0, 0.0)
-        want = -0.5 * (c1.velocity(0.0) @ c2.velocity(0.0))
+        want = -0.5 * (c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1])
         assert want != 0.0
         assert mk.inner10(ss, st) == pytest.approx(want, abs=1e-12)
 
@@ -97,7 +97,7 @@ class TestMetricCoefficient:
 
     def test_antipodal_value(self):
         c1, c2 = antipodal_test_curves()
-        want = -0.5 * (c1.velocity(0.0) @ c2.velocity(0.0))
+        want = -0.5 * (c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1])
         assert sp.metric_coefficient(c1, c2, 0.0, 0.0) == pytest.approx(want, abs=1e-12)
 
     def test_matches_explicit_route(self, small_catalogue):
