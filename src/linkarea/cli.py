@@ -148,7 +148,7 @@ def cmd_oracle(args) -> int:
 def cmd_minimize(args) -> int:
     link = _load_link(args.file)
     v0 = encode_link(link)
-    result = minimize(v0, steps=args.steps, lr=args.lr, grid_n=args.grid,
+    result = minimize(v0, steps=args.steps, grid_n=args.grid,
                       stop_below=args.stop_below)
     final = decode_link(result.vector)  # validated before either file is written
     trace = "step,objective\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(result.trace))
@@ -190,10 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--eps", type=float, default=1e-3)
 
-    p = sub.add_parser("minimize", help="gradient descent of the area over curve shapes")
+    p = sub.add_parser("minimize", help="Levenberg–Marquardt descent of the area over "
+                                        "curve shapes")
     p.add_argument("file")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--stop-below", type=float, default=0.0)
     p.add_argument("--trace-out", default="trace.csv")

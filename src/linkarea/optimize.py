@@ -1,11 +1,13 @@
-"""Finite-difference gradient descent of the torus area over Fourier links.
+"""Levenberg–Marquardt descent of the torus area over Fourier links.
 
 Shape vectors concatenate the Fourier coefficients of both components;
 the objective is the area functional at a fixed grid resolution so that
-runs are deterministic.  Gradients are central differences over the
-coefficients, evaluated in one batched call that works in blocks of about
-BLOCK_CELLS grid cells, so each block's arrays stay in cache.
-Backtracking halves the step on non-decrease.
+runs are deterministic.  The area is the L1 norm of the metric field g,
+which vanishes identically on the Hopf link and its Moebius images, so
+each step solves the damped least-squares problem for the residual
+r = g·(2π/n) on the objective grid, with the Jacobian of r built
+analytically through the design matrices, the radial normalization and
+the metric kernel.  A step is accepted only if the area decreases.
 """
 
 from dataclasses import dataclass
@@ -18,16 +20,18 @@ from .links import (TWO_PI, FourierCurve, Link2, LinkCurve, _fourier_design,
                     radial_velocity)
 from .spheres import metric_kernel
 
-#: optimizer defaults: mode cap, coefficient step, quadrature resolution
+#: optimizer defaults: mode cap, quadrature resolution
 K_OPT = 4
-H_OPT = 1e-4
 GRID_OPT = 64
 
-#: consecutive failed halvings before the descent reports a stall
-MAX_BACKTRACKS = 25
+#: Levenberg–Marquardt damping: initial value, floor, and the factor by which
+#: it falls after an accepted step and grows after a rejected trial
+LAMBDA_START = 1e-3
+LAMBDA_MIN = 1e-12
+LAMBDA_FACTOR = 10.0
 
-#: grid cells per block of shapes in one batched objective evaluation
-BLOCK_CELLS = 100_000
+#: consecutive rejected trials before the descent reports a stall
+MAX_REJECTS = 25
 
 
 def shape_dim() -> int:
@@ -84,28 +88,84 @@ def _designs(grid_n: int):
     return mats
 
 
-def _batch_objective(vectors, grid_n: int):
-    """Area objective for a batch of shape vectors at fixed resolution."""
-    V = np.asarray(vectors, dtype=float).reshape(len(vectors), 2, 4, 2 * K_OPT + 1)
+def _grid_fields(vector, grid_n: int):
+    """Raw Fourier values F, F' and the points F/|F| and their velocities.
+
+    Each is a (2, grid_n, 4) stack over both components on the grid nodes.
+    """
+    coeffs = np.swapaxes(np.asarray(vector, dtype=float).reshape(2, 4, 2 * K_OPT + 1), -1, -2)
     design, ddesign = _designs(grid_n)
-    rows = max(1, BLOCK_CELLS // (grid_n * grid_n))
-    total = np.empty(len(V))
-    for start in range(0, len(V), rows):
-        coeffs = np.swapaxes(V[start:start + rows], -1, -2)
-        raw = design @ coeffs
-        pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        vel = radial_velocity(raw, ddesign @ coeffs)
-        try:
-            g = metric_kernel(pts[:, 0], vel[:, 0], pts[:, 1], vel[:, 1])
-        except CoincidentPoints as exc:
-            raise DisjointnessViolation("components touch on the objective grid") from exc
-        total[start:start + rows] = np.sum(np.abs(g, out=g), axis=(1, 2))
-    return total * (TWO_PI / grid_n) ** 2
+    raw, draw = design @ coeffs, ddesign @ coeffs
+    pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    return raw, draw, pts, radial_velocity(raw, draw)
+
+
+def _metric_field(pts, vel):
+    try:
+        return metric_kernel(pts[0], vel[0], pts[1], vel[1])
+    except CoincidentPoints as exc:
+        raise DisjointnessViolation("components touch on the objective grid") from exc
 
 
 def objective(vector, grid_n: int = GRID_OPT) -> float:
     """Area of the decoded link at fixed grid resolution (no refinement)."""
-    return float(_batch_objective(np.asarray(vector)[None, :], grid_n)[0])
+    g = _metric_field(*_grid_fields(vector, grid_n)[2:])
+    return float(np.sum(np.abs(g, out=g))) * (TWO_PI / grid_n) ** 2
+
+
+def _component_jacobian(raw, draw, x, xp, gx, gxp, grid_n: int):
+    """Derivative of a field on the grid with respect to one component's coefficients.
+
+    gx and gxp are the field's gradients with respect to the component's
+    point and velocity, indexed (own node, other node, coordinate).  The
+    point is x = F/|F| with dx = P dF/|F|, P = I - x x^T, and the velocity
+    x' has dx' = P dF'/|F| - [P dF (x.F') + x ((P dF).F')]/|F|^2 - x' (x.dF)/|F|;
+    dF and dF' are rows of the design matrices.  P is symmetric, so each
+    term acts on the gradients.  Returns (own, other, 4, 2K+1).
+    """
+    design, ddesign = _designs(grid_n)
+    x, xp, draw = x[:, None], xp[:, None], draw[:, None]  # broadcast over the other nodes
+    inv = 1.0 / np.linalg.norm(raw, axis=-1)[:, None, None]
+    x_fp = np.sum(x * draw, axis=-1, keepdims=True)
+    p_fp = draw - x * x_fp
+    x_gxp = np.sum(x * gxp, axis=-1, keepdims=True)
+    p_gx = gx - x * np.sum(x * gx, axis=-1, keepdims=True)
+    p_gxp = gxp - x * x_gxp
+    from_f = (p_gx * inv - (p_gxp * x_fp + x_gxp * p_fp) * inv * inv
+              - np.sum(xp * gxp, axis=-1, keepdims=True) * x * inv)
+    from_fp = p_gxp * inv
+    return (from_f[..., None] * design[:, None, None, :]
+            + from_fp[..., None] * ddesign[:, None, None, :])
+
+
+def _residual_jacobian(vector, grid_n: int = GRID_OPT):
+    """Residual r = g·(2π/n) on the objective grid and its Jacobian in the shape vector.
+
+    r is flattened in (s, t) order, and the Jacobian is (grid_n^2, shape_dim()).
+    The kernel g = ((x'.y') b - (x'.y)(x.y')) / b^2 with b = x.y - 1 has
+    dg/dx = ((x'.y') y - (x'.y) y') / b^2 - 2 g y / b and
+    dg/dx' = (b y' - (x.y') y) / b^2, and the mirror formulas in (y, y').
+    """
+    raw, draw, pts, vel = _grid_fields(vector, grid_n)
+    g = _metric_field(pts, vel)
+    x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
+    b = (x @ y.T - 1.0)[..., None]
+    xp_yp, xp_y, x_yp = (xp @ yp.T)[..., None], (xp @ y.T)[..., None], (x @ yp.T)[..., None]
+    two_g_b = 2.0 * g[..., None] / b
+    b2 = b * b
+    xs, xps = x[:, None], xp[:, None]
+    gx = (xp_yp * y - xp_y * yp) / b2 - two_g_b * y
+    gxp = (b * yp - x_yp * y) / b2
+    gy = (xp_yp * xs - x_yp * xps) / b2 - two_g_b * xs
+    gyp = (b * xps - xp_y * xs) / b2
+    j1 = _component_jacobian(raw[0], draw[0], x, xp, gx, gxp, grid_n)
+    j2 = _component_jacobian(raw[1], draw[1], y, yp, np.swapaxes(gy, 0, 1),
+                             np.swapaxes(gyp, 0, 1), grid_n)
+    cell = TWO_PI / grid_n
+    half = shape_dim() // 2
+    jac = np.concatenate([j1.reshape(-1, half), np.swapaxes(j2, 0, 1).reshape(-1, half)],
+                         axis=1)
+    return (g * cell).ravel(), jac * cell
 
 
 def _renormalize(vector):
@@ -120,68 +180,78 @@ def _renormalize(vector):
 
 
 @dataclass
+class StepRecord:
+    """One accepted descent step.
+
+    The area after the step, ‖r‖ at the point the step was solved from,
+    the damping λ and the length ‖δ‖ of the accepted trial, and the number
+    of trials rejected before it.
+    """
+    objective: float
+    residual_norm: float
+    damping: float
+    step_norm: float
+    rejected: int
+
+
+@dataclass
 class MinimizeResult:
     vector: np.ndarray
     trace: list
     status: str  # "converged", "completed" or "stalled"
+    records: list  # one StepRecord per accepted step
 
 
-def minimize(v0, steps: int, lr: float, grid_n: int = GRID_OPT,
+def minimize(v0, steps: int, grid_n: int = GRID_OPT,
              stop_below: float = 0.0) -> MinimizeResult:
-    """Backtracking gradient descent of the area objective.
+    """Levenberg–Marquardt descent of the area objective.
 
-    The trace holds the objective at the start and after each accepted
-    step, hence is non-increasing by construction.  The run stops early
-    when 25 consecutive halvings fail to decrease the objective (reported
-    as "stalled", which is the expected outcome at the minimum itself) or
-    when the objective drops to stop_below.
+    Each step solves (J^T J + λ·tr(J^T J)/dim·I) δ = -J^T r for the residual
+    of _residual_jacobian and tries the renormalized v + δ.  The trial is
+    accepted only if the area decreases; otherwise, or if its components
+    touch, λ grows and the step is solved again.  The trace holds the area
+    at the start and after each accepted step, hence strictly decreases.
+    Status: "converged" once the area is at most stop_below, "stalled"
+    after MAX_REJECTS rejected trials in a row (the expected outcome at the
+    minimum itself), else "completed".
     """
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
-    if not 0.0 < lr < 1.0:
-        raise BadParameter("lr must lie in (0, 1)")
     if grid_n < 1:
         raise BadParameter("grid_n must be at least 1")
     decode_coeffs(v0)  # validates the vector length
     v = _renormalize(np.asarray(v0, dtype=float))
     f = objective(v, grid_n)
-    trace = [f]
-    dim = shape_dim()
+    trace, records = [f], []
+    lam = LAMBDA_START
     status = "completed"
     for _ in range(steps):
         if f <= stop_below:
             break
-        perturbed = np.repeat(v[None, :], 2 * dim, axis=0)
-        idx = np.arange(dim)
-        perturbed[2 * idx, idx] += H_OPT
-        perturbed[2 * idx + 1, idx] -= H_OPT
-        try:
-            values = _batch_objective(perturbed, grid_n)
-        except DisjointnessViolation:
-            status = "stalled"  # too close to a collision to differentiate
-            break
-        grad = (values[0::2] - values[1::2]) / (2.0 * H_OPT)
-        step_lr = lr
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            trial = _renormalize(v - step_lr * grad)
+        r, jac = _residual_jacobian(v, grid_n)
+        normal, grad = jac.T @ jac, jac.T @ r
+        diag = np.trace(normal) / len(v) * np.eye(len(v))
+        for rejected in range(MAX_REJECTS):
+            delta = np.linalg.solve(normal + lam * diag, -grad)
+            trial = _renormalize(v + delta)
             try:
                 ft = objective(trial, grid_n)
             except DisjointnessViolation:
-                step_lr *= 0.5  # colliding step rejected like a non-decrease
-                continue
+                ft = np.inf  # a colliding trial is rejected like a non-decrease
             if ft < f:
-                v, f = trial, ft
-                trace.append(f)
-                accepted = True
                 break
-            step_lr *= 0.5
-        if not accepted:
+            lam *= LAMBDA_FACTOR
+        else:
             status = "stalled"  # f is unchanged, hence still above stop_below
             break
+        records.append(StepRecord(ft, float(np.linalg.norm(r)), lam,
+                                  float(np.linalg.norm(delta)), rejected))
+        v, f = trial, ft
+        trace.append(f)
+        lam = max(lam / LAMBDA_FACTOR, LAMBDA_MIN)
     if f <= stop_below:
         status = "converged"
-    return MinimizeResult(vector=v, trace=trace, status=status)
+    return MinimizeResult(vector=v, trace=trace, status=status, records=records)
 
 
 def circle_fit_residual(curve: LinkCurve, n_samples: int = 256) -> float:

@@ -47,7 +47,7 @@ def descent_result():
     start = la.perturbed_hopf_link(0.1, 0)
     v0 = opt.encode_link(start)
     t0 = time.perf_counter()
-    result = opt.minimize(v0, steps=2000, lr=0.1, stop_below=5e-4)
+    result = opt.minimize(v0, steps=2000, stop_below=5e-4)
     result.elapsed_s = time.perf_counter() - t0
     return result
 

@@ -209,7 +209,7 @@ class TestMinimize:
         trace = tmp_path / "trace.csv"
         final = tmp_path / "final.lk1"
         code, out, _ = run_cli(capsys, "minimize", link_files["perturbed"],
-                               "--steps", "60", "--lr", "0.1",
+                               "--steps", "60",
                                "--stop-below", "1e-3",
                                "--trace-out", str(trace), "--link-out", str(final))
         assert code == 0

@@ -10,16 +10,46 @@ from linkarea.rng import Lcg64
 
 TWO_PI = 2 * np.pi
 
-#: shape vectors in one block of a batched objective at the default grid
-ROWS_PER_BLOCK = max(1, opt.BLOCK_CELLS // opt.GRID_OPT ** 2)
+
+def residual(vector, grid_n=opt.GRID_OPT):
+    """r = g·(2π/n) on the objective grid, straight from the metric kernel."""
+    x, xp = opt._grid_fields(vector, grid_n)[2:]
+    return (sp.metric_kernel(x[0], xp[0], x[1], xp[1]) * (TWO_PI / grid_n)).ravel()
 
 
-def jittered_batch(link, rows, seed, amplitude=1e-3):
-    """rows shape vectors near the encoding of link, each moved at random."""
-    rng = Lcg64(seed)
-    v = opt.encode_link(link)
-    return np.array([v + amplitude * np.array([rng.uniform_in(-1.0, 1.0) for _ in v])
-                     for _ in range(rows)])
+def moved_hopf(hopf, matrix):
+    """Shape of the Moebius image of the Hopf link under a 5x5 matrix, and |F|.
+
+    The Hopf components have |F| = 1, so (1, F) is their light-cone lift;
+    the matrix maps it to (|F'|, F'), again a trigonometric polynomial.
+    Returns the shape vector of F' and the coefficients of |F'|, (2, 2K+1).
+    """
+    coeffs = opt.encode_link(hopf).reshape(2, 4, -1)
+    lift = np.concatenate([np.zeros((2, 1, coeffs.shape[-1])), coeffs], axis=1)
+    lift[:, 0, 0] = 1.0
+    moved = matrix @ lift
+    return moved[:, 1:].ravel(), moved[:, 0]
+
+
+def killing_fields(vector, norms):
+    """The 10 conformal Killing fields of S^3 as coefficient variations.
+
+    Six rotations dF = A F for the antisymmetric generators A, applied to
+    both components, and four boosts dF = |F| e, which move each point x
+    along e - (e.x) x.  norms holds the coefficients of |F| per component.
+    """
+    coeffs = np.asarray(vector).reshape(2, 4, -1)
+    fields = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            gen = np.zeros((4, 4))
+            gen[i, j], gen[j, i] = 1.0, -1.0
+            fields.append((gen @ coeffs).ravel())
+    for i in range(4):
+        boost = np.zeros_like(coeffs)
+        boost[:, i] = norms
+        fields.append(boost.ravel())
+    return fields
 
 
 class TestEncodeDecode:
@@ -72,20 +102,6 @@ class TestObjective:
 
 
 class TestBatchObjective:
-    def test_blocks_match_single_rows(self):
-        batch = jittered_batch(la.perturbed_hopf_link(0.1, 0), 2 * ROWS_PER_BLOCK + 3, 51)
-        got = opt._batch_objective(batch, opt.GRID_OPT)
-        want = np.array([opt.objective(v) for v in batch])
-        assert np.array_equal(got, want)
-
-    def test_collision_in_last_block(self, hopf):
-        batch = jittered_batch(hopf, 2 * ROWS_PER_BLOCK + 1, 52)
-        half = opt.shape_dim() // 2
-        assert np.all(opt._batch_objective(batch[:-1], opt.GRID_OPT) > 0.0)
-        batch[-1, half:] = batch[-1, :half]  # both components of the last row equal
-        with pytest.raises(DisjointnessViolation):
-            opt._batch_objective(batch, opt.GRID_OPT)
-
     def test_kernel_matches_scalar_metric(self):
         rng = Lcg64(53)
         stacks = []
@@ -106,10 +122,62 @@ class TestBatchObjective:
         assert np.array_equal(stacked, np.stack([st[4] for st in stacks]))
 
 
+class TestJacobian:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_central_differences(self, seed):
+        v = opt.encode_link(la.perturbed_hopf_link(0.2, seed))
+        r, jac = opt._residual_jacobian(v)
+        assert np.array_equal(r, residual(v))
+        h = 1e-6
+        fd = np.empty_like(jac)
+        for k in range(len(v)):
+            dv = np.zeros_like(v)
+            dv[k] = h
+            fd[:, k] = (residual(v + dv) - residual(v - dv)) / (2.0 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_annihilates_killing_fields(self, hopf, seed):
+        """No finite differences: the Hopf link (seed None) and two of its
+        Moebius images have g = 0 along their whole Moebius orbit."""
+        matrix = np.eye(5) if seed is None else la.random_mobius(seed, 1.0).matrix
+        v, norms = moved_hopf(hopf, matrix)
+        assert opt.objective(v) <= 1e-13
+        jac = opt._residual_jacobian(v)[1]
+        scale = np.linalg.norm(jac, 2)
+        for field in killing_fields(v, norms):
+            assert np.linalg.norm(jac @ field) <= 1e-12 * scale * np.linalg.norm(field)
+
+    @pytest.mark.parametrize("grid_n", [32, 64])
+    def test_rank_at_hopf(self, hopf, grid_n):
+        sv = np.linalg.svd(opt._residual_jacobian(opt.encode_link(hopf), grid_n)[1],
+                           compute_uv=False)
+        assert sv[27] >= 4.4
+        assert sv[28] <= 4e-15
+
+
 class TestMinimize:
     def test_descent_reaches_threshold(self, descent_result):
         assert descent_result.trace[-1] <= 1e-3
-        assert len(descent_result.trace) - 1 <= 2000
+        assert len(descent_result.trace) - 1 <= 10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_perturbed_starts_converge(self, seed):
+        v0 = opt.encode_link(la.perturbed_hopf_link(0.1, seed))
+        res = opt.minimize(v0, steps=5, stop_below=5e-4)
+        assert res.status == "converged"
+        assert res.trace[-1] < 5e-4
+
+    def test_larger_perturbation(self, perturbed02):
+        res = opt.minimize(opt.encode_link(perturbed02), steps=10, stop_below=1.7e-3)
+        assert res.trace[-1] < 1.7e-3
+
+    def test_records_follow_trace(self, descent_result):
+        records = descent_result.records
+        assert len(records) == len(descent_result.trace) - 1
+        assert [rec.objective for rec in records] == descent_result.trace[1:]
+        assert all(rec.residual_norm > 0.0 and rec.step_norm > 0.0 for rec in records)
+        assert all(opt.LAMBDA_MIN <= rec.damping and rec.rejected >= 0 for rec in records)
 
     def test_trace_monotone(self, descent_result):
         trace = np.array(descent_result.trace)
@@ -124,22 +192,20 @@ class TestMinimize:
         assert opt.circle_fit_residual(link.c2) <= 1e-2
 
     def test_hopf_start_terminates_immediately(self, hopf):
-        res = opt.minimize(opt.encode_link(hopf), steps=10, lr=0.1)
+        res = opt.minimize(opt.encode_link(hopf), steps=10)
         assert res.status == "converged"
         assert len(res.trace) == 1
         assert res.trace[0] <= 1e-10
 
     def test_hopf_single_step_stationary(self, hopf):
-        res = opt.minimize(opt.encode_link(hopf), steps=1, lr=0.1, stop_below=-1.0)
+        res = opt.minimize(opt.encode_link(hopf), steps=1, stop_below=-1.0)
         assert abs(res.trace[-1] - res.trace[0]) <= 1e-9
         assert res.status == "stalled"
 
     @pytest.mark.parametrize("bad", [
-        dict(steps=6000, lr=0.1),
-        dict(steps=-1, lr=0.1),
-        dict(steps=10, lr=0.0),
-        dict(steps=10, lr=1.0),
-        dict(steps=10, lr=0.1, grid_n=0),
+        dict(steps=6000),
+        dict(steps=-1),
+        dict(steps=10, grid_n=0),
     ])
     def test_parameter_validation(self, hopf, bad):
         with pytest.raises(BadParameter):
@@ -158,7 +224,7 @@ class TestMinimize:
             return real(vector, grid_n)
 
         monkeypatch.setattr(opt, "objective", guarded)
-        res = opt.minimize(v0, steps=3, lr=0.1, stop_below=-1.0)
+        res = opt.minimize(v0, steps=3, stop_below=-1.0)
         assert res.status == "stalled"
         assert len(res.trace) == 1
 
