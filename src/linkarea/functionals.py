@@ -6,6 +6,8 @@ until successive values agree to the requested tolerance, and the last
 difference is reported as the error estimate.
 """
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +36,6 @@ class TorusGrid:
     theta: np.ndarray
     abs_omega: np.ndarray
     re_omega: np.ndarray
-
-    @property
-    def shape(self):
-        return self.g.shape
 
 
 @dataclass(frozen=True)
@@ -122,13 +120,27 @@ def cross_energy(link: Link2, tol: float = 1e-8) -> float:
 
 
 def export_grid(grid: TorusGrid, path) -> None:
-    """Write the grid as CSV, s-major rows, 17 significant digits."""
-    n_s, n_t = grid.shape
-    rows = np.column_stack([np.repeat(grid.s, n_t), np.tile(grid.t, n_s)]
-                           + [a.ravel() for a in (grid.g, grid.theta, grid.abs_omega, grid.re_omega)])
+    """Write the grid as CSV, s-major rows, 17 significant digits.
+
+    The bytes are those of np.savetxt with fmt "%.17g": each s and t value
+    is formatted once, and each s-row is one % on a template that already
+    holds the t column.  A write that fails part-way removes the file.
+    """
+    t_cols = [",%.17g" % t + ",%.17g,%.17g,%.17g,%.17g\n" for t in grid.t]
+    values = (grid.g, grid.theta, grid.abs_omega, grid.re_omega)
     try:
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=CSV_HEADER, comments="")
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            fh.write(CSV_HEADER + "\n")
+            for i, s in enumerate(grid.s):
+                row = np.stack([a[i] for a in values], axis=-1)
+                fh.write(("%.17g" % s).join([""] + t_cols) % tuple(row.ravel().tolist()))
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(path)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 

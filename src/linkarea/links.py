@@ -5,8 +5,10 @@ All curves are 2*pi-periodic maps into S^3 in R^4 with analytic first
 derivatives.  Two representations are provided: truncated Fourier series
 in R^4 composed with radial normalization (a round circle is the one-mode
 case), and uniformly sampled nodes with periodic quintic spline
-interpolation; Moebius images of either are evaluated through the light
-cone.  Evaluation methods accept scalar or array parameters and broadcast.
+interpolation, built with numpy alone: an FFT circulant solve gives the
+B-spline coefficients and a fixed six-term stencil evaluates them.
+Moebius images of either are evaluated through the light cone.
+Evaluation methods accept scalar or array parameters and broadcast.
 """
 
 import json
@@ -142,16 +144,30 @@ class CircleCurve(FourierCurve):
         super().__init__(np.column_stack([center, radius * u, radius * v]))
 
 
+#: Uniform quintic B-spline basis on the cell i + tau, tau in [0, 1): row k
+#: holds the tau**k coefficients of the weights of c[i-2], ..., c[i+3]
+#: (columns 0-5) and of their tau-derivatives (columns 6-11).
+_QUINTIC = np.array([[1, 26, 66, 26, 1, 0, -5, -50, 0, 50, 5, 0],
+                     [-5, -50, 0, 50, 5, 0, 20, 40, -120, 40, 20, 0],
+                     [10, 20, -60, 20, 10, 0, -30, 60, 0, -60, 30, 0],
+                     [-10, 20, 0, -20, 10, 0, 20, -80, 120, -80, 20, 0],
+                     [5, -20, 30, -20, 5, 0, -5, 25, -50, 50, -25, 5],
+                     [-1, 5, -10, 10, -5, 1, 0, 0, 0, 0, 0, 0]]) / 120.0
+_STENCIL = np.arange(-2, 4)
+
+
 class SampledCurve(LinkCurve):
     """Uniform nodes on S^3 joined by a periodic quintic spline.
 
-    The spline interpolates the nodes in R^4; evaluation renormalizes
-    radially so points sit on the sphere to roundoff.
+    The spline is the periodic C^4 quintic on the uniform knots
+    s_j = 2 pi j / n that interpolates the nodes in R^4.  Its B-spline
+    coefficients c solve the circulant system (c[j-2] + 26 c[j-1] + 66 c[j]
+    + 26 c[j+1] + c[j+2]) / 120 = node[j], diagonalized by the FFT; the
+    eigenvalues (66 + 52 cos w + 2 cos 2w) / 120 are at least 16/120.
+    Evaluation renormalizes radially so points sit on the sphere to roundoff.
     """
 
     def __init__(self, nodes):
-        from scipy.interpolate import make_interp_spline  # costly; only splines need it
-
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 4 or nodes.shape[0] < 8:
             raise BadPolygon("need at least 8 nodes of dimension 4")
@@ -160,15 +176,21 @@ class SampledCurve(LinkCurve):
             raise BadPolygon("node norms too far from the unit sphere")
         self.nodes = nodes / norms[:, None]
         n = len(self.nodes)
-        grid = np.linspace(0.0, TWO_PI, n + 1)
-        closed = np.vstack([self.nodes, self.nodes[:1]])
-        self._spline = make_interp_spline(grid, closed, k=5, bc_type="periodic")
-        self._dspline = self._spline.derivative()
+        w = TWO_PI * np.arange(n // 2 + 1) / n
+        eig = (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)) / 120.0
+        self._coeffs = np.fft.irfft(np.fft.rfft(self.nodes, axis=0) / eig[:, None], n, axis=0)
         self.evaluate(np.linspace(0.0, TWO_PI, 4 * n, endpoint=False))
 
     def _point_velocity(self, s):
-        sm = np.mod(_as_param(s), TWO_PI)
-        f, fp = self._spline(sm), self._dspline(sm)
+        n = len(self._coeffs)
+        x = np.mod(_as_param(s), TWO_PI) * (n / TWO_PI)
+        cell = np.floor(x)
+        tau = x - cell
+        # x = n (s just below a multiple of 2 pi) wraps to cell 0
+        local = self._coeffs[(cell.astype(int)[..., None] + _STENCIL) % n]
+        weights = (tau[..., None] ** np.arange(6)) @ _QUINTIC
+        f, fp = np.moveaxis(weights.reshape(tau.shape + (2, 6)) @ local, -2, 0)
+        fp = fp * (n / TWO_PI)
         return f / np.linalg.norm(f, axis=-1, keepdims=True), radial_velocity(f, fp)
 
     def reversed(self):
@@ -404,6 +426,20 @@ def stereographic_3chart(x):
     return x[..., :3] / (1.0 - x[..., 3:])
 
 
+#: rows per block of the pairwise node distances, which bounds their memory
+PAIR_BLOCK = 256
+
+
+def _min_pairwise_distance(pts) -> float:
+    """Smallest distance between distinct nodes, one block of rows at a time."""
+    best = np.inf
+    for i in range(0, len(pts), PAIR_BLOCK):
+        dist = np.linalg.norm(pts[i:i + PAIR_BLOCK, None, :] - pts[None, i:, :], axis=-1)
+        dist[np.tri(*dist.shape, dtype=bool)] = np.inf  # pairs j <= i
+        best = min(best, float(np.min(dist)))
+    return best
+
+
 def chart_lift(points) -> SampledCurve:
     """Closed R^3 polygon -> sampled curve on S^3 via the inverse chart.
 
@@ -415,10 +451,7 @@ def chart_lift(points) -> SampledCurve:
         raise BadPolygon("expected an (N, 3) array of nodes")
     if pts.shape[0] < 8:
         raise BadPolygon("need at least 8 nodes")
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diffs, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    if np.min(dist) < 1e-12:
+    if _min_pairwise_distance(pts) < 1e-12:
         raise BadPolygon("repeated nodes")
     return SampledCurve(inverse_stereographic(pts))
 

@@ -158,6 +158,39 @@ class TestExportImport:
         with pytest.raises(IoFailure):
             la.read_grid(path)
 
+    @pytest.mark.parametrize("name", ["perturbed02", "hopf"])
+    def test_export_bytes_match_savetxt(self, name, request, tmp_path):
+        grid = la.build_grid(request.getfixturevalue(name), 32, 32)
+        path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
+        la.export_grid(grid, path)
+        rows = np.column_stack([np.repeat(grid.s, 32), np.tile(grid.t, 32)]
+                               + [a.ravel() for a in (grid.g, grid.theta,
+                                                      grid.abs_omega, grid.re_omega)])
+        np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header=fn.CSV_HEADER, comments="")
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_failed_write_leaves_no_file(self, perturbed02, tmp_path, monkeypatch):
+        from linkarea.errors import IoFailure
+        grid = la.build_grid(perturbed02, 32, 32)
+
+        def disk_full_after_two_writes(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write, calls = fh.write, []
+
+            def limited(text):
+                calls.append(text)
+                if len(calls) > 2:
+                    raise OSError(28, "No space left on device")
+                return write(text)
+            fh.write = limited
+            return fh
+
+        monkeypatch.setattr(fn, "open", disk_full_after_two_writes, raising=False)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(IoFailure):
+            la.export_grid(grid, path)
+        assert not path.exists()
+
     def test_io_failure(self, hopf, tmp_path):
         grid = la.build_grid(hopf, 32, 32)
         from linkarea.errors import IoFailure

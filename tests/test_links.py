@@ -55,6 +55,25 @@ class TestCurveEvaluation:
         want = np.stack([np.cos(off), np.sin(off), np.zeros(777), np.zeros(777)], axis=1)
         assert np.max(np.abs(p - want)) <= 1e-8
 
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_sampled_curve_matches_scipy_spline(self, n):
+        """The numpy spline against scipy's periodic quintic, an independent build."""
+        interp = pytest.importorskip("scipy.interpolate")
+        link = la.perturbed_hopf_link(0.2, 1)
+        s_nodes = TWO_PI * np.arange(n) / n
+        s = np.linspace(-1.0, 7.0, 1001)
+        for comp in (link.c1, link.c2):
+            c = lk.SampledCurve(comp.point(s_nodes))
+            ref = interp.make_interp_spline(np.linspace(0, TWO_PI, n + 1),
+                                            np.vstack([c.nodes, c.nodes[:1]]),
+                                            k=5, bc_type="periodic")
+            sm = np.mod(s, TWO_PI)
+            f, fp = ref(sm), ref.derivative()(sm)
+            p, v = c.evaluate(s)
+            assert np.max(np.abs(p - f / np.linalg.norm(f, axis=-1, keepdims=True))) <= 1e-13
+            assert np.max(np.abs(v - lk.radial_velocity(f, fp))) <= 1e-12
+            assert np.max(np.abs(c.point(s_nodes) - c.nodes)) <= 1e-14
+
     def test_reversed(self):
         for c in (la.hopf_link().c1, la.perturbed_hopf_link(0.1, 2).c1):
             r = c.reversed()
@@ -208,6 +227,17 @@ class TestCharts:
         with pytest.raises(BadPolygon):
             la.chart_lift(nodes)
 
+    @pytest.mark.parametrize("i,j", [(2, 7), (3 * lk.PAIR_BLOCK + 5, 3 * lk.PAIR_BLOCK + 9),
+                                     (0, 3 * lk.PAIR_BLOCK + 9), (1, lk.PAIR_BLOCK)])
+    def test_repeated_nodes_across_blocks(self, i, j):
+        n = 3 * lk.PAIR_BLOCK + 10
+        s = np.linspace(0, TWO_PI, n, endpoint=False)
+        nodes = np.stack([3 + np.cos(s), np.sin(s), 0.1 * np.sin(3 * s)], axis=1)
+        la.chart_lift(nodes)
+        nodes[j] = nodes[i]
+        with pytest.raises(BadPolygon, match="repeated"):
+            la.chart_lift(nodes)
+
 
 class TestLinkFiles:
     def test_round_trip_fourier(self, tmp_path, perturbed02):
@@ -251,17 +281,28 @@ class TestLinkFiles:
         link = la.read_link(path)
         assert link.min_separation() > 0.1
 
-    def test_scipy_loaded_only_for_splines(self, tmp_path, perturbed02):
+    def test_spline_read_needs_no_scipy(self, tmp_path, perturbed02):
         s = np.linspace(0, TWO_PI, 64, endpoint=False)
-        path = tmp_path / "spline.lk1"
+        path4 = tmp_path / "spline.lk1"
         la.write_link(la.Link2(la.SampledCurve(perturbed02.c1.point(s)),
-                               la.SampledCurve(perturbed02.c2.point(s))), path)
+                               la.SampledCurve(perturbed02.c2.point(s))), path4)
+        circle3 = np.stack([3 + np.cos(s), np.sin(s), np.zeros(64)], axis=1)
+        path3 = tmp_path / "polygon.lk1"
+        path3.write_text(json.dumps({"version": "lk-1", "components": [
+            {"kind": "samples3", "nodes": circle3.tolist()},
+            {"kind": "samples3", "nodes": (-circle3).tolist()}]}))
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "import linkarea as la\n"
             "assert 'scipy' not in sys.modules, 'import linkarea loaded scipy'\n"
-            f"link = la.read_link({str(path)!r})\n"
-            "assert isinstance(link.c1, la.SampledCurve)\n"
+            f"link = la.read_link({str(path4)!r})\n"
+            f"link3 = la.read_link({str(path3)!r})\n"
+            "s = np.linspace(0.0, 7.0, 300)\n"
+            "for c in (link.c1, link.c2, link3.c1, link3.c2):\n"
+            "    assert isinstance(c, la.SampledCurve)\n"
+            "    c.evaluate(s)\n"
+            "assert 'scipy' not in sys.modules, 'reading a spline link loaded scipy'\n"
             "print(link.min_separation())\n")
         src = str(Path(la.__file__).resolve().parents[1])
         paths = [src, os.environ.get("PYTHONPATH", "")]
