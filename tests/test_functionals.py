@@ -150,6 +150,9 @@ class TestExportImport:
         "s,t,g,theta,abs_omega\n0,0,1,2,3\n",                                   # wrong header
         fn.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,0,1,2,3,4\n",  # 3 of 2x2
         fn.CSV_HEADER + "\n0,0,1,2,3\n0,1,1,2,3\n",                  # 5 columns
+        fn.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n1,1,1,2,3,4\n",  # no product
+        fn.CSV_HEADER + "\n0,0,1,2,3,4\n1,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n",  # t-major
+        fn.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3\n",                  # ragged rows
     ])
     def test_read_rejects_malformed(self, tmp_path, body):
         from linkarea.errors import IoFailure
@@ -158,12 +161,27 @@ class TestExportImport:
         with pytest.raises(IoFailure):
             la.read_grid(path)
 
-    @pytest.mark.parametrize("name", ["perturbed02", "hopf"])
-    def test_export_bytes_match_savetxt(self, name, request, tmp_path):
-        grid = la.build_grid(request.getfixturevalue(name), 32, 32)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["\n", "\n\n  \n"])
+    def test_read_header_only(self, tmp_path, body):
+        from linkarea.errors import IoFailure
+        path = tmp_path / "grid.csv"
+        path.write_text(fn.CSV_HEADER + body)
+        with pytest.raises(IoFailure, match="no grid rows"):
+            la.read_grid(path)
+
+    @pytest.mark.parametrize("name, n", [
+        pytest.param("perturbed02", 32, id="perturbed02"),
+        pytest.param("hopf", 32, id="hopf"),
+        # theta has exact zeros and values near 1e-8 (scientific notation)
+        pytest.param("separated10", 32, id="separated10"),
+        pytest.param("perturbed02", 512, id="perturbed02-512"),
+    ])
+    def test_export_bytes_match_savetxt(self, name, n, request, tmp_path):
+        grid = la.build_grid(request.getfixturevalue(name), n, n)
         path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
         la.export_grid(grid, path)
-        rows = np.column_stack([np.repeat(grid.s, 32), np.tile(grid.t, 32)]
+        rows = np.column_stack([np.repeat(grid.s, n), np.tile(grid.t, n)]
                                + [a.ravel() for a in (grid.g, grid.theta,
                                                       grid.abs_omega, grid.re_omega)])
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header=fn.CSV_HEADER, comments="")
@@ -173,19 +191,20 @@ class TestExportImport:
         from linkarea.errors import IoFailure
         grid = la.build_grid(perturbed02, 32, 32)
 
-        def disk_full_after_two_writes(*args, **kwargs):
+        def disk_full_after_4k(*args, **kwargs):
             fh = open(*args, **kwargs)
-            write, calls = fh.write, []
+            write, room = fh.write, [4096]
 
-            def limited(text):
-                calls.append(text)
-                if len(calls) > 2:
+            def limited(data):
+                if len(data) > room[0]:
+                    write(data[:room[0]])
                     raise OSError(28, "No space left on device")
-                return write(text)
+                room[0] -= len(data)
+                return write(data)
             fh.write = limited
             return fh
 
-        monkeypatch.setattr(fn, "open", disk_full_after_two_writes, raising=False)
+        monkeypatch.setattr(fn, "open", disk_full_after_4k, raising=False)
         path = tmp_path / "grid.csv"
         with pytest.raises(IoFailure):
             la.export_grid(grid, path)
@@ -196,3 +215,42 @@ class TestExportImport:
         from linkarea.errors import IoFailure
         with pytest.raises(IoFailure):
             la.export_grid(grid, tmp_path / "missing" / "grid.csv")
+
+
+def _adversarial_doubles():
+    """Values on which a "%.17g" digit generator is likely to slip."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1e-300, -1e300, 1.7976931348623157e308, np.nan, np.inf, -np.inf,
+                1e-6, 1e-5, 1e-4, 1e16, 1e17, 99999999999999984.0]
+    # 50 ulps either side of each power of ten from 1e-8 to 1e17
+    powers = np.array([float(f"1e{k}") for k in range(-8, 18)])
+    near_powers = (powers.view(np.int64)[:, None] + np.arange(-50, 51)).view(np.float64)
+    # |x| * 10**p within 8 of 1e16 or 1e17, for every exact scale p, and neighbours
+    edges = np.array([float(f"{top + j}e-{p}") for p in range(23)
+                      for top in (10 ** 16, 10 ** 17) for j in range(-8, 9)])
+    edges = (edges.view(np.int64)[:, None] + np.arange(-3, 4)).view(np.float64)
+    # exact ties: m / 2**(p+1) with m odd has |x| * 10**p = m * 5**p / 2
+    rng = np.random.default_rng(81)
+    ties = []
+    for p in range(2, 23):
+        scale = 2 ** (p + 1)
+        m = rng.integers(10 ** (16 - p) * scale, min(10 ** (17 - p) * scale, 2 ** 53), size=200)
+        ties.append((m | 1) / scale)
+    values = np.concatenate([specials, near_powers.ravel(), edges.ravel(), *ties])
+    return np.concatenate([values, -values])
+
+
+class TestFormatG17:
+    @pytest.mark.parametrize("kind", ["adversarial", "random"])
+    def test_matches_percent_g(self, kind):
+        if kind == "adversarial":
+            x = _adversarial_doubles()
+        else:
+            rng = np.random.default_rng(17)
+            n = 100_000
+            x = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-30, 31, n)
+                 * rng.choice([-1.0, 1.0], n))
+        got = [row.tobytes().replace(b"\0", b"") for row in fn._format_g17(x)]
+        want = [b"%.17g" % v for v in x]
+        bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+        assert not bad[:5], f"{len(bad)} of {len(x)} differ"
