@@ -5,7 +5,8 @@ anglemap (grid CSV export), invariance (Moebius-map audit), oracle
 (cross-route audit), minimize (shape descent).  Exit codes: 0 success,
 1 property failure, 2 input error, 3 numerical-tolerance failure.  All
 randomness sits behind --seed, and identical invocations produce
-byte-identical output.
+byte-identical output.  Each command imports the modules it runs, so
+that a command pays for no other command's code.
 """
 
 import argparse
@@ -15,15 +16,7 @@ import sys
 
 import numpy as np
 
-from . import conformal as cf
-from . import symplectic as sy
-from . import verify as vf
 from .errors import BadLinkFile, BadParameter, IoFailure, LinkAreaError
-from .functionals import build_grid, compute_functionals, export_grid
-from .links import (TWO_PI, catalogue, link_text, random_mobius, read_link,
-                    separated_link)
-from .optimize import circle_fit_residual, decode_link, encode_link, minimize
-from .rng import Lcg64
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -38,6 +31,8 @@ def _fmt(x: float) -> str:
 
 
 def _load_link(path):
+    from .links import read_link
+
     try:
         return read_link(path)
     except FileNotFoundError:
@@ -62,6 +57,9 @@ def _write_all(files):
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
+    from .links import catalogue
+
     results = vf.run_battery(catalogue(), base_seed=args.seed)
     failed = 0
     for r in results:
@@ -72,6 +70,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_area(args) -> int:
+    from .functionals import compute_functionals
+
     rep = compute_functionals(_load_link(args.file), tol=args.tol, n_start=args.grid)
     print(f"signed_area={_fmt(rep.signed_area)} area={_fmt(rep.area)} "
           f"energy={_fmt(rep.energy)} grid={rep.grid_used[0]}x{rep.grid_used[1]} "
@@ -80,6 +80,8 @@ def cmd_area(args) -> int:
 
 
 def cmd_anglemap(args) -> int:
+    from .functionals import build_grid, export_grid
+
     link = _load_link(args.file)
     grid = build_grid(link, args.grid, args.grid)
     export_grid(grid, args.out)
@@ -88,11 +90,17 @@ def cmd_anglemap(args) -> int:
 
 
 def _density_fields(link, n: int = 32):
+    from .conformal import density_grids
+    from .links import TWO_PI
+
     s = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    return cf.density_grids(link.c1, link.c2, s, s)
+    return density_grids(link.c1, link.c2, s, s)
 
 
 def cmd_invariance(args) -> int:
+    from .functionals import compute_functionals
+    from .links import random_mobius
+
     if args.transforms < 1:
         raise BadParameter("at least 1 transform")
     if args.transforms > 100:
@@ -121,6 +129,12 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import conformal as cf
+    from . import symplectic as sy
+    from . import verify as vf
+    from .links import TWO_PI, separated_link
+    from .rng import Lcg64
+
     if args.samples < 1:
         raise BadParameter("at least 1 sample")
     if args.samples > 10000:
@@ -146,6 +160,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_minimize(args) -> int:
+    from .links import link_text
+    from .optimize import circle_fit_residual, decode_link, encode_link, minimize
+
     link = _load_link(args.file)
     v0 = encode_link(link)
     result = minimize(v0, steps=args.steps, grid_n=args.grid,

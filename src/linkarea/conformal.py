@@ -9,9 +9,13 @@ instrument of the package.
 
 The wedge and chart routes are each one broadcasting kernel on point
 stacks; their grid (s x t), paired (s[k], t[k]) and scalar entry points
-only evaluate the curves and insert axes.  The finite-difference route
-broadcasts over paired samples.  The three share no code beyond the chart
-stacks that the chart and finite-difference routes both lay out."""
+only evaluate the curves and insert axes.  The wedge kernel has two parts:
+magnitude_kernel gives g, |Omega| and the cosine of the angle, and checks
+that cosine; _density_kernel adds theta and Re Omega for the grid and
+paired entry points.  The quadrature calls only the first part, since
+Re Omega = g/2.  The finite-difference route broadcasts over paired
+samples.  The three share no code beyond the chart stacks that the chart
+and finite-difference routes both lay out."""
 
 from dataclasses import dataclass
 
@@ -92,26 +96,49 @@ def chart_velocity(x, xp, pole, basis):
     return q @ basis.T
 
 
-def _clamped_arccos(arg, slack: float = 1e-9):
-    a = np.asarray(arg, dtype=float)
-    excess = np.max(np.abs(a)) - 1.0
+def _check_cosine(cos, slack: float = 1e-9) -> None:
+    """Reject a cosine that leaves [-1, 1] by more than roundoff."""
+    excess = np.max(np.abs(cos)) - 1.0
     if excess > slack:
         raise ValueError(f"cosine argument exceeds 1 by {excess:.3e}")
+
+
+def _clamped_arccos(arg, slack: float = 1e-9):
+    a = np.asarray(arg, dtype=float)
+    _check_cosine(a, slack)
     return np.arccos(np.clip(a, -1.0, 1.0))
 
 
-def _density_kernel(x, xp, y, yp):
-    """(g, theta, abs, re)[..., i, j] for all pairs of (..., n, 4) and (..., m, 4) stacks.
+def magnitude_kernel(x, xp, y, yp):
+    """(g, abs, cos)[..., i, j] for all pairs of (..., n, 4) and (..., m, 4) stacks.
 
-    abs = |x'||y'|/|x-y|^2 and theta = arccos(g |x-y|^2 / (2|x'||y'|)), the
-    wedge-route angle in [0, pi]; re = abs cos(theta) is half the metric.
+    abs = |x'||y'|/|x-y|^2 and cos = g |x-y|^2 / (2|x'||y'|), the cosine of
+    the wedge-route angle, checked to lie in [-1, 1] up to roundoff.  The
+    quadrature needs only g and abs: Re Omega = abs cos = g/2.  Like
+    metric_kernel, it updates its temporaries in place.
     """
     g = metric_kernel(x, xp, y, yp)
-    chord2 = 2.0 - 2.0 * (x @ np.swapaxes(y, -1, -2))
+    cos = x @ np.swapaxes(y, -1, -2)
+    cos *= -2.0
+    cos += 2.0  # |x - y|^2
     speeds = (np.linalg.norm(xp, axis=-1)[..., :, None]
               * np.linalg.norm(yp, axis=-1)[..., None, :])
-    absval = speeds / chord2
-    theta = _clamped_arccos(g * chord2 / (2.0 * speeds))
+    absval = speeds / cos
+    cos *= g
+    speeds *= 2.0
+    cos /= speeds
+    _check_cosine(cos)
+    return g, absval, cos
+
+
+def _density_kernel(x, xp, y, yp):
+    """(g, theta, abs, re)[..., i, j]: magnitude_kernel plus the angle fields.
+
+    theta = arccos(cos) is the wedge-route angle in [0, pi]; re =
+    abs cos(theta) is half the metric.
+    """
+    g, absval, cos = magnitude_kernel(x, xp, y, yp)
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
     return g, theta, absval, absval * np.cos(theta)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,20 @@ class TestArea:
         rep = parse_report(out.strip())
         assert abs(float(rep["signed_area"])) <= 1e-12
         assert float(rep["area"]) <= 1e-10
+
+    def test_hopf_prints_exact_zero(self, capsys, link_files):
+        code, out, _ = run_cli(capsys, "area", link_files["hopf"])
+        assert code == 0
+        assert parse_report(out.strip())["area"] == "0"
+
+    def test_cosine_bound_is_input_error(self, capsys, link_files, monkeypatch):
+        from linkarea import conformal as cf
+        original = cf.metric_kernel
+        monkeypatch.setattr(cf, "metric_kernel", lambda *a: 1e6 * original(*a))
+        code, out, err = run_cli(capsys, "area", link_files["sep15"])
+        assert code == 2
+        assert out == ""
+        assert "cosine argument exceeds 1" in err
 
     def test_separated(self, capsys, link_files):
         code, out, _ = run_cli(capsys, "area", link_files["sep15"])
@@ -264,3 +282,32 @@ class TestMinimize:
         rep = parse_report(out.strip().split("\n")[0])
         assert rep["status"] == "converged"
         assert rep["steps"] == "0"
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv, skipped", [
+        (["area", "{link}"], {"optimize", "symplectic", "verify"}),
+        (["anglemap", "{link}", "--grid", "32", "--out", "{tmp}/map.csv"],
+         {"optimize", "symplectic", "verify"}),
+        (["minimize", "{link}", "--steps", "1", "--trace-out", "{tmp}/trace.csv",
+          "--link-out", "{tmp}/min.lk1"], {"conformal", "functionals", "symplectic", "verify"}),
+    ], ids=["area", "anglemap", "minimize"])
+    def test_command_imports_only_what_it_runs(self, link_files, tmp_path, argv, skipped):
+        argv = [a.format(link=link_files["hopf"], tmp=tmp_path) for a in argv]
+        script = (
+            "import sys\n"
+            "import linkarea\n"
+            "from linkarea import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"loaded = {{m for m in {sorted('linkarea.' + m for m in skipped)!r} "
+            "if m in sys.modules}\n"
+            "assert not loaded, loaded\n"
+            "for name in linkarea.__all__:\n"
+            "    getattr(linkarea, name)\n"
+            "assert len(set(linkarea.__all__)) == len(linkarea.__all__)\n")
+        src = str(Path(la.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -38,6 +38,53 @@ class TestBuildGrid:
             la.build_grid(hopf, n, 64)
 
 
+class TestNestedQuadrature:
+    def test_level_sums_match_full_grid(self):
+        for name, link in la.catalogue().items():
+            sums = None
+            for n in (32, 64, 128):
+                sums = fn._level_sums(link, n, sums)
+                grid = la.build_grid(link, n, n)
+                full = np.array([np.sum(grid.g), np.sum(np.abs(grid.g)),
+                                 np.sum(grid.abs_omega - grid.g / 2)])
+                # the signed sum cancels to roundoff, so it is held to the area's scale
+                scale = np.array([full[1], full[1], full[2]])
+                assert np.all(np.abs(sums - full) <= 1e-12 * scale), (name, n, sums, full)
+
+    def test_hopf_area_exactly_zero(self, hopf):
+        rep = la.area(hopf, tol=1e-3)
+        assert rep.area == 0.0
+        assert rep.signed_area == 0.0
+
+    def test_start_at_cap_fails_before_evaluating(self, separated10, monkeypatch):
+        calls = []
+
+        def counting_kernel(*args):
+            calls.append(args)
+            raise AssertionError("the kernel must not run")
+        monkeypatch.setattr(fn, "magnitude_kernel", counting_kernel)
+        with pytest.raises(NoConvergence, match="no convergence to 0.001 within 1024 nodes"):
+            fn.compute_functionals(separated10, tol=1e-3, n_start=fn.N_MAX)
+        assert calls == []
+
+    @pytest.mark.parametrize("excess, raises", [(1e-6, True), (1e-10, False)])
+    def test_cosine_bound_checked(self, perturbed02, monkeypatch, excess, raises):
+        from linkarea import conformal as cf
+
+        def metric_beyond_bound(x, xp, y, yp):
+            """|g|/2 = (1 + excess)|Omega| at every node, sign alternating."""
+            chord2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+            speeds = np.linalg.norm(xp, axis=-1)[:, None] * np.linalg.norm(yp, axis=-1)
+            sign = np.where(np.arange(len(y)) % 2 == 0, 1.0, -1.0)
+            return 2.0 * (1.0 + excess) * sign * speeds / chord2
+        monkeypatch.setattr(cf, "metric_kernel", metric_beyond_bound)
+        if raises:
+            with pytest.raises(ValueError, match="cosine argument exceeds 1"):
+                fn.compute_functionals(perturbed02, tol=1e-3)
+        else:
+            fn.compute_functionals(perturbed02, tol=1e-3)
+
+
 class TestSignedArea:
     def test_hopf_zero(self, hopf):
         rep = la.signed_area(hopf, tol=1e-10)
