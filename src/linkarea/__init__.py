@@ -19,8 +19,8 @@ _EXPORTS = {
                     "compute_functionals", "cross_energy", "export_grid",
                     "read_grid", "signed_area"),
     "links": ("CircleCurve", "FourierCurve", "Link2", "LinkCurve", "MobiusMap",
-              "SampledCurve", "catalogue", "chart_lift", "hopf_link",
-              "inverse_stereographic", "parallel_circles_link",
+              "SampledCurve", "catalogue", "chart_lift", "great_circle_pair",
+              "hopf_link", "inverse_stereographic", "parallel_circles_link",
               "perturbed_hopf_link", "random_mobius", "read_link",
               "separated_link", "stereographic_3chart", "write_link"),
     "minkowski": ("CausalClass", "causal_classify", "inner5", "inner10",

@@ -290,6 +290,21 @@ def parallel_circles_link(r: float = 1.0, gap: float = 1.0) -> Link2:
     return Link2(lifted(0.5 * gap), lifted(-0.5 * gap))
 
 
+def great_circle_pair(alpha: float, beta: float) -> Link2:
+    """Great circles at principal angles (alpha, beta), both in (0, pi/2].
+
+    C1 lies in the e1e2-plane; C2 is spanned by cos(alpha) e1 + sin(alpha) e3
+    and cos(beta) e2 + sin(beta) e4.  (pi/2, pi/2) is the Hopf link, and the
+    isoclinic pairs alpha = beta have area 8 pi cot(alpha).
+    """
+    if not (0.0 < alpha <= 0.5 * np.pi and 0.0 < beta <= 0.5 * np.pi):
+        raise BadParameter("principal angles must lie in (0, pi/2]")
+    u = np.array([np.cos(alpha), 0.0, np.sin(alpha), 0.0])
+    v = np.array([0.0, np.cos(beta), 0.0, np.sin(beta)])
+    return Link2(CircleCurve(np.zeros(4), _E[0], _E[1], 1.0),
+                 CircleCurve(np.zeros(4), u, v, 1.0))
+
+
 _HOPF_COEFFS_1 = np.zeros((4, 7))
 _HOPF_COEFFS_1[0, 1] = 1.0
 _HOPF_COEFFS_1[1, 2] = 1.0

@@ -9,10 +9,15 @@ from linkarea.rng import Lcg64
 TWO_PI = 2 * np.pi
 
 # converged quadrature values, frozen as regression fixtures
-AREA_SEPARATED = {1.0: 18.84973226576563, 1.5: 7.330572759144536, 1.9: 1.2902226221551676}
 ENERGY_SEPARATED_10 = 14.804406576960028
 ENERGY_PERTURBED_02_S0 = 19.90570912566061
 HOPF_ENERGY = 2 * np.pi ** 2  # |Omega| = 1/2 over the whole 2pi x 2pi torus
+
+
+def separated_area(d_nominal):
+    """Closed-form area 2 pi (4 - d^2) / d, with the offset separated_link builds in."""
+    d = d_nominal * (1 + 1e-9)
+    return 2 * np.pi * (4 - d * d) / d
 
 
 class TestBuildGrid:
@@ -41,15 +46,30 @@ class TestBuildGrid:
 class TestNestedQuadrature:
     def test_level_sums_match_full_grid(self):
         for name, link in la.catalogue().items():
-            sums = None
+            level = None
             for n in (32, 64, 128):
-                sums = fn._level_sums(link, n, sums)
+                level = fn._level_grid(link, n, level)
+                g, sums, scale = level
                 grid = la.build_grid(link, n, n)
-                full = np.array([np.sum(grid.g), np.sum(np.abs(grid.g)),
-                                 np.sum(grid.abs_omega - grid.g / 2)])
+                assert np.allclose(g, grid.g, rtol=0, atol=1e-15 * np.max(grid.abs_omega)), name
+                assert np.array_equal(scale, np.max(grid.abs_omega, axis=1)), name
+                full = np.array([np.sum(grid.g), np.sum(grid.abs_omega - grid.g / 2)])
                 # the signed sum cancels to roundoff, so it is held to the area's scale
-                scale = np.array([full[1], full[1], full[2]])
-                assert np.all(np.abs(sums - full) <= 1e-12 * scale), (name, n, sums, full)
+                scale_sums = np.array([np.sum(np.abs(grid.g)), full[1]])
+                assert np.all(np.abs(sums - full) <= 1e-12 * scale_sums), (name, n, sums, full)
+
+    @pytest.mark.parametrize("name, n_start", [("perturbed02", 32), ("perturbed02", 512),
+                                               ("separated10", 32), ("separated10", 512)])
+    def test_each_node_evaluated_once(self, name, n_start, request, monkeypatch):
+        nodes = []
+
+        def counting_kernel(x, xp, y, yp):
+            nodes.append(len(x) * len(y))
+            return kernel(x, xp, y, yp)
+        kernel = fn.magnitude_kernel
+        monkeypatch.setattr(fn, "magnitude_kernel", counting_kernel)
+        rep = fn.compute_functionals(request.getfixturevalue(name), tol=1e-3, n_start=n_start)
+        assert sum(nodes) == rep.grid_used[0] ** 2
 
     def test_hopf_area_exactly_zero(self, hopf):
         rep = la.area(hopf, tol=1e-3)
@@ -118,17 +138,72 @@ class TestArea:
             rep = la.area(moved, tol=1e-3)
             assert rep.area <= 1e-8
 
+    @pytest.mark.parametrize("d", [0.5, 1.0, 1.5, 1.9])
+    def test_separated_closed_form(self, d):
+        rep = la.area(la.separated_link(d), tol=1e-8)
+        assert rep.grid_used[0] <= 256
+        assert rep.area == pytest.approx(separated_area(d), rel=1e-9)
+
     def test_separated_regression_and_monotone(self):
         values = []
-        for d, frozen in AREA_SEPARATED.items():
+        for d in (1.0, 1.5, 1.9):
             rep = la.area(la.separated_link(d), tol=1e-3)
-            assert rep.area == pytest.approx(frozen, rel=1e-3)
+            assert rep.area == pytest.approx(separated_area(d), rel=1e-9)
             values.append(rep.area)
         assert values[0] > values[1] > values[2] > 0
 
-    def test_area_tolerance_unreachable(self, separated10):
+    def test_parallel_matches_energy(self, parallel):
+        # on coaxial round pairs area = 4 energy / pi, and the energy converges spectrally
+        reference = 4 * la.cross_energy(parallel, tol=1e-10) / np.pi
+        rep = la.area(parallel, tol=1e-8)
+        assert rep.grid_used[0] <= 256
+        assert rep.area == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.3])
+    def test_isoclinic_great_circles(self, alpha):
+        rep = la.area(la.great_circle_pair(alpha, alpha), tol=1e-8)
+        assert rep.grid_used[0] <= 256
+        assert rep.area == pytest.approx(8 * np.pi / np.tan(alpha), rel=1e-9)
+
+    def test_right_angled_great_circles_are_hopf(self):
+        rep = la.area(la.great_circle_pair(np.pi / 2, np.pi / 2), tol=1e-3)
+        assert rep.area <= 1e-15
+        assert all(level.zeros == 0 for level in rep.levels)
+
+    def test_great_circle_pair_rejects_angles(self):
+        from linkarea.errors import BadParameter
+        for alpha, beta in ((0.0, 1.0), (1.0, -0.1), (1.0, 1.6), (float("nan"), 1.0)):
+            with pytest.raises(BadParameter):
+                la.great_circle_pair(alpha, beta)
+
+    def test_area_tolerance_unreachable(self):
+        # whole rows of g vanish, so the s-quadrature converges at order 2 only
         with pytest.raises(NoConvergence):
-            la.area(separated10, tol=1e-9)
+            la.area(la.great_circle_pair(np.pi / 2, 1.2), tol=1e-9)
+
+    def test_roundoff_rows_add_no_zeros(self, hopf, monkeypatch):
+        per_row = []
+
+        def counting_polish(modes, top, row, *args):
+            per_row.append(np.bincount(row, minlength=len(modes)).max(initial=0))
+            return polish(modes, top, row, *args)
+        polish = fn._polish
+        monkeypatch.setattr(fn, "_polish", counting_polish)
+        for seed in range(3):
+            moved = la.random_mobius(seed + 70, 2.0).transform_link(hopf)
+            la.cross_energy(moved, tol=1e-10)
+            rep = fn.compute_functionals(moved, tol=1e-3, n_start=256)
+            assert rep.area <= 1e-8
+        assert per_row and max(per_row) <= 4
+
+    def test_levels_report_refinement(self, perturbed02):
+        rep = la.compute_functionals(perturbed02, tol=1e-4, n_start=32)
+        assert [level.n for level in rep.levels] == [32 * 2 ** k for k in range(len(rep.levels))]
+        last, before = rep.levels[-1], rep.levels[-2]
+        assert rep.grid_used == (last.n, last.n)
+        assert (rep.signed_area, rep.area, rep.energy) == last.values
+        assert rep.est_error == max(abs(a - b) for a, b in zip(last.values, before.values))
+        assert all(level.zeros > 0 for level in rep.levels)
 
 
 class TestCrossEnergy:
