@@ -16,8 +16,8 @@ _EXPORTS = {
     "conformal": ("CrossRatioDensity", "chart_pole", "conformal_angle_chart",
                   "conformal_angle_wedge", "cross_ratio_fd", "inf_cross_ratio"),
     "functionals": ("FunctionalReport", "TorusGrid", "area", "build_grid",
-                    "compute_functionals", "cross_energy", "export_grid",
-                    "read_grid", "signed_area"),
+                    "compute_functionals", "cross_energy", "signed_area"),
+    "gridio": ("export_grid", "read_grid"),
     "links": ("CircleCurve", "FourierCurve", "Link2", "LinkCurve", "MobiusMap",
               "SampledCurve", "catalogue", "chart_lift", "great_circle_pair",
               "hopf_link", "inverse_stereographic", "parallel_circles_link",

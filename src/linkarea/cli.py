@@ -80,7 +80,8 @@ def cmd_area(args) -> int:
 
 
 def cmd_anglemap(args) -> int:
-    from .functionals import build_grid, export_grid
+    from .functionals import build_grid
+    from .gridio import export_grid
 
     link = _load_link(args.file)
     grid = build_grid(link, args.grid, args.grid)

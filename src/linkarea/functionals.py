@@ -1,10 +1,18 @@
 """Quadrature of the torus densities: signed area, area, cross energy.
 
-Grids are uniform and of power-of-two size, refined by doubling until
-successive values agree to the requested tolerance; the last difference is
-reported as the error estimate.  The doubled grid contains the coarse one,
-so each level keeps g at every node, and the unscaled node sums of g and
-|Omega| - g/2, and evaluates only the nodes it adds; the quadrature never
+Grids are uniform n_s x n_t products of power-of-two sizes.  Levels double
+n_s until successive values agree to the requested tolerance.  n_t follows
+the rows' Fourier spectra instead: where the area must converge, it doubles
+within a level while the spectral tail of the rows puts its estimate of
+the area's t-error above the tolerance, and the next level keeps
+n_t >= n_s unless every row is resolved to roundoff at fewer columns, in
+which case it carries only those.  The error estimate is the larger of the
+last level difference and that t-tail estimate.  A refined grid contains
+the coarse one (linspace(0, 2 pi, 2n)[::2] equals
+linspace(0, 2 pi, n)), so each level keeps g at every node, the per-column
+sums of g and |Omega| - g/2 and the largest |Omega| of each row, and
+evaluates only the nodes it adds; a column a level drops needs no
+re-evaluation, because its sums are kept per column.  The quadrature never
 forms theta or Re Omega, which only the exported grid carries.
 
 The signed area and the energy are trapezoid sums of smooth periodic
@@ -15,43 +23,32 @@ changes and polished by Newton's method on the interpolant, and integrated
 between them through its Fourier antiderivative (J. P. Boyd, Solving
 Transcendental Equations, SIAM 2014); the rows are then summed by the
 trapezoid rule in s (L. N. Trefethen and J. A. C. Weideman, SIAM Review
-56, 2014).
-
-The grid's CSV export writes the bytes of np.savetxt with fmt "%.17g", but
-computes the digits with whole-array numpy operations.  For
-1e-6 < |x| < 1e17, an error-free product with an exact power of ten
-(T. J. Dekker, Numer. Math. 18, 1971) gives the correctly rounded 17-digit
-mantissa.  Zeros, subnormals, nan, +-inf and magnitudes outside that window
-fall back to Python's formatting, once per distinct value.  The import
-accepts only the s-major product grid that the export writes.
+56, 2014).  A row resolved in t is integrated exactly, so only s needs
+refining.
 """
 
-import contextlib
-import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import density_grids, magnitude_kernel
-from .errors import IoFailure, NoConvergence
+from .errors import NoConvergence
 from .links import TWO_PI, Link2
 
 N_MIN = 32
 N_MAX = 1024
 
-CSV_HEADER = "s,t,g,theta,abs_omega,re_omega"
-
 #: nodes per kernel call and per row block of the FFTs; bounds a level's
-#: temporaries, so that the 1024^2 level holds little more than its g
+#: temporaries, so that a level holds little more than its g and modes
 _BLOCK_NODES = 1 << 16
 #: zeros are bracketed on each row's interpolant sampled this much finer ...
 _OVERSAMPLE = 8
-#: ... up to this grid size, and on the grid's own samples above it
+#: ... up to this many columns, and at the columns' own nodes above it
 _OVERSAMPLE_MAX_N = 128
 #: |g| <= _ROUNDOFF * (largest |Omega| of the row) is roundoff, not a sign
 _ROUNDOFF = 64 * np.finfo(float).eps
-#: modes below this fraction of a level's largest are roundoff, left out
+#: modes below this fraction of a level's largest are roundoff: left out of
+#: the interpolant, and a row whose higher modes are all below it is resolved
 _MODE_FLOOR = 4 * np.finfo(float).eps
 #: a zero is polished once a Newton step moves it by less than this ...
 _NEWTON_STEP = 1e-5
@@ -77,13 +74,16 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One grid of the refinement: its size, the three values and the
-    number of zeros of the rows' interpolants that the area polished."""
-    n: int
+    """One grid of the refinement: its n_s x n_t size, the three values, the
+    number of zeros of the rows' interpolants that the area polished, and
+    the estimate of the area's t-error from the rows' spectral tail."""
+    n_s: int
+    n_t: int
     signed_area: float
     area: float
     energy: float
     zeros: int
+    t_tail: float
 
     @property
     def values(self) -> tuple:
@@ -95,57 +95,175 @@ class FunctionalReport:
     signed_area: float
     area: float
     energy: float
-    grid_used: tuple
+    grid_used: tuple  # (n_s, n_t)
     est_error: float
     levels: tuple = ()
+
+
+def _nodes(n: int) -> np.ndarray:
+    return np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
 def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:
     """Evaluate the densities at uniform nodes s_i = 2 pi i / n_s etc."""
     _check_resolution(n_s)
     _check_resolution(n_t)
-    s = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
-    t = np.linspace(0.0, TWO_PI, n_t, endpoint=False)
+    s, t = _nodes(n_s), _nodes(n_t)
     g, theta, absval, re = density_grids(link.c1, link.c2, s, t)
     return TorusGrid(s=s, t=t, g=g, theta=theta, abs_omega=absval, re_omega=re)
 
 
-def _level_grid(link: Link2, n: int, coarse=None):
-    """(g, sums, scale) on the n x n grid: g at every node, the node sums
-    (sum g, sum |Omega| - g/2) and the largest |Omega| of each row.
+def _curve_nodes(link: Link2):
+    """nodes(c, n): points and velocities of component c (0 or 1) at n
+    uniform nodes, evaluated once per size."""
+    curves, done = (link.c1, link.c2), {}
 
-    With coarse, the same triple for the n/2 grid, only the nodes that the n
-    grid adds are evaluated: odd s against every t, and even s against odd t.
-    The even-even nodes are the coarse grid's, since
-    linspace(0, 2 pi, n)[::2] == linspace(0, 2 pi, n/2).  The kernel runs on
-    blocks of whole rows, about _BLOCK_NODES nodes each.
+    def nodes(c: int, n: int):
+        if (c, n) not in done:
+            done[c, n] = curves[c].evaluate(_nodes(n))
+        return done[c, n]
+    return nodes
+
+
+def _fill(nodes, level, rows: slice, cols: slice) -> None:
+    """Evaluate the nodes rows x cols of a level (g, sums, scale) in place.
+
+    g is n_s x n_t; sums holds the column sums of g and |Omega| - g/2, and
+    scale the largest |Omega| of each row.  The kernel runs on blocks of
+    whole rows, about _BLOCK_NODES nodes each.
     """
-    nodes = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    x, xp = link.c1.evaluate(nodes)
-    y, yp = link.c2.evaluate(nodes)
-    g = np.empty((n, n))
-    sums = np.zeros(2)
-    scale = np.zeros(n)
-    if coarse is None:
-        parts = ((0, 1, slice(None)),)  # (first row, row stride, columns)
+    g, sums, scale = level
+    n_s, n_t = g.shape
+    x, xp = nodes(0, n_s)
+    y, yp = nodes(1, n_t)
+    x, xp, y, yp = x[rows], xp[rows], y[cols], yp[cols]
+    g_rows, scale_rows = g[rows], scale[rows]
+    step = max(1, _BLOCK_NODES // len(y))
+    for r0 in range(0, len(x), step):
+        block = slice(r0, r0 + step)
+        gb, absval = magnitude_kernel(x[block], xp[block], y, yp)[:2]
+        g_rows[block, cols] = gb
+        np.maximum(scale_rows[block], absval.max(axis=1), out=scale_rows[block])
+        sums[0, cols] += gb.sum(axis=0)
+        gb *= 0.5
+        absval -= gb
+        sums[1, cols] += absval.sum(axis=0)
+
+
+def _first_level(nodes, n: int):
+    """The n x n level, every node evaluated."""
+    level = np.empty((n, n)), np.zeros((2, n)), np.zeros(n)
+    _fill(nodes, level, slice(None), slice(None))
+    return level
+
+
+def _refine(nodes, level, n_s: int, n_t: int):
+    """The level on the n_s x n_t grid built from level, whose n_s is n_s or n_s / 2.
+
+    With fewer columns, the level's rows and column sums keep every
+    (n_t_old / n_t)-th column; with more, its rows gain the new columns.
+    The new odd rows, if any, are evaluated at every column.
+    """
+    g0, sums0, scale0 = level
+    rows = slice(None, None, n_s // len(g0))  # the level's rows in the new one
+    g, sums, scale = np.empty((n_s, n_t)), np.zeros((2, n_t)), np.zeros(n_s)
+    scale[rows] = scale0
+    ratio = n_t // g0.shape[1]
+    if ratio:
+        g[rows, ::ratio], sums[:, ::ratio] = g0, sums0
     else:
-        g[::2, ::2] = coarse[0]
-        sums += coarse[1]
-        scale[::2] = coarse[2]
-        parts = ((1, 2, slice(None)), (0, 2, slice(1, None, 2)))
-    for first, stride, cols in parts:
-        y_c, yp_c = y[cols], yp[cols]
-        step = stride * max(1, _BLOCK_NODES // len(y_c))
-        for r0 in range(first, n, step):
-            rows = slice(r0, r0 + step, stride)
-            gb, absval = magnitude_kernel(x[rows], xp[rows], y_c, yp_c)[:2]
-            g[rows, cols] = gb
-            np.maximum(scale[rows], absval.max(axis=1), out=scale[rows])
-            sums[0] += np.sum(gb)
-            gb *= 0.5
-            absval -= gb
-            sums[1] += np.sum(absval)
-    return g, sums, scale
+        stride = g0.shape[1] // n_t
+        g[rows], sums[:] = g0[:, ::stride], sums0[:, ::stride]
+    level = g, sums, scale
+    for offset in range(1, ratio):  # the columns between the level's
+        _fill(nodes, level, rows, slice(offset, None, ratio))
+    if rows.step == 2:
+        _fill(nodes, level, slice(1, None, 2), slice(None))
+    return level
+
+
+def _row_spectra(g, coef, scale):
+    """Fourier modes of each row of g, written to coef, their sizes, and the
+    sign changes of each row's interpolant.
+
+    Row i of the complex view of coef (n_s x n_t reals) holds a_0 + i a_{n/2},
+    a_1, ..., a_{n/2 - 1} of the row's interpolant
+    p(t) = Re sum_k a_k exp(ikt), n = n_t; coef may be g itself.  Returns
+    the modes; top, above which every mode of every row is below
+    _MODE_FLOOR of the largest, i.e. FFT roundoff; amp, the amplitude |a_k|
+    of each mode summed over the rows; and the brackets (row, lo, hi, p(lo),
+    p(hi)) of the sign changes of p, lo and hi in radians.  p is sampled
+    _OVERSAMPLE times finer than the columns while n_t <= _OVERSAMPLE_MAX_N
+    and at the columns above that.  Samples with |p| <= _ROUNDOFF times the
+    largest |Omega| of their row (scale) count as positive, so rows of
+    roundoff (the Hopf link and its Moebius images) have no sign changes.
+    """
+    n_s, n_t = g.shape
+    half = n_t // 2
+    modes = coef.view(complex)
+    pad = _OVERSAMPLE if n_t <= _OVERSAMPLE_MAX_N else 1
+    tiny = _ROUNDOFF * scale
+    found = []
+    peak = np.zeros(half + 1)  # largest |a_k| over the rows, up to a factor 2
+    amp = np.zeros(half + 1)
+    step = max(1, _BLOCK_NODES // (pad * n_t))
+    for r0 in range(0, n_s, step):
+        rows = slice(r0, r0 + step)
+        spec = np.fft.rfft(g[rows], norm="forward")  # a_0, a_k / 2, a_{n/2}
+        vals = np.fft.irfft(spec, pad * n_t, norm="forward") if pad > 1 else g[rows]
+        found.append(_sign_changes(vals, tiny[rows], r0))
+        size = np.abs(spec)
+        np.maximum(peak, size.max(axis=0), out=peak)
+        amp += size.sum(axis=0)
+        np.multiply(spec[:, 1:half], 2.0, out=modes[rows, 1:])
+        modes[rows, 0] = spec[:, 0].real + 1j * spec[:, half].real
+    amp[1:half] *= 2.0
+    top = np.flatnonzero(peak > _MODE_FLOOR * np.max(peak))[-1] if np.any(peak) else 0
+    row, lo, hi, v_lo, v_hi = (np.concatenate(part) for part in zip(*found))
+    h = TWO_PI / (pad * n_t)
+    return modes, int(top), amp, (row, lo * h, hi * h, v_lo, v_hi)
+
+
+def _t_tail(amp, top: int, n_s: int) -> float:
+    """Estimate of the area's t-error of a level, from _row_spectra's amp and top.
+
+    A row's error is at most 2 pi max|g - p|, p its interpolant on the
+    level's n_t columns, and max|g - p| is at most twice the amplitudes of
+    the modes beyond n_t/2, which p misses or aliases.  Where every row is
+    resolved (each mode from n_t/2 up below the mode floor), p misses only
+    the roundoff modes above top, and those are summed.  Otherwise the
+    modes above n_t/4 stand in for the ones beyond n_t/2.  That bounds the
+    error only for a spectrum that decays geometrically, |a_k| ~ r^k with
+    r^(n_t/4) <= 1/3: under algebraic decay it can understate the error,
+    and under fast decay it overstates it about r^(-n_t/4)/2 times.  The
+    amplitudes are summed over the rows with the trapezoid weight 2 pi / n_s
+    in s.
+    """
+    half = len(amp) - 1
+    first = max(half // 2, top) if top < half else half // 2
+    return TWO_PI * TWO_PI / n_s * float(amp[first + 1:].sum())
+
+
+def _carried_columns(level, top: int) -> int:
+    """n_t of the next level.
+
+    The fewest columns m >= N_MIN, up to the level's n_t, at which every
+    row is resolved (each mode from m/2 up below the mode floor) and the
+    energy's trapezoid sum over every (n_t/m)-th column matches the full
+    one to roundoff, since the floor is judged on g alone.  Without such
+    an m, n_t keeps up with the next level's n_s.
+    """
+    g, sums, _ = level
+    n_s, n_t = g.shape
+    m = max(N_MIN, 2 * top + 1)
+    m = 1 << (m - 1).bit_length()  # the next power of two
+    energy = sums[1].sum() if m <= n_t else 0.0
+    while m <= n_t:
+        stride = n_t // m
+        if abs(stride * sums[1, ::stride].sum() - energy) <= _ROUNDOFF * energy:
+            return m
+        m *= 2
+    return max(n_t, 2 * n_s)
 
 
 def _sign_changes(vals, tiny, r0: int):
@@ -226,41 +344,18 @@ def _polish(modes, top, row, lo, hi, v_lo, v_hi):
     return anti
 
 
-def _abs_integral(g, scale, coef):
+def _abs_integral(modes, top: int, brackets):
     """Integral of |g| over the torus, and the number of zeros polished.
 
+    modes, top and the sign-change brackets are those of _row_spectra.
     Each row's integral in t is that of |p|, p the row's trigonometric
     interpolant, exact between consecutive zeros of p through the Fourier
-    antiderivative; the rows are summed by the trapezoid rule in s.  Zeros
-    are bracketed by sign changes of p, sampled _OVERSAMPLE times finer than
-    the grid while n <= _OVERSAMPLE_MAX_N and at the nodes above that, and
-    polished on p itself.  Samples with |g| <= _ROUNDOFF times the largest
-    |Omega| of their row count as positive, so rows of roundoff (the Hopf
-    link and its Moebius images) add no zeros.  The rows' Fourier
-    coefficients go to coef, an n x n array, which may be g itself if g is
-    not needed afterwards.
+    antiderivative; the zeros are polished on p itself.  The rows are
+    summed by the trapezoid rule in s.
     """
-    n = len(g)
-    half = n // 2
-    modes = coef.view(complex)  # row i: a_0 + i a_{n/2}, a_1, ..., a_{n/2 - 1}
-    pad = _OVERSAMPLE if n <= _OVERSAMPLE_MAX_N else 1
-    tiny = _ROUNDOFF * scale
-    found = []
-    peak = np.zeros(half + 1)  # largest |a_k| over the rows
-    step = max(1, _BLOCK_NODES // (pad * n))
-    for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        spec = np.fft.rfft(g[rows], norm="forward")  # a_0, a_k / 2, a_{n/2}
-        vals = np.fft.irfft(spec, pad * n, norm="forward") if pad > 1 else g[rows]
-        found.append(_sign_changes(vals, tiny[rows], r0))
-        np.maximum(peak, np.max(np.abs(spec), axis=0), out=peak)
-        modes[rows, 1:] = 2.0 * spec[:, 1:half]
-        modes[rows, 0] = spec[:, 0].real + 1j * spec[:, half].real
-    row, lo, hi, v_lo, v_hi = (np.concatenate(part) for part in zip(*found))
-    # above top, every mode of every row is at the roundoff floor of the FFT
-    top = np.flatnonzero(peak > _MODE_FLOOR * np.max(peak))[-1] if np.any(peak) else 0
-    h = TWO_PI / (pad * n)
-    anti = _polish(modes, top, row, lo * h, hi * h, v_lo, v_hi)
+    n_s = len(modes)
+    row = brackets[0]
+    anti = _polish(modes, top, *brackets)
     mean = modes[:, 0].real
     integral = TWO_PI * np.abs(mean)
     if len(row):
@@ -270,8 +365,8 @@ def _abs_integral(g, scale, coef):
         after[last] = np.r_[0, last[:-1] + 1]
         piece = anti[after] - anti
         piece[last] += TWO_PI * mean[row[last]]
-        integral[row[last]] = np.bincount(row, np.abs(piece), minlength=n)[row[last]]
-    return np.sum(integral) * (TWO_PI / n), len(row)
+        integral[row[last]] = np.bincount(row, np.abs(piece), minlength=n_s)[row[last]]
+    return np.sum(integral) * (TWO_PI / n_s), len(row)
 
 
 _CRITERIA = {"signed_area": (0,), "area": (1,), "energy": (2,), "all": (0, 1, 2)}
@@ -279,51 +374,69 @@ _CRITERIA = {"signed_area": (0,), "area": (1,), "energy": (2,), "all": (0, 1, 2)
 
 def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
                         criterion: str = "all") -> FunctionalReport:
-    """Signed area, area and cross energy with grid-doubling refinement.
+    """Signed area, area and cross energy on refined n_s x n_t grids.
 
-    The criterion selects which functionals must move by at most tol
-    between successive grids before refinement stops; all three values from
-    the finer grid are reported either way, with one LevelRecord per grid
-    visited.  Each level keeps g at every node and the previous level's
-    node sums, and evaluates only the nodes it adds, for g and |Omega| only:
-    the energy integrand is |Omega| - Re Omega = |Omega| - g/2.  A start
-    with no finer grid under the cap raises NoConvergence before any node
-    is evaluated.
+    The first level is n_start x n_start.  Within a later level, if the
+    criterion watches the area, n_t doubles while the rows' spectral tail
+    puts its estimate of the area's t-error above tol (see _t_tail); the
+    rows' spectra decide this before any zero is polished.  Each next level doubles n_s
+    and carries the fewest columns, at least N_MIN, at which every row is
+    resolved to the mode floor, or else keeps n_t >= n_s (see
+    _carried_columns).  A level evaluates only the nodes it adds, for g and
+    |Omega| only: the energy integrand is |Omega| - Re Omega =
+    |Omega| - g/2.  Refinement stops once the functionals that the
+    criterion selects move by at most tol between levels and, if the area
+    is among them, the t-tail estimate is within tol; the larger of the two
+    is est_error.  All three values of the last level are reported either way,
+    with one LevelRecord per level, and grid_used is its (n_s, n_t).  A
+    start with no finer level under the cap raises NoConvergence before any
+    node is evaluated.
 
     Signed area and energy are trapezoid sums, which converge spectrally.
     The area integrand |g| has a kink along the zero set of g (present for
     every link of positive area, since the signed area vanishes), so the
     area integrates each row's interpolant exactly between its zeros (see
-    _abs_integral): on the round pairs, whose rows have simple zeros, it
-    matches the closed forms to about 1e-14 at 128^2.  Where zeros of a row
-    merge as s moves, or whole rows of g vanish, the row integral has kinks
-    in s and the trapezoid rule in s converges at order 2 to 3 only.
+    _abs_integral): once the rows are resolved in t, the round pairs, whose
+    row integrals are smooth in s, match their closed forms to roundoff.
+    Where zeros of a row merge as s moves, or whole rows of g vanish, the
+    row integral has kinks in s and the trapezoid rule in s converges at
+    order 2 to 3 only.
     """
     if not tol >= 1e-10:  # also rejects nan
         raise ValueError("tolerance below 1e-10 is not supported")
     _check_resolution(n_start)
     watch = _CRITERIA[criterion]
+    area_watched = 1 in watch  # the t-tail estimates the area's error only
     failure = NoConvergence(f"no convergence to {tol} within {N_MAX} nodes")
     if 2 * n_start > N_MAX:
         raise failure
-    n, level, levels = n_start, None, []
-    while n <= N_MAX:
-        level = _level_grid(link, n, level)
+    nodes = _curve_nodes(link)
+    level, levels = _first_level(nodes, n_start), []
+    while True:
         g, sums, scale = level
-        # the last grid's g is not needed again, so its coefficients overwrite it
-        area, zeros = _abs_integral(g, scale, g if n == N_MAX else np.empty_like(g))
-        cell = (TWO_PI / n) ** 2
-        levels.append(LevelRecord(n=n, signed_area=float(sums[0] * cell), area=float(area),
-                                  energy=float(sums[1] * cell), zeros=zeros))
+        n_s, n_t = g.shape
+        # at the cap in both directions g is not needed again, so the modes overwrite it
+        modes, top, amp, brackets = _row_spectra(
+            g, g if n_s == n_t == N_MAX else np.empty_like(g), scale)
+        tail = _t_tail(amp, top, n_s)
+        if area_watched and levels and tail > tol and n_t < N_MAX:
+            level = _refine(nodes, level, n_s, 2 * n_t)
+            continue
+        area, zeros = _abs_integral(modes, top, brackets)
+        cell = (TWO_PI / n_s) * (TWO_PI / n_t)
+        signed, energy = sums.sum(axis=1) * cell
+        levels.append(LevelRecord(n_s=n_s, n_t=n_t, signed_area=float(signed), area=float(area),
+                                  energy=float(energy), zeros=zeros, t_tail=tail))
         if len(levels) > 1:
             cur, prev = levels[-1].values, levels[-2].values
-            delta = max(abs(cur[k] - prev[k]) for k in watch)
-            if delta <= tol:
+            est = max(max(abs(cur[k] - prev[k]) for k in watch), tail if area_watched else 0.0)
+            if est <= tol:
                 return FunctionalReport(signed_area=cur[0], area=cur[1], energy=cur[2],
-                                        grid_used=(n, n), est_error=float(delta),
+                                        grid_used=(n_s, n_t), est_error=float(est),
                                         levels=tuple(levels))
-        n *= 2
-    raise failure
+        if n_s == N_MAX:
+            raise failure
+        level = _refine(nodes, level, 2 * n_s, _carried_columns(level, top))
 
 
 def signed_area(link: Link2, tol: float = 1e-8) -> FunctionalReport:
@@ -345,202 +458,3 @@ def area(link: Link2, tol: float = 1e-3) -> FunctionalReport:
 def cross_energy(link: Link2, tol: float = 1e-8) -> float:
     """Integral of |Omega| - Re Omega, the component part of the knot energy."""
     return compute_functionals(link, tol, criterion="energy").energy
-
-
-#: width of the widest "%.17g" field, "-1.2345678901234567e-308"
-_FIELD = 24
-#: CSV rows formatted per block; bounds the writer's scratch memory
-_BLOCK_ROWS = 4096
-#: 10**p for p = 0..22, all exact doubles (5**22 < 2**53)
-_POW10 = np.array([float(10 ** p) for p in range(23)])
-#: masks that keep the first c of four packed bytes, c = 0..4
-_KEEP = np.array([b"\xff" * c + b"\0" * (4 - c) for c in range(5)]).view(np.uint32)
-
-
-@functools.cache
-def _digit_tables():
-    """The text "%04d" of 0..9999, four ASCII bytes packed in a uint32, and
-    the trailing zeros of each (4 for 0).  Built on first use, so that
-    commands that write no CSV do not pay for them.
-    """
-    digits = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
-                                  indexing="ij"), axis=-1).reshape(10000, 4)
-    zero = digits == ord("0")
-    trailing = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
-    return digits.view(np.uint32)[:, 0], trailing
-
-
-def _split(a):
-    """Veltkamp's split of a into a 26-bit high part and the rest."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
-
-
-def _scaled(a, p):
-    """a * 10**p as h + l with h = fl(a * 10**p), exactly (Dekker's two-product)."""
-    h = a * _POW10[p]
-    ah, al = _split(a)
-    bh, bl = _POW10_HI[p], _POW10_LO[p]
-    return h, ((ah * bh - h) + ah * bl + al * bh) + al * bl
-
-
-def _mantissa(d, e):
-    """ASCII digits of the 17-digit integers d, trailing zeros dropped.
-
-    Returns an (n, 17) uint8 array whose bytes after the last significant
-    digit are NUL, except those of an integer part of e + 1 digits, and the
-    count of significant digits.
-    """
-    quad_text, quad_trailing = _digit_tables()
-    quads = np.empty((len(d), 5), np.uint32)
-    trailing = np.zeros(len(d), np.intp)
-    zero = np.ones(len(d), bool)
-    for k in range(4, 0, -1):
-        q = d // 10000
-        r = d - 10000 * q
-        quads[:, k] = quad_text[r]
-        trailing += zero * quad_trailing[r]
-        zero &= r == 0
-        d = q
-    quads[:, 0] = quad_text[d]
-    nsig = 17 - trailing
-    keep = np.maximum(nsig, e + 1)
-    for k in range(1, 5):  # quad k holds digits 4k-3 .. 4k
-        quads[:, k] &= _KEEP[np.clip(keep - (4 * k - 3), 0, 4)]
-    return quads.view(np.uint8)[:, 3:], nsig
-
-
-def _format_g17(x) -> np.ndarray:
-    """'%.17g' % v for each v of x, as the rows of a NUL-padded (n, _FIELD) uint8 array.
-
-    For 1e-6 < |v| < 1e17 the digits are exact: with E the decimal exponent
-    of |v| and p = 16 - E in [0, 22], 10**p is an exact double, so
-    |v| * 10**p = h + l exactly, and the 17-digit mantissa is h + l rounded
-    half to even, the correctly rounded digits that "%.17g" prints.  E is
-    fixed on the unrounded h + l; a mantissa that then rounds up to 1e17
-    carries into E + 1.  Every other value (zeros, subnormals, tiny and huge
-    magnitudes, nan, +-inf) is formatted by Python, once per distinct bit
-    pattern.
-    """
-    x = np.ravel(np.asarray(x, dtype=np.float64))
-    out = np.zeros((len(x), _FIELD), np.uint8)
-    items = out.view(f"V{_FIELD}")[:, 0]  # one item per row of out, for whole-row copies
-    a = np.abs(x)
-    window = (a > 1e-6) & (a < 1e17)
-    rest = np.flatnonzero(~window)
-    if len(rest):
-        bits, inverse = np.unique(x[rest].view(np.uint64), return_inverse=True)
-        text = np.array([b"%.17g" % v for v in bits.view(np.float64)], dtype=f"S{_FIELD}")
-        items[rest] = text.view(f"V{_FIELD}")[inverse]
-    exact = np.flatnonzero(window)
-    a = a[exact]
-    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
-    h, l = _scaled(a, 16 - e)
-    # log10 may miss the decade by one; settle it on the unrounded h + l
-    off = (((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.intp)
-           - ((h < 1e16) | ((h == 1e16) & (l < 0))))
-    fix = np.flatnonzero(off)
-    e[fix] += off[fix]
-    h[fix], l[fix] = _scaled(a[fix], 16 - e[fix])
-    # h is an integer (>= 2**53); round h + l half to even
-    down = np.floor(l)
-    frac = l - down
-    d = h.astype(np.int64) + down.astype(np.int64)
-    d += (frac > 0.5) | ((frac == 0.5) & (d % 2 == 1))
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    e[carry] += 1
-    chars, nsig = _mantissa(d, e)
-    sign = np.where(x[exact] < 0, ord("-"), 0)
-    for k in np.flatnonzero(np.bincount(e + 6)) - 6:
-        rows = np.flatnonzero(e == k)
-        digits = chars[rows]
-        text = np.zeros((len(rows), _FIELD), np.uint8)
-        text[:, 0] = sign[rows]
-        if -4 <= k < 0:
-            lead = 1 - k  # "0." and -k - 1 zeros
-            text[:, 1:1 + lead] = np.frombuffer(b"0." + b"0" * (-k - 1), np.uint8)
-            text[:, 1 + lead:18 + lead] = digits
-        else:
-            scientific = not 0 <= k < 17
-            point = 1 if scientific else k + 1  # digits before the point
-            text[:, 1:1 + point] = digits[:, :point]
-            text[:, 1 + point] = np.where(nsig[rows] > point, ord("."), 0)
-            text[:, 2 + point:19] = digits[:, point:]
-            if scientific:
-                tail = b"e%+03d" % k
-                text[:, 19:19 + len(tail)] = np.frombuffer(tail, np.uint8)
-        items[exact[rows]] = text.view(f"V{_FIELD}")[:, 0]
-    return out
-
-
-def export_grid(grid: TorusGrid, path) -> None:
-    """Write the grid as CSV, s-major rows, 17 significant digits.
-
-    The bytes are those of np.savetxt with fmt "%.17g".  The digits are the
-    exact ones described in _format_g17, computed with whole-array numpy
-    operations.  Rows go out in blocks of whole s-rows, each a NUL-padded
-    byte matrix of the six fields and their separators, written with the
-    NULs dropped.  A write that fails part-way removes the file.
-    """
-    n_s, n_t = len(grid.s), len(grid.t)
-    s_text, t_text = _format_g17(grid.s), _format_g17(grid.t)
-    values = (grid.g, grid.theta, grid.abs_omega, grid.re_omega)
-    step = max(1, _BLOCK_ROWS // n_t)
-    block = np.zeros((min(step, n_s), n_t, 6, _FIELD + 1), np.uint8)
-    block[..., _FIELD] = ord(",")
-    block[:, :, 5, _FIELD] = ord("\n")
-    block[:, :, 1, :_FIELD] = t_text
-    try:
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    try:
-        with fh:
-            fh.write(CSV_HEADER.encode() + b"\n")
-            for i in range(0, n_s, step):
-                rows = block[:min(step, n_s - i)]
-                rows[:, :, 0, :_FIELD] = s_text[i:i + step, None]
-                cells = np.stack([v[i:i + step] for v in values], axis=-1)
-                rows[:, :, 2:, :_FIELD] = _format_g17(cells).reshape(len(rows), n_t, 4, _FIELD)
-                fh.write(rows[rows != 0].tobytes())
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(path)
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def read_grid(path) -> TorusGrid:
-    """Re-import an exported grid; values round-trip bit-exactly.
-
-    The rows must form the s-major product grid that export_grid writes;
-    anything else raises IoFailure.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n") != CSV_HEADER:
-                raise IoFailure("unexpected CSV header")
-            start = fh.tell()
-            if not any(line.strip() for line in fh):
-                raise IoFailure("no grid rows")
-            fh.seek(start)
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise IoFailure(f"malformed grid rows in {path}: {exc}") from exc
-    if rows.shape[1] != 6:
-        raise IoFailure("grid rows must hold 6 values each")
-    n_s, n_t = len(np.unique(rows[:, 0])), len(np.unique(rows[:, 1]))
-    if n_s * n_t != len(rows):
-        raise IoFailure("grid rows do not form a full product grid")
-    s, t = rows[::n_t, 0], rows[:n_t, 1]
-    if not (np.array_equal(rows[:, 0], np.repeat(s, n_t))
-            and np.array_equal(rows[:, 1], np.tile(t, n_s))):
-        raise IoFailure("grid rows are not an s-major product grid")
-    cols = [rows[:, k].reshape(n_s, n_t) for k in range(2, 6)]
-    return TorusGrid(s=s, t=t, g=cols[0], theta=cols[1], abs_omega=cols[2], re_omega=cols[3])

@@ -113,7 +113,7 @@ def objective(vector, grid_n: int = GRID_OPT) -> float:
     return float(np.sum(np.abs(g, out=g))) * (TWO_PI / grid_n) ** 2
 
 
-def _component_jacobian(raw, draw, x, xp, gx, gxp, grid_n: int):
+def _component_jacobian(raw, draw, x, xp, gx, gxp, grid_n: int, out) -> None:
     """Derivative of a field on the grid with respect to one component's coefficients.
 
     gx and gxp are the field's gradients with respect to the component's
@@ -121,7 +121,8 @@ def _component_jacobian(raw, draw, x, xp, gx, gxp, grid_n: int):
     point is x = F/|F| with dx = P dF/|F|, P = I - x x^T, and the velocity
     x' has dx' = P dF'/|F| - [P dF (x.F') + x ((P dF).F')]/|F|^2 - x' (x.dF)/|F|;
     dF and dF' are rows of the design matrices.  P is symmetric, so each
-    term acts on the gradients.  Returns (own, other, 4, 2K+1).
+    term acts on the gradients.  Writes it to out, an (own, other, 4, 2K+1)
+    array or view.
     """
     design, ddesign = _designs(grid_n)
     x, xp, draw = x[:, None], xp[:, None], draw[:, None]  # broadcast over the other nodes
@@ -134,8 +135,8 @@ def _component_jacobian(raw, draw, x, xp, gx, gxp, grid_n: int):
     from_f = (p_gx * inv - (p_gxp * x_fp + x_gxp * p_fp) * inv * inv
               - np.sum(xp * gxp, axis=-1, keepdims=True) * x * inv)
     from_fp = p_gxp * inv
-    return (from_f[..., None] * design[:, None, None, :]
-            + from_fp[..., None] * ddesign[:, None, None, :])
+    np.multiply(from_f[..., None], design[:, None, None, :], out=out)
+    out += from_fp[..., None] * ddesign[:, None, None, :]
 
 
 def _residual_jacobian(vector, grid_n: int = GRID_OPT):
@@ -158,14 +159,15 @@ def _residual_jacobian(vector, grid_n: int = GRID_OPT):
     gxp = (b * yp - x_yp * y) / b2
     gy = (xp_yp * xs - x_yp * xps) / b2 - two_g_b * xs
     gyp = (b * xps - xp_y * xs) / b2
-    j1 = _component_jacobian(raw[0], draw[0], x, xp, gx, gxp, grid_n)
-    j2 = _component_jacobian(raw[1], draw[1], y, yp, np.swapaxes(gy, 0, 1),
-                             np.swapaxes(gyp, 0, 1), grid_n)
+    # each component's block of the (s, t, coefficient) Jacobian, in place
+    jac = np.empty((grid_n, grid_n, shape_dim()))
+    blocks = jac.reshape(grid_n, grid_n, 2, 4, 2 * K_OPT + 1)
+    _component_jacobian(raw[0], draw[0], x, xp, gx, gxp, grid_n, blocks[:, :, 0])
+    _component_jacobian(raw[1], draw[1], y, yp, np.swapaxes(gy, 0, 1),
+                        np.swapaxes(gyp, 0, 1), grid_n, np.swapaxes(blocks[:, :, 1], 0, 1))
     cell = TWO_PI / grid_n
-    half = shape_dim() // 2
-    jac = np.concatenate([j1.reshape(-1, half), np.swapaxes(j2, 0, 1).reshape(-1, half)],
-                         axis=1)
-    return (g * cell).ravel(), jac * cell
+    jac *= cell
+    return (g * cell).ravel(), jac.reshape(grid_n * grid_n, shape_dim())
 
 
 def _renormalize(vector):

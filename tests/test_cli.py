@@ -287,14 +287,16 @@ class TestMinimize:
 
 
 class TestImports:
-    @pytest.mark.parametrize("argv, skipped", [
-        (["area", "{link}"], {"optimize", "symplectic", "verify"}),
+    @pytest.mark.parametrize("argv, skipped, needed", [
+        (["area", "{link}"], {"gridio", "optimize", "symplectic", "verify"}, set()),
         (["anglemap", "{link}", "--grid", "32", "--out", "{tmp}/map.csv"],
-         {"optimize", "symplectic", "verify"}),
+         {"optimize", "symplectic", "verify"}, {"gridio"}),
         (["minimize", "{link}", "--steps", "1", "--trace-out", "{tmp}/trace.csv",
-          "--link-out", "{tmp}/min.lk1"], {"conformal", "functionals", "symplectic", "verify"}),
+          "--link-out", "{tmp}/min.lk1"], {"conformal", "functionals", "gridio", "symplectic",
+                                           "verify"}, set()),
     ], ids=["area", "anglemap", "minimize"])
-    def test_command_imports_only_what_it_runs(self, link_files, tmp_path, argv, skipped):
+    def test_command_imports_only_what_it_runs(self, link_files, tmp_path, argv, skipped,
+                                               needed):
         argv = [a.format(link=link_files["hopf"], tmp=tmp_path) for a in argv]
         script = (
             "import sys\n"
@@ -304,6 +306,9 @@ class TestImports:
             f"loaded = {{m for m in {sorted('linkarea.' + m for m in skipped)!r} "
             "if m in sys.modules}\n"
             "assert not loaded, loaded\n"
+            f"missing = {{m for m in {sorted('linkarea.' + m for m in needed)!r} "
+            "if m not in sys.modules}\n"
+            "assert not missing, missing\n"
             "for name in linkarea.__all__:\n"
             "    getattr(linkarea, name)\n"
             "assert len(set(linkarea.__all__)) == len(linkarea.__all__)\n")

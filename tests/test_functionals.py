@@ -3,6 +3,7 @@ import pytest
 
 import linkarea as la
 from linkarea import functionals as fn
+from linkarea import gridio as gio
 from linkarea.errors import NoConvergence
 from linkarea.rng import Lcg64
 
@@ -43,33 +44,55 @@ class TestBuildGrid:
             la.build_grid(hopf, n, 64)
 
 
+def _node_counts(link, monkeypatch):
+    """Counts of the nodes of the N_MAX x N_MAX grid that reach the kernel, live."""
+    nodes = fn._nodes(fn.N_MAX)
+    xs, ys = link.c1.point(nodes), link.c2.point(nodes)
+    counts = np.zeros((fn.N_MAX, fn.N_MAX), int)
+
+    def counting_kernel(x, xp, y, yp):
+        i, j = np.argmax(x @ xs.T, axis=1), np.argmax(y @ ys.T, axis=1)
+        assert np.allclose(xs[i], x, rtol=0, atol=1e-14)
+        assert np.allclose(ys[j], y, rtol=0, atol=1e-14)
+        counts[np.ix_(i, j)] += 1
+        return kernel(x, xp, y, yp)
+    kernel = fn.magnitude_kernel
+    monkeypatch.setattr(fn, "magnitude_kernel", counting_kernel)
+    return counts
+
+
 class TestNestedQuadrature:
     def test_level_sums_match_full_grid(self):
         for name, link in la.catalogue().items():
-            level = None
-            for n in (32, 64, 128):
-                level = fn._level_grid(link, n, level)
+            nodes = fn._curve_nodes(link)
+            level = fn._first_level(nodes, 32)
+            # grow t; grow s keeping every column; grow s keeping every other
+            # column; grow t; grow both, t fourfold
+            for shape in ((32, 64), (64, 64), (128, 32), (128, 64), (256, 256)):
+                level = fn._refine(nodes, level, *shape)
                 g, sums, scale = level
-                grid = la.build_grid(link, n, n)
+                grid = la.build_grid(link, *g.shape)
                 assert np.allclose(g, grid.g, rtol=0, atol=1e-15 * np.max(grid.abs_omega)), name
-                assert np.array_equal(scale, np.max(grid.abs_omega, axis=1)), name
-                full = np.array([np.sum(grid.g), np.sum(grid.abs_omega - grid.g / 2)])
-                # the signed sum cancels to roundoff, so it is held to the area's scale
-                scale_sums = np.array([np.sum(np.abs(grid.g)), full[1]])
-                assert np.all(np.abs(sums - full) <= 1e-12 * scale_sums), (name, n, sums, full)
+                if shape != (128, 32):  # dropped columns stay in the row maxima
+                    assert np.array_equal(scale, np.max(grid.abs_omega, axis=1)), name
+                full = np.array([np.sum(grid.g, axis=0),
+                                 np.sum(grid.abs_omega - grid.g / 2, axis=0)])
+                # the signed sums cancel to roundoff, so they are held to the area's scale
+                scale_sums = np.array([np.sum(np.abs(grid.g), axis=0), full[1]])
+                assert np.all(np.abs(sums - full) <= 1e-12 * scale_sums), (name, g.shape)
 
     @pytest.mark.parametrize("name, n_start", [("perturbed02", 32), ("perturbed02", 512),
-                                               ("separated10", 32), ("separated10", 512)])
+                                               ("separated10", 32), ("separated10", 512),
+                                               ("separated05", 32), ("hopf", 512)])
     def test_each_node_evaluated_once(self, name, n_start, request, monkeypatch):
-        nodes = []
-
-        def counting_kernel(x, xp, y, yp):
-            nodes.append(len(x) * len(y))
-            return kernel(x, xp, y, yp)
-        kernel = fn.magnitude_kernel
-        monkeypatch.setattr(fn, "magnitude_kernel", counting_kernel)
-        rep = fn.compute_functionals(request.getfixturevalue(name), tol=1e-3, n_start=n_start)
-        assert sum(nodes) == rep.grid_used[0] ** 2
+        link = request.getfixturevalue(name) if name != "separated05" else la.separated_link(0.5)
+        counts = _node_counts(link, monkeypatch)
+        rep = fn.compute_functionals(link, tol=1e-3, n_start=n_start)
+        assert counts.max() == 1
+        n_s, n_t = rep.grid_used
+        assert np.all(counts[::fn.N_MAX // n_s, ::fn.N_MAX // n_t] == 1)
+        if n_start == 512:  # the columns carried to the 1024-row level are the only ones added
+            assert counts.sum() == 512 * 512 + 512 * n_t
 
     def test_hopf_area_exactly_zero(self, hopf):
         rep = la.area(hopf, tol=1e-3)
@@ -87,22 +110,36 @@ class TestNestedQuadrature:
             fn.compute_functionals(separated10, tol=1e-3, n_start=fn.N_MAX)
         assert calls == []
 
-    @pytest.mark.parametrize("excess, raises", [(1e-6, True), (1e-10, False)])
-    def test_cosine_bound_checked(self, perturbed02, monkeypatch, excess, raises):
+    @pytest.mark.parametrize("excess, raises, alternating", [
+        pytest.param(1e-6, True, True, id="1e-06-True"),
+        pytest.param(1e-10, False, True, id="1e-10-False"),
+        pytest.param(1e-6, True, False, id="positive-1e-06-True"),
+        pytest.param(1e-10, False, False, id="positive-1e-10-False")])
+    def test_cosine_bound_checked(self, perturbed02, monkeypatch, excess, raises, alternating):
         from linkarea import conformal as cf
 
         def metric_beyond_bound(x, xp, y, yp):
-            """|g|/2 = (1 + excess)|Omega| at every node, sign alternating."""
+            """|g|/2 = (1 + excess)|Omega| at every node, sign alternating or positive."""
             chord2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
             speeds = np.linalg.norm(xp, axis=-1)[:, None] * np.linalg.norm(yp, axis=-1)
-            sign = np.where(np.arange(len(y)) % 2 == 0, 1.0, -1.0)
+            sign = np.where(np.arange(len(y)) % 2 == 0, 1.0, -1.0) if alternating else 1.0
             return 2.0 * (1.0 + excess) * sign * speeds / chord2
         monkeypatch.setattr(cf, "metric_kernel", metric_beyond_bound)
         if raises:
             with pytest.raises(ValueError, match="cosine argument exceeds 1"):
                 fn.compute_functionals(perturbed02, tol=1e-3)
-        else:
+        elif not alternating:
             fn.compute_functionals(perturbed02, tol=1e-3)
+        else:
+            # the signed area and the energy are trapezoid sums and converge ...
+            rep = fn.compute_functionals(perturbed02, tol=1e-3, criterion="energy")
+            assert rep.grid_used == (64, 64)
+            # ... but each row of g zigzags from column to column, a mode no
+            # finer n_t resolves, so its t-tail never falls within tol and the
+            # area reports no convergence (reached sooner under a lower cap)
+            monkeypatch.setattr(fn, "N_MAX", 128)
+            with pytest.raises(NoConvergence, match="within 128 nodes"):
+                fn.compute_functionals(perturbed02, tol=1e-3)
 
 
 class TestSignedArea:
@@ -198,12 +235,67 @@ class TestArea:
 
     def test_levels_report_refinement(self, perturbed02):
         rep = la.compute_functionals(perturbed02, tol=1e-4, n_start=32)
-        assert [level.n for level in rep.levels] == [32 * 2 ** k for k in range(len(rep.levels))]
+        assert [level.n_s for level in rep.levels] == [32 * 2 ** k for k in range(len(rep.levels))]
+        assert all(fn.N_MIN <= level.n_t <= fn.N_MAX and level.n_t & (level.n_t - 1) == 0
+                   for level in rep.levels)
         last, before = rep.levels[-1], rep.levels[-2]
-        assert rep.grid_used == (last.n, last.n)
+        assert rep.grid_used == (last.n_s, last.n_t)
         assert (rep.signed_area, rep.area, rep.energy) == last.values
-        assert rep.est_error == max(abs(a - b) for a, b in zip(last.values, before.values))
+        delta = max(abs(a - b) for a, b in zip(last.values, before.values))
+        assert rep.est_error == max(delta, last.t_tail)
         assert all(level.zeros > 0 for level in rep.levels)
+        # the first level is n_start x n_start; later ones grow n_t until the tail is within tol
+        assert (rep.levels[0].n_s, rep.levels[0].n_t) == (32, 32)
+        assert all(level.t_tail <= 1e-4 for level in rep.levels[1:])
+
+
+class TestResolvedRows:
+    def test_separated_05_at_default_start(self):
+        rep = fn.compute_functionals(la.separated_link(0.5), tol=1e-3)
+        assert abs(rep.area - separated_area(0.5)) <= 1e-12
+        assert rep.grid_used[1] > rep.grid_used[0]  # the rows needed more columns than rows
+
+    @pytest.mark.parametrize("d", [1.0, 1.5])
+    def test_separated_at_default_start(self, d):
+        rep = fn.compute_functionals(la.separated_link(d), tol=1e-3)
+        assert rep.grid_used == (64, 64)
+        assert abs(rep.area - separated_area(d)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["sep0.5", "sep1.0", "sep1.5", "sep1.9", "parallel",
+                                      "hopf", "p02"])
+    def test_start_512_carries_few_columns(self, name):
+        reference = None  # p02 has no closed form
+        if name.startswith("sep"):
+            link = la.separated_link(float(name[3:]))
+            reference = separated_area(float(name[3:]))
+        elif name == "parallel":
+            link = la.parallel_circles_link()
+            reference = 4 * la.cross_energy(link, tol=1e-10) / np.pi
+        elif name == "hopf":
+            link, reference = la.hopf_link(), 0.0
+        else:
+            link = la.perturbed_hopf_link(0.2, 0)
+        rep = fn.compute_functionals(link, tol=1e-3, n_start=512)
+        assert rep.grid_used[0] == 1024 and rep.grid_used[1] <= 256
+        if reference is not None:
+            assert abs(rep.area - reference) <= 1e-13
+
+    def test_hopf_images_keep_square_levels(self, hopf):
+        for seed in range(4):
+            moved = la.random_mobius(seed + 70, 2.0).transform_link(hopf)
+            for tol, criterion in ((1e-3, "area"), (1e-10, "all")):
+                rep = fn.compute_functionals(moved, tol=tol, criterion=criterion)
+                assert all(level.n_t == level.n_s for level in rep.levels), (seed, criterion)
+
+    @pytest.mark.parametrize("n_start", [32, 512])
+    def test_est_error_bounds_closed_form_error(self, n_start):
+        cases = [(la.separated_link(d), separated_area(d)) for d in (0.5, 1.0, 1.5, 1.9)]
+        cases += [(la.great_circle_pair(a, a), 8 * np.pi / np.tan(a)) for a in (0.6, 1.0, 1.3)]
+        parallel = la.parallel_circles_link()
+        cases.append((parallel, 4 * la.cross_energy(parallel, tol=1e-10) / np.pi))
+        for link, reference in cases:
+            rep = fn.compute_functionals(link, tol=1e-3, n_start=n_start)
+            assert rep.est_error >= abs(rep.area - reference), (rep.grid_used, reference)
 
 
 class TestCrossEnergy:
@@ -270,11 +362,11 @@ class TestExportImport:
 
     @pytest.mark.parametrize("body", [
         "s,t,g,theta,abs_omega\n0,0,1,2,3\n",                                   # wrong header
-        fn.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,0,1,2,3,4\n",  # 3 of 2x2
-        fn.CSV_HEADER + "\n0,0,1,2,3\n0,1,1,2,3\n",                  # 5 columns
-        fn.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n1,1,1,2,3,4\n",  # no product
-        fn.CSV_HEADER + "\n0,0,1,2,3,4\n1,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n",  # t-major
-        fn.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3\n",                  # ragged rows
+        gio.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,0,1,2,3,4\n",  # 3 of 2x2
+        gio.CSV_HEADER + "\n0,0,1,2,3\n0,1,1,2,3\n",                  # 5 columns
+        gio.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n1,1,1,2,3,4\n",  # no product
+        gio.CSV_HEADER + "\n0,0,1,2,3,4\n1,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n",  # t-major
+        gio.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3\n",                  # ragged rows
     ])
     def test_read_rejects_malformed(self, tmp_path, body):
         from linkarea.errors import IoFailure
@@ -288,7 +380,7 @@ class TestExportImport:
     def test_read_header_only(self, tmp_path, body):
         from linkarea.errors import IoFailure
         path = tmp_path / "grid.csv"
-        path.write_text(fn.CSV_HEADER + body)
+        path.write_text(gio.CSV_HEADER + body)
         with pytest.raises(IoFailure, match="no grid rows"):
             la.read_grid(path)
 
@@ -306,7 +398,7 @@ class TestExportImport:
         rows = np.column_stack([np.repeat(grid.s, n), np.tile(grid.t, n)]
                                + [a.ravel() for a in (grid.g, grid.theta,
                                                       grid.abs_omega, grid.re_omega)])
-        np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header=fn.CSV_HEADER, comments="")
+        np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header=gio.CSV_HEADER, comments="")
         assert path.read_bytes() == ref.read_bytes()
 
     def test_failed_write_leaves_no_file(self, perturbed02, tmp_path, monkeypatch):
@@ -326,7 +418,7 @@ class TestExportImport:
             fh.write = limited
             return fh
 
-        monkeypatch.setattr(fn, "open", disk_full_after_4k, raising=False)
+        monkeypatch.setattr(gio, "open", disk_full_after_4k, raising=False)
         path = tmp_path / "grid.csv"
         with pytest.raises(IoFailure):
             la.export_grid(grid, path)
@@ -372,7 +464,7 @@ class TestFormatG17:
             n = 100_000
             x = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-30, 31, n)
                  * rng.choice([-1.0, 1.0], n))
-        got = [row.tobytes().replace(b"\0", b"") for row in fn._format_g17(x)]
+        got = [row.tobytes().replace(b"\0", b"") for row in gio._format_g17(x)]
         want = [b"%.17g" % v for v in x]
         bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
         assert not bad[:5], f"{len(bad)} of {len(x)} differ"
