@@ -4,7 +4,7 @@ Links are represented as product tori in the space of oriented point
 pairs, realized as unit decomposable 2-vectors of 5-dimensional Minkowski
 space; the package computes the signed area, area and cross energy of
 that torus, the conformal angle and cross-ratio density by independent
-routes, and a gradient-descent explorer of the area over curve shapes.
+routes, and a Levenberg–Marquardt descent of the area over curve shapes.
 
 The public names are loaded on first use (PEP 562), so that a program
 imports only the modules whose names it touches.
@@ -13,22 +13,19 @@ imports only the modules whose names it touches.
 import importlib
 
 _EXPORTS = {
-    "conformal": ("CrossRatioDensity", "chart_pole", "conformal_angle_chart",
-                  "conformal_angle_wedge", "cross_ratio_fd", "inf_cross_ratio"),
+    "conformal": ("chart_pole", "cross_ratio_fd"),
     "functionals": ("FunctionalReport", "TorusGrid", "area", "build_grid",
-                    "compute_functionals", "cross_energy", "signed_area"),
+                    "compute_functionals", "signed_area"),
     "gridio": ("export_grid", "read_grid"),
     "links": ("CircleCurve", "FourierCurve", "Link2", "LinkCurve", "MobiusMap",
               "SampledCurve", "catalogue", "chart_lift", "great_circle_pair",
               "hopf_link", "inverse_stereographic", "parallel_circles_link",
               "perturbed_hopf_link", "random_mobius", "read_link",
-              "separated_link", "stereographic_3chart", "write_link"),
-    "minkowski": ("CausalClass", "causal_classify", "inner5", "inner10",
-                  "minor_lift", "plucker_residuals", "wedge"),
+              "separated_link", "write_link"),
+    "minkowski": ("inner5", "inner10", "minor_lift", "plucker_residuals", "wedge"),
     "optimize": ("MinimizeResult", "circle_fit_residual", "decode_link",
                  "encode_link", "minimize", "objective"),
-    "spheres": ("lift", "metric_coefficient", "psi_embed", "sigma_derivatives",
-                "theta_tangent_signature", "torus_tangent_type"),
+    "spheres": ("lift", "psi_embed", "sigma_derivatives", "theta_tangent_signature"),
     "symplectic": ("determine_global_sign", "exterior_derivative_check",
                    "stereo_project", "tautological_pullback"),
 }

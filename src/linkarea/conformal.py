@@ -8,16 +8,14 @@ six pairwise distances.  Their agreement is the main cross-validation
 instrument of the package.
 
 The wedge and chart routes are each one broadcasting kernel on point
-stacks; their grid (s x t), paired (s[k], t[k]) and scalar entry points
-only evaluate the curves and insert axes.  The wedge kernel has two parts:
+stacks; their grid (s x t) and paired (s[k], t[k]) entry points only
+evaluate the curves and insert axes.  The wedge kernel has two parts:
 magnitude_kernel gives g, |Omega| and the cosine of the angle, and checks
 that cosine; _density_kernel adds theta and Re Omega for the grid and
 paired entry points.  The quadrature calls only the first part, since
 Re Omega = g/2.  The finite-difference route broadcasts over paired
 samples.  The three share no code beyond the chart stacks that the chart
 and finite-difference routes both lay out."""
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,22 +39,6 @@ _POLE_CANDIDATES = np.array(
        [0, 0, 1, 1], [0, 0, -1, 1]],
     dtype=float)
 _POLE_CANDIDATES = _POLE_CANDIDATES / np.linalg.norm(_POLE_CANDIDATES, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class CrossRatioDensity:
-    """Pointwise density per unit ds dt: absolute value, angle, real part.
-
-    The imaginary magnitude abs*sin(theta) is available but unsigned; only
-    the real part and the absolute value enter the functionals.
-    """
-    re: float
-    abs: float
-    theta: float
-
-    @property
-    def im_magnitude(self) -> float:
-        return self.abs * np.sin(self.theta)
 
 
 def chart_pole(c1, c2, n_scan: int = 512):
@@ -157,26 +139,6 @@ def density_pairs(c1, c2, s, t):
     return tuple(f[..., 0, 0] for f in fields)
 
 
-def conformal_angle_wedge(c1, c2, s, t) -> float:
-    """Angle in [0, pi] from the wedge metric: arccos(g |x-y|^2 / (2|x'||y'|))."""
-    return float(density_pairs(c1, c2, float(s), float(t))[1])
-
-
-def conformal_angle_wedge_grid(c1, c2, s, t):
-    """Vectorized wedge-route angle on the product grid s x t."""
-    return density_grids(c1, c2, s, t)[1]
-
-
-def inf_cross_ratio(c1, c2, s, t) -> CrossRatioDensity:
-    """Cross-ratio density at (s, t): abs = |x'||y'|/|x-y|^2, re = abs cos(theta).
-
-    The real part equals half the metric coefficient; the angle comes from
-    the wedge route.
-    """
-    _, theta, absval, re = density_pairs(c1, c2, float(s), float(t))
-    return CrossRatioDensity(re=float(re), abs=float(absval), theta=float(theta))
-
-
 def _chart_angle(xc, tx, yc, ty):
     """Chart-route angle[..., i, j] for (..., n, 3) and (..., m, 3) chart stacks.
 
@@ -216,11 +178,6 @@ def conformal_angle_chart_pairs(c1, c2, s, t, pole=None):
     """Chart-route angle at paired samples (s[k], t[k]); 0-d arrays for scalars."""
     stacks = _chart_stacks(c1, c2, np.asarray(s, dtype=float), np.asarray(t, dtype=float), pole)
     return _chart_angle(*(a[..., None, :] for a in stacks))[..., 0, 0]
-
-
-def conformal_angle_chart(c1, c2, s, t, pole=None) -> float:
-    """Scalar chart-route angle at (s, t)."""
-    return float(conformal_angle_chart_pairs(c1, c2, float(s), float(t), pole=pole))
 
 
 # ---------------------------------------------------------------------------

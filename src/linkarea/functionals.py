@@ -454,7 +454,3 @@ def area(link: Link2, tol: float = 1e-3) -> FunctionalReport:
     """
     return compute_functionals(link, tol, criterion="area")
 
-
-def cross_energy(link: Link2, tol: float = 1e-8) -> float:
-    """Integral of |Omega| - Re Omega, the component part of the knot energy."""
-    return compute_functionals(link, tol, criterion="energy").energy

@@ -171,6 +171,8 @@ class SampledCurve(LinkCurve):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 4 or nodes.shape[0] < 8:
             raise BadPolygon("need at least 8 nodes of dimension 4")
+        if not np.all(np.isfinite(nodes)):
+            raise BadPolygon("nodes must be finite")
         norms = np.linalg.norm(nodes, axis=1)
         if np.any(norms < 0.5) or np.any(norms > 2.0):
             raise BadPolygon("node norms too far from the unit sphere")
@@ -435,12 +437,6 @@ def inverse_stereographic(u):
     return np.concatenate([2.0 * u, q - 1.0], axis=-1) / (q + 1.0)
 
 
-def stereographic_3chart(x):
-    """S^3 minus the north pole (0,0,0,1) -> R^3, inverse of the lift above."""
-    x = np.asarray(x, dtype=float)
-    return x[..., :3] / (1.0 - x[..., 3:])
-
-
 #: rows per block of the pairwise node distances, which bounds their memory
 PAIR_BLOCK = 256
 
@@ -466,6 +462,8 @@ def chart_lift(points) -> SampledCurve:
         raise BadPolygon("expected an (N, 3) array of nodes")
     if pts.shape[0] < 8:
         raise BadPolygon("need at least 8 nodes")
+    if not np.all(np.isfinite(pts)):
+        raise BadPolygon("nodes must be finite")
     if _min_pairwise_distance(pts) < 1e-12:
         raise BadPolygon("repeated nodes")
     return SampledCurve(inverse_stereographic(pts))

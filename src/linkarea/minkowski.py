@@ -14,12 +14,7 @@ functions broadcast over leading axes, so a stack of vectors of shape
 (n, 5) wedges into a stack of shape (n, 10).
 """
 
-from enum import Enum
-
 import numpy as np
-
-# absolute tolerance for causal classification of O(1)-scaled vectors
-TAU_LIGHT = 1e-10
 
 #: lexicographic multi-index order for wedge coordinates
 PAIRS = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -38,31 +33,11 @@ EPS10 = np.where(_I1 == 0, 1.0, -1.0)
 _QUADS = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)]
 
 
-class CausalClass(Enum):
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-    SPACELIKE = "spacelike"
-    ZERO = "zero"
-
-
 def inner5(u, v):
     """Indefinite inner product of two vectors in R^5 (broadcasts)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return np.sum(u * ETA5 * v, axis=-1)
-
-
-def causal_classify(v) -> CausalClass:
-    """Classify a single vector by the sign of <v, v>."""
-    v = np.asarray(v, dtype=float)
-    if np.all(np.abs(v) < TAU_LIGHT):
-        return CausalClass.ZERO
-    q = float(inner5(v, v))
-    if q < -TAU_LIGHT:
-        return CausalClass.TIMELIKE
-    if q > TAU_LIGHT:
-        return CausalClass.SPACELIKE
-    return CausalClass.LIGHTLIKE
 
 
 def wedge(x, y):

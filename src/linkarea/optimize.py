@@ -219,8 +219,10 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     """
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
-    if grid_n < 1:
-        raise BadParameter("grid_n must be at least 1")
+    if not 1 <= grid_n <= 256:  # the Jacobian holds grid_n^2 x 72 doubles, 38 MB at 256
+        raise BadParameter("grid_n must lie in [1, 256]")
+    if not np.isfinite(stop_below):
+        raise BadParameter("stop_below must be finite")
     decode_coeffs(v0)  # validates the vector length
     v = _renormalize(np.asarray(v0, dtype=float))
     f = objective(v, grid_n)

@@ -19,11 +19,6 @@ H_FD = 1e-5
 TAU_EIG = 1e-7
 
 
-class TangentType:
-    MIXED = "mixed"
-    DEGENERATE = "degenerate"
-
-
 def lift(x):
     """Light-cone lift of a point of S^3: x -> (1, x) (broadcasts).
 
@@ -81,19 +76,6 @@ def sigma_derivatives(c1, c2, s, t):
     sigma_s = ps / rn - p * np.asarray(mk.inner10(p, ps) / (n2 * np.sqrt(n2)))[..., None]
     sigma_t = pt / rn - p * np.asarray(mk.inner10(p, pt) / (n2 * np.sqrt(n2)))[..., None]
     return sigma, sigma_s, sigma_t
-
-
-def metric_coefficient(c1, c2, s, t) -> float:
-    """Closed-form inner product of the two torus tangents at (s, t).
-
-    Uses the determinant identity together with nullity of the lifted
-    points; must agree with the explicit route through sigma_derivatives.
-    """
-    x, xp = c1.evaluate(float(s))
-    y, yp = c2.evaluate(float(t))
-    _check_separated(x, y)
-    b = x @ y - 1.0
-    return float((xp @ yp) * b - (xp @ y) * (x @ yp)) / float(b * b)
 
 
 def metric_kernel(x, xp, y, yp):
@@ -174,9 +156,3 @@ def signature_counts(eigenvalues, zero_threshold: float):
     n_plus = int(np.sum(ev > zero_threshold))
     n_minus = int(np.sum(ev < -zero_threshold))
     return n_plus, n_minus, len(ev) - n_plus - n_minus
-
-
-def torus_tangent_type(c1, c2, s, t) -> str:
-    """Mixed when the 2x2 torus Gram [[0, g], [g, 0]] is non-degenerate."""
-    g = metric_coefficient(c1, c2, s, t)
-    return TangentType.MIXED if abs(g) > TAU_EIG else TangentType.DEGENERATE

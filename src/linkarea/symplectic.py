@@ -34,12 +34,11 @@ def stereo_project(x, y):
 
 @dataclass(frozen=True)
 class PulledBackOneForm:
-    """Coefficients of the torus 1-form a ds + b dt; b vanishes identically
-    because the bundle projection kills the fiber direction."""
+    """Coefficient a of the torus 1-form a ds; it has no dt part because the
+    bundle projection kills the fiber direction."""
     s: np.ndarray
     t: np.ndarray
     a: np.ndarray
-    b: np.ndarray
 
 
 def tautological_pullback(c1, c2, n_s: int, n_t: int) -> PulledBackOneForm:
@@ -55,7 +54,7 @@ def tautological_pullback(c1, c2, n_s: int, n_t: int) -> PulledBackOneForm:
         raise CoincidentPoints("grid contains coincident component points")
     proj = (y[None, :, :] - dots[:, :, None] * x[:, None, :]) / (1.0 - dots)[:, :, None]
     a = np.sum(proj * xp[:, None, :], axis=-1)
-    return PulledBackOneForm(s=s, t=t, a=a, b=np.zeros_like(a))
+    return PulledBackOneForm(s=s, t=t, a=a)
 
 
 def spectral_t_derivative(values):
@@ -102,10 +101,3 @@ def determine_global_sign(link, n_s: int = 128, n_t: int = 128) -> int:
     _, sign = exterior_derivative_check(link.c1, link.c2, n_s, n_t)
     return sign
 
-
-def dbeta_torus_integral(c1, c2, n_s: int = 128, n_t: int = 128) -> float:
-    """Grid integral of d(beta) over the torus; exactness makes it vanish."""
-    beta = tautological_pullback(c1, c2, n_s, n_t)
-    dbeta = -spectral_t_derivative(beta.a)
-    cell = (TWO_PI / n_s) * (TWO_PI / n_t)
-    return float(np.sum(dbeta) * cell)

@@ -161,7 +161,7 @@ def check_angle_routes(links=None, n: int = 64) -> PropertyResult:
     s = np.linspace(0.0, TWO_PI, n, endpoint=False)
     worst = 0.0
     for link in links.values():
-        a = cf.conformal_angle_wedge_grid(link.c1, link.c2, s, s)
+        a = cf.density_grids(link.c1, link.c2, s, s)[1]
         b = cf.conformal_angle_chart_grid(link.c1, link.c2, s, s)
         worst = max(worst, float(np.max(np.abs(a - b))))
     return PropertyResult("angle_two_routes", worst <= TOL_WEDGE_CHART,

@@ -102,12 +102,19 @@ class TestArea:
         path = tmp_path / "nonfinite.lk1"
         la.write_link(la.hopf_link(), path)
         doc = json.loads(path.read_text())
-        doc["components"][1]["coefficients"][3][2] = bad
-        path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
-        code, out, err = run_cli(capsys, "area", str(path))
-        assert code == 2
-        assert out == ""
-        assert "components[1].coefficients invalid" in err and "finite" in err
+        s = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        circle3 = np.stack([np.cos(s), np.sin(s), np.zeros(16)], axis=1)
+        for field, kind, values in (
+                ("coefficients", "fourier4", doc["components"][1]["coefficients"]),
+                ("nodes", "samples4", la.hopf_link().c2.point(s).tolist()),
+                ("nodes", "samples3", (2.0 * circle3).tolist())):
+            values[3][2] = bad
+            doc["components"][1] = {"kind": kind, field: values}
+            path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
+            code, out, err = run_cli(capsys, "area", str(path))
+            assert code == 2, kind
+            assert out == ""
+            assert f"components[1].{field} invalid" in err and "finite" in err, err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "area", str(tmp_path / "nope.lk1"))

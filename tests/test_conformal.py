@@ -16,18 +16,18 @@ class TestConformalAngleWedge:
         rng = Lcg64(31)
         for _ in range(50):
             s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
-            theta = cf.conformal_angle_wedge(hopf.c1, hopf.c2, s0, t0)
+            theta = float(cf.density_pairs(hopf.c1, hopf.c2, s0, t0)[1])
             assert theta == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_antipodal_supplement(self):
         c1, c2 = antipodal_test_curves()
-        theta = cf.conformal_angle_wedge(c1, c2, 0.0, 0.0)
+        theta = float(cf.density_pairs(c1, c2, 0.0, 0.0)[1])
         between = np.arccos(np.clip(c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1], -1, 1))
         assert theta == pytest.approx(np.pi - between, abs=1e-12)
 
     def test_range(self, perturbed02):
         s = np.linspace(0, TWO_PI, 32, endpoint=False)
-        grid = cf.conformal_angle_wedge_grid(perturbed02.c1, perturbed02.c2, s, s)
+        grid = cf.density_grids(perturbed02.c1, perturbed02.c2, s, s)[1]
         assert np.all(grid >= 0.0)
         assert np.all(grid <= np.pi)
 
@@ -46,7 +46,7 @@ class TestConformalAngleChart:
 
     def test_antipodal_supplement(self):
         c1, c2 = antipodal_test_curves()
-        theta = cf.conformal_angle_chart(c1, c2, 0.0, 0.0)
+        theta = float(cf.conformal_angle_chart_pairs(c1, c2, 0.0, 0.0))
         between = np.arccos(np.clip(c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1], -1, 1))
         assert theta == pytest.approx(np.pi - between, abs=1e-9)
 
@@ -54,7 +54,7 @@ class TestConformalAngleChart:
     def test_routes_agree_on_grid(self, small_catalogue, name):
         link = small_catalogue[name]
         s = np.linspace(0, TWO_PI, 64, endpoint=False)
-        wedge = cf.conformal_angle_wedge_grid(link.c1, link.c2, s, s)
+        wedge = cf.density_grids(link.c1, link.c2, s, s)[1]
         chart = cf.conformal_angle_chart_grid(link.c1, link.c2, s, s)
         assert np.max(np.abs(wedge - chart)) <= 1e-7
 
@@ -78,33 +78,34 @@ class TestCrossRatioDensity:
         rng = Lcg64(32)
         for _ in range(20):
             s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
-            d = cf.inf_cross_ratio(hopf.c1, hopf.c2, s0, t0)
-            assert abs(d.re) <= 1e-14
-            assert d.abs == pytest.approx(0.5, abs=1e-12)
+            _, _, absval, re = cf.density_pairs(hopf.c1, hopf.c2, s0, t0)
+            assert abs(re) <= 1e-14
+            assert absval == pytest.approx(0.5, abs=1e-12)
 
     def test_real_part_is_half_metric(self, perturbed02):
         rng = Lcg64(33)
         for _ in range(50):
             s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
-            d = cf.inf_cross_ratio(perturbed02.c1, perturbed02.c2, s0, t0)
-            g = sp.metric_coefficient(perturbed02.c1, perturbed02.c2, s0, t0)
-            assert d.re == pytest.approx(g / 2, abs=1e-10)
+            re = cf.density_pairs(perturbed02.c1, perturbed02.c2, s0, t0)[3]
+            g = sp.metric_pairs(perturbed02.c1, perturbed02.c2, s0, t0)
+            assert re == pytest.approx(g / 2, abs=1e-10)
 
     def test_density_identity(self, perturbed02):
         rng = Lcg64(34)
         for _ in range(50):
             s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
-            d = cf.inf_cross_ratio(perturbed02.c1, perturbed02.c2, s0, t0)
-            assert d.re ** 2 + d.im_magnitude ** 2 == pytest.approx(d.abs ** 2, abs=1e-10)
-            assert d.re == pytest.approx(d.abs * np.cos(d.theta), abs=1e-12)
+            _, theta, absval, re = cf.density_pairs(perturbed02.c1, perturbed02.c2, s0, t0)
+            im = absval * np.sin(theta)
+            assert re ** 2 + im ** 2 == pytest.approx(absval ** 2, abs=1e-10)
+            assert re == pytest.approx(absval * np.cos(theta), abs=1e-12)
 
     def test_abs_value_formula(self, separated10):
         s0, t0 = 0.4, 2.7
         x, xp = separated10.c1.evaluate(s0)
         y, yp = separated10.c2.evaluate(t0)
-        d = cf.inf_cross_ratio(separated10.c1, separated10.c2, s0, t0)
+        absval = cf.density_pairs(separated10.c1, separated10.c2, s0, t0)[2]
         want = np.linalg.norm(xp) * np.linalg.norm(yp) / np.sum((x - y) ** 2)
-        assert d.abs == pytest.approx(want, rel=1e-12)
+        assert absval == pytest.approx(want, rel=1e-12)
 
     def test_envelope_decays_with_separation(self):
         tops = []
@@ -118,15 +119,15 @@ class TestCrossRatioDensity:
     def test_pointwise_conformal_invariance(self, perturbed02):
         rng = Lcg64(35)
         samples = [(rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)) for _ in range(10)]
-        base = [cf.inf_cross_ratio(perturbed02.c1, perturbed02.c2, s0, t0) for s0, t0 in samples]
+        base = [cf.density_pairs(perturbed02.c1, perturbed02.c2, s0, t0) for s0, t0 in samples]
         for k in range(20):
             mob = la.random_mobius(500 + k, 1.0)
             moved = mob.transform_link(perturbed02)
-            for (s0, t0), d0 in zip(samples, base):
-                d1 = cf.inf_cross_ratio(moved.c1, moved.c2, s0, t0)
-                assert d1.re == pytest.approx(d0.re, rel=1e-7, abs=1e-9)
-                assert d1.abs == pytest.approx(d0.abs, rel=1e-7)
-                assert d1.theta == pytest.approx(d0.theta, rel=1e-7, abs=1e-9)
+            for (s0, t0), (_, theta0, abs0, re0) in zip(samples, base):
+                _, theta1, abs1, re1 = cf.density_pairs(moved.c1, moved.c2, s0, t0)
+                assert re1 == pytest.approx(re0, rel=1e-7, abs=1e-9)
+                assert abs1 == pytest.approx(abs0, rel=1e-7)
+                assert theta1 == pytest.approx(theta0, rel=1e-7, abs=1e-9)
 
 
 class TestCrossRatioFd:
@@ -144,7 +145,7 @@ class TestCrossRatioFd:
         orders = []
         for _ in range(20):
             s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
-            want = cf.inf_cross_ratio(perturbed02.c1, perturbed02.c2, s0, t0).re
+            want = cf.density_pairs(perturbed02.c1, perturbed02.c2, s0, t0)[3]
             full = cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s0, t0, 1e-3, pole=pole)
             half = cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s0, t0, 5e-4, pole=pole)
             assert abs(full - want) <= 5e-5
@@ -157,7 +158,7 @@ class TestCrossRatioFd:
         # both stencil pairs on one planar circle through the chart
         c, pole = hopf.c1, np.array([0.0, 0.0, 0.0, 1.0])
         val = cf.cross_ratio_fd(c, c.reversed(), 0.0, np.pi / 2, 1e-3, pole=pole)
-        want = 0.5 * sp.metric_coefficient(c, c.reversed(), 0.0, np.pi / 2)
+        want = 0.5 * sp.metric_pairs(c, c.reversed(), 0.0, np.pi / 2)
         assert abs(val - want) <= 5e-5
 
     def test_array_call_matches_scalar_calls(self, perturbed02):

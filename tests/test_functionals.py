@@ -21,6 +21,10 @@ def separated_area(d_nominal):
     return 2 * np.pi * (4 - d * d) / d
 
 
+def energy(link, tol):
+    return la.compute_functionals(link, tol, criterion="energy").energy
+
+
 class TestBuildGrid:
     def test_real_part_is_half_metric(self, perturbed02):
         grid = la.build_grid(perturbed02, 64, 64)
@@ -191,7 +195,7 @@ class TestArea:
 
     def test_parallel_matches_energy(self, parallel):
         # on coaxial round pairs area = 4 energy / pi, and the energy converges spectrally
-        reference = 4 * la.cross_energy(parallel, tol=1e-10) / np.pi
+        reference = 4 * energy(parallel, 1e-10) / np.pi
         rep = la.area(parallel, tol=1e-8)
         assert rep.grid_used[0] <= 256
         assert rep.area == pytest.approx(reference, rel=1e-9)
@@ -228,7 +232,7 @@ class TestArea:
         monkeypatch.setattr(fn, "_polish", counting_polish)
         for seed in range(3):
             moved = la.random_mobius(seed + 70, 2.0).transform_link(hopf)
-            la.cross_energy(moved, tol=1e-10)
+            energy(moved, 1e-10)
             rep = fn.compute_functionals(moved, tol=1e-3, n_start=256)
             assert rep.area <= 1e-8
         assert per_row and max(per_row) <= 4
@@ -270,7 +274,7 @@ class TestResolvedRows:
             reference = separated_area(float(name[3:]))
         elif name == "parallel":
             link = la.parallel_circles_link()
-            reference = 4 * la.cross_energy(link, tol=1e-10) / np.pi
+            reference = 4 * energy(link, 1e-10) / np.pi
         elif name == "hopf":
             link, reference = la.hopf_link(), 0.0
         else:
@@ -292,7 +296,7 @@ class TestResolvedRows:
         cases = [(la.separated_link(d), separated_area(d)) for d in (0.5, 1.0, 1.5, 1.9)]
         cases += [(la.great_circle_pair(a, a), 8 * np.pi / np.tan(a)) for a in (0.6, 1.0, 1.3)]
         parallel = la.parallel_circles_link()
-        cases.append((parallel, 4 * la.cross_energy(parallel, tol=1e-10) / np.pi))
+        cases.append((parallel, 4 * energy(parallel, 1e-10) / np.pi))
         for link, reference in cases:
             rep = fn.compute_functionals(link, tol=1e-3, n_start=n_start)
             assert rep.est_error >= abs(rep.area - reference), (rep.grid_used, reference)
@@ -304,24 +308,24 @@ class TestCrossEnergy:
         assert np.min(grid.abs_omega - grid.re_omega) >= 0.0
 
     def test_hopf_value(self, hopf):
-        assert la.cross_energy(hopf, tol=1e-10) == pytest.approx(HOPF_ENERGY, abs=1e-10)
+        assert energy(hopf, 1e-10) == pytest.approx(HOPF_ENERGY, abs=1e-10)
 
     def test_regression_values(self, separated10, perturbed02):
-        assert la.cross_energy(separated10, tol=1e-8) == pytest.approx(
+        assert energy(separated10, 1e-8) == pytest.approx(
             ENERGY_SEPARATED_10, rel=1e-9)
-        assert la.cross_energy(perturbed02, tol=1e-8) == pytest.approx(
+        assert energy(perturbed02, 1e-8) == pytest.approx(
             ENERGY_PERTURBED_02_S0, rel=1e-9)
 
     def test_mobius_invariance(self, perturbed02):
-        base = la.cross_energy(perturbed02, tol=1e-8)
+        base = energy(perturbed02, 1e-8)
         for seed in range(5):
             moved = la.random_mobius(seed + 80, 1.0).transform_link(perturbed02)
-            got = la.cross_energy(moved, tol=1e-8)
+            got = energy(moved, 1e-8)
             assert got == pytest.approx(base, rel=1e-6)
 
     def test_tol_floor(self, hopf):
         with pytest.raises(ValueError):
-            la.cross_energy(hopf, tol=1e-12)
+            energy(hopf, 1e-12)
 
 
 class TestMinimalityCharacterization:

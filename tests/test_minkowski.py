@@ -33,20 +33,6 @@ class TestInner5:
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
-class TestCausalClassify:
-    @pytest.mark.parametrize("vec,expected", [
-        ((1, 1, 0, 0, 0), mk.CausalClass.LIGHTLIKE),
-        ((2, 0, 0, 0, 0), mk.CausalClass.TIMELIKE),
-        ((0, 3, 0, 0, 0), mk.CausalClass.SPACELIKE),
-        ((0, 0, 0, 0, 0), mk.CausalClass.ZERO),
-    ])
-    def test_cases(self, vec, expected):
-        assert mk.causal_classify(np.array(vec, dtype=float)) is expected
-
-    def test_tiny_vector_is_zero(self):
-        assert mk.causal_classify(np.full(5, 1e-12)) is mk.CausalClass.ZERO
-
-
 class TestWedge:
     def test_basis_pair(self):
         p = mk.wedge(E[0], E[1])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import linkarea as la
+from linkarea import minkowski as mk
 from linkarea import optimize as opt
 from linkarea import spheres as sp
 from linkarea.errors import BadParameter, DisjointnessViolation
@@ -111,8 +112,9 @@ class TestBatchObjective:
             x, xp = link.c1.evaluate(s)
             y, yp = link.c2.evaluate(t)
             g = sp.metric_kernel(x, xp, y, yp)
-            want = np.array([[sp.metric_coefficient(link.c1, link.c2, a, b) for b in t]
-                             for a in s])
+            # the explicit route <sigma_s, sigma_t>, one scalar (s, t) at a time
+            want = np.array([[mk.inner10(*sp.sigma_derivatives(link.c1, link.c2, a, b)[1:])
+                              for b in t] for a in s])
             # |g| <= 2|Omega| = |x'||y'| / |x - y|^2, the density's own scale
             scale = np.outer(np.linalg.norm(xp, axis=1), np.linalg.norm(yp, axis=1))
             scale /= 2.0 - 2.0 * (x @ y.T)
@@ -206,6 +208,9 @@ class TestMinimize:
         dict(steps=6000),
         dict(steps=-1),
         dict(steps=10, grid_n=0),
+        dict(steps=10, grid_n=257),
+        dict(steps=10, stop_below=float("nan")),
+        dict(steps=10, stop_below=float("inf")),
     ])
     def test_parameter_validation(self, hopf, bad):
         with pytest.raises(BadParameter):

@@ -98,7 +98,7 @@ class TestMetricCoefficient:
     def test_antipodal_value(self):
         c1, c2 = antipodal_test_curves()
         want = -0.5 * (c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1])
-        assert sp.metric_coefficient(c1, c2, 0.0, 0.0) == pytest.approx(want, abs=1e-12)
+        assert sp.metric_pairs(c1, c2, 0.0, 0.0) == pytest.approx(want, abs=1e-12)
 
     def test_matches_explicit_route(self, small_catalogue):
         rng = Lcg64(25)
@@ -116,7 +116,9 @@ class TestMetricCoefficient:
         grid = sp.metric_grid(perturbed02.c1, perturbed02.c2, s, s)
         for i in (0, 3, 7):
             for j in (1, 4, 6):
-                want = sp.metric_coefficient(perturbed02.c1, perturbed02.c2, s[i], s[j])
+                # the explicit route <sigma_s, sigma_t> at one scalar (s, t)
+                _, ss, st = sp.sigma_derivatives(perturbed02.c1, perturbed02.c2, s[i], s[j])
+                want = mk.inner10(ss, st)
                 assert grid[i, j] == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
@@ -134,7 +136,7 @@ class TestSignature:
             assert sp.theta_tangent_signature(x, y) == (3, 3, 0)
 
     def test_torus_gram_eigenvalues(self, separated10):
-        g = sp.metric_coefficient(separated10.c1, separated10.c2, 0.3, 1.1)
+        g = float(sp.metric_pairs(separated10.c1, separated10.c2, 0.3, 1.1))
         assert abs(g) > 1e-5
         _, ss, st = sp.sigma_derivatives(separated10.c1, separated10.c2, 0.3, 1.1)
         gram = np.array([[mk.inner10(ss, ss), mk.inner10(ss, st)],
@@ -153,17 +155,6 @@ def test_degenerate_basis_detected(monkeypatch):
     monkeypatch.setattr(sp, "psi_embed", lambda x, y: np.zeros(10))
     with pytest.raises(DegenerateBasis):
         sp.theta_tangent_signature(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
-
-
-class TestTorusTangentType:
-    def test_hopf_degenerate(self, hopf):
-        rng = Lcg64(27)
-        for _ in range(50):
-            s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
-            assert sp.torus_tangent_type(hopf.c1, hopf.c2, s0, t0) == sp.TangentType.DEGENERATE
-
-    def test_separated_generic_mixed(self, separated10):
-        assert sp.torus_tangent_type(separated10.c1, separated10.c2, 0.3, 1.1) == sp.TangentType.MIXED
 
 
 class TestEquivariance:

@@ -37,10 +37,6 @@ class TestStereoProject:
 
 
 class TestTautologicalPullback:
-    def test_fiber_component_vanishes(self, perturbed02):
-        form = sy.tautological_pullback(perturbed02.c1, perturbed02.c2, 64, 64)
-        assert np.array_equal(form.b, np.zeros_like(form.a))
-
     def test_hopf_coefficient_vanishes(self, hopf):
         form = sy.tautological_pullback(hopf.c1, hopf.c2, 64, 64)
         assert np.max(np.abs(form.a)) <= 1e-14
@@ -84,10 +80,6 @@ class TestExteriorDerivative:
     def test_perturbed_residual(self, perturbed02):
         res, _ = sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2, 128, 128)
         assert res <= 1e-6
-
-    def test_exactness_integral(self, small_catalogue):
-        for link in small_catalogue.values():
-            assert abs(sy.dbeta_torus_integral(link.c1, link.c2)) <= 1e-10
 
     def test_residual_conformally_stable(self, perturbed02, separated10):
         sign = sy.determine_global_sign(separated10)
