@@ -164,6 +164,8 @@ def cmd_minimize(args) -> int:
     from .links import link_text
     from .optimize import circle_fit_residual, decode_link, encode_link, minimize
 
+    if os.path.realpath(args.trace_out) == os.path.realpath(args.link_out):
+        raise BadParameter("--trace-out and --link-out name the same file")
     link = _load_link(args.file)
     v0 = encode_link(link)
     result = minimize(v0, steps=args.steps, grid_n=args.grid,

@@ -1,19 +1,15 @@
 """Quadrature of the torus densities: signed area, area, cross energy.
 
-Grids are uniform n_s x n_t products of power-of-two sizes.  Levels double
-n_s until successive values agree to the requested tolerance.  n_t follows
-the rows' Fourier spectra instead: where the area must converge, it doubles
-within a level while the spectral tail of the rows puts its estimate of
-the area's t-error above the tolerance, and the next level keeps
-n_t >= n_s unless every row is resolved to roundoff at fewer columns, in
-which case it carries only those.  The error estimate is the larger of the
-last level difference and that t-tail estimate.  A refined grid contains
-the coarse one (linspace(0, 2 pi, 2n)[::2] equals
-linspace(0, 2 pi, n)), so each level keeps g at every node, the per-column
-sums of g and |Omega| - g/2 and the largest |Omega| of each row, and
-evaluates only the nodes it adds; a column a level drops needs no
-re-evaluation, because its sums are kept per column.  The quadrature never
-forms theta or Re Omega, which only the exported grid carries.
+Grids are uniform n_s x n_t products of power-of-two sizes, each evaluated
+whole, for g and |Omega| only: the quadrature never forms theta or
+Re Omega, which only the exported grid carries.  Levels double n_s until
+successive values agree to the requested tolerance.  n_t follows the rows'
+Fourier spectra instead: where the area must converge, it doubles while
+the spectral tail of the rows puts its estimate of the area's t-error
+above the tolerance, and the next level keeps n_t >= n_s unless every row
+is resolved to roundoff at fewer columns, in which case it carries only
+those.  The error estimate is the larger of the last level difference and
+that t-tail estimate.
 
 The signed area and the energy are trapezoid sums of smooth periodic
 integrands, which converge spectrally.  The area integrand |g| has a kink
@@ -113,86 +109,36 @@ def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:
     return TorusGrid(s=s, t=t, g=g, theta=theta, abs_omega=absval, re_omega=re)
 
 
-def _curve_nodes(link: Link2):
-    """nodes(c, n): points and velocities of component c (0 or 1) at n
-    uniform nodes, evaluated once per size."""
-    curves, done = (link.c1, link.c2), {}
-
-    def nodes(c: int, n: int):
-        if (c, n) not in done:
-            done[c, n] = curves[c].evaluate(_nodes(n))
-        return done[c, n]
-    return nodes
-
-
-def _fill(nodes, level, rows: slice, cols: slice) -> None:
-    """Evaluate the nodes rows x cols of a level (g, sums, scale) in place.
-
-    g is n_s x n_t; sums holds the column sums of g and |Omega| - g/2, and
-    scale the largest |Omega| of each row.  The kernel runs on blocks of
-    whole rows, about _BLOCK_NODES nodes each.
-    """
-    g, sums, scale = level
-    n_s, n_t = g.shape
-    x, xp = nodes(0, n_s)
-    y, yp = nodes(1, n_t)
-    x, xp, y, yp = x[rows], xp[rows], y[cols], yp[cols]
-    g_rows, scale_rows = g[rows], scale[rows]
-    step = max(1, _BLOCK_NODES // len(y))
-    for r0 in range(0, len(x), step):
-        block = slice(r0, r0 + step)
-        gb, absval = magnitude_kernel(x[block], xp[block], y, yp)[:2]
-        g_rows[block, cols] = gb
-        np.maximum(scale_rows[block], absval.max(axis=1), out=scale_rows[block])
-        sums[0, cols] += gb.sum(axis=0)
+def _level(link: Link2, n_s: int, n_t: int):
+    """g on the n_s x n_t grid, the column sums of g and |Omega| - g/2, and
+    the largest |Omega| of each row.  The kernel runs on blocks of whole
+    rows, about _BLOCK_NODES nodes each."""
+    x, xp = link.c1.evaluate(_nodes(n_s))
+    y, yp = link.c2.evaluate(_nodes(n_t))
+    g, sums, scale = np.empty((n_s, n_t)), np.zeros((2, n_t)), np.empty(n_s)
+    step = max(1, _BLOCK_NODES // n_t)
+    for r0 in range(0, n_s, step):
+        rows = slice(r0, r0 + step)
+        gb, absval = magnitude_kernel(x[rows], xp[rows], y, yp)[:2]
+        g[rows] = gb
+        scale[rows] = absval.max(axis=1)
+        sums[0] += gb.sum(axis=0)
         gb *= 0.5
         absval -= gb
-        sums[1, cols] += absval.sum(axis=0)
+        sums[1] += absval.sum(axis=0)
+    return g, sums, scale
 
 
-def _first_level(nodes, n: int):
-    """The n x n level, every node evaluated."""
-    level = np.empty((n, n)), np.zeros((2, n)), np.zeros(n)
-    _fill(nodes, level, slice(None), slice(None))
-    return level
+def _row_spectra(g, scale):
+    """Fourier modes of each row of g, their sizes, and the sign changes of
+    each row's interpolant.
 
-
-def _refine(nodes, level, n_s: int, n_t: int):
-    """The level on the n_s x n_t grid built from level, whose n_s is n_s or n_s / 2.
-
-    With fewer columns, the level's rows and column sums keep every
-    (n_t_old / n_t)-th column; with more, its rows gain the new columns.
-    The new odd rows, if any, are evaluated at every column.
-    """
-    g0, sums0, scale0 = level
-    rows = slice(None, None, n_s // len(g0))  # the level's rows in the new one
-    g, sums, scale = np.empty((n_s, n_t)), np.zeros((2, n_t)), np.zeros(n_s)
-    scale[rows] = scale0
-    ratio = n_t // g0.shape[1]
-    if ratio:
-        g[rows, ::ratio], sums[:, ::ratio] = g0, sums0
-    else:
-        stride = g0.shape[1] // n_t
-        g[rows], sums[:] = g0[:, ::stride], sums0[:, ::stride]
-    level = g, sums, scale
-    for offset in range(1, ratio):  # the columns between the level's
-        _fill(nodes, level, rows, slice(offset, None, ratio))
-    if rows.step == 2:
-        _fill(nodes, level, slice(1, None, 2), slice(None))
-    return level
-
-
-def _row_spectra(g, coef, scale):
-    """Fourier modes of each row of g, written to coef, their sizes, and the
-    sign changes of each row's interpolant.
-
-    Row i of the complex view of coef (n_s x n_t reals) holds a_0 + i a_{n/2},
-    a_1, ..., a_{n/2 - 1} of the row's interpolant
-    p(t) = Re sum_k a_k exp(ikt), n = n_t; coef may be g itself.  Returns
-    the modes; top, above which every mode of every row is below
-    _MODE_FLOOR of the largest, i.e. FFT roundoff; amp, the amplitude |a_k|
-    of each mode summed over the rows; and the brackets (row, lo, hi, p(lo),
-    p(hi)) of the sign changes of p, lo and hi in radians.  p is sampled
+    Row i of the modes holds a_0, ..., a_{n/2} of the row's interpolant
+    p(t) = Re sum_k a_k exp(ikt), n = n_t.  Returns the modes; top, above
+    which every mode of every row is below _MODE_FLOOR of the largest,
+    i.e. FFT roundoff; amp, the amplitude |a_k| of each mode summed over
+    the rows; and the brackets (row, lo, hi, p(lo), p(hi)) of the sign
+    changes of p, lo and hi in radians.  p is sampled
     _OVERSAMPLE times finer than the columns while n_t <= _OVERSAMPLE_MAX_N
     and at the columns above that.  Samples with |p| <= _ROUNDOFF times the
     largest |Omega| of their row (scale) count as positive, so rows of
@@ -200,7 +146,7 @@ def _row_spectra(g, coef, scale):
     """
     n_s, n_t = g.shape
     half = n_t // 2
-    modes = coef.view(complex)
+    modes = np.empty((n_s, half + 1), complex)
     pad = _OVERSAMPLE if n_t <= _OVERSAMPLE_MAX_N else 1
     tiny = _ROUNDOFF * scale
     found = []
@@ -215,8 +161,8 @@ def _row_spectra(g, coef, scale):
         size = np.abs(spec)
         np.maximum(peak, size.max(axis=0), out=peak)
         amp += size.sum(axis=0)
-        np.multiply(spec[:, 1:half], 2.0, out=modes[rows, 1:])
-        modes[rows, 0] = spec[:, 0].real + 1j * spec[:, half].real
+        spec[:, 1:half] *= 2.0
+        modes[rows] = spec
     amp[1:half] *= 2.0
     top = np.flatnonzero(peak > _MODE_FLOOR * np.max(peak))[-1] if np.any(peak) else 0
     row, lo, hi, v_lo, v_hi = (np.concatenate(part) for part in zip(*found))
@@ -244,7 +190,7 @@ def _t_tail(amp, top: int, n_s: int) -> float:
     return TWO_PI * TWO_PI / n_s * float(amp[first + 1:].sum())
 
 
-def _carried_columns(level, top: int) -> int:
+def _carried_columns(sums, top: int, n_s: int) -> int:
     """n_t of the next level.
 
     The fewest columns m >= N_MIN, up to the level's n_t, at which every
@@ -253,8 +199,7 @@ def _carried_columns(level, top: int) -> int:
     one to roundoff, since the floor is judged on g alone.  Without such
     an m, n_t keeps up with the next level's n_s.
     """
-    g, sums, _ = level
-    n_s, n_t = g.shape
+    n_t = sums.shape[1]
     m = max(N_MIN, 2 * top + 1)
     m = 1 << (m - 1).bit_length()  # the next power of two
     energy = sums[1].sum() if m <= n_t else 0.0
@@ -290,14 +235,13 @@ def _interpolant(modes, top, row, z):
     Horner pass over the modes evaluates all three at every zero at once;
     the modes above top, negligible in every row, are left out.
     """
-    half = modes.shape[1]
     w = np.exp(1j * z)
-    head = modes[row, 0]  # a_0 + i a_{n/2}
+    head = modes[row, 0].real
     q = np.zeros(len(z), complex)
     d = np.zeros_like(q)
     anti = np.zeros_like(q)
     for k in range(top, 0, -1):
-        c = head.imag if k == half else modes[:, k][row]
+        c = modes[row, k]
         d *= w
         d += q
         q *= w
@@ -307,10 +251,10 @@ def _interpolant(modes, top, row, z):
     d *= w
     d += q
     q *= w
-    q += head.real
+    q += head
     anti *= w
     d *= w  # dp/dz = Re(i w dQ/dw)
-    return q.real, -d.imag, head.real * z + anti.real
+    return q.real, -d.imag, head * z + anti.real
 
 
 def _polish(modes, top, row, lo, hi, v_lo, v_hi):
@@ -379,18 +323,18 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     The first level is n_start x n_start.  Within a later level, if the
     criterion watches the area, n_t doubles while the rows' spectral tail
     puts its estimate of the area's t-error above tol (see _t_tail); the
-    rows' spectra decide this before any zero is polished.  Each next level doubles n_s
-    and carries the fewest columns, at least N_MIN, at which every row is
-    resolved to the mode floor, or else keeps n_t >= n_s (see
-    _carried_columns).  A level evaluates only the nodes it adds, for g and
+    rows' spectra decide this before any zero is polished.  Each next level
+    doubles n_s and carries the fewest columns, at least N_MIN, at which
+    every row is resolved to the mode floor, or else keeps n_t >= n_s (see
+    _carried_columns).  Each grid is evaluated whole by _level, for g and
     |Omega| only: the energy integrand is |Omega| - Re Omega =
     |Omega| - g/2.  Refinement stops once the functionals that the
     criterion selects move by at most tol between levels and, if the area
     is among them, the t-tail estimate is within tol; the larger of the two
-    is est_error.  All three values of the last level are reported either way,
-    with one LevelRecord per level, and grid_used is its (n_s, n_t).  A
-    start with no finer level under the cap raises NoConvergence before any
-    node is evaluated.
+    is est_error.  All three values of the last level are reported either
+    way, with one LevelRecord per level, and grid_used is its (n_s, n_t).
+    A start with no finer level under the cap raises NoConvergence before
+    any node is evaluated.
 
     Signed area and energy are trapezoid sums, which converge spectrally.
     The area integrand |g| has a kink along the zero set of g (present for
@@ -410,17 +354,15 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     failure = NoConvergence(f"no convergence to {tol} within {N_MAX} nodes")
     if 2 * n_start > N_MAX:
         raise failure
-    nodes = _curve_nodes(link)
-    level, levels = _first_level(nodes, n_start), []
+    n_s = n_t = n_start
+    levels = []
     while True:
-        g, sums, scale = level
-        n_s, n_t = g.shape
-        # at the cap in both directions g is not needed again, so the modes overwrite it
-        modes, top, amp, brackets = _row_spectra(
-            g, g if n_s == n_t == N_MAX else np.empty_like(g), scale)
+        g = modes = None  # release the previous level before building the next
+        g, sums, scale = _level(link, n_s, n_t)
+        modes, top, amp, brackets = _row_spectra(g, scale)
         tail = _t_tail(amp, top, n_s)
         if area_watched and levels and tail > tol and n_t < N_MAX:
-            level = _refine(nodes, level, n_s, 2 * n_t)
+            n_t *= 2
             continue
         area, zeros = _abs_integral(modes, top, brackets)
         cell = (TWO_PI / n_s) * (TWO_PI / n_t)
@@ -436,7 +378,7 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
                                         levels=tuple(levels))
         if n_s == N_MAX:
             raise failure
-        level = _refine(nodes, level, 2 * n_s, _carried_columns(level, top))
+        n_s, n_t = 2 * n_s, _carried_columns(sums, top, n_s)
 
 
 def signed_area(link: Link2, tol: float = 1e-8) -> FunctionalReport:

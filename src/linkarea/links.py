@@ -506,7 +506,7 @@ def _component_from_dict(comp, index: int) -> LinkCurve:
             raise BadLinkFile(f"{where}.coefficients missing")
         try:
             return FourierCurve(np.asarray(coeffs, dtype=float))
-        except (BadParameter, ImmersionFailure, ValueError) as exc:
+        except (BadParameter, ImmersionFailure, TypeError, ValueError) as exc:
             raise BadLinkFile(f"{where}.coefficients invalid: {exc}") from exc
     if kind in ("samples4", "samples3"):
         nodes = comp.get("nodes")
@@ -514,7 +514,7 @@ def _component_from_dict(comp, index: int) -> LinkCurve:
             raise BadLinkFile(f"{where}.nodes missing")
         try:
             arr = np.asarray(nodes, dtype=float)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise BadLinkFile(f"{where}.nodes not numeric") from exc
         try:
             if kind == "samples4":
@@ -532,6 +532,8 @@ def read_link(path) -> Link2:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise BadLinkFile(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise BadLinkFile("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or doc.get("version") != "lk-1":
         raise BadLinkFile("version must be \"lk-1\"")
     comps = doc.get("components")

@@ -90,12 +90,23 @@ class TestArea:
         assert float(rep["area"]) > 1.0
         assert abs(float(rep["signed_area"])) <= 1e-8
 
-    def test_malformed_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(json.dumps({"version": "lk-1", "components": [{"kind": "fourier4"}]}),
+                     "components", id="one-component"),
+        pytest.param(json.dumps({"version": "lk-1", "components": [
+            {"kind": "fourier4", "coefficients": {"a": 1}}, {"kind": "fourier4"}]}),
+                     "components[0].coefficients invalid", id="coefficients-object"),
+        pytest.param(json.dumps({"version": "lk-1", "components": [
+            {"kind": "samples4", "nodes": {"a": 1}}, {"kind": "samples4"}]}),
+                     "components[0].nodes not numeric", id="nodes-object"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nested-array")])
+    def test_malformed_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.lk1"
-        path.write_text(json.dumps({"version": "lk-1", "components": [{"kind": "fourier4"}]}))
-        code, _, err = run_cli(capsys, "area", str(path))
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "area", str(path))
         assert code == 2
-        assert "components" in err
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_nonfinite_coefficient_rejected(self, capsys, tmp_path, bad):
@@ -281,6 +292,16 @@ class TestMinimize:
         assert out == ""
         assert err.startswith("error: cannot write")
         assert not trace.exists()
+
+    def test_same_output_file_rejected(self, capsys, link_files, tmp_path):
+        path = tmp_path / "out"
+        code, out, err = run_cli(capsys, "minimize", link_files["hopf"], "--steps", "2",
+                                 "--trace-out", str(path),
+                                 "--link-out", str(tmp_path / "." / "out"))
+        assert code == 2
+        assert out == ""
+        assert "name the same file" in err
+        assert not path.exists()
 
     def test_hopf_immediate(self, capsys, link_files, tmp_path):
         code, out, _ = run_cli(capsys, "minimize", link_files["hopf"],

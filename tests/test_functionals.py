@@ -68,35 +68,39 @@ def _node_counts(link, monkeypatch):
 class TestNestedQuadrature:
     def test_level_sums_match_full_grid(self):
         for name, link in la.catalogue().items():
-            nodes = fn._curve_nodes(link)
-            level = fn._first_level(nodes, 32)
-            # grow t; grow s keeping every column; grow s keeping every other
-            # column; grow t; grow both, t fourfold
             for shape in ((32, 64), (64, 64), (128, 32), (128, 64), (256, 256)):
-                level = fn._refine(nodes, level, *shape)
-                g, sums, scale = level
-                grid = la.build_grid(link, *g.shape)
+                g, sums, scale = fn._level(link, *shape)
+                grid = la.build_grid(link, *shape)
                 assert np.allclose(g, grid.g, rtol=0, atol=1e-15 * np.max(grid.abs_omega)), name
-                if shape != (128, 32):  # dropped columns stay in the row maxima
-                    assert np.array_equal(scale, np.max(grid.abs_omega, axis=1)), name
+                assert np.array_equal(scale, np.max(grid.abs_omega, axis=1)), name
                 full = np.array([np.sum(grid.g, axis=0),
                                  np.sum(grid.abs_omega - grid.g / 2, axis=0)])
                 # the signed sums cancel to roundoff, so they are held to the area's scale
                 scale_sums = np.array([np.sum(np.abs(grid.g), axis=0), full[1]])
-                assert np.all(np.abs(sums - full) <= 1e-12 * scale_sums), (name, g.shape)
+                assert np.all(np.abs(sums - full) <= 1e-12 * scale_sums), (name, shape)
 
     @pytest.mark.parametrize("name, n_start", [("perturbed02", 32), ("perturbed02", 512),
                                                ("separated10", 32), ("separated10", 512),
                                                ("separated05", 32), ("hopf", 512)])
-    def test_each_node_evaluated_once(self, name, n_start, request, monkeypatch):
+    def test_whole_levels_evaluated(self, name, n_start, request, monkeypatch):
         link = request.getfixturevalue(name) if name != "separated05" else la.separated_link(0.5)
         counts = _node_counts(link, monkeypatch)
+        built = []
+
+        def checked_level(link, n_s, n_t):
+            counts[:] = 0
+            out = level(link, n_s, n_t)
+            # each node of the n_s x n_t grid reaches the kernel once, and no other node
+            on_grid = counts[::fn.N_MAX // n_s, ::fn.N_MAX // n_t]
+            assert np.all(on_grid == 1) and counts.sum() == n_s * n_t, (n_s, n_t)
+            built.append((n_s, n_t))
+            return out
+        level = fn._level
+        monkeypatch.setattr(fn, "_level", checked_level)
         rep = fn.compute_functionals(link, tol=1e-3, n_start=n_start)
-        assert counts.max() == 1
-        n_s, n_t = rep.grid_used
-        assert np.all(counts[::fn.N_MAX // n_s, ::fn.N_MAX // n_t] == 1)
-        if n_start == 512:  # the columns carried to the 1024-row level are the only ones added
-            assert counts.sum() == 512 * 512 + 512 * n_t
+        assert built[0] == (n_start, n_start) and built[-1] == rep.grid_used
+        if n_start == 512:  # one s-doubling to 1024 rows at the carried columns
+            assert built == [(512, 512), (1024, rep.grid_used[1])]
 
     def test_hopf_area_exactly_zero(self, hopf):
         rep = la.area(hopf, tol=1e-3)
