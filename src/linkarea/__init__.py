@@ -26,8 +26,8 @@ _EXPORTS = {
     "optimize": ("MinimizeResult", "circle_fit_residual", "decode_link",
                  "encode_link", "minimize", "objective"),
     "spheres": ("lift", "psi_embed", "sigma_derivatives", "theta_tangent_signature"),
-    "symplectic": ("determine_global_sign", "exterior_derivative_check",
-                   "stereo_project", "tautological_pullback"),
+    "symplectic": ("SIGN", "exterior_derivative_check", "stereo_project",
+                   "tautological_pullback"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -133,7 +133,7 @@ def cmd_oracle(args) -> int:
     from . import conformal as cf
     from . import symplectic as sy
     from . import verify as vf
-    from .links import TWO_PI, separated_link
+    from .links import TWO_PI
     from .rng import Lcg64
 
     if args.samples < 1:
@@ -150,11 +150,10 @@ def cmd_oracle(args) -> int:
     dev_chart = float(np.max(np.abs(g - 2.0 * absval * np.cos(theta_chart))))
     re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, args.eps, pole=pole)
     dev_fd = float(np.max(np.abs(re - re_fd)))
-    sign = sy.determine_global_sign(separated_link(1.0))
-    residual, _ = sy.exterior_derivative_check(link.c1, link.c2, 128, 128, sign=sign)
+    residual = sy.exterior_derivative_check(link.c1, link.c2, 128, 128)
     print(f"samples={args.samples} wedge_vs_chart={_fmt(dev_chart)} "
           f"wedge_vs_fd={_fmt(dev_fd)} symplectic_residual={_fmt(residual)} "
-          f"global_sign={sign:+d}")
+          f"global_sign={sy.SIGN:+d}")
     if dev_chart > vf.TOL_WEDGE_CHART or dev_fd > vf.TOL_FD or residual > vf.TOL_SYMPLECTIC:
         return EXIT_TOLERANCE
     return EXIT_OK

@@ -37,10 +37,6 @@ class DegenerateBasis(LinkAreaError):
     """Constructed tangent vectors do not have full rank."""
 
 
-class SignInconsistency(LinkAreaError):
-    """No single global sign reconciles the two sides of the 1-form check."""
-
-
 class NoConvergence(LinkAreaError):
     """Grid refinement hit the resolution cap before meeting the tolerance."""
 

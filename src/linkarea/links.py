@@ -53,27 +53,31 @@ class LinkCurve:
     def evaluate(self, s):
         """Point on S^3 and tangent velocity at parameter s (mod 2*pi)."""
         p, v = self._point_velocity(s)
-        speed = np.linalg.norm(v, axis=-1)
-        if np.min(speed) < V_MIN:
-            raise ImmersionFailure(f"speed {np.min(speed):.3e} below {V_MIN}")
+        _speed_floor(v)
         return p, v
 
     def reversed(self):
         raise NotImplementedError
 
 
-def _fourier_design(s, modes, derivative=False):
-    """Rows [1, cos s, sin s, ..., cos(modes s), sin(modes s)] or their derivatives."""
+def _speed_floor(v):
+    """Reject a velocity slower than V_MIN, or not a number, anywhere."""
+    speed = np.linalg.norm(v, axis=-1)
+    if not np.min(speed) >= V_MIN:
+        raise ImmersionFailure(f"speed {np.min(speed):.3e} below {V_MIN}")
+
+
+def _fourier_design(s, modes):
+    """Rows [1, cos s, sin s, ..., cos(modes s), sin(modes s)] and their s-derivatives."""
     s = _as_param(s)
-    cols = [np.zeros_like(s) if derivative else np.ones_like(s)]
-    for k in range(1, modes + 1):
-        if derivative:
-            cols.append(-k * np.sin(k * s))
-            cols.append(k * np.cos(k * s))
-        else:
-            cols.append(np.cos(k * s))
-            cols.append(np.sin(k * s))
-    return np.stack(cols, axis=-1)
+    k = np.arange(1, modes + 1)
+    ks = s[..., None] * k
+    cos, sin = np.cos(ks), np.sin(ks)
+    design = np.ones(s.shape + (2 * modes + 1,))
+    ddesign = np.zeros_like(design)
+    design[..., 1::2], design[..., 2::2] = cos, sin
+    ddesign[..., 1::2], ddesign[..., 2::2] = -k * sin, k * cos
+    return design, ddesign
 
 
 def radial_velocity(f, fp):
@@ -102,14 +106,17 @@ class FourierCurve(LinkCurve):
         self.coeffs = coeffs
         self.n_modes = (coeffs.shape[1] - 1) // 2
         probe = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-        radii = np.linalg.norm(_fourier_design(probe, self.n_modes) @ coeffs.T, axis=-1)
+        with np.errstate(all="ignore"):  # an overflow is reported below, as a bad parameter
+            f, fp = (m @ coeffs.T for m in _fourier_design(probe, self.n_modes))
+            radii, v = np.linalg.norm(f, axis=-1), radial_velocity(f, fp)
         if np.min(radii) < 0.05:
             raise BadParameter("fourier curve passes too close to the origin")
-        self.evaluate(probe)
+        if not np.all(np.isfinite(v)):
+            raise BadParameter("fourier coefficients too large to evaluate")
+        _speed_floor(v)
 
     def _point_velocity(self, s):
-        f = _fourier_design(s, self.n_modes) @ self.coeffs.T
-        fp = _fourier_design(s, self.n_modes, derivative=True) @ self.coeffs.T
+        f, fp = (m @ self.coeffs.T for m in _fourier_design(s, self.n_modes))
         return f / np.linalg.norm(f, axis=-1, keepdims=True), radial_velocity(f, fp)
 
     def reversed(self):
@@ -336,7 +343,7 @@ def perturbed_hopf_link(eps: float, seed: int) -> Link2:
                 for k in (1, 2, 3):
                     raw[c, 2 * k - 1] = 2.0 ** (-k) * rng.uniform_in(-1.0, 1.0)
                     raw[c, 2 * k] = 2.0 ** (-k) * rng.uniform_in(-1.0, 1.0)
-            delta = _fourier_design(probe, 3) @ raw.T
+            delta = _fourier_design(probe, 3)[0] @ raw.T
             top = np.max(np.linalg.norm(delta, axis=-1))
             coeffs = coeffs + (eps / top) * raw
         curves.append(FourierCurve(coeffs))

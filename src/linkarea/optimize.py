@@ -82,7 +82,7 @@ def decode_link(vector) -> Link2:
 def _designs(grid_n: int):
     """Read-only Fourier design matrix and its derivative on grid_n nodes."""
     s = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    mats = _fourier_design(s, K_OPT), _fourier_design(s, K_OPT, derivative=True)
+    mats = _fourier_design(s, K_OPT)
     for m in mats:
         m.flags.writeable = False
     return mats

@@ -3,19 +3,23 @@
 A pair (x, y) is read as the covector at x given by pairing with the
 stereographic image of y in the hyperplane through the origin orthogonal
 to x.  Pulling the tautological 1-form back to the parameter torus gives
-a 1-form a(s, t) ds whose exterior derivative must reproduce the
-cross-ratio real part up to one global sign; this module computes the
-pullback, differentiates it spectrally, and calibrates and checks that
-sign.
+a 1-form a(s, t) ds, with no dt part because the bundle projection kills
+the fiber direction.  Its exterior derivative -da/dt ds^dt is twice the
+cross-ratio real part g/2 ds^dt: the metric coefficient of the torus is
+g = SIGN * da/dt with SIGN = -1.  This module computes the pullback,
+differentiates it spectrally and measures how far that identity is from
+holding.  The sign is fixed, not fitted, so an error in either route
+shows as a residual of the size of the field.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPoints, SignInconsistency
+from .errors import CoincidentPoints
 from .links import TWO_PI
 from .spheres import metric_grid
+
+#: the sign in g = SIGN * da/dt, i.e. g = -da/dt
+SIGN = -1
 
 
 def stereo_project(x, y):
@@ -32,17 +36,9 @@ def stereo_project(x, y):
     return (y - np.sum(x * y, axis=-1)[..., None] * x) / d[..., None]
 
 
-@dataclass(frozen=True)
-class PulledBackOneForm:
-    """Coefficient a of the torus 1-form a ds; it has no dt part because the
-    bundle projection kills the fiber direction."""
-    s: np.ndarray
-    t: np.ndarray
-    a: np.ndarray
-
-
-def tautological_pullback(c1, c2, n_s: int, n_t: int) -> PulledBackOneForm:
-    """Pull the tautological 1-form back to a uniform n_s x n_t torus grid."""
+def tautological_pullback(c1, c2, n_s: int, n_t: int):
+    """Coefficient a of the pulled-back 1-form a ds on the uniform n_s x n_t
+    torus grid s, t = linspace(0, 2 pi, n, endpoint=False)."""
     if n_s < 32 or n_t < 32:
         raise ValueError("grid must be at least 32 x 32")
     s = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
@@ -53,8 +49,7 @@ def tautological_pullback(c1, c2, n_s: int, n_t: int) -> PulledBackOneForm:
     if np.max(dots) >= 1.0 - 1e-12:
         raise CoincidentPoints("grid contains coincident component points")
     proj = (y[None, :, :] - dots[:, :, None] * x[:, None, :]) / (1.0 - dots)[:, :, None]
-    a = np.sum(proj * xp[:, None, :], axis=-1)
-    return PulledBackOneForm(s=s, t=t, a=a)
+    return np.sum(proj * xp[:, None, :], axis=-1)
 
 
 def spectral_t_derivative(values):
@@ -68,36 +63,10 @@ def spectral_t_derivative(values):
     return np.fft.irfft(deriv, n=n_t, axis=1)
 
 
-def exterior_derivative_check(c1, c2, n_s: int = 128, n_t: int = 128, sign=None):
-    """Residual of the 1-form route against the metric route.
-
-    Computes d(a ds) = -da/dt ds^dt spectrally and finds the global sign
-    eps in {+1, -1} minimizing max |re_omega - eps * (-1/2) * dbeta|; when a
-    sign is supplied it is used as-is.  Returns (max residual, sign).
-
-    Raises SignInconsistency when neither sign fits a non-trivial field,
-    i.e. no single orientation convention reconciles the two routes.
-    """
-    beta = tautological_pullback(c1, c2, n_s, n_t)
-    dbeta = -spectral_t_derivative(beta.a)
-    s, t = beta.s, beta.t
-    re_omega = 0.5 * metric_grid(c1, c2, s, t)
-    scale = float(np.max(np.abs(re_omega)))
-    if sign is not None:
-        residual = float(np.max(np.abs(re_omega - sign * (-0.5) * dbeta)))
-        return residual, int(sign)
-    res_plus = float(np.max(np.abs(re_omega - (-0.5) * dbeta)))
-    res_minus = float(np.max(np.abs(re_omega + (-0.5) * dbeta)))
-    best_sign = 1 if res_plus <= res_minus else -1
-    best = min(res_plus, res_minus)
-    if scale > 1e-8 and best > 0.5 * scale:
-        raise SignInconsistency(
-            f"residuals {res_plus:.3e}/{res_minus:.3e} against field scale {scale:.3e}")
-    return best, best_sign
-
-
-def determine_global_sign(link, n_s: int = 128, n_t: int = 128) -> int:
-    """Calibrate the single global sign on one link with a non-trivial field."""
-    _, sign = exterior_derivative_check(link.c1, link.c2, n_s, n_t)
-    return sign
-
+def exterior_derivative_check(c1, c2, n_s: int = 128, n_t: int = 128) -> float:
+    """Residual of the 1-form route against the metric route: the largest
+    |Re omega - SIGN * da/dt / 2| on the grid, where Re omega = g / 2."""
+    da_dt = spectral_t_derivative(tautological_pullback(c1, c2, n_s, n_t))
+    s = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
+    t = np.linspace(0.0, TWO_PI, n_t, endpoint=False)
+    return 0.5 * float(np.max(np.abs(metric_grid(c1, c2, s, t) - SIGN * da_dt)))

@@ -112,8 +112,7 @@ def check_equivariance(seed: int = 3, n_maps: int = 20) -> PropertyResult:
                           f"max componentwise deviation {worst:.2e} over {n_maps} maps")
 
 
-def check_nullity(links=None, n_samples: int = 1000, seed: int = 4) -> PropertyResult:
-    links = links if links is not None else catalogue()
+def check_nullity(links, n_samples: int = 1000, seed: int = 4) -> PropertyResult:
     rng = Lcg64(seed)
     worst = 0.0
     for link in links.values():
@@ -126,8 +125,7 @@ def check_nullity(links=None, n_samples: int = 1000, seed: int = 4) -> PropertyR
                           f"max |<sigma_u, sigma_u>| = {worst:.2e} at {n_samples} samples per link")
 
 
-def check_metric_routes(links=None, n_samples: int = 1000, seed: int = 5) -> PropertyResult:
-    links = links if links is not None else catalogue()
+def check_metric_routes(links, n_samples: int = 1000, seed: int = 5) -> PropertyResult:
     rng = Lcg64(seed)
     worst = 0.0
     for link in links.values():
@@ -156,8 +154,7 @@ def check_signature(seed: int = 6, n_pairs: int = 100) -> PropertyResult:
                           f"index(3,3) at {n_pairs - bad}/{n_pairs} random pairs")
 
 
-def check_angle_routes(links=None, n: int = 64) -> PropertyResult:
-    links = links if links is not None else catalogue()
+def check_angle_routes(links, n: int = 64) -> PropertyResult:
     s = np.linspace(0.0, TWO_PI, n, endpoint=False)
     worst = 0.0
     for link in links.values():
@@ -172,10 +169,7 @@ def check_angle_routes(links=None, n: int = 64) -> PropertyResult:
 FD_ORACLE_LINKS = ("separated_1.0", "perturbed_hopf_0.2_s0")
 
 
-def check_fd_oracle(links=None, n_samples: int = 20, seed: int = 7) -> PropertyResult:
-    if links is None:
-        full = catalogue()
-        links = {k: full[k] for k in FD_ORACLE_LINKS}
+def check_fd_oracle(links, n_samples: int = 20, seed: int = 7) -> PropertyResult:
     rng = Lcg64(seed)
     worst = 0.0
     worst_order = np.inf
@@ -196,15 +190,11 @@ def check_fd_oracle(links=None, n_samples: int = 20, seed: int = 7) -> PropertyR
                           f"max deviation {worst:.2e}, observed order >= {order_txt}")
 
 
-def check_symplectic(links=None, n: int = 128) -> PropertyResult:
-    links = links if links is not None else catalogue()
-    sign = sy.determine_global_sign(links["separated_1.0"], n, n)
-    worst = 0.0
-    for link in links.values():
-        res, _ = sy.exterior_derivative_check(link.c1, link.c2, n, n, sign=sign)
-        worst = max(worst, res)
+def check_symplectic(links, n: int = 128) -> PropertyResult:
+    worst = float(np.max([sy.exterior_derivative_check(link.c1, link.c2, n, n)
+                          for link in links.values()]))
     return PropertyResult("symplectic_one_form", worst <= TOL_SYMPLECTIC,
-                          f"global sign {sign:+d}, max residual {worst:.2e} at {n}x{n}")
+                          f"global sign {sy.SIGN:+d}, max residual {worst:.2e} at {n}x{n}")
 
 
 def run_battery(links=None, base_seed: int = 0):

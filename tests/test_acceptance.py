@@ -117,14 +117,12 @@ def test_criterion_05_density_routes(separated10, perturbed02):
                   f"observed order {worst_order:.2f}")
 
 
-def test_criterion_06_one_form_bridge(full_catalogue, separated10):
-    sign = sy.determine_global_sign(separated10)
+def test_criterion_06_one_form_bridge(full_catalogue):
     worst = 0.0
     for name, link in full_catalogue.items():
-        res, _ = sy.exterior_derivative_check(link.c1, link.c2, 128, 128, sign=sign)
-        worst = max(worst, res)
+        worst = max(worst, sy.exterior_derivative_check(link.c1, link.c2, 128, 128))
     report(6, worst <= 1e-6,
-           f"global sign {sign:+d}, max pointwise residual {worst:.2e} at 128x128")
+           f"global sign {sy.SIGN:+d}, max pointwise residual {worst:.2e} at 128x128")
 
 
 def test_criterion_07_minor_lift_group():

@@ -25,6 +25,14 @@ def link_files(tmp_path_factory):
     return paths
 
 
+def _scaled_p02(factor):
+    """lk-1 text of perturbed_hopf_link(0.2, 0) with component 0's coefficients times factor."""
+    link = la.perturbed_hopf_link(0.2, 0)
+    comps = [{"kind": "fourier4", "coefficients": (f * c.coeffs).tolist()}
+             for f, c in ((factor, link.c1), (1.0, link.c2))]
+    return json.dumps({"version": "lk-1", "components": comps})
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -59,6 +67,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL wedge_determinant_identity" in out
         assert "failed=0" not in out
+
+    def test_one_form_sign_flip_detected(self, capsys, monkeypatch, link_files):
+        # the sign of g = -da/dt is fixed, so a flipped route fails instead of recalibrating
+        from linkarea import symplectic as sy
+        original = sy.spectral_t_derivative
+        monkeypatch.setattr(sy, "spectral_t_derivative", lambda values: -original(values))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "FAIL symplectic_one_form" in out
+        code, _, _ = run_cli(capsys, "oracle", link_files["sep15"], "--samples", "20")
+        assert code == 3
 
 
 class TestArea:
@@ -99,7 +118,9 @@ class TestArea:
         pytest.param(json.dumps({"version": "lk-1", "components": [
             {"kind": "samples4", "nodes": {"a": 1}}, {"kind": "samples4"}]}),
                      "components[0].nodes not numeric", id="nodes-object"),
-        pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nested-array")])
+        pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nested-array"),
+        pytest.param(_scaled_p02(1e150), "components[0].coefficients invalid",
+                     id="coefficients-overflow")])
     def test_malformed_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.lk1"
         path.write_text(text)

@@ -38,27 +38,29 @@ class TestStereoProject:
 
 class TestTautologicalPullback:
     def test_hopf_coefficient_vanishes(self, hopf):
-        form = sy.tautological_pullback(hopf.c1, hopf.c2, 64, 64)
-        assert np.max(np.abs(form.a)) <= 1e-14
+        a = sy.tautological_pullback(hopf.c1, hopf.c2, 64, 64)
+        assert np.max(np.abs(a)) <= 1e-14
 
     def test_bounded_by_projection_norm(self, separated15):
-        form = sy.tautological_pullback(separated15.c1, separated15.c2, 64, 64)
-        x, xp = separated15.c1.evaluate(form.s)
-        y, _ = separated15.c2.evaluate(form.t)
+        a = sy.tautological_pullback(separated15.c1, separated15.c2, 64, 64)
+        s = np.linspace(0, TWO_PI, 64, endpoint=False)
+        x, xp = separated15.c1.evaluate(s)
+        y, _ = separated15.c2.evaluate(s)
         speeds = np.linalg.norm(xp, axis=1)
         for i in range(0, 64, 7):
             for j in range(0, 64, 7):
                 bound = np.linalg.norm(sy.stereo_project(x[i], y[j])) * speeds[i]
-                assert abs(form.a[i, j]) <= bound + 1e-12
+                assert abs(a[i, j]) <= bound + 1e-12
 
     def test_matches_scalar_projection(self, perturbed02):
-        form = sy.tautological_pullback(perturbed02.c1, perturbed02.c2, 32, 32)
-        x, xp = perturbed02.c1.evaluate(form.s)
-        y, _ = perturbed02.c2.evaluate(form.t)
+        a = sy.tautological_pullback(perturbed02.c1, perturbed02.c2, 32, 32)
+        s = np.linspace(0, TWO_PI, 32, endpoint=False)
+        x, xp = perturbed02.c1.evaluate(s)
+        y, _ = perturbed02.c2.evaluate(s)
         for i in (0, 5, 17):
             for j in (3, 11, 29):
                 want = sy.stereo_project(x[i], y[j]) @ xp[i]
-                assert form.a[i, j] == pytest.approx(want, rel=1e-12, abs=1e-14)
+                assert a[i, j] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_minimum_grid(self, hopf):
         with pytest.raises(ValueError):
@@ -67,36 +69,34 @@ class TestTautologicalPullback:
 
 class TestExteriorDerivative:
     def test_hopf_both_sides_zero(self, hopf):
-        res, _ = sy.exterior_derivative_check(hopf.c1, hopf.c2, 64, 64)
-        assert res <= 1e-9
+        assert sy.exterior_derivative_check(hopf.c1, hopf.c2, 64, 64) <= 1e-9
 
-    def test_single_sign_across_catalogue(self, separated10):
-        sign = sy.determine_global_sign(separated10)
-        for name, link in la.catalogue().items():
-            res, got = sy.exterior_derivative_check(link.c1, link.c2, 128, 128, sign=sign)
-            assert res <= 1e-6, name
-            assert got == sign
+    def test_single_sign_across_catalogue(self, monkeypatch):
+        # one sign fits every link, and the other fits none with a non-zero field
+        links = la.catalogue()
+        for name, link in links.items():
+            assert sy.exterior_derivative_check(link.c1, link.c2, 128, 128) <= 1e-6, name
+        monkeypatch.setattr(sy, "SIGN", -sy.SIGN)
+        for name, link in links.items():
+            if name != "hopf":  # the Hopf field is zero, so either sign fits it
+                assert sy.exterior_derivative_check(link.c1, link.c2, 128, 128) >= 1e-2, name
 
     def test_perturbed_residual(self, perturbed02):
-        res, _ = sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2, 128, 128)
-        assert res <= 1e-6
+        assert sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2, 128, 128) <= 1e-6
 
-    def test_residual_conformally_stable(self, perturbed02, separated10):
-        sign = sy.determine_global_sign(separated10)
-        base, _ = sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2, 128, 128, sign=sign)
+    def test_residual_conformally_stable(self, perturbed02):
+        base = sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2, 128, 128)
         mob = la.random_mobius(611, 1.0)
         moved = mob.transform_link(perturbed02)
-        res, _ = sy.exterior_derivative_check(moved.c1, moved.c2, 128, 128, sign=sign)
+        res = sy.exterior_derivative_check(moved.c1, moved.c2, 128, 128)
         assert res <= 1e-6
         assert base <= 1e-6
 
 
 def test_sign_inconsistency_detected(separated10, monkeypatch):
-    from linkarea.errors import SignInconsistency
     monkeypatch.setattr(sy, "metric_grid",
                         lambda c1, c2, s, t: np.ones((len(s), len(t))))
-    with pytest.raises(SignInconsistency):
-        sy.exterior_derivative_check(separated10.c1, separated10.c2, 64, 64)
+    assert sy.exterior_derivative_check(separated10.c1, separated10.c2, 64, 64) > 0.5
 
 
 def test_spectral_derivative_exact_for_modes():
