@@ -11,11 +11,12 @@ The wedge and chart routes are each one broadcasting kernel on point
 stacks; their grid (s x t) and paired (s[k], t[k]) entry points only
 evaluate the curves and insert axes.  The wedge kernel has two parts:
 magnitude_kernel gives g, |Omega| and the cosine of the angle, and checks
-that cosine; _density_kernel adds theta and Re Omega for the grid and
-paired entry points.  The quadrature calls only the first part, since
-Re Omega = g/2.  The finite-difference route broadcasts over paired
-samples.  The three share no code beyond the chart stacks that the chart
-and finite-difference routes both lay out."""
+that cosine; density_kernel adds theta and Re Omega for the grid and
+paired entry points and for the row blocks of the exported grid.  The
+quadrature calls only the first part, since Re Omega = g/2.  The
+finite-difference route broadcasts over paired samples.  The three share
+no code beyond the chart stacks that the chart and finite-difference
+routes both lay out."""
 
 import numpy as np
 
@@ -113,7 +114,7 @@ def magnitude_kernel(x, xp, y, yp):
     return g, absval, cos
 
 
-def _density_kernel(x, xp, y, yp):
+def density_kernel(x, xp, y, yp):
     """(g, theta, abs, re)[..., i, j]: magnitude_kernel plus the angle fields.
 
     theta = arccos(cos) is the wedge-route angle in [0, pi]; re =
@@ -128,14 +129,14 @@ def density_grids(c1, c2, s, t):
     """(g, theta, abs, re) arrays on the product grid s x t."""
     x, xp = c1.evaluate(np.asarray(s, dtype=float))
     y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    return _density_kernel(x, xp, y, yp)
+    return density_kernel(x, xp, y, yp)
 
 
 def density_pairs(c1, c2, s, t):
     """(g, theta, abs, re) at paired samples (s[k], t[k]); 0-d arrays for scalars."""
     x, xp = c1.evaluate(np.asarray(s, dtype=float))
     y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    fields = _density_kernel(*(a[..., None, :] for a in (x, xp, y, yp)))
+    fields = density_kernel(*(a[..., None, :] for a in (x, xp, y, yp)))
     return tuple(f[..., 0, 0] for f in fields)
 
 

@@ -2,7 +2,10 @@
 
 Grids are uniform n_s x n_t products of power-of-two sizes, each evaluated
 whole, for g and |Omega| only: the quadrature never forms theta or
-Re Omega, which only the exported grid carries.  Levels double n_s until
+Re Omega, which only the exported grid carries.  The exported grid is
+evaluated in blocks of s-rows (grid_blocks), which anglemap hands to the
+CSV writer one at a time, so that it never holds the whole grid; the
+TorusGrid of build_grid joins the same blocks.  Levels double n_s until
 successive values agree to the requested tolerance.  n_t follows the rows'
 Fourier spectra instead: where the area must converge, it doubles while
 the spectral tail of the rows puts its estimate of the area's t-error
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import density_grids, magnitude_kernel
+from .conformal import density_kernel, magnitude_kernel
 from .errors import NoConvergence
 from .links import TWO_PI, Link2
 
@@ -37,6 +40,12 @@ N_MAX = 1024
 #: nodes per kernel call and per row block of the FFTs; bounds a level's
 #: temporaries, so that a level holds little more than its g and modes
 _BLOCK_NODES = 1 << 16
+#: nodes per row block of the exported grid, which anglemap evaluates,
+#: formats and writes one block at a time.  As n_t <= N_MAX, a block holds
+#: at least 4 rows.  It must never be a single row: there the kernel's
+#: products take BLAS's matrix-vector path, and theta moves in its last
+#: bits against the whole-grid density_grids.
+_GRID_BLOCK_NODES = 4096
 #: zeros are bracketed on each row's interpolant sampled this much finer ...
 _OVERSAMPLE = 8
 #: ... up to this many columns, and at the columns' own nodes above it
@@ -100,12 +109,34 @@ def _nodes(n: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
-def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:
-    """Evaluate the densities at uniform nodes s_i = 2 pi i / n_s etc."""
+def grid_blocks(link: Link2, n_s: int, n_t: int):
+    """The densities at uniform nodes s_i = 2 pi i / n_s etc., by row blocks.
+
+    Returns (s, t, blocks).  blocks yields (g, theta, abs, re) on
+    consecutive blocks of whole s-rows, _GRID_BLOCK_NODES nodes each (the
+    last may be shorter), and runs the kernel on a block only when it is
+    reached, so a kernel error in a later block (CoincidentPoints, the
+    cosine check's ValueError) is raised there.  The resolutions are
+    checked, and both curves evaluated, before this returns.
+    """
     _check_resolution(n_s)
     _check_resolution(n_t)
     s, t = _nodes(n_s), _nodes(n_t)
-    g, theta, absval, re = density_grids(link.c1, link.c2, s, t)
+    x, xp = link.c1.evaluate(s)
+    y, yp = link.c2.evaluate(t)
+    step = _GRID_BLOCK_NODES // n_t
+    return s, t, (density_kernel(x[i:i + step], xp[i:i + step], y, yp)
+                  for i in range(0, n_s, step))
+
+
+def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:
+    """The densities on the n_s x n_t grid, assembled from grid_blocks.
+
+    These are the values anglemap writes, bit for bit, and the same as the
+    whole-grid density_grids.
+    """
+    s, t, blocks = grid_blocks(link, n_s, n_t)
+    g, theta, absval, re = (np.concatenate(field) for field in zip(*blocks))
     return TorusGrid(s=s, t=t, g=g, theta=theta, abs_omega=absval, re_omega=re)
 
 

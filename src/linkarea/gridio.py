@@ -1,7 +1,10 @@
 """Grid CSV export and import.
 
 The export writes the bytes of np.savetxt with fmt "%.17g", but computes
-the digits with whole-array numpy operations.  For 1e-6 < |x| < 1e17, an
+the digits with whole-array numpy operations, one block of whole s-rows
+at a time.  write_grid takes the blocks as the grid evaluation yields
+them (anglemap), or as export_grid slices them from a whole grid, so the
+writer's memory does not grow with the grid.  For 1e-6 < |x| < 1e17, an
 error-free product with an exact power of ten (T. J. Dekker, Numer. Math.
 18, 1971) gives the correctly rounded 17-digit mantissa.  Zeros,
 subnormals, nan, +-inf and magnitudes outside that window fall back to
@@ -16,14 +19,12 @@ import os
 import numpy as np
 
 from .errors import IoFailure
-from .functionals import TorusGrid
+from .functionals import _GRID_BLOCK_NODES, TorusGrid
 
 CSV_HEADER = "s,t,g,theta,abs_omega,re_omega"
 
 #: width of the widest "%.17g" field, "-1.2345678901234567e-308"
 _FIELD = 24
-#: CSV rows formatted per block; bounds the writer's scratch memory
-_BLOCK_ROWS = 4096
 #: 10**p for p = 0..22, all exact doubles (5**22 < 2**53)
 _POW10 = np.array([float(10 ** p) for p in range(23)])
 #: masks that keep the first c of four packed bytes, c = 0..4
@@ -152,22 +153,34 @@ def _format_g17(x) -> np.ndarray:
 
 
 def export_grid(grid: TorusGrid, path) -> None:
-    """Write the grid as CSV, s-major rows, 17 significant digits.
+    """Write the grid as CSV through write_grid, in blocks of whole s-rows."""
+    fields = (grid.g, grid.theta, grid.abs_omega, grid.re_omega)
+    step = max(1, _GRID_BLOCK_NODES // len(grid.t))
+    write_grid(grid.s, grid.t, (tuple(f[i:i + step] for f in fields)
+                                for i in range(0, len(grid.s), step)), path)
 
-    The bytes are those of np.savetxt with fmt "%.17g".  The digits are the
-    exact ones described in _format_g17, computed with whole-array numpy
-    operations.  Rows go out in blocks of whole s-rows, each a NUL-padded
-    byte matrix of the six fields and their separators, written with the
-    NULs dropped.  A write that fails part-way removes the file.
+
+def write_grid(s, t, blocks, path) -> None:
+    """Write the grid on the nodes s x t as CSV, s-major rows, 17 significant digits.
+
+    blocks yields the fields (g, theta, abs_omega, re_omega) on consecutive
+    blocks of whole s-rows, of at most _GRID_BLOCK_NODES nodes or one row,
+    as grid_blocks and export_grid hand them.  Each block is formatted and
+    written as it arrives, as a NUL-padded byte matrix of the six fields and
+    their separators with the NULs dropped, so the writer holds one block
+    and its scratch.  The bytes are those of np.savetxt with fmt "%.17g".
+
+    Any exception raised while the file is open removes it: an OSError is
+    raised as IoFailure, and anything else (a kernel error in a later
+    block, KeyboardInterrupt) unchanged.
     """
-    n_s, n_t = len(grid.s), len(grid.t)
-    s_text, t_text = _format_g17(grid.s), _format_g17(grid.t)
-    values = (grid.g, grid.theta, grid.abs_omega, grid.re_omega)
-    step = max(1, _BLOCK_ROWS // n_t)
-    block = np.zeros((min(step, n_s), n_t, 6, _FIELD + 1), np.uint8)
+    n_t = len(t)
+    s_text = _format_g17(s)
+    block = np.zeros((min(max(1, _GRID_BLOCK_NODES // n_t), len(s)), n_t, 6, _FIELD + 1),
+                     np.uint8)
     block[..., _FIELD] = ord(",")
     block[:, :, 5, _FIELD] = ord("\n")
-    block[:, :, 1, :_FIELD] = t_text
+    block[:, :, 1, :_FIELD] = _format_g17(t)
     try:
         fh = open(path, "wb")
     except OSError as exc:
@@ -175,16 +188,20 @@ def export_grid(grid: TorusGrid, path) -> None:
     try:
         with fh:
             fh.write(CSV_HEADER.encode() + b"\n")
-            for i in range(0, n_s, step):
-                rows = block[:min(step, n_s - i)]
-                rows[:, :, 0, :_FIELD] = s_text[i:i + step, None]
-                cells = np.stack([v[i:i + step] for v in values], axis=-1)
+            i = 0
+            for fields in blocks:
+                rows = block[:len(fields[0])]
+                rows[:, :, 0, :_FIELD] = s_text[i:i + len(rows), None]
+                cells = np.stack(fields, axis=-1)
                 rows[:, :, 2:, :_FIELD] = _format_g17(cells).reshape(len(rows), n_t, 4, _FIELD)
                 fh.write(rows[rows != 0].tobytes())
-    except OSError as exc:
+                i += len(rows)
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(path)
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def read_grid(path) -> TorusGrid:

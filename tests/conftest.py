@@ -36,6 +36,14 @@ def perturbed02():
 
 
 @pytest.fixture(scope="session")
+def spline64(perturbed02):
+    """perturbed02 sampled at 64 nodes per component, as a samples4 (spline) link."""
+    s = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    return la.Link2(la.SampledCurve(perturbed02.c1.point(s)),
+                    la.SampledCurve(perturbed02.c2.point(s)))
+
+
+@pytest.fixture(scope="session")
 def small_catalogue(hopf, separated10, perturbed02):
     return {"hopf": hopf, "separated_1.0": separated10, "perturbed_hopf_0.2_s0": perturbed02}
 

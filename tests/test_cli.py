@@ -9,6 +9,7 @@ import pytest
 
 import linkarea as la
 from linkarea import cli
+from linkarea.errors import CoincidentPoints
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,8 @@ def link_files(tmp_path_factory):
     for name, link in (("hopf", la.hopf_link()),
                        ("sep15", la.separated_link(1.5)),
                        ("gcp12", la.great_circle_pair(np.pi / 2, 1.2)),
-                       ("perturbed", la.perturbed_hopf_link(0.1, 0))):
+                       ("perturbed", la.perturbed_hopf_link(0.1, 0)),
+                       ("p02", la.perturbed_hopf_link(0.2, 0))):
         path = d / f"{name}.lk1"
         la.write_link(link, path)
         paths[name] = str(path)
@@ -186,6 +188,73 @@ class TestAnglemap:
                          for ln in out_path.read_text().strip().split("\n")[1:]])
         assert np.max(np.abs(data[:, 3] - np.pi / 2)) <= 1e-10
 
+    def test_memory_does_not_grow_with_grid(self, capsys, link_files, tmp_path):
+        # one row block at a time: g, theta, |Omega| and Re Omega of the whole
+        # 1024^2 grid would take 32 MB, and their text 100 MB
+        import tracemalloc
+        out_path = tmp_path / "map.csv"
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "anglemap", link_files["p02"], "--grid", "1024",
+                                 "--out", str(out_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out_path.stat().st_size > 1024 * 1024 * 6 * 16
+        out_path.unlink()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("grid", ["48", "2048"])
+    def test_bad_grid_writes_no_file(self, capsys, link_files, tmp_path, grid):
+        out_path = tmp_path / "map.csv"
+        code, out, err = run_cli(capsys, "anglemap", link_files["p02"], "--grid", grid,
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "power of two" in err
+        assert not out_path.exists()
+
+    def test_cosine_bound_writes_no_file(self, capsys, link_files, tmp_path, monkeypatch):
+        from linkarea import conformal as cf
+        original = cf.metric_kernel
+        monkeypatch.setattr(cf, "metric_kernel", lambda *a: 1e6 * original(*a))
+        out_path = tmp_path / "map.csv"
+        code, out, err = run_cli(capsys, "anglemap", link_files["sep15"], "--grid", "64",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "cosine argument exceeds 1" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("error", [CoincidentPoints, KeyboardInterrupt])
+    def test_error_mid_stream_removes_file(self, capsys, link_files, tmp_path, monkeypatch,
+                                           error):
+        # 128^2 is 4 blocks of 32 rows; the kernel fails on the third, once
+        # the first two are in the file
+        from linkarea import conformal as cf
+        original, rows = cf.metric_kernel, [0]
+        out_path = tmp_path / "map.csv"
+
+        def failing_past_half(x, xp, y, yp):
+            rows[0] += len(x)
+            if rows[0] > 64:
+                assert out_path.stat().st_size > 64 * 128 * 6 * 16
+                raise error("coincident component points")
+            return original(x, xp, y, yp)
+        monkeypatch.setattr(cf, "metric_kernel", failing_past_half)
+        argv = ["anglemap", link_files["p02"], "--grid", "128", "--out", str(out_path)]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert "coincident component points" in err
+        assert rows[0] == 96
+        assert not out_path.exists()
+
 
 class TestInvariance:
     def test_hopf_tiny_deviation(self, capsys, link_files):
@@ -336,6 +405,26 @@ class TestMinimize:
 
 
 class TestImports:
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
+    def test_blas_pinned_to_one_thread(self, link_files, preset, threads):
+        script = (
+            "import os, sys\n"
+            "from linkarea import cli\n"
+            "assert 'numpy' not in sys.modules, 'importing the CLI loaded numpy'\n"
+            "assert os.environ.get('OPENBLAS_NUM_THREADS') == " + repr(preset) + "\n"
+            f"assert cli.main(['area', {link_files['hopf']!r}]) == 0\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+        src = str(Path(la.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == threads
+
     @pytest.mark.parametrize("argv, skipped, needed", [
         (["area", "{link}"], {"gridio", "optimize", "symplectic", "verify"}, set()),
         (["anglemap", "{link}", "--grid", "32", "--out", "{tmp}/map.csv"],

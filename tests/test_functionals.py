@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import linkarea as la
+from linkarea import cli
+from linkarea import conformal as cf
 from linkarea import functionals as fn
 from linkarea import gridio as gio
 from linkarea.errors import NoConvergence
@@ -41,6 +43,17 @@ class TestBuildGrid:
         fine = la.build_grid(perturbed02, 64, 64)
         assert np.array_equal(coarse.s, fine.s[::2])
         assert np.allclose(coarse.g, fine.g[::2, ::2], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [32, 512, 1024])
+    @pytest.mark.parametrize("name", ["perturbed02", "separated10", "spline64"])
+    def test_row_blocks_match_whole_grid(self, name, n, request):
+        # blocks of 4 or more rows reproduce the whole-grid kernel bit for bit;
+        # single rows would not (BLAS's matrix-vector path moves theta)
+        link = request.getfixturevalue(name)
+        grid = la.build_grid(link, n, n)
+        whole = cf.density_grids(link.c1, link.c2, grid.s, grid.t)
+        for field, ref in zip(("g", "theta", "abs_omega", "re_omega"), whole):
+            assert np.array_equal(getattr(grid, field), ref), field
 
     @pytest.mark.parametrize("n", [16, 48, 2048])
     def test_resolution_bounds(self, hopf, n):
@@ -392,17 +405,27 @@ class TestExportImport:
         with pytest.raises(IoFailure, match="no grid rows"):
             la.read_grid(path)
 
-    @pytest.mark.parametrize("name, n", [
-        pytest.param("perturbed02", 32, id="perturbed02"),
-        pytest.param("hopf", 32, id="hopf"),
+    @pytest.mark.parametrize("name, n, streamed", [
+        pytest.param("perturbed02", 32, False, id="perturbed02"),
+        pytest.param("hopf", 32, False, id="hopf"),
         # theta has exact zeros and values near 1e-8 (scientific notation)
-        pytest.param("separated10", 32, id="separated10"),
-        pytest.param("perturbed02", 512, id="perturbed02-512"),
+        pytest.param("separated10", 32, False, id="separated10"),
+        pytest.param("perturbed02", 512, False, id="perturbed02-512"),
+        # the anglemap command streams 4 row blocks from the kernel to the file
+        pytest.param("separated10", 128, True, id="anglemap-separated10-128"),
     ])
-    def test_export_bytes_match_savetxt(self, name, n, request, tmp_path):
-        grid = la.build_grid(request.getfixturevalue(name), n, n)
+    def test_export_bytes_match_savetxt(self, name, n, streamed, request, tmp_path):
+        link = request.getfixturevalue(name)
         path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
-        la.export_grid(grid, path)
+        if streamed:
+            link_path = tmp_path / "link.lk1"
+            la.write_link(link, link_path)
+            argv = ["anglemap", str(link_path), "--grid", str(n), "--out", str(path)]
+            assert cli.main(argv) == 0
+            link = la.read_link(link_path)
+        grid = la.build_grid(link, n, n)
+        if not streamed:
+            la.export_grid(grid, path)
         rows = np.column_stack([np.repeat(grid.s, n), np.tile(grid.t, n)]
                                + [a.ravel() for a in (grid.g, grid.theta,
                                                       grid.abs_omega, grid.re_omega)])
