@@ -8,8 +8,10 @@ writer's memory does not grow with the grid.  For 1e-6 < |x| < 1e17, an
 error-free product with an exact power of ten (T. J. Dekker, Numer. Math.
 18, 1971) gives the correctly rounded 17-digit mantissa.  Zeros,
 subnormals, nan, +-inf and magnitudes outside that window fall back to
-Python's formatting, once per distinct value.  The import accepts only the
-s-major product grid that the export writes.
+Python's formatting, once per distinct value.  The values are sorted by
+decimal exponent, so that each exponent's text fills one slice of rows, and
+each block's NUL-padded byte matrix loses its NULs in one bytes.translate.
+The import accepts only the s-major product grid that the export writes.
 """
 
 import contextlib
@@ -27,39 +29,32 @@ CSV_HEADER = "s,t,g,theta,abs_omega,re_omega"
 _FIELD = 24
 #: 10**p for p = 0..22, all exact doubles (5**22 < 2**53)
 _POW10 = np.array([float(10 ** p) for p in range(23)])
-#: masks that keep the first c of four packed bytes, c = 0..4
-_KEEP = np.array([b"\xff" * c + b"\0" * (4 - c) for c in range(5)]).view(np.uint32)
+#: the sort key of the values that Python formats, above every decimal exponent
+_FALLBACK = 18
 
 
 @functools.cache
-def _digit_tables():
-    """The text "%04d" of 0..9999, four ASCII bytes packed in a uint32, and
-    the trailing zeros of each (4 for 0).  Built on first use, so that
-    commands that write no CSV do not pay for them.
+def _quad_text():
+    """The text "%04d" of 0..9999, four ASCII bytes packed in a uint32, built
+    on first use, so that commands that write no CSV do not pay for it.
     """
     digits = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
                                   indexing="ij"), axis=-1).reshape(10000, 4)
-    zero = digits == ord("0")
-    trailing = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
-    return digits.view(np.uint32)[:, 0], trailing
-
-
-def _split(a):
-    """Veltkamp's split of a into a 26-bit high part and the rest."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
+    return digits.view(np.uint32)[:, 0]
 
 
 def _scaled(a, p):
-    """a * 10**p as h + l with h = fl(a * 10**p), exactly (Dekker's two-product)."""
-    h = a * _POW10[p]
-    ah, al = _split(a)
-    bh, bl = _POW10_HI[p], _POW10_LO[p]
-    return h, ((ah * bh - h) + ah * bl + al * bh) + al * bl
+    """a * 10**p as h + l with h = fl(a * 10**p), exactly: Dekker's two-product,
+    with Veltkamp's split of each factor into a 26-bit high part and the rest.
+    """
+    b = _POW10[p]
+    h = a * b
+    ah, bh = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
+    ah -= ah - a
+    bh -= bh - b
+    al = a - ah
+    b -= bh
+    return h, ((ah * bh - h) + ah * b + al * bh) + al * b
 
 
 def _mantissa(d, e):
@@ -67,51 +62,42 @@ def _mantissa(d, e):
 
     Returns an (n, 17) uint8 array whose bytes after the last significant
     digit are NUL, except those of an integer part of e + 1 digits, and the
-    count of significant digits.
+    count of significant digits.  Only the rows whose last digit is 0 are
+    searched for trailing zeros, one digit further each pass.
     """
-    quad_text, quad_trailing = _digit_tables()
+    quad_text = _quad_text()
     quads = np.empty((len(d), 5), np.uint32)
-    trailing = np.zeros(len(d), np.intp)
-    zero = np.ones(len(d), bool)
+    chars = quads.view(np.uint8)[:, 3:]
     for k in range(4, 0, -1):
         q = d // 10000
-        r = d - 10000 * q
-        quads[:, k] = quad_text[r]
-        trailing += zero * quad_trailing[r]
-        zero &= r == 0
+        quads[:, k] = quad_text[d - 10000 * q]
         d = q
-    quads[:, 0] = quad_text[d]
-    nsig = 17 - trailing
-    keep = np.maximum(nsig, e + 1)
-    for k in range(1, 5):  # quad k holds digits 4k-3 .. 4k
-        quads[:, k] &= _KEEP[np.clip(keep - (4 * k - 3), 0, 4)]
-    return quads.view(np.uint8)[:, 3:], nsig
+    chars[:, 0] = d + ord("0")
+    nsig = np.full(len(d), 17)
+    rows = np.flatnonzero(chars[:, 16] == ord("0"))
+    while len(rows):  # the first digit of d >= 1e16 is not 0
+        nsig[rows] -= 1
+        at = nsig[rows]
+        chars[rows, at] = np.where(at > e[rows], 0, ord("0"))
+        rows = rows[chars[rows, at - 1] == ord("0")]
+    return chars, nsig
 
 
-def _format_g17(x) -> np.ndarray:
-    """'%.17g' % v for each v of x, as the rows of a NUL-padded (n, _FIELD) uint8 array.
+def _decimal(x):
+    """The decimal exponent E of each value of x as an int8 sort key, and its
+    17-digit mantissa d; the key is _FALLBACK for values outside the window.
 
-    For 1e-6 < |v| < 1e17 the digits are exact: with E the decimal exponent
-    of |v| and p = 16 - E in [0, 22], 10**p is an exact double, so
-    |v| * 10**p = h + l exactly, and the 17-digit mantissa is h + l rounded
-    half to even, the correctly rounded digits that "%.17g" prints.  E is
-    fixed on the unrounded h + l; a mantissa that then rounds up to 1e17
-    carries into E + 1.  Every other value (zeros, subnormals, tiny and huge
-    magnitudes, nan, +-inf) is formatted by Python, once per distinct bit
-    pattern.
+    For 1e-6 < |v| < 1e17 the digits are exact: with p = 16 - E in [0, 22],
+    10**p is an exact double, so |v| * 10**p = h + l exactly, and d is h + l
+    rounded half to even, the correctly rounded digits that "%.17g" prints.
+    E is fixed on the unrounded h + l; a mantissa that then rounds up to
+    1e17 carries into E + 1.
     """
-    x = np.ravel(np.asarray(x, dtype=np.float64))
-    out = np.zeros((len(x), _FIELD), np.uint8)
-    items = out.view(f"V{_FIELD}")[:, 0]  # one item per row of out, for whole-row copies
     a = np.abs(x)
     window = (a > 1e-6) & (a < 1e17)
-    rest = np.flatnonzero(~window)
-    if len(rest):
-        bits, inverse = np.unique(x[rest].view(np.uint64), return_inverse=True)
-        text = np.array([b"%.17g" % v for v in bits.view(np.float64)], dtype=f"S{_FIELD}")
-        items[rest] = text.view(f"V{_FIELD}")[inverse]
-    exact = np.flatnonzero(window)
-    a = a[exact]
+    outside = not window.all()
+    if outside:
+        a[~window] = 1.0  # a stand-in with no special case; Python formats these
     e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
     h, l = _scaled(a, 16 - e)
     # log10 may miss the decade by one; settle it on the unrounded h + l
@@ -124,31 +110,59 @@ def _format_g17(x) -> np.ndarray:
     down = np.floor(l)
     frac = l - down
     d = h.astype(np.int64) + down.astype(np.int64)
-    d += (frac > 0.5) | ((frac == 0.5) & (d % 2 == 1))
+    d += (frac > 0.5) | ((frac == 0.5) & (d & 1 == 1))
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     e[carry] += 1
-    chars, nsig = _mantissa(d, e)
-    sign = np.where(x[exact] < 0, ord("-"), 0)
-    for k in np.flatnonzero(np.bincount(e + 6)) - 6:
-        rows = np.flatnonzero(e == k)
-        digits = chars[rows]
-        text = np.zeros((len(rows), _FIELD), np.uint8)
-        text[:, 0] = sign[rows]
+    key = e.astype(np.int8)
+    if outside:
+        key[~window] = _FALLBACK
+    return key, d
+
+
+def _format_g17(x) -> np.ndarray:
+    """'%.17g' % v for each v of x, as the rows of a NUL-padded (n, _FIELD) uint8 array.
+
+    The digits of 1e-6 < |v| < 1e17 are exact (_decimal); every other value
+    (zeros, subnormals, tiny and huge magnitudes, nan, +-inf) is formatted by
+    Python, once per distinct bit pattern.  The values are sorted once by
+    decimal exponent, a stable radix sort of int8 keys with the
+    Python-formatted ones last, so that the layout of each exponent fills
+    one contiguous slice of rows; the rows are scattered back once.
+    """
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    key, d = _decimal(x)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ends = np.searchsorted(key, np.arange(-6, _FALLBACK + 1, dtype=np.int8), "right")
+    chars, nsig = _mantissa(d[order[:ends[-2]]], key)
+    text = np.zeros((len(x), _FIELD), np.uint8)
+    text[:, 0] = ((x < 0) * np.uint8(ord("-")))[order]
+    lo = 0
+    for k, hi in zip(range(-6, _FALLBACK), ends):
+        rows, digits, sig = text[lo:hi], chars[lo:hi], nsig[lo:hi]
+        lo = hi
+        if not len(rows):
+            continue
         if -4 <= k < 0:
-            lead = 1 - k  # "0." and -k - 1 zeros
-            text[:, 1:1 + lead] = np.frombuffer(b"0." + b"0" * (-k - 1), np.uint8)
-            text[:, 1 + lead:18 + lead] = digits
+            for i, c in enumerate(b"0." + b"0" * (-k - 1), 1):  # columns copy faster than rows
+                rows[:, i] = c
+            rows[:, 2 - k:19 - k] = digits
         else:
             scientific = not 0 <= k < 17
             point = 1 if scientific else k + 1  # digits before the point
-            text[:, 1:1 + point] = digits[:, :point]
-            text[:, 1 + point] = np.where(nsig[rows] > point, ord("."), 0)
-            text[:, 2 + point:19] = digits[:, point:]
+            rows[:, 1:1 + point] = digits[:, :point]
+            rows[:, 1 + point] = np.where(sig > point, ord("."), 0)
+            rows[:, 2 + point:19] = digits[:, point:]
             if scientific:
                 tail = b"e%+03d" % k
-                text[:, 19:19 + len(tail)] = np.frombuffer(tail, np.uint8)
-        items[exact[rows]] = text.view(f"V{_FIELD}")[:, 0]
+                rows[:, 19:19 + len(tail)] = np.frombuffer(tail, np.uint8)
+    if lo < len(x):
+        bits, inverse = np.unique(x[order[lo:]].view(np.uint64), return_inverse=True)
+        rest = np.array([b"%.17g" % v for v in bits.view(np.float64)], dtype=f"S{_FIELD}")
+        text[lo:] = rest.view(np.uint8).reshape(-1, _FIELD)[inverse]
+    out = np.empty_like(text)
+    out.view(f"V{_FIELD}")[order] = text.view(f"V{_FIELD}")
     return out
 
 
@@ -194,7 +208,7 @@ def write_grid(s, t, blocks, path) -> None:
                 rows[:, :, 0, :_FIELD] = s_text[i:i + len(rows), None]
                 cells = np.stack(fields, axis=-1)
                 rows[:, :, 2:, :_FIELD] = _format_g17(cells).reshape(len(rows), n_t, 4, _FIELD)
-                fh.write(rows[rows != 0].tobytes())
+                fh.write(rows.tobytes().translate(None, b"\0"))
                 i += len(rows)
     except BaseException as exc:
         with contextlib.suppress(OSError):

@@ -14,7 +14,7 @@ from . import conformal as cf
 from . import minkowski as mk
 from . import spheres as sp
 from . import symplectic as sy
-from .errors import DegenerateBasis
+from .errors import DegenerateBasis, LinkAreaError
 from .links import TWO_PI, catalogue, random_mobius
 from .rng import Lcg64
 
@@ -197,19 +197,37 @@ def check_symplectic(links, n: int = 128) -> PropertyResult:
                           f"global sign {sy.SIGN:+d}, max residual {worst:.2e} at {n}x{n}")
 
 
+def _guarded(name, check):
+    """check(), or a FAIL named name if it raises ValueError or a LinkAreaError.
+
+    On the battery's own links and samples such a raise (the cosine range
+    check, coincident points) is a defect of a route, not of the input.
+    """
+    try:
+        return check()
+    except (ValueError, LinkAreaError) as exc:
+        return PropertyResult(name, False, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_battery(links=None, base_seed: int = 0):
-    """All property checks, in a fixed order, seeded from base_seed."""
+    """All property checks, in a fixed order, seeded from base_seed.
+
+    Each check runs under its own handler (_guarded), so one that raises
+    fails and the checks after it still run.
+    """
     links = links if links is not None else catalogue()
-    return [
-        check_plucker_relations(base_seed + 0),
-        check_wedge_determinant(base_seed + 1),
-        check_plane_classification(),
-        check_minor_lift(base_seed + 2),
-        check_equivariance(base_seed + 3),
-        check_nullity(links, seed=base_seed + 4),
-        check_metric_routes(links, seed=base_seed + 5),
-        check_signature(base_seed + 6),
-        check_angle_routes(links),
-        check_fd_oracle({k: links[k] for k in FD_ORACLE_LINKS}, seed=base_seed + 7),
-        check_symplectic(links),
+    checks = [
+        ("plucker_relations", lambda: check_plucker_relations(base_seed + 0)),
+        ("wedge_determinant_identity", lambda: check_wedge_determinant(base_seed + 1)),
+        ("plane_classification", check_plane_classification),
+        ("minor_lift", lambda: check_minor_lift(base_seed + 2)),
+        ("psi_equivariance", lambda: check_equivariance(base_seed + 3)),
+        ("tangent_nullity", lambda: check_nullity(links, seed=base_seed + 4)),
+        ("metric_two_routes", lambda: check_metric_routes(links, seed=base_seed + 5)),
+        ("tangent_signature", lambda: check_signature(base_seed + 6)),
+        ("angle_two_routes", lambda: check_angle_routes(links)),
+        ("cross_ratio_fd_oracle", lambda: check_fd_oracle(
+            {k: links[k] for k in FD_ORACLE_LINKS}, seed=base_seed + 7)),
+        ("symplectic_one_form", lambda: check_symplectic(links)),
     ]
+    return [_guarded(name, check) for name, check in checks]

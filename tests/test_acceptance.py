@@ -46,6 +46,28 @@ def test_criterion_01_signed_area_vanishes(full_catalogue):
                   f"grid <= {largest_grid}, {elapsed:.1f} s")
 
 
+def test_criterion_01_pointwise_row_and_column_integrals_vanish(full_catalogue):
+    # g = -da/dt, so each row integral of g over t vanishes, and by the
+    # symmetry of the pair each column integral over s as well
+    p02 = full_catalogue["perturbed_hopf_0.2_s0"]
+    links = {**full_catalogue,
+             "round_1.2_0.8": la.great_circle_pair(1.2, 0.8),
+             "round_pi/2_1.2": la.great_circle_pair(np.pi / 2, 1.2),
+             "moebius_p02": la.random_mobius(7, 1.0).transform_link(p02)}
+    worst, worst_name, bad = 0.0, "", []
+    for name, link in links.items():
+        g = la.build_grid(link, 64, 64).g
+        integral = max(np.abs(g.sum(axis=1)).max(), np.abs(g.sum(axis=0)).max()) * TWO_PI / 64
+        scale = np.abs(g).max()  # 0 on the Hopf link, where g vanishes identically
+        if not integral <= 1e-13 * scale:
+            bad.append(name)
+        if scale and integral / scale > worst:
+            worst, worst_name = integral / scale, name
+    ok = not bad
+    report(1, ok, f"max |row or column integral of g| / max|g| = {worst:.2e} ({worst_name}) "
+                  f"over {len(links)} links at 64x64, above 1e-13 on {bad}")
+
+
 def test_criterion_02_hopf_minimum(hopf):
     worst_hopf = la.area(hopf, tol=1e-3).area
     worst_moved = 0.0

@@ -223,6 +223,12 @@ class TestArea:
         assert rep.grid_used[0] <= 256
         assert rep.area == pytest.approx(8 * np.pi / np.tan(alpha), rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.3, np.pi / 2])
+    def test_isoclinic_energy(self, alpha):
+        # the Moebius cross energy of the isoclinic pair is 2 pi^2 / sin(alpha)
+        link = la.great_circle_pair(alpha, alpha)
+        assert energy(link, 1e-10) == pytest.approx(HOPF_ENERGY / np.sin(alpha), rel=1e-12)
+
     def test_right_angled_great_circles_are_hopf(self):
         rep = la.area(la.great_circle_pair(np.pi / 2, np.pi / 2), tol=1e-3)
         assert rep.area <= 1e-15
@@ -486,10 +492,20 @@ def _adversarial_doubles():
 
 
 class TestFormatG17:
-    @pytest.mark.parametrize("kind", ["adversarial", "random"])
+    @pytest.mark.parametrize("kind", ["adversarial", "random", "in-window", "short mantissa"])
     def test_matches_percent_g(self, kind):
         if kind == "adversarial":
             x = _adversarial_doubles()
+        elif kind == "in-window":
+            # no value falls back to Python's formatting
+            x = _adversarial_doubles()
+            x = x[(np.abs(x) > 1e-6) & (np.abs(x) < 1e17)]
+        elif kind == "short mantissa":
+            # 17-digit mantissas that end in zeros, in both the integer and the fractional part
+            k = np.arange(1, 20001, dtype=np.float64)
+            powers = np.array([float(f"1e{p}") for p in range(-5, 17)])
+            x = np.concatenate([k / 8, k / 100, k * 1e12, powers, 3 * powers, -powers])
+            assert ((np.abs(x) > 1e-6) & (np.abs(x) < 1e17)).all()
         else:
             rng = np.random.default_rng(17)
             n = 100_000
