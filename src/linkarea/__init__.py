@@ -8,9 +8,19 @@ routes, and a Levenberg–Marquardt descent of the area over curve shapes.
 
 The public names are loaded on first use (PEP 562), so that a program
 imports only the modules whose names it touches.
+
+Importing the package pins OpenBLAS to one thread, unless
+OPENBLAS_NUM_THREADS is set already: OpenBLAS reads the variable when
+numpy loads, and on a small shared machine a second BLAS thread slows
+that load and gains nothing on these small products.  A program that
+imports numpy first keeps the BLAS it loaded; child processes inherit
+the variable.
 """
 
 import importlib
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 _EXPORTS = {
     "conformal": ("chart_pole", "cross_ratio_fd"),

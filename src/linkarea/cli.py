@@ -7,9 +7,8 @@ anglemap (grid CSV export), invariance (Moebius-map audit), oracle
 randomness sits behind --seed, and identical invocations produce
 byte-identical output.  Each command imports the modules it runs, so
 that a command pays for no other command's code; importing this module
-loads no numpy.  main pins OpenBLAS to one thread, unless the caller set
-OPENBLAS_NUM_THREADS: on a small shared machine its thread pool costs more
-than it gives on these small products.
+loads no numpy.  The package, which this module's import loads first,
+pins OpenBLAS to one thread (see linkarea/__init__.py).
 """
 
 import argparse
@@ -168,7 +167,6 @@ def cmd_oracle(args) -> int:
 
     from . import conformal as cf
     from . import symplectic as sy
-    from . import verify as vf
     from .links import TWO_PI
     from .rng import Lcg64
 
@@ -179,8 +177,8 @@ def cmd_oracle(args) -> int:
     link = _load_link(args.file)
     rng = Lcg64(args.seed)
     pole = cf.chart_pole(link.c1, link.c2)
-    s, t = np.array([(rng.uniform_in(0.0, TWO_PI), rng.uniform_in(0.0, TWO_PI))
-                     for _ in range(args.samples)]).T
+    # the draws alternate s, t
+    s, t = rng.uniform_array(2 * args.samples, 0.0, TWO_PI).reshape(-1, 2).T
     g, _, absval, re = cf.density_pairs(link.c1, link.c2, s, t)
     theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t, pole=pole)
     dev_chart = float(np.max(np.abs(g - 2.0 * absval * np.cos(theta_chart))))
@@ -190,7 +188,7 @@ def cmd_oracle(args) -> int:
     print(f"samples={args.samples} wedge_vs_chart={_fmt(dev_chart)} "
           f"wedge_vs_fd={_fmt(dev_fd)} symplectic_residual={_fmt(residual)} "
           f"global_sign={sy.SIGN:+d}")
-    if dev_chart > vf.TOL_WEDGE_CHART or dev_fd > vf.TOL_FD or residual > vf.TOL_SYMPLECTIC:
+    if dev_chart > cf.TOL_WEDGE_CHART or dev_fd > cf.TOL_FD or residual > sy.TOL_SYMPLECTIC:
         return EXIT_TOLERANCE
     return EXIT_OK
 
@@ -267,7 +265,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

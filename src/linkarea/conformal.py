@@ -27,6 +27,12 @@ from .spheres import metric_kernel
 #: minimum clearance between a chart pole and either curve
 POLE_CLEARANCE = 0.3
 
+#: bound on |wedge - chart| between the two angle routes (verify, oracle)
+TOL_WEDGE_CHART = 1e-7
+
+#: bound on |closed form - finite difference| of Re omega at eps = 1e-3 (the default)
+TOL_FD = 5e-5
+
 # deterministic pole scan order: the two poles of the last axis first, then
 # the remaining single-axis poles, then two-axis diagonals
 _POLE_CANDIDATES = np.array(

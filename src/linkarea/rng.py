@@ -8,6 +8,8 @@ and increment.
 
 import math
 
+import numpy as np
+
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
@@ -32,6 +34,20 @@ class Lcg64:
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
+
+    def uniform_array(self, n: int, lo: float, hi: float):
+        """n draws of uniform_in(lo, hi) as an array, bit for bit, by jump-ahead.
+
+        After k steps the state is a^k x + c (1 + a + ... + a^(k-1)) mod 2^64,
+        so the powers of a and their partial sums give all n states at once.
+        Every product is a uint64 array operation, which wraps silently.
+        """
+        powers = np.multiply.accumulate(np.full(n, _MULT, dtype=np.uint64))  # a^1 .. a^n
+        sums = np.add.accumulate(np.concatenate(([np.uint64(1)], powers[:-1])))
+        states = powers * np.uint64(self._state) + sums * np.uint64(_INC)
+        if n:
+            self._state = int(states[-1])
+        return lo + (hi - lo) * ((states >> np.uint64(11)) * (1.0 / (1 << 53)))
 
     def normal(self) -> float:
         """Standard normal via Box-Muller, one spare cached."""

@@ -115,11 +115,12 @@ def metric_grid(c1, c2, s, t):
 
 
 def _pair_tangent_vectors(x, y):
-    """Six central-difference tangents of the embedding at the pair (x, y)."""
+    """Six central-difference tangents (..., 6, 10) of the embedding at pairs (..., 4)."""
     vecs = []
     for base, other, first in ((x, y, True), (y, x, False)):
-        dirs = np.linalg.qr(base[:, None], mode="complete")[0][:, 1:].T  # tangents at base
-        for d in dirs:
+        q = np.linalg.qr(base[..., :, None], mode="complete")[0]
+        for k in range(1, 4):  # the columns of q after the first span the tangents at base
+            d = q[..., :, k]
             plus = np.cos(H_FD) * base + np.sin(H_FD) * d
             minus = np.cos(H_FD) * base - np.sin(H_FD) * d
             if first:
@@ -127,7 +128,7 @@ def _pair_tangent_vectors(x, y):
             else:
                 dv = psi_embed(other, plus) - psi_embed(other, minus)
             vecs.append(dv / (2.0 * H_FD))
-    return np.array(vecs)
+    return np.stack(vecs, axis=-2)
 
 
 def theta_tangent_signature(x, y):
@@ -135,24 +136,33 @@ def theta_tangent_signature(x, y):
 
     Three directions through each point span the tangent space; the 6x6
     Gram matrix under the wedge metric has signature (3, 3, 0) everywhere.
+    Broadcasts over the leading axes of (..., 4) pairs and returns their
+    (..., 3) counts; a pair whose tangents are non-finite or of rank below
+    6 has no signature and counts (0, 0, 0).  A single pair returns a
+    tuple, and raises DegenerateBasis instead.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_separated(x, y)
     V = _pair_tangent_vectors(x, y)
-    if not np.all(np.isfinite(V)):
-        raise DegenerateBasis("non-finite tangent vectors")
-    rank_gram = V @ V.T
-    rank_ev = np.linalg.eigvalsh(rank_gram)
-    if rank_ev[0] < 1e-8 * max(1.0, rank_ev[-1]):
-        raise DegenerateBasis("tangent vectors have rank below 6")
-    gram = (V * mk.EPS10) @ V.T
-    return signature_counts(np.linalg.eigvalsh(gram), TAU_EIG)
+    finite = np.all(np.isfinite(V), axis=(-2, -1))
+    V = np.where(finite[..., None, None], V, 0.0)
+    rank_ev = np.linalg.eigvalsh(V @ np.swapaxes(V, -1, -2))
+    full = finite & (rank_ev[..., 0] >= 1e-8 * np.maximum(1.0, rank_ev[..., -1]))
+    single = V.ndim == 2
+    if single and not full:
+        raise DegenerateBasis("non-finite tangent vectors" if not finite
+                              else "tangent vectors have rank below 6")
+    gram = (V * mk.EPS10) @ np.swapaxes(V, -1, -2)
+    counts = signature_counts(np.linalg.eigvalsh(gram), TAU_EIG)
+    return counts if single else np.where(full[..., None], counts, 0)
 
 
 def signature_counts(eigenvalues, zero_threshold: float):
-    """(n_plus, n_minus, n_zero) with |lambda| <= zero_threshold counted as zero."""
+    """(n_plus, n_minus, n_zero) along the last axis, |lambda| <= zero_threshold
+    counted as zero: a tuple for one spectrum, else a (..., 3) array."""
     ev = np.asarray(eigenvalues, dtype=float)
-    n_plus = int(np.sum(ev > zero_threshold))
-    n_minus = int(np.sum(ev < -zero_threshold))
-    return n_plus, n_minus, len(ev) - n_plus - n_minus
+    n_plus = np.sum(ev > zero_threshold, axis=-1)
+    n_minus = np.sum(ev < -zero_threshold, axis=-1)
+    counts = np.stack([n_plus, n_minus, ev.shape[-1] - n_plus - n_minus], axis=-1)
+    return tuple(int(c) for c in counts) if counts.ndim == 1 else counts

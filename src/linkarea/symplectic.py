@@ -21,6 +21,9 @@ from .spheres import metric_grid
 #: the sign in g = SIGN * da/dt, i.e. g = -da/dt
 SIGN = -1
 
+#: bound on exterior_derivative_check at 128 x 128 (verify, oracle)
+TOL_SYMPLECTIC = 1e-6
+
 
 def stereo_project(x, y):
     """Projection of y from the pole x onto the hyperplane through 0 orthogonal to x.

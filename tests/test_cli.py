@@ -405,25 +405,41 @@ class TestMinimize:
 
 
 class TestImports:
+    @staticmethod
+    def _fresh_python(script, blas_threads=None):
+        """Run script in a new interpreter that imports this linkarea, with
+        OPENBLAS_NUM_THREADS set to blas_threads or unset."""
+        src = str(Path(la.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
     @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
     def test_blas_pinned_to_one_thread(self, link_files, preset, threads):
         script = (
             "import os, sys\n"
             "from linkarea import cli\n"
             "assert 'numpy' not in sys.modules, 'importing the CLI loaded numpy'\n"
-            "assert os.environ.get('OPENBLAS_NUM_THREADS') == " + repr(preset) + "\n"
+            f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {threads!r}\n"
             f"assert cli.main(['area', {link_files['hopf']!r}]) == 0\n"
             "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
-        src = str(Path(la.__file__).resolve().parents[1])
-        paths = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split()[-1] == threads
+        assert self._fresh_python(script, preset).split()[-1] == threads
+
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
+    def test_library_blas_pinned_to_one_thread(self, link_files, preset, threads):
+        script = (
+            "import os, sys\n"
+            "import linkarea\n"
+            f"linkarea.read_link({link_files['hopf']!r})\n"
+            "assert 'numpy' in sys.modules and 'linkarea.cli' not in sys.modules\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+        assert self._fresh_python(script, preset).split()[-1] == threads
 
     @pytest.mark.parametrize("argv, skipped, needed", [
         (["area", "{link}"], {"gridio", "optimize", "symplectic", "verify"}, set()),
@@ -432,7 +448,9 @@ class TestImports:
         (["minimize", "{link}", "--steps", "1", "--trace-out", "{tmp}/trace.csv",
           "--link-out", "{tmp}/min.lk1"], {"conformal", "functionals", "gridio", "symplectic",
                                            "verify"}, set()),
-    ], ids=["area", "anglemap", "minimize"])
+        (["oracle", "{link}", "--samples", "20"], {"functionals", "gridio", "optimize",
+                                                    "verify"}, {"conformal", "symplectic"}),
+    ], ids=["area", "anglemap", "minimize", "oracle"])
     def test_command_imports_only_what_it_runs(self, link_files, tmp_path, argv, skipped,
                                                needed):
         argv = [a.format(link=link_files["hopf"], tmp=tmp_path) for a in argv]
@@ -450,9 +468,4 @@ class TestImports:
             "for name in linkarea.__all__:\n"
             "    getattr(linkarea, name)\n"
             "assert len(set(linkarea.__all__)) == len(linkarea.__all__)\n")
-        src = str(Path(la.__file__).resolve().parents[1])
-        paths = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        self._fresh_python(script)

@@ -5,7 +5,7 @@ import linkarea as la
 from linkarea import links as lk
 from linkarea import minkowski as mk
 from linkarea import spheres as sp
-from linkarea.errors import CoincidentPoints, NotOnSphere
+from linkarea.errors import CoincidentPoints, DegenerateBasis, NotOnSphere
 from linkarea.rng import Lcg64
 from conftest import random_unit4
 
@@ -135,6 +135,34 @@ class TestSignature:
                 continue
             assert sp.theta_tangent_signature(x, y) == (3, 3, 0)
 
+    def test_batched_counts_match_per_pair(self):
+        rng = Lcg64(29)
+        pairs = [(np.array([0.0, 0, 1, 0]), np.array([0.0, 0, -1, 0]))]  # antipodal
+        while len(pairs) < 101:
+            x, y = random_unit4(rng), random_unit4(rng)
+            if np.linalg.norm(x - y) >= 0.1:
+                pairs.append((x, y))
+        x, y = np.array(pairs).transpose(1, 0, 2)
+        batched = sp.theta_tangent_signature(x, y)
+        assert batched.shape == (101, 3)
+        assert [tuple(c) for c in batched.tolist()] == [
+            sp.theta_tangent_signature(a, b) for a, b in pairs]
+        assert np.all(batched == (3, 3, 0))
+        assert sp.theta_tangent_signature(x[None], y[None]).shape == (1, 101, 3)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["rank_deficient", "non_finite"])
+    def test_batched_degenerate_pair_counts_zero(self, monkeypatch, fill):
+        original = sp.psi_embed
+
+        def broken(x, y):  # breaks the embedding near x = e0 only: the first pair
+            return np.where(np.abs(x[..., :1]) > 0.5, fill, original(x, y))
+        monkeypatch.setattr(sp, "psi_embed", broken)
+        x = np.array([[1.0, 0, 0, 0], [0.0, 0, 1, 0]])
+        y = np.array([[0.0, 1, 0, 0], [0.0, 0, -1, 0]])
+        assert sp.theta_tangent_signature(x, y).tolist() == [[0, 0, 0], [3, 3, 0]]
+        with pytest.raises(DegenerateBasis):
+            sp.theta_tangent_signature(x[0], y[0])
+
     def test_torus_gram_eigenvalues(self, separated10):
         g = float(sp.metric_pairs(separated10.c1, separated10.c2, 0.3, 1.1))
         assert abs(g) > 1e-5
@@ -148,6 +176,8 @@ class TestSignature:
 def test_signature_counts():
     assert sp.signature_counts(np.array([1.0, -2.0, 1e-9]), 1e-7) == (1, 1, 1)
     assert sp.signature_counts(np.array([0.3, 0.4, -0.5, -0.1, 2.0, -9.0]), 1e-7) == (3, 3, 0)
+    stacked = sp.signature_counts(np.array([[1.0, -2.0, 1e-9], [1.0, 2.0, 3.0]]), 1e-7)
+    assert stacked.tolist() == [[1, 1, 1], [3, 0, 0]]
 
 
 def test_degenerate_basis_detected(monkeypatch):
