@@ -25,8 +25,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _EXPORTS = {
     "conformal": ("chart_pole", "cross_ratio_fd"),
     "functionals": ("FunctionalReport", "TorusGrid", "area", "build_grid",
-                    "compute_functionals", "signed_area"),
-    "gridio": ("export_grid", "read_grid"),
+                    "compute_functionals", "grid_blocks", "signed_area"),
+    "gridio": ("read_grid", "write_grid"),
     "links": ("CircleCurve", "FourierCurve", "Link2", "LinkCurve", "MobiusMap",
               "SampledCurve", "catalogue", "chart_lift", "great_circle_pair",
               "hopf_link", "inverse_stereographic", "parallel_circles_link",

@@ -120,13 +120,10 @@ def cmd_anglemap(args) -> int:
 
 
 def _density_fields(link, n: int = 32):
-    import numpy as np
+    from .functionals import build_grid
 
-    from .conformal import density_grids
-    from .links import TWO_PI
-
-    s = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    return density_grids(link.c1, link.c2, s, s)
+    grid = build_grid(link, n, n)
+    return grid.g, grid.theta, grid.abs_omega, grid.re_omega
 
 
 def cmd_invariance(args) -> int:

@@ -8,15 +8,17 @@ six pairwise distances.  Their agreement is the main cross-validation
 instrument of the package.
 
 The wedge and chart routes are each one broadcasting kernel on point
-stacks; their grid (s x t) and paired (s[k], t[k]) entry points only
-evaluate the curves and insert axes.  The wedge kernel has two parts:
+stacks.  Each route has one entry point at parameter samples, which
+evaluates the curves and broadcasts s against t like a ufunc: paired
+arrays give the values at (s[k], t[k]), s[:, None] and t the product
+grid s x t, scalars 0-d arrays.  The wedge kernel has two parts:
 magnitude_kernel gives g, |Omega| and the cosine of the angle, and checks
-that cosine; density_kernel adds theta and Re Omega for the grid and
-paired entry points and for the row blocks of the exported grid.  The
+that cosine; density_kernel adds theta and Re Omega for density_pairs and
+for the row blocks of the exported grid (functionals.grid_blocks).  The
 quadrature calls only the first part, since Re Omega = g/2.  The
-finite-difference route broadcasts over paired samples.  The three share
-no code beyond the chart stacks that the chart and finite-difference
-routes both lay out."""
+finite-difference route broadcasts the same way.  The three share no code
+beyond the chart stacks that the chart and finite-difference routes both
+lay out."""
 
 import numpy as np
 
@@ -131,15 +133,12 @@ def density_kernel(x, xp, y, yp):
     return g, theta, absval, absval * np.cos(theta)
 
 
-def density_grids(c1, c2, s, t):
-    """(g, theta, abs, re) arrays on the product grid s x t."""
-    x, xp = c1.evaluate(np.asarray(s, dtype=float))
-    y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    return density_kernel(x, xp, y, yp)
-
-
 def density_pairs(c1, c2, s, t):
-    """(g, theta, abs, re) at paired samples (s[k], t[k]); 0-d arrays for scalars."""
+    """(g, theta, abs, re) at the samples (s, t), broadcast against each other.
+
+    Paired arrays give the fields at (s[k], t[k]), s[:, None] and t the
+    product grid, scalars 0-d arrays.
+    """
     x, xp = c1.evaluate(np.asarray(s, dtype=float))
     y, yp = c2.evaluate(np.asarray(t, dtype=float))
     fields = density_kernel(*(a[..., None, :] for a in (x, xp, y, yp)))
@@ -174,15 +173,8 @@ def _chart_stacks(c1, c2, s, t, pole):
             chart_point(y, pole, basis), chart_velocity(y, yp, pole, basis))
 
 
-def conformal_angle_chart_grid(c1, c2, s, t, pole=None):
-    """Chart-route angle on the product grid s x t."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _chart_angle(*_chart_stacks(c1, c2, s, t, pole))
-
-
 def conformal_angle_chart_pairs(c1, c2, s, t, pole=None):
-    """Chart-route angle at paired samples (s[k], t[k]); 0-d arrays for scalars."""
+    """Chart-route angle at the samples (s, t), broadcast as in density_pairs."""
     stacks = _chart_stacks(c1, c2, np.asarray(s, dtype=float), np.asarray(t, dtype=float), pole)
     return _chart_angle(*(a[..., None, :] for a in stacks))[..., 0, 0]
 
@@ -191,7 +183,7 @@ def conformal_angle_chart_pairs(c1, c2, s, t, pole=None):
 # finite-difference cross-ratio oracle
 
 def cross_ratio_fd(c1, c2, s, t, eps: float, pole=None):
-    """Real cross-ratio density at paired (s[k], t[k]) from four stencil points.
+    """Real cross-ratio density at the samples (s, t) from four stencil points.
 
     A centered stencil of total spread eps along each tangent is laid out
     in an R^3 chart: p1,2 = xc -+ h tx and p3,4 = yc -+ h ty with h = eps/2.
@@ -205,7 +197,7 @@ def cross_ratio_fd(c1, c2, s, t, eps: float, pole=None):
     8(a.b)(|D|^2+|a|^2+|b|^2) + 16|a|^2|b|^2, which avoids cancelling the
     distance products against each other.
     Returns Re omega / eps^2, which converges to the closed-form density at
-    second order in eps; 0-d arrays for scalars.
+    second order in eps; s and t broadcast as in density_pairs.
     """
     if not 1e-5 <= eps <= 1e-2:
         raise BadParameter("eps must lie in [1e-5, 1e-2]")

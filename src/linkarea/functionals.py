@@ -44,7 +44,7 @@ _BLOCK_NODES = 1 << 16
 #: formats and writes one block at a time.  As n_t <= N_MAX, a block holds
 #: at least 4 rows.  It must never be a single row: there the kernel's
 #: products take BLAS's matrix-vector path, and theta moves in its last
-#: bits against the whole-grid density_grids.
+#: bits against the kernel on the whole grid.
 _GRID_BLOCK_NODES = 4096
 #: zeros are bracketed on each row's interpolant sampled this much finer ...
 _OVERSAMPLE = 8
@@ -132,8 +132,8 @@ def grid_blocks(link: Link2, n_s: int, n_t: int):
 def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:
     """The densities on the n_s x n_t grid, assembled from grid_blocks.
 
-    These are the values anglemap writes, bit for bit, and the same as the
-    whole-grid density_grids.
+    These are the values anglemap writes, bit for bit, and the same as
+    density_kernel on the whole grid's curve stacks.
     """
     s, t, blocks = grid_blocks(link, n_s, n_t)
     g, theta, absval, re = (np.concatenate(field) for field in zip(*blocks))

@@ -3,14 +3,15 @@
 The export writes the bytes of np.savetxt with fmt "%.17g", but computes
 the digits with whole-array numpy operations, one block of whole s-rows
 at a time.  write_grid takes the blocks as the grid evaluation yields
-them (anglemap), or as export_grid slices them from a whole grid, so the
-writer's memory does not grow with the grid.  For 1e-6 < |x| < 1e17, an
-error-free product with an exact power of ten (T. J. Dekker, Numer. Math.
-18, 1971) gives the correctly rounded 17-digit mantissa.  Zeros,
-subnormals, nan, +-inf and magnitudes outside that window fall back to
-Python's formatting, once per distinct value.  The values are sorted by
-decimal exponent, so that each exponent's text fills one slice of rows, and
-each block's NUL-padded byte matrix loses its NULs in one bytes.translate.
+them (functionals.grid_blocks, which anglemap streams), so the writer's
+memory does not grow with the grid, or a whole TorusGrid as one block.
+For 1e-6 < |x| < 1e17, an error-free product with an exact power of ten
+(T. J. Dekker, Numer. Math. 18, 1971) gives the correctly rounded
+17-digit mantissa.  Zeros, subnormals, nan, +-inf and magnitudes outside
+that window fall back to Python's formatting, once per distinct value.
+The values are sorted by decimal exponent, so that each exponent's text
+fills one slice of rows, and each block's NUL-padded byte matrix loses its
+NULs in one bytes.translate.
 The import accepts only the s-major product grid that the export writes.
 """
 
@@ -21,7 +22,7 @@ import os
 import numpy as np
 
 from .errors import IoFailure
-from .functionals import _GRID_BLOCK_NODES, TorusGrid
+from .functionals import TorusGrid
 
 CSV_HEADER = "s,t,g,theta,abs_omega,re_omega"
 
@@ -166,35 +167,25 @@ def _format_g17(x) -> np.ndarray:
     return out
 
 
-def export_grid(grid: TorusGrid, path) -> None:
-    """Write the grid as CSV through write_grid, in blocks of whole s-rows."""
-    fields = (grid.g, grid.theta, grid.abs_omega, grid.re_omega)
-    step = max(1, _GRID_BLOCK_NODES // len(grid.t))
-    write_grid(grid.s, grid.t, (tuple(f[i:i + step] for f in fields)
-                                for i in range(0, len(grid.s), step)), path)
-
-
 def write_grid(s, t, blocks, path) -> None:
     """Write the grid on the nodes s x t as CSV, s-major rows, 17 significant digits.
 
     blocks yields the fields (g, theta, abs_omega, re_omega) on consecutive
-    blocks of whole s-rows, of at most _GRID_BLOCK_NODES nodes or one row,
-    as grid_blocks and export_grid hand them.  Each block is formatted and
-    written as it arrives, as a NUL-padded byte matrix of the six fields and
-    their separators with the NULs dropped, so the writer holds one block
-    and its scratch.  The bytes are those of np.savetxt with fmt "%.17g".
+    blocks of whole s-rows, as grid_blocks hands them; a TorusGrid g is
+    the one block [(g.g, g.theta, g.abs_omega, g.re_omega)].  Each block is
+    formatted and written as it arrives, as a NUL-padded byte matrix of the
+    six fields and their separators with the NULs dropped, so the writer
+    holds one block and its scratch.  The byte matrix is sized by the first
+    block and allocated once per file, unless a later block is larger.  The
+    bytes are those of np.savetxt with fmt "%.17g".
 
     Any exception raised while the file is open removes it: an OSError is
     raised as IoFailure, and anything else (a kernel error in a later
     block, KeyboardInterrupt) unchanged.
     """
     n_t = len(t)
-    s_text = _format_g17(s)
-    block = np.zeros((min(max(1, _GRID_BLOCK_NODES // n_t), len(s)), n_t, 6, _FIELD + 1),
-                     np.uint8)
-    block[..., _FIELD] = ord(",")
-    block[:, :, 5, _FIELD] = ord("\n")
-    block[:, :, 1, :_FIELD] = _format_g17(t)
+    s_text, t_text = _format_g17(s), _format_g17(t)
+    block = np.zeros((0, n_t, 6, _FIELD + 1), np.uint8)
     try:
         fh = open(path, "wb")
     except OSError as exc:
@@ -204,6 +195,11 @@ def write_grid(s, t, blocks, path) -> None:
             fh.write(CSV_HEADER.encode() + b"\n")
             i = 0
             for fields in blocks:
+                if len(fields[0]) > len(block):
+                    block = np.zeros((len(fields[0]), n_t, 6, _FIELD + 1), np.uint8)
+                    block[..., _FIELD] = ord(",")
+                    block[:, :, 5, _FIELD] = ord("\n")
+                    block[:, :, 1, :_FIELD] = t_text
                 rows = block[:len(fields[0])]
                 rows[:, :, 0, :_FIELD] = s_text[i:i + len(rows), None]
                 cells = np.stack(fields, axis=-1)
@@ -221,7 +217,7 @@ def write_grid(s, t, blocks, path) -> None:
 def read_grid(path) -> TorusGrid:
     """Re-import an exported grid; values round-trip bit-exactly.
 
-    The rows must form the s-major product grid that export_grid writes;
+    The rows must form the s-major product grid that write_grid writes;
     anything else raises IoFailure.
     """
     try:

@@ -337,12 +337,9 @@ def perturbed_hopf_link(eps: float, seed: int) -> Link2:
     for base in (_HOPF_COEFFS_1, _HOPF_COEFFS_2):
         coeffs = base.copy()
         if eps > 0.0:
-            raw = np.zeros((4, 7))
-            for c in range(4):
-                raw[c, 0] = 0.5 * rng.uniform_in(-1.0, 1.0)
-                for k in (1, 2, 3):
-                    raw[c, 2 * k - 1] = 2.0 ** (-k) * rng.uniform_in(-1.0, 1.0)
-                    raw[c, 2 * k] = 2.0 ** (-k) * rng.uniform_in(-1.0, 1.0)
+            # per coordinate: a0 scaled by 1/2, the cosine and sine of mode k by 2^-k
+            raw = (rng.uniform_array(28, -1.0, 1.0).reshape(4, 7)
+                   * (0.5, 0.5, 0.5, 0.25, 0.25, 0.125, 0.125))
             delta = _fourier_design(probe, 3)[0] @ raw.T
             top = np.max(np.linalg.norm(delta, axis=-1))
             coeffs = coeffs + (eps / top) * raw

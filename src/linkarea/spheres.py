@@ -52,7 +52,7 @@ def psi_embed(x, y):
     _check_separated(x, y)
     p = mk.wedge(lift(x), lift(y))
     n2 = mk.inner10(p, p)
-    return p / np.sqrt(n2)[..., None] if p.ndim > 1 else p / np.sqrt(n2)
+    return p / np.sqrt(n2)[..., None]
 
 
 def sigma_derivatives(c1, c2, s, t):
@@ -100,18 +100,15 @@ def metric_kernel(x, xp, y, yp):
 
 
 def metric_pairs(c1, c2, s, t):
-    """Metric coefficient at paired parameter samples (same-shape s and t)."""
+    """Metric coefficient at the samples (s, t), broadcast against each other.
+
+    Like a ufunc: paired arrays give g at (s[k], t[k]), s[:, None] and t
+    the product grid, scalars a 0-d array.
+    """
     x, xp = c1.evaluate(np.asarray(s, dtype=float))
     y, yp = c2.evaluate(np.asarray(t, dtype=float))
     pair = (a[..., None, :] for a in (x, xp, y, yp))
     return metric_kernel(*pair)[..., 0, 0]
-
-
-def metric_grid(c1, c2, s, t):
-    """Vectorized metric coefficient on the product grid s x t."""
-    x, xp = c1.evaluate(np.asarray(s, dtype=float))
-    y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    return metric_kernel(x, xp, y, yp)
 
 
 def _pair_tangent_vectors(x, y):

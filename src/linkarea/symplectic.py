@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CoincidentPoints
 from .links import TWO_PI
-from .spheres import metric_grid
+from .spheres import metric_kernel
 
 #: the sign in g = SIGN * da/dt, i.e. g = -da/dt
 SIGN = -1
@@ -70,6 +70,6 @@ def exterior_derivative_check(c1, c2, n_s: int = 128, n_t: int = 128) -> float:
     """Residual of the 1-form route against the metric route: the largest
     |Re omega - SIGN * da/dt / 2| on the grid, where Re omega = g / 2."""
     da_dt = spectral_t_derivative(tautological_pullback(c1, c2, n_s, n_t))
-    s = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
-    t = np.linspace(0.0, TWO_PI, n_t, endpoint=False)
-    return 0.5 * float(np.max(np.abs(metric_grid(c1, c2, s, t) - SIGN * da_dt)))
+    x, xp = c1.evaluate(np.linspace(0.0, TWO_PI, n_s, endpoint=False))
+    y, yp = c2.evaluate(np.linspace(0.0, TWO_PI, n_t, endpoint=False))
+    return 0.5 * float(np.max(np.abs(metric_kernel(x, xp, y, yp) - SIGN * da_dt)))

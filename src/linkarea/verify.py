@@ -15,6 +15,7 @@ from . import minkowski as mk
 from . import spheres as sp
 from . import symplectic as sy
 from .errors import LinkAreaError
+from .functionals import build_grid
 from .links import TWO_PI, catalogue, random_mobius
 from .rng import Lcg64
 
@@ -27,7 +28,7 @@ class PropertyResult:
 
 
 def _random_vec5(rng, scale=1.0):
-    return np.array([rng.uniform_in(-scale, scale) for _ in range(5)])
+    return rng.uniform_array(5, -scale, scale)
 
 
 def _random_pair_on_sphere(rng):
@@ -146,12 +147,12 @@ def check_signature(seed: int = 6, n_pairs: int = 100) -> PropertyResult:
 
 
 def check_angle_routes(links, n: int = 64) -> PropertyResult:
-    s = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    """The exported wedge-route theta against the chart route on the n x n grid."""
     worst = 0.0
     for link in links.values():
-        a = cf.density_grids(link.c1, link.c2, s, s)[1]
-        b = cf.conformal_angle_chart_grid(link.c1, link.c2, s, s)
-        worst = max(worst, float(np.max(np.abs(a - b))))
+        grid = build_grid(link, n, n)
+        chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, grid.s[:, None], grid.t)
+        worst = max(worst, float(np.max(np.abs(grid.theta - chart))))
     return PropertyResult("angle_two_routes", worst <= cf.TOL_WEDGE_CHART,
                           f"max |wedge - chart| = {worst:.2e} on {n}x{n} grids")
 
@@ -168,7 +169,7 @@ def check_fd_oracle(links, n_samples: int = 20, seed: int = 7) -> PropertyResult
         pole = cf.chart_pole(link.c1, link.c2)
         # the draws alternate s, t
         s, t = rng.uniform_array(2 * n_samples, 0, TWO_PI).reshape(-1, 2).T
-        want = 0.5 * sp.metric_pairs(link.c1, link.c2, s, t)
+        want = cf.density_pairs(link.c1, link.c2, s, t)[3]
         err = np.abs(cf.cross_ratio_fd(link.c1, link.c2, s, t, 1e-3, pole=pole) - want)
         err_half = np.abs(cf.cross_ratio_fd(link.c1, link.c2, s, t, 5e-4, pole=pole) - want)
         worst = max(worst, float(np.max(err)))

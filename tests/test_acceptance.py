@@ -113,12 +113,12 @@ def test_criterion_05_density_routes(separated10, perturbed02):
     worst_fd = 0.0
     worst_order = np.inf
     for link in (separated10, perturbed02):
-        g_closed = sp.metric_grid(link.c1, link.c2, s, s)
+        g_closed = sp.metric_pairs(link.c1, link.c2, s[:, None], s)
         S, T = np.meshgrid(s, s, indexing="ij")
         _, ss_d, st_d = sp.sigma_derivatives(link.c1, link.c2, S.ravel(), T.ravel())
         g_explicit = mk.inner10(ss_d, st_d).reshape(n, n)
-        _, theta, absv, _ = cf.density_grids(link.c1, link.c2, s, s)
-        theta_chart = cf.conformal_angle_chart_grid(link.c1, link.c2, s, s)
+        _, theta, absv, _ = cf.density_pairs(link.c1, link.c2, s[:, None], s)
+        theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s[:, None], s)
         g_chart = 2.0 * absv * np.cos(theta_chart)
         worst_grid = max(worst_grid,
                          float(np.max(np.abs(g_closed - g_explicit))),
@@ -171,7 +171,7 @@ def test_criterion_08_signatures(hopf, separated10):
             bad += 1
     # mixed-type where the angle is off pi/2
     s = np.linspace(0, TWO_PI, 16, endpoint=False)
-    _, theta, _, _ = cf.density_grids(separated10.c1, separated10.c2, s, s)
+    _, theta, _, _ = cf.density_pairs(separated10.c1, separated10.c2, s[:, None], s)
     mixed_ok = True
     for i in range(16):
         for j in range(16):
@@ -194,7 +194,7 @@ def test_criterion_08_signatures(hopf, separated10):
 def test_criterion_09_conformal_invariance(perturbed02):
     n = 32
     s = np.linspace(0, TWO_PI, n, endpoint=False)
-    base_fields = cf.density_grids(perturbed02.c1, perturbed02.c2, s, s)
+    base_fields = cf.density_pairs(perturbed02.c1, perturbed02.c2, s[:, None], s)
     cell = (TWO_PI / 128) ** 2
     base_grid = la.build_grid(perturbed02, 128, 128)
     base_area = float(np.sum(np.abs(base_grid.g))) * cell
@@ -204,7 +204,7 @@ def test_criterion_09_conformal_invariance(perturbed02):
     for k in range(20):
         mob = la.random_mobius(3000 + k, 1.0)
         moved = mob.transform_link(perturbed02)
-        fields = cf.density_grids(moved.c1, moved.c2, s, s)
+        fields = cf.density_pairs(moved.c1, moved.c2, s[:, None], s)
         for f_new, f_base in zip(fields, base_fields):
             scale = max(float(np.max(np.abs(f_base))), 1e-12)
             dev_density = max(dev_density, float(np.max(np.abs(f_new - f_base))) / scale)

@@ -27,7 +27,7 @@ class TestConformalAngleWedge:
 
     def test_range(self, perturbed02):
         s = np.linspace(0, TWO_PI, 32, endpoint=False)
-        grid = cf.density_grids(perturbed02.c1, perturbed02.c2, s, s)[1]
+        grid = cf.density_pairs(perturbed02.c1, perturbed02.c2, s[:, None], s)[1]
         assert np.all(grid >= 0.0)
         assert np.all(grid <= np.pi)
 
@@ -35,7 +35,7 @@ class TestConformalAngleWedge:
 class TestConformalAngleChart:
     def test_hopf_right_angle(self, hopf):
         s = np.linspace(0, TWO_PI, 32, endpoint=False)
-        grid = cf.conformal_angle_chart_grid(hopf.c1, hopf.c2, s, s)
+        grid = cf.conformal_angle_chart_pairs(hopf.c1, hopf.c2, s[:, None], s)
         assert np.max(np.abs(grid - np.pi / 2)) <= 1e-9
 
     def test_hopf_pole_not_on_curves(self, hopf):
@@ -54,23 +54,27 @@ class TestConformalAngleChart:
     def test_routes_agree_on_grid(self, small_catalogue, name):
         link = small_catalogue[name]
         s = np.linspace(0, TWO_PI, 64, endpoint=False)
-        wedge = cf.density_grids(link.c1, link.c2, s, s)[1]
-        chart = cf.conformal_angle_chart_grid(link.c1, link.c2, s, s)
+        wedge = cf.density_pairs(link.c1, link.c2, s[:, None], s)[1]
+        chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s[:, None], s)
         assert np.max(np.abs(wedge - chart)) <= 1e-7
 
 
 @pytest.mark.parametrize("name", ["hopf", "separated_1.0", "perturbed_hopf_0.2_s0"])
-def test_paired_forms_are_grid_diagonals(small_catalogue, name):
+def test_broadcast_grid_matches_paired_samples(small_catalogue, name):
     link = small_catalogue[name]
     s = np.linspace(0, TWO_PI, 48, endpoint=False)
-    t = np.roll(s, 7)
-    grids = cf.density_grids(link.c1, link.c2, s, t)
-    pairs = cf.density_pairs(link.c1, link.c2, s, t)
+    t = np.roll(s, 7)[:40]
+    n, m = len(s), len(t)
+    grids = cf.density_pairs(link.c1, link.c2, s[:, None], t)
+    pairs = cf.density_pairs(link.c1, link.c2, np.repeat(s, m), np.tile(t, n))
     for grid, paired in zip(grids, pairs):
-        assert np.max(np.abs(np.diagonal(grid) - paired)) <= 1e-13
-    chart_grid = cf.conformal_angle_chart_grid(link.c1, link.c2, s, t)
-    chart_pairs = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t)
-    assert np.max(np.abs(np.diagonal(chart_grid) - chart_pairs)) <= 1e-13
+        assert grid.shape == (n, m)
+        assert np.max(np.abs(grid.ravel() - paired)) <= 1e-13
+    chart_grid = cf.conformal_angle_chart_pairs(link.c1, link.c2, s[:, None], t)
+    chart_pairs = cf.conformal_angle_chart_pairs(link.c1, link.c2, np.repeat(s, m),
+                                                 np.tile(t, n))
+    assert chart_grid.shape == (n, m)
+    assert np.max(np.abs(chart_grid.ravel() - chart_pairs)) <= 1e-13
 
 
 class TestCrossRatioDensity:
@@ -112,7 +116,7 @@ class TestCrossRatioDensity:
         for d in (1.0, 1.5, 1.9):
             link = la.separated_link(d)
             s = np.linspace(0, TWO_PI, 64, endpoint=False)
-            _, _, _, re = cf.density_grids(link.c1, link.c2, s, s)
+            _, _, _, re = cf.density_pairs(link.c1, link.c2, s[:, None], s)
             tops.append(np.max(np.abs(re)))
         assert tops[0] > tops[1] > tops[2]
 
@@ -201,8 +205,7 @@ def test_pole_scan_exhaustion():
         cf.chart_pole(c, c)
 
 
-def test_metric_grid_rejects_touching_curves(hopf):
-    from linkarea.spheres import metric_grid
+def test_metric_pairs_rejects_touching_curves(hopf):
     s = np.linspace(0, TWO_PI, 16, endpoint=False)
     with pytest.raises(CoincidentPoints):
-        metric_grid(hopf.c1, hopf.c1, s, s)
+        sp.metric_pairs(hopf.c1, hopf.c1, s[:, None], s)

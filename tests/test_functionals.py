@@ -51,7 +51,9 @@ class TestBuildGrid:
         # single rows would not (BLAS's matrix-vector path moves theta)
         link = request.getfixturevalue(name)
         grid = la.build_grid(link, n, n)
-        whole = cf.density_grids(link.c1, link.c2, grid.s, grid.t)
+        x, xp = link.c1.evaluate(grid.s)
+        y, yp = link.c2.evaluate(grid.t)
+        whole = cf.density_kernel(x, xp, y, yp)
         for field, ref in zip(("g", "theta", "abs_omega", "re_omega"), whole):
             assert np.array_equal(getattr(grid, field), ref), field
 
@@ -363,11 +365,16 @@ class TestMinimalityCharacterization:
                 assert rep.area > 1e-4, name
 
 
+def _write_whole(grid, path):
+    """Export a TorusGrid through write_grid as one block."""
+    la.write_grid(grid.s, grid.t, [(grid.g, grid.theta, grid.abs_omega, grid.re_omega)], path)
+
+
 class TestExportImport:
     def test_row_count_and_header(self, hopf, tmp_path):
         grid = la.build_grid(hopf, 32, 32)
         path = tmp_path / "grid.csv"
-        la.export_grid(grid, path)
+        _write_whole(grid, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "s,t,g,theta,abs_omega,re_omega"
         assert len(lines) == 1 + 32 * 32
@@ -375,14 +382,14 @@ class TestExportImport:
     def test_hopf_theta_column(self, hopf, tmp_path):
         grid = la.build_grid(hopf, 32, 32)
         path = tmp_path / "grid.csv"
-        la.export_grid(grid, path)
+        la.write_grid(*la.grid_blocks(hopf, 32, 32), path)
         back = la.read_grid(path)
         assert np.max(np.abs(back.theta - np.pi / 2)) <= 1e-10
 
     def test_round_trip_bit_exact(self, perturbed02, tmp_path):
         grid = la.build_grid(perturbed02, 32, 32)
         path = tmp_path / "grid.csv"
-        la.export_grid(grid, path)
+        _write_whole(grid, path)
         back = la.read_grid(path)
         for field in ("s", "t", "g", "theta", "abs_omega", "re_omega"):
             assert np.array_equal(getattr(back, field), getattr(grid, field)), field
@@ -411,27 +418,30 @@ class TestExportImport:
         with pytest.raises(IoFailure, match="no grid rows"):
             la.read_grid(path)
 
-    @pytest.mark.parametrize("name, n, streamed", [
-        pytest.param("perturbed02", 32, False, id="perturbed02"),
-        pytest.param("hopf", 32, False, id="hopf"),
+    @pytest.mark.parametrize("name, n, how", [
+        pytest.param("perturbed02", 32, "whole", id="perturbed02"),
+        pytest.param("hopf", 32, "whole", id="hopf"),
         # theta has exact zeros and values near 1e-8 (scientific notation)
-        pytest.param("separated10", 32, False, id="separated10"),
-        pytest.param("perturbed02", 512, False, id="perturbed02-512"),
+        pytest.param("separated10", 32, "whole", id="separated10"),
+        # 64 row blocks of 8 rows each
+        pytest.param("perturbed02", 512, "blocks", id="perturbed02-512"),
         # the anglemap command streams 4 row blocks from the kernel to the file
-        pytest.param("separated10", 128, True, id="anglemap-separated10-128"),
+        pytest.param("separated10", 128, "anglemap", id="anglemap-separated10-128"),
     ])
-    def test_export_bytes_match_savetxt(self, name, n, streamed, request, tmp_path):
+    def test_export_bytes_match_savetxt(self, name, n, how, request, tmp_path):
         link = request.getfixturevalue(name)
         path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
-        if streamed:
+        if how == "anglemap":
             link_path = tmp_path / "link.lk1"
             la.write_link(link, link_path)
             argv = ["anglemap", str(link_path), "--grid", str(n), "--out", str(path)]
             assert cli.main(argv) == 0
             link = la.read_link(link_path)
+        elif how == "blocks":
+            la.write_grid(*la.grid_blocks(link, n, n), path)
         grid = la.build_grid(link, n, n)
-        if not streamed:
-            la.export_grid(grid, path)
+        if how == "whole":
+            _write_whole(grid, path)
         rows = np.column_stack([np.repeat(grid.s, n), np.tile(grid.t, n)]
                                + [a.ravel() for a in (grid.g, grid.theta,
                                                       grid.abs_omega, grid.re_omega)])
@@ -458,14 +468,13 @@ class TestExportImport:
         monkeypatch.setattr(gio, "open", disk_full_after_4k, raising=False)
         path = tmp_path / "grid.csv"
         with pytest.raises(IoFailure):
-            la.export_grid(grid, path)
+            _write_whole(grid, path)
         assert not path.exists()
 
     def test_io_failure(self, hopf, tmp_path):
-        grid = la.build_grid(hopf, 32, 32)
         from linkarea.errors import IoFailure
         with pytest.raises(IoFailure):
-            la.export_grid(grid, tmp_path / "missing" / "grid.csv")
+            la.write_grid(*la.grid_blocks(hopf, 32, 32), tmp_path / "missing" / "grid.csv")
 
 
 def _adversarial_doubles():

@@ -93,7 +93,7 @@ class TestSigmaDerivatives:
 class TestMetricCoefficient:
     def test_hopf_everywhere_zero(self, hopf):
         s = np.linspace(0, TWO_PI, 64, endpoint=False)
-        assert np.max(np.abs(sp.metric_grid(hopf.c1, hopf.c2, s, s))) <= 1e-14
+        assert np.max(np.abs(sp.metric_pairs(hopf.c1, hopf.c2, s[:, None], s))) <= 1e-14
 
     def test_antipodal_value(self):
         c1, c2 = antipodal_test_curves()
@@ -113,7 +113,7 @@ class TestMetricCoefficient:
 
     def test_grid_matches_scalar(self, perturbed02):
         s = np.linspace(0, TWO_PI, 8, endpoint=False)
-        grid = sp.metric_grid(perturbed02.c1, perturbed02.c2, s, s)
+        grid = sp.metric_pairs(perturbed02.c1, perturbed02.c2, s[:, None], s)
         for i in (0, 3, 7):
             for j in (1, 4, 6):
                 # the explicit route <sigma_s, sigma_t> at one scalar (s, t)

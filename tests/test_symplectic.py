@@ -94,8 +94,8 @@ class TestExteriorDerivative:
 
 
 def test_sign_inconsistency_detected(separated10, monkeypatch):
-    monkeypatch.setattr(sy, "metric_grid",
-                        lambda c1, c2, s, t: np.ones((len(s), len(t))))
+    monkeypatch.setattr(sy, "metric_kernel",
+                        lambda x, xp, y, yp: np.ones((len(x), len(y))))
     assert sy.exterior_derivative_check(separated10.c1, separated10.c2, 64, 64) > 0.5
 
 
