@@ -29,11 +29,16 @@ from .spheres import metric_kernel
 #: minimum clearance between a chart pole and either curve
 POLE_CLEARANCE = 0.3
 
-#: bound on |wedge - chart| between the two angle routes (verify, oracle)
-TOL_WEDGE_CHART = 1e-7
+#: bound on |cos(wedge) - cos(chart)| between the two angle routes (verify,
+#: oracle).  They are compared as cosines: near theta = 0 and pi, arccos
+#: magnifies a cosine's roundoff eps to an angle error of about sqrt(2 eps)
+TOL_WEDGE_CHART = 1e-12
 
 #: bound on |closed form - finite difference| of Re omega at eps = 1e-3 (the default)
 TOL_FD = 5e-5
+
+#: a cosine beyond [-1, 1] by more than this is a defect, not roundoff
+_COSINE_SLACK = 1e-9
 
 # deterministic pole scan order: the two poles of the last axis first, then
 # the remaining single-axis poles, then two-axis diagonals
@@ -87,16 +92,16 @@ def chart_velocity(x, xp, pole, basis):
     return q @ basis.T
 
 
-def _check_cosine(cos, slack: float = 1e-9) -> None:
-    """Reject a cosine that leaves [-1, 1] by more than roundoff."""
+def _check_cosine(cos) -> None:
+    """Reject a cosine that leaves [-1, 1] by more than _COSINE_SLACK."""
     excess = np.max(np.abs(cos)) - 1.0
-    if excess > slack:
+    if excess > _COSINE_SLACK:
         raise ValueError(f"cosine argument exceeds 1 by {excess:.3e}")
 
 
-def _clamped_arccos(arg, slack: float = 1e-9):
+def _clamped_arccos(arg):
     a = np.asarray(arg, dtype=float)
-    _check_cosine(a, slack)
+    _check_cosine(a)
     return np.arccos(np.clip(a, -1.0, 1.0))
 
 

@@ -1,17 +1,18 @@
 """Quadrature of the torus densities: signed area, area, cross energy.
 
 Grids are uniform n_s x n_t products of power-of-two sizes, each evaluated
-whole, for g and |Omega| only: the quadrature never forms theta or
-Re Omega, which only the exported grid carries.  The exported grid is
-evaluated in blocks of s-rows (grid_blocks), which anglemap hands to the
-CSV writer one at a time, so that it never holds the whole grid; the
-TorusGrid of build_grid joins the same blocks.  Levels double n_s until
-successive values agree to the requested tolerance.  n_t follows the rows'
-Fourier spectra instead: where the area must converge, it doubles while
-the spectral tail of the rows puts its estimate of the area's t-error
-above the tolerance, and the next level keeps n_t >= n_s unless every row
-is resolved to roundoff at fewer columns, in which case it carries only
-those.  The error estimate is the larger of the last level difference and
+in one pass over blocks of whole s-rows, for g and |Omega| only: the
+quadrature never forms theta or Re Omega, which only the exported grid
+carries, and reduces each block to column sums and row spectra before the
+next, so that it never holds g whole.  The exported grid is evaluated in
+blocks of s-rows too (grid_blocks), which anglemap hands to the CSV writer
+one at a time; the TorusGrid of build_grid joins the same blocks.  Levels
+double n_s until successive values agree to the requested tolerance.  n_t
+follows the rows' Fourier spectra instead: where the area must converge,
+it doubles while the spectral tail of the rows puts its estimate of the
+area's t-error above the tolerance, and the next level keeps n_t >= n_s
+unless every row is resolved to roundoff at fewer columns, in which case
+it carries only those.  The error estimate is the larger of the last level difference and
 that t-tail estimate.
 
 The signed area and the energy are trapezoid sums of smooth periodic
@@ -37,9 +38,9 @@ from .links import TWO_PI, Link2
 N_MIN = 32
 N_MAX = 1024
 
-#: nodes per kernel call and per row block of the FFTs; bounds a level's
-#: temporaries, so that a level holds little more than its g and modes
-_BLOCK_NODES = 1 << 16
+#: oversampled nodes per row block of a level (see _level); bounds the
+#: temporaries of a block, so that a level holds little more than its modes
+_BLOCK_NODES = 1 << 14
 #: nodes per row block of the exported grid, which anglemap evaluates,
 #: formats and writes one block at a time.  As n_t <= N_MAX, a block holds
 #: at least 4 rows.  It must never be a single row: there the kernel's
@@ -141,54 +142,46 @@ def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:
 
 
 def _level(link: Link2, n_s: int, n_t: int):
-    """g on the n_s x n_t grid, the column sums of g and |Omega| - g/2, and
-    the largest |Omega| of each row.  The kernel runs on blocks of whole
-    rows, about _BLOCK_NODES nodes each."""
+    """One pass over the n_s x n_t grid, in blocks of whole rows.
+
+    Each block runs the kernel for g and |Omega| and is then reduced and
+    dropped, so the level never holds g whole.  Row i of the modes holds
+    a_0, ..., a_{n/2} of the row's interpolant p(t) = Re sum_k a_k exp(ikt),
+    n = n_t.  Returns the modes; top, above which every mode of every row
+    is below _MODE_FLOOR of the largest, i.e. FFT roundoff; amp, the
+    amplitude |a_k| of each mode summed over the rows; the brackets (row,
+    lo, hi, p(lo), p(hi)) of the sign changes of p, lo and hi in radians;
+    and the column sums of g and |Omega| - g/2.  p is sampled _OVERSAMPLE
+    times finer than the columns while n_t <= _OVERSAMPLE_MAX_N and at the
+    columns above that, and a block holds about _BLOCK_NODES such samples.
+    Samples with |p| <= _ROUNDOFF times the largest |Omega| of their row
+    count as positive, so rows of roundoff (the Hopf link and its Moebius
+    images) have no sign changes, and a zero that falls on a sample is
+    bracketed between that sample and its neighbour.  A bracket joins two
+    consecutive samples, cyclically: the one before sample 0 is the row's
+    last, at index -1.
+    """
     x, xp = link.c1.evaluate(_nodes(n_s))
     y, yp = link.c2.evaluate(_nodes(n_t))
-    g, sums, scale = np.empty((n_s, n_t)), np.zeros((2, n_t)), np.empty(n_s)
-    step = max(1, _BLOCK_NODES // n_t)
-    for r0 in range(0, n_s, step):
-        rows = slice(r0, r0 + step)
-        gb, absval = magnitude_kernel(x[rows], xp[rows], y, yp)[:2]
-        g[rows] = gb
-        scale[rows] = absval.max(axis=1)
-        sums[0] += gb.sum(axis=0)
-        gb *= 0.5
-        absval -= gb
-        sums[1] += absval.sum(axis=0)
-    return g, sums, scale
-
-
-def _row_spectra(g, scale):
-    """Fourier modes of each row of g, their sizes, and the sign changes of
-    each row's interpolant.
-
-    Row i of the modes holds a_0, ..., a_{n/2} of the row's interpolant
-    p(t) = Re sum_k a_k exp(ikt), n = n_t.  Returns the modes; top, above
-    which every mode of every row is below _MODE_FLOOR of the largest,
-    i.e. FFT roundoff; amp, the amplitude |a_k| of each mode summed over
-    the rows; and the brackets (row, lo, hi, p(lo), p(hi)) of the sign
-    changes of p, lo and hi in radians.  p is sampled
-    _OVERSAMPLE times finer than the columns while n_t <= _OVERSAMPLE_MAX_N
-    and at the columns above that.  Samples with |p| <= _ROUNDOFF times the
-    largest |Omega| of their row (scale) count as positive, so rows of
-    roundoff (the Hopf link and its Moebius images) have no sign changes.
-    """
-    n_s, n_t = g.shape
     half = n_t // 2
-    modes = np.empty((n_s, half + 1), complex)
     pad = _OVERSAMPLE if n_t <= _OVERSAMPLE_MAX_N else 1
-    tiny = _ROUNDOFF * scale
-    found = []
+    modes, sums = np.empty((n_s, half + 1), complex), np.zeros((2, n_t))
     peak = np.zeros(half + 1)  # largest |a_k| over the rows, up to a factor 2
     amp = np.zeros(half + 1)
+    found = []
     step = max(1, _BLOCK_NODES // (pad * n_t))
     for r0 in range(0, n_s, step):
         rows = slice(r0, r0 + step)
-        spec = np.fft.rfft(g[rows], norm="forward")  # a_0, a_k / 2, a_{n/2}
-        vals = np.fft.irfft(spec, pad * n_t, norm="forward") if pad > 1 else g[rows]
-        found.append(_sign_changes(vals, tiny[rows], r0))
+        g, absval = magnitude_kernel(x[rows], xp[rows], y, yp)[:2]
+        spec = np.fft.rfft(g, norm="forward")  # a_0, a_k / 2, a_{n/2}
+        vals = np.fft.irfft(spec, pad * n_t, norm="forward") if pad > 1 else g
+        positive = vals >= -_ROUNDOFF * absval.max(axis=1)[:, None]
+        row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), pad * n_t)
+        found.append((row + r0, hi - 1, hi, vals[row, hi - 1], vals[row, hi]))
+        sums[0] += g.sum(axis=0)
+        g *= 0.5  # only now: vals is g itself when pad is 1
+        absval -= g
+        sums[1] += absval.sum(axis=0)
         size = np.abs(spec)
         np.maximum(peak, size.max(axis=0), out=peak)
         amp += size.sum(axis=0)
@@ -198,11 +191,11 @@ def _row_spectra(g, scale):
     top = np.flatnonzero(peak > _MODE_FLOOR * np.max(peak))[-1] if np.any(peak) else 0
     row, lo, hi, v_lo, v_hi = (np.concatenate(part) for part in zip(*found))
     h = TWO_PI / (pad * n_t)
-    return modes, int(top), amp, (row, lo * h, hi * h, v_lo, v_hi)
+    return modes, int(top), amp, (row, lo * h, hi * h, v_lo, v_hi), sums
 
 
 def _t_tail(amp, top: int, n_s: int) -> float:
-    """Estimate of the area's t-error of a level, from _row_spectra's amp and top.
+    """Estimate of the area's t-error of a level, from _level's amp and top.
 
     A row's error is at most 2 pi max|g - p|, p its interpolant on the
     level's n_t columns, and max|g - p| is at most twice the amplitudes of
@@ -240,22 +233,6 @@ def _carried_columns(sums, top: int, n_s: int) -> int:
             return m
         m *= 2
     return max(n_t, 2 * n_s)
-
-
-def _sign_changes(vals, tiny, r0: int):
-    """Brackets of the sign changes along each row of vals, taken cyclically.
-
-    Entries with |v| <= tiny of their row are roundoff and count as
-    positive, so rows of roundoff have no sign changes, and a zero that
-    falls on a node is bracketed between that node and its neighbour.  A
-    bracket joins two consecutive entries, the one before entry 0 being the
-    row's last, at index -1.  Returns (row + r0, lo, hi, v_lo, v_hi), with
-    hi = lo + 1 in sample units.
-    """
-    positive = vals >= -tiny[:, None]
-    row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), vals.shape[1])
-    lo = hi - 1
-    return row + r0, lo, hi, vals[row, lo], vals[row, hi]
 
 
 def _interpolant(modes, top, row, z):
@@ -322,7 +299,7 @@ def _polish(modes, top, row, lo, hi, v_lo, v_hi):
 def _abs_integral(modes, top: int, brackets):
     """Integral of |g| over the torus, and the number of zeros polished.
 
-    modes, top and the sign-change brackets are those of _row_spectra.
+    modes, top and the sign-change brackets are those of _level.
     Each row's integral in t is that of |p|, p the row's trigonometric
     interpolant, exact between consecutive zeros of p through the Fourier
     antiderivative; the zeros are polished on p itself.  The rows are
@@ -357,8 +334,8 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     rows' spectra decide this before any zero is polished.  Each next level
     doubles n_s and carries the fewest columns, at least N_MIN, at which
     every row is resolved to the mode floor, or else keeps n_t >= n_s (see
-    _carried_columns).  Each grid is evaluated whole by _level, for g and
-    |Omega| only: the energy integrand is |Omega| - Re Omega =
+    _carried_columns).  Each grid is evaluated in one pass by _level, for g
+    and |Omega| only: the energy integrand is |Omega| - Re Omega =
     |Omega| - g/2.  Refinement stops once the functionals that the
     criterion selects move by at most tol between levels and, if the area
     is among them, the t-tail estimate is within tol; the larger of the two
@@ -388,9 +365,7 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     n_s = n_t = n_start
     levels = []
     while True:
-        g = modes = None  # release the previous level before building the next
-        g, sums, scale = _level(link, n_s, n_t)
-        modes, top, amp, brackets = _row_spectra(g, scale)
+        modes, top, amp, brackets, sums = _level(link, n_s, n_t)
         tail = _t_tail(amp, top, n_s)
         if area_watched and levels and tail > tol and n_t < N_MAX:
             n_t *= 2

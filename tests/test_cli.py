@@ -295,7 +295,7 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", link_files["sep15"], "--samples", "30")
         assert code == 0
         rep = parse_report(out.strip())
-        assert float(rep["wedge_vs_chart"]) <= 1e-7
+        assert float(rep["wedge_vs_chart"]) <= 1e-12
         assert float(rep["wedge_vs_fd"]) <= 5e-5
         assert float(rep["symplectic_residual"]) <= 1e-6
         assert rep["global_sign"] in ("+1", "-1")

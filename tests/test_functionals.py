@@ -84,15 +84,46 @@ class TestNestedQuadrature:
     def test_level_sums_match_full_grid(self):
         for name, link in la.catalogue().items():
             for shape in ((32, 64), (64, 64), (128, 32), (128, 64), (256, 256)):
-                g, sums, scale = fn._level(link, *shape)
+                modes, _, _, brackets, sums = fn._level(link, *shape)
                 grid = la.build_grid(link, *shape)
-                assert np.allclose(g, grid.g, rtol=0, atol=1e-15 * np.max(grid.abs_omega)), name
-                assert np.array_equal(scale, np.max(grid.abs_omega, axis=1)), name
+                n_t = shape[1]
+                spec = np.fft.rfft(grid.g, norm="forward")
+                want = spec.copy()
+                want[:, 1:n_t // 2] *= 2.0
+                atol = 1e-15 * np.max(grid.abs_omega)
+                assert np.allclose(modes, want, rtol=0, atol=atol), (name, shape)
+                # the sign changes on the whole grid: of the rows' interpolants sampled
+                # _OVERSAMPLE times finer up to _OVERSAMPLE_MAX_N columns, of g above
+                n = n_t * (fn._OVERSAMPLE if n_t <= fn._OVERSAMPLE_MAX_N else 1)
+                vals = np.fft.irfft(spec, n, norm="forward") if n > n_t else grid.g
+                positive = vals >= -fn._ROUNDOFF * np.max(grid.abs_omega, axis=1)[:, None]
+                row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), n)
+                assert np.array_equal(brackets[0], row), (name, shape)
+                assert np.allclose(brackets[1:3], [(hi - 1) * TWO_PI / n, hi * TWO_PI / n],
+                                   rtol=0, atol=1e-15), (name, shape)
+                assert np.allclose(brackets[3:], [vals[row, hi - 1], vals[row, hi]],
+                                   rtol=0, atol=atol), (name, shape)
                 full = np.array([np.sum(grid.g, axis=0),
                                  np.sum(grid.abs_omega - grid.g / 2, axis=0)])
                 # the signed sums cancel to roundoff, so they are held to the area's scale
                 scale_sums = np.array([np.sum(np.abs(grid.g), axis=0), full[1]])
                 assert np.all(np.abs(sums - full) <= 1e-12 * scale_sums), (name, shape)
+
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 15])
+    def test_block_size_moves_only_roundoff(self, block, monkeypatch):
+        links = {**la.catalogue(), "separated_0.5": la.separated_link(0.5)}
+        for n_start in (32, 512):
+            default = {name: fn.compute_functionals(link, 1e-3, n_start)
+                       for name, link in links.items()}
+            with monkeypatch.context() as mp:
+                mp.setattr(fn, "_BLOCK_NODES", block)
+                for name, link in links.items():
+                    rep, want = fn.compute_functionals(link, 1e-3, n_start), default[name]
+                    assert rep.area == want.area and rep.grid_used == want.grid_used, name
+                    assert ([(lv.n_s, lv.n_t, lv.zeros) for lv in rep.levels]
+                            == [(lv.n_s, lv.n_t, lv.zeros) for lv in want.levels]), name
+                    assert rep.energy == pytest.approx(want.energy, rel=1e-14), name
+                    assert abs(rep.signed_area - want.signed_area) <= 1e-14, name
 
     @pytest.mark.parametrize("name, n_start", [("perturbed02", 32), ("perturbed02", 512),
                                                ("separated10", 32), ("separated10", 512),

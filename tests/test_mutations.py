@@ -61,10 +61,6 @@ def _shifted_chart_angle(monkeypatch, shift):
     _patch(monkeypatch, (conformal,), "_chart_angle", lambda f: lambda *a: f(*a) + shift)
 
 
-_ANGLE_FLOOR = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="angles compared as angles, floor 2.11e-8 (ROADMAP item 9)")
-
 MUTATIONS = {
     # g off by 1e-8 pushes a cosine past 1 inside angle_two_routes
     "metric_times_1p1e-8": (lambda mp: _scaled_metric(mp, 1 + 1e-8),
@@ -76,11 +72,9 @@ MUTATIONS = {
     "t_derivative_negated": (_negated_t_derivative, ["symplectic_one_form"]),
     "chart_tangent_reversed": (_reversed_chart_tangent,
                                ["angle_two_routes", "cross_ratio_fd_oracle"]),
-    "wedge_theta_plus_1e-8": pytest.param(
-        lambda mp: _shifted_density_field(mp, 1, lambda theta: theta + 1e-8),
-        ["angle_two_routes"], marks=_ANGLE_FLOOR),
-    "chart_theta_plus_1e-8": pytest.param(
-        lambda mp: _shifted_chart_angle(mp, 1e-8), ["angle_two_routes"], marks=_ANGLE_FLOOR),
+    "wedge_theta_plus_1e-8": (lambda mp: _shifted_density_field(mp, 1, lambda theta: theta + 1e-8),
+                              ["angle_two_routes"]),
+    "chart_theta_plus_1e-8": (lambda mp: _shifted_chart_angle(mp, 1e-8), ["angle_two_routes"]),
 }
 
 
