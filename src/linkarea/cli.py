@@ -12,11 +12,10 @@ pins OpenBLAS to one thread (see linkarea/__init__.py).
 """
 
 import argparse
-import contextlib
 import os
 import sys
 
-from .errors import BadLinkFile, BadParameter, IoFailure, LinkAreaError
+from .errors import BadLinkFile, BadParameter, IoFailure, LinkAreaError, open_output
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -41,30 +40,15 @@ def _load_link(path):
         raise BadLinkFile(f"cannot read {path}: {exc}")
 
 
-def _write_all(files):
-    """Write (path, text) pairs; on failure remove what was written and raise IoFailure."""
-    written = []
-    try:
-        for path, text in files:
-            with open(path, "w", encoding="utf-8") as fh:
-                written.append(path)
-                fh.write(text)
-    except OSError as exc:
-        for done in written:
-            with contextlib.suppress(OSError):
-                os.remove(done)
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def cmd_verify(args) -> int:
     from . import verify as vf
     from .links import catalogue
 
-    results = vf.run_battery(catalogue(), base_seed=args.seed)
+    results = vf.run_battery(catalogue(), args.seed)
     failed = 0
-    for r in results:
-        print(("PASS" if r.passed else "FAIL") + f" {r.name}: {r.detail}")
-        failed += 0 if r.passed else 1
+    for name, passed, detail in results:
+        print(("PASS" if passed else "FAIL") + f" {name}: {detail}")
+        failed += 0 if passed else 1
     print(f"verify: passed={len(results) - failed} failed={failed}")
     return EXIT_OK if failed == 0 else EXIT_PROPERTY
 
@@ -119,17 +103,10 @@ def cmd_anglemap(args) -> int:
     return EXIT_OK
 
 
-def _density_fields(link, n: int = 32):
-    from .functionals import build_grid
-
-    grid = build_grid(link, n, n)
-    return grid.g, grid.theta, grid.abs_omega, grid.re_omega
-
-
 def cmd_invariance(args) -> int:
     import numpy as np
 
-    from .functionals import compute_functionals
+    from .functionals import build_grid, compute_functionals
     from .links import random_mobius
 
     if args.transforms < 1:
@@ -137,21 +114,23 @@ def cmd_invariance(args) -> int:
     if args.transforms > 100:
         raise BadParameter("at most 100 transforms")
     link = _load_link(args.file)
-    base = _density_fields(link)
+    fields = ("g", "theta", "abs_omega", "re_omega")
+    base = build_grid(link, 32, 32)
+    scales = [max(float(np.max(np.abs(getattr(base, f)))), 1.0) for f in fields]
     base_rep = compute_functionals(link, tol=1e-3)
+    scale_a = max(abs(base_rep.area), 1.0)
+    scale_e = max(abs(base_rep.energy), 1.0)
     dev_area = dev_energy = dev_density = 0.0
     for k in range(args.transforms):
         mob = random_mobius(args.seed + k, 1.0)
         moved = mob.transform_link(link)
         rep = compute_functionals(moved, tol=1e-3)
-        scale_a = max(abs(base_rep.area), 1.0)
-        scale_e = max(abs(base_rep.energy), 1.0)
         dev_area = max(dev_area, abs(rep.area - base_rep.area) / scale_a)
         dev_energy = max(dev_energy, abs(rep.energy - base_rep.energy) / scale_e)
-        fields = _density_fields(moved)
-        for f_new, f_old in zip(fields, base):
-            scale = max(float(np.max(np.abs(f_old))), 1.0)
-            dev_density = max(dev_density, float(np.max(np.abs(f_new - f_old))) / scale)
+        grid = build_grid(moved, 32, 32)
+        for f, scale in zip(fields, scales):
+            dev = np.max(np.abs(getattr(grid, f) - getattr(base, f)))
+            dev_density = max(dev_density, float(dev) / scale)
     print(f"transforms={args.transforms} max_rel_area={_fmt(dev_area)} "
           f"max_rel_energy={_fmt(dev_energy)} max_rel_density={_fmt(dev_density)}")
     if max(dev_area, dev_energy, dev_density) > INVARIANCE_TOL:
@@ -181,7 +160,7 @@ def cmd_oracle(args) -> int:
     dev_chart = float(np.max(np.abs(np.cos(theta) - np.cos(theta_chart))))
     re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, args.eps, pole=pole)
     dev_fd = float(np.max(np.abs(re - re_fd)))
-    residual = sy.exterior_derivative_check(link.c1, link.c2, 128, 128)
+    residual = sy.exterior_derivative_check(link.c1, link.c2)
     print(f"samples={args.samples} wedge_vs_chart={_fmt(dev_chart)} "
           f"wedge_vs_fd={_fmt(dev_fd)} symplectic_residual={_fmt(residual)} "
           f"global_sign={sy.SIGN:+d}")
@@ -202,7 +181,10 @@ def cmd_minimize(args) -> int:
                       stop_below=args.stop_below)
     final = decode_link(result.vector)  # validated before either file is written
     trace = "step,objective\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(result.trace))
-    _write_all([(args.trace_out, trace), (args.link_out, link_text(final))])
+    with open_output(args.trace_out) as fh:
+        fh.write(trace.encode())
+        with open_output(args.link_out) as fh:  # a failure here removes both files
+            fh.write(link_text(final).encode())
     res1 = circle_fit_residual(final.c1)
     res2 = circle_fit_residual(final.c2)
     print(f"status={result.status} steps={len(result.trace) - 1} "

@@ -55,9 +55,10 @@ _POLE_CANDIDATES = np.array(
 _POLE_CANDIDATES = _POLE_CANDIDATES / np.linalg.norm(_POLE_CANDIDATES, axis=1, keepdims=True)
 
 
-def chart_pole(c1, c2, n_scan: int = 512):
-    """First of 26 fixed candidate poles with clearance >= 0.3 from both curves."""
-    s = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
+def chart_pole(c1, c2):
+    """First of 26 fixed candidate poles with clearance >= 0.3 from both
+    curves, each sampled at 512 uniform parameters."""
+    s = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     pts = np.vstack([c1.point(s), c2.point(s)])
     for cand in _POLE_CANDIDATES:
         clearance = np.min(np.linalg.norm(pts - cand, axis=1))

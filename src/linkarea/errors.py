@@ -1,4 +1,8 @@
-"""Exception types raised by the linkarea library."""
+"""Exception types raised by the linkarea library, and open_output, which
+turns a failed write into IoFailure and leaves no partial file."""
+
+import contextlib
+import os
 
 
 class LinkAreaError(Exception):
@@ -33,10 +37,6 @@ class PoleOnCurve(LinkAreaError):
     """No chart pole with sufficient clearance from both curves exists."""
 
 
-class DegenerateBasis(LinkAreaError):
-    """Constructed tangent vectors do not have full rank."""
-
-
 class NoConvergence(LinkAreaError):
     """Grid refinement hit the resolution cap before meeting the tolerance."""
 
@@ -47,3 +47,27 @@ class DisjointnessViolation(LinkAreaError):
 
 class IoFailure(LinkAreaError):
     """Reading or writing a data file failed."""
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """Open path for binary writing, as a context whose failure leaves no file.
+
+    An exception raised inside the block removes the file.  It propagates,
+    as does a failed open: an OSError as IoFailure, anything else (a kernel
+    error, KeyboardInterrupt) unchanged.  Nested, an inner failure removes
+    the outer file as well.
+    """
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise

@@ -174,7 +174,11 @@ def _level(link: Link2, n_s: int, n_t: int):
         rows = slice(r0, r0 + step)
         g, absval = magnitude_kernel(x[rows], xp[rows], y, yp)[:2]
         spec = np.fft.rfft(g, norm="forward")  # a_0, a_k / 2, a_{n/2}
-        vals = np.fft.irfft(spec, pad * n_t, norm="forward") if pad > 1 else g
+        vals = g
+        if pad > 1:  # padded, irfft takes mode n/2 as the pair +-n/2: halved, it counts once
+            padded = spec.copy()
+            padded[:, half] *= 0.5
+            vals = np.fft.irfft(padded, pad * n_t, norm="forward")
         positive = vals >= -_ROUNDOFF * absval.max(axis=1)[:, None]
         row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), pad * n_t)
         found.append((row + r0, hi - 1, hi, vals[row, hi - 1], vals[row, hi]))

@@ -15,13 +15,11 @@ NULs in one bytes.translate.
 The import accepts only the s-major product grid that the export writes.
 """
 
-import contextlib
 import functools
-import os
 
 import numpy as np
 
-from .errors import IoFailure
+from .errors import IoFailure, open_output
 from .functionals import TorusGrid
 
 CSV_HEADER = "s,t,g,theta,abs_omega,re_omega"
@@ -179,39 +177,28 @@ def write_grid(s, t, blocks, path) -> None:
     block and allocated once per file, unless a later block is larger.  The
     bytes are those of np.savetxt with fmt "%.17g".
 
-    Any exception raised while the file is open removes it: an OSError is
-    raised as IoFailure, and anything else (a kernel error in a later
-    block, KeyboardInterrupt) unchanged.
+    Any exception raised while the file is open removes it (see
+    errors.open_output): an OSError is raised as IoFailure, and anything
+    else (a kernel error in a later block, KeyboardInterrupt) unchanged.
     """
     n_t = len(t)
     s_text, t_text = _format_g17(s), _format_g17(t)
     block = np.zeros((0, n_t, 6, _FIELD + 1), np.uint8)
-    try:
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    try:
-        with fh:
-            fh.write(CSV_HEADER.encode() + b"\n")
-            i = 0
-            for fields in blocks:
-                if len(fields[0]) > len(block):
-                    block = np.zeros((len(fields[0]), n_t, 6, _FIELD + 1), np.uint8)
-                    block[..., _FIELD] = ord(",")
-                    block[:, :, 5, _FIELD] = ord("\n")
-                    block[:, :, 1, :_FIELD] = t_text
-                rows = block[:len(fields[0])]
-                rows[:, :, 0, :_FIELD] = s_text[i:i + len(rows), None]
-                cells = np.stack(fields, axis=-1)
-                rows[:, :, 2:, :_FIELD] = _format_g17(cells).reshape(len(rows), n_t, 4, _FIELD)
-                fh.write(rows.tobytes().translate(None, b"\0"))
-                i += len(rows)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(path)
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
-        raise
+    with open_output(path) as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        i = 0
+        for fields in blocks:
+            if len(fields[0]) > len(block):
+                block = np.zeros((len(fields[0]), n_t, 6, _FIELD + 1), np.uint8)
+                block[..., _FIELD] = ord(",")
+                block[:, :, 5, _FIELD] = ord("\n")
+                block[:, :, 1, :_FIELD] = t_text
+            rows = block[:len(fields[0])]
+            rows[:, :, 0, :_FIELD] = s_text[i:i + len(rows), None]
+            cells = np.stack(fields, axis=-1)
+            rows[:, :, 2:, :_FIELD] = _format_g17(cells).reshape(len(rows), n_t, 4, _FIELD)
+            fh.write(rows.tobytes().translate(None, b"\0"))
+            i += len(rows)
 
 
 def read_grid(path) -> TorusGrid:

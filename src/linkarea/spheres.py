@@ -9,7 +9,7 @@ independent routes, and tangent-space signature counting.
 import numpy as np
 
 from . import minkowski as mk
-from .errors import CoincidentPoints, DegenerateBasis, NotOnSphere
+from .errors import CoincidentPoints, NotOnSphere
 from .links import DELTA_SEP
 
 #: central-difference step for tangent construction on unit-scale geometry
@@ -129,14 +129,13 @@ def _pair_tangent_vectors(x, y):
 
 
 def theta_tangent_signature(x, y):
-    """Signature (n_plus, n_minus, n_zero) of the tangent space at a pair.
+    """Signature counts (n_plus, n_minus, n_zero) of the tangent spaces at pairs.
 
     Three directions through each point span the tangent space; the 6x6
     Gram matrix under the wedge metric has signature (3, 3, 0) everywhere.
     Broadcasts over the leading axes of (..., 4) pairs and returns their
     (..., 3) counts; a pair whose tangents are non-finite or of rank below
-    6 has no signature and counts (0, 0, 0).  A single pair returns a
-    tuple, and raises DegenerateBasis instead.
+    6 has no signature and counts (0, 0, 0).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -146,20 +145,14 @@ def theta_tangent_signature(x, y):
     V = np.where(finite[..., None, None], V, 0.0)
     rank_ev = np.linalg.eigvalsh(V @ np.swapaxes(V, -1, -2))
     full = finite & (rank_ev[..., 0] >= 1e-8 * np.maximum(1.0, rank_ev[..., -1]))
-    single = V.ndim == 2
-    if single and not full:
-        raise DegenerateBasis("non-finite tangent vectors" if not finite
-                              else "tangent vectors have rank below 6")
     gram = (V * mk.EPS10) @ np.swapaxes(V, -1, -2)
-    counts = signature_counts(np.linalg.eigvalsh(gram), TAU_EIG)
-    return counts if single else np.where(full[..., None], counts, 0)
+    return np.where(full[..., None], signature_counts(np.linalg.eigvalsh(gram)), 0)
 
 
-def signature_counts(eigenvalues, zero_threshold: float):
-    """(n_plus, n_minus, n_zero) along the last axis, |lambda| <= zero_threshold
-    counted as zero: a tuple for one spectrum, else a (..., 3) array."""
+def signature_counts(eigenvalues):
+    """(n_plus, n_minus, n_zero) of the spectra along the last axis, as a
+    (..., 3) array; |lambda| <= TAU_EIG counts as zero."""
     ev = np.asarray(eigenvalues, dtype=float)
-    n_plus = np.sum(ev > zero_threshold, axis=-1)
-    n_minus = np.sum(ev < -zero_threshold, axis=-1)
-    counts = np.stack([n_plus, n_minus, ev.shape[-1] - n_plus - n_minus], axis=-1)
-    return tuple(int(c) for c in counts) if counts.ndim == 1 else counts
+    n_plus = np.sum(ev > TAU_EIG, axis=-1)
+    n_minus = np.sum(ev < -TAU_EIG, axis=-1)
+    return np.stack([n_plus, n_minus, ev.shape[-1] - n_plus - n_minus], axis=-1)

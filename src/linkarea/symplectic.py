@@ -21,7 +21,9 @@ from .spheres import metric_kernel
 #: the sign in g = SIGN * da/dt, i.e. g = -da/dt
 SIGN = -1
 
-#: bound on exterior_derivative_check at 128 x 128 (verify, oracle)
+#: exterior_derivative_check runs on the N_GRID x N_GRID grid ...
+N_GRID = 128
+#: ... and this bounds its residual there (verify, oracle)
 TOL_SYMPLECTIC = 1e-6
 
 
@@ -39,15 +41,10 @@ def stereo_project(x, y):
     return (y - np.sum(x * y, axis=-1)[..., None] * x) / d[..., None]
 
 
-def tautological_pullback(c1, c2, n_s: int, n_t: int):
-    """Coefficient a of the pulled-back 1-form a ds on the uniform n_s x n_t
-    torus grid s, t = linspace(0, 2 pi, n, endpoint=False)."""
-    if n_s < 32 or n_t < 32:
-        raise ValueError("grid must be at least 32 x 32")
-    s = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
-    t = np.linspace(0.0, TWO_PI, n_t, endpoint=False)
-    x, xp = c1.evaluate(s)
-    y, _ = c2.evaluate(t)
+def tautological_pullback(x, xp, y):
+    """Coefficient a[i, j] of the pulled-back 1-form a ds at the pairs of the
+    first curve's points x and velocities xp, (n, 4), and the second
+    curve's points y, (m, 4)."""
     dots = x @ y.T
     if np.max(dots) >= 1.0 - 1e-12:
         raise CoincidentPoints("grid contains coincident component points")
@@ -66,10 +63,12 @@ def spectral_t_derivative(values):
     return np.fft.irfft(deriv, n=n_t, axis=1)
 
 
-def exterior_derivative_check(c1, c2, n_s: int = 128, n_t: int = 128) -> float:
+def exterior_derivative_check(c1, c2) -> float:
     """Residual of the 1-form route against the metric route: the largest
-    |Re omega - SIGN * da/dt / 2| on the grid, where Re omega = g / 2."""
-    da_dt = spectral_t_derivative(tautological_pullback(c1, c2, n_s, n_t))
-    x, xp = c1.evaluate(np.linspace(0.0, TWO_PI, n_s, endpoint=False))
-    y, yp = c2.evaluate(np.linspace(0.0, TWO_PI, n_t, endpoint=False))
+    |Re omega - SIGN * da/dt / 2| on the uniform N_GRID x N_GRID torus grid,
+    where Re omega = g / 2."""
+    nodes = np.linspace(0.0, TWO_PI, N_GRID, endpoint=False)
+    x, xp = c1.evaluate(nodes)
+    y, yp = c2.evaluate(nodes)
+    da_dt = spectral_t_derivative(tautological_pullback(x, xp, y))
     return 0.5 * float(np.max(np.abs(metric_kernel(x, xp, y, yp) - SIGN * da_dt)))

@@ -383,6 +383,38 @@ class TestMinimize:
         assert err.startswith("error: cannot write")
         assert not trace.exists()
 
+    def test_interrupt_while_writing_link_removes_both(self, link_files, tmp_path,
+                                                        monkeypatch):
+        import builtins
+        trace, final = tmp_path / "t.csv", tmp_path / "f.lk1"
+        real_open = builtins.open
+
+        class Interrupted:
+            """The link file, created and open, whose first write is interrupted."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise KeyboardInterrupt
+
+        def open_interrupting_link(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return Interrupted(fh) if str(path) == str(final) else fh
+        monkeypatch.setattr(builtins, "open", open_interrupting_link)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["minimize", link_files["hopf"], "--steps", "2",
+                      "--trace-out", str(trace), "--link-out", str(final)])
+        monkeypatch.undo()
+        assert not trace.exists()
+        assert not final.exists()
+
     def test_same_output_file_rejected(self, capsys, link_files, tmp_path):
         path = tmp_path / "out"
         code, out, err = run_cli(capsys, "minimize", link_files["hopf"], "--steps", "2",

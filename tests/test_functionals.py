@@ -95,7 +95,9 @@ class TestNestedQuadrature:
                 # the sign changes on the whole grid: of the rows' interpolants sampled
                 # _OVERSAMPLE times finer up to _OVERSAMPLE_MAX_N columns, of g above
                 n = n_t * (fn._OVERSAMPLE if n_t <= fn._OVERSAMPLE_MAX_N else 1)
-                vals = np.fft.irfft(spec, n, norm="forward") if n > n_t else grid.g
+                padded = spec.copy()
+                padded[:, n_t // 2] *= 0.5  # the interpolant holds the Nyquist mode once
+                vals = np.fft.irfft(padded, n, norm="forward") if n > n_t else grid.g
                 positive = vals >= -fn._ROUNDOFF * np.max(grid.abs_omega, axis=1)[:, None]
                 row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), n)
                 assert np.array_equal(brackets[0], row), (name, shape)
@@ -108,6 +110,24 @@ class TestNestedQuadrature:
                 # the signed sums cancel to roundoff, so they are held to the area's scale
                 scale_sums = np.array([np.sum(np.abs(grid.g), axis=0), full[1]])
                 assert np.all(np.abs(sums - full) <= 1e-12 * scale_sums), (name, shape)
+
+    def test_brackets_interpolate_the_nodes(self):
+        # the oversampled samples of each row's interpolant pass through g
+        # at the nodes, which every eighth sample is
+        pad = fn._OVERSAMPLE
+        for name, link in la.catalogue().items():
+            if not name.startswith("perturbed_hopf_0.2"):
+                continue
+            for shape in ((32, 32), (64, 64), (128, 128)):
+                g = la.build_grid(link, *shape).g
+                row, lo, hi, v_lo, v_hi = fn._level(link, *shape)[3]
+                n = pad * shape[1]
+                at = np.rint(np.r_[lo, hi] * n / TWO_PI).astype(int) % n
+                row, vals = np.r_[row, row], np.r_[v_lo, v_hi]
+                node = at % pad == 0
+                assert node.sum() >= 8, (name, shape)
+                dev = np.max(np.abs(vals[node] - g[row[node], at[node] // pad]))
+                assert dev <= 1e-13 * np.max(np.abs(g)), (name, shape, dev)
 
     @pytest.mark.parametrize("block", [1 << 12, 1 << 15])
     def test_block_size_moves_only_roundoff(self, block, monkeypatch):
@@ -496,7 +516,9 @@ class TestExportImport:
             fh.write = limited
             return fh
 
-        monkeypatch.setattr(gio, "open", disk_full_after_4k, raising=False)
+        # write_grid opens its file through errors.open_output
+        from linkarea import errors
+        monkeypatch.setattr(errors, "open", disk_full_after_4k, raising=False)
         path = tmp_path / "grid.csv"
         with pytest.raises(IoFailure):
             _write_whole(grid, path)
