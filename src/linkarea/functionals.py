@@ -159,7 +159,8 @@ def _level(link: Link2, n_s: int, n_t: int):
     images) have no sign changes, and a zero that falls on a sample is
     bracketed between that sample and its neighbour.  A bracket joins two
     consecutive samples, cyclically: the one before sample 0 is the row's
-    last, at index -1.
+    last, at index -1.  A g or |Omega| that is not finite anywhere on the
+    grid raises NoConvergence.
     """
     x, xp = link.c1.evaluate(_nodes(n_s))
     y, yp = link.c2.evaluate(_nodes(n_t))
@@ -191,6 +192,8 @@ def _level(link: Link2, n_s: int, n_t: int):
         amp += size.sum(axis=0)
         spec[:, 1:half] *= 2.0
         modes[rows] = spec
+    if not np.all(np.isfinite(sums)):
+        raise NoConvergence(f"non-finite density on the {n_s}x{n_t} grid")
     amp[1:half] *= 2.0
     top = np.flatnonzero(peak > _MODE_FLOOR * np.max(peak))[-1] if np.any(peak) else 0
     row, lo, hi, v_lo, v_hi = (np.concatenate(part) for part in zip(*found))

@@ -376,7 +376,7 @@ class MobiusMap:
         A = np.asarray(matrix, dtype=float)
         if A.shape != (5, 5):
             raise BadParameter("moebius matrix must be 5x5")
-        if mk.pseudo_orthogonality_residual(A) > 1e-10:
+        if not mk.orthogonality_residual(A, mk.ETA5) <= 1e-10:
             raise BadParameter("matrix is not pseudo-orthogonal")
         if A[0, 0] <= 0.0:
             raise BadParameter("matrix reverses time orientation")

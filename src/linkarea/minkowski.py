@@ -94,28 +94,26 @@ def plucker_residuals(p):
 
 
 def minor_lift(A):
-    """Lift a 5x5 matrix to the 10x10 matrix of its 2x2 minors.
+    """Lift 5x5 matrices to the 10x10 matrices of their 2x2 minors (broadcasts).
 
     Satisfies minor_lift(A) @ wedge(x, y) = wedge(A @ x, A @ y); restricted
     to the pseudo-orthogonal group of R^5 it lands in the pseudo-orthogonal
-    group of the wedge square and is a homomorphism.
+    group of the wedge square and is a homomorphism.  A stack (..., 5, 5)
+    lifts to a C-contiguous stack (..., 10, 10), so that a product with
+    one of its matrices rounds as with a single lift.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape != (5, 5):
-        raise ValueError("minor_lift expects a 5x5 matrix")
-    return (A[np.ix_(_I1, _I1)] * A[np.ix_(_I2, _I2)]
-            - A[np.ix_(_I1, _I2)] * A[np.ix_(_I2, _I1)])
+    if A.shape[-2:] != (5, 5):
+        raise ValueError("minor_lift expects 5x5 matrices")
+    i1, i2 = _I1[:, None], _I2[:, None]
+    return np.ascontiguousarray(A[..., i1, _I1] * A[..., i2, _I2]
+                                - A[..., i1, _I2] * A[..., i2, _I1])
 
 
-def pseudo_orthogonality_residual(A) -> float:
-    """max |A^T eta A - eta| over entries, eta = diag(-1, 1, 1, 1, 1)."""
-    A = np.asarray(A, dtype=float)
-    eta = np.diag(ETA5)
-    return float(np.max(np.abs(A.T @ eta @ A - eta)))
-
-
-def lift10_orthogonality_residual(M) -> float:
-    """max |M^T eps M - eps| over entries for the 10-dimensional metric."""
+def orthogonality_residual(M, signs) -> float:
+    """max |M^T diag(signs) M - diag(signs)| over the entries of M or of a
+    stack of them: how far M is from preserving the metric of the signs,
+    ETA5 on R^5 or EPS10 on the wedge square.  A NaN entry gives NaN."""
     M = np.asarray(M, dtype=float)
-    eps = np.diag(EPS10)
-    return float(np.max(np.abs(M.T @ eps @ M - eps)))
+    metric = np.diag(signs)
+    return float(np.max(np.abs(np.swapaxes(M, -1, -2) @ metric @ M - metric)))

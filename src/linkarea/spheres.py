@@ -99,18 +99,6 @@ def metric_kernel(x, xp, y, yp):
     return g
 
 
-def metric_pairs(c1, c2, s, t):
-    """Metric coefficient at the samples (s, t), broadcast against each other.
-
-    Like a ufunc: paired arrays give g at (s[k], t[k]), s[:, None] and t
-    the product grid, scalars a 0-d array.
-    """
-    x, xp = c1.evaluate(np.asarray(s, dtype=float))
-    y, yp = c2.evaluate(np.asarray(t, dtype=float))
-    pair = (a[..., None, :] for a in (x, xp, y, yp))
-    return metric_kernel(*pair)[..., 0, 0]
-
-
 def _pair_tangent_vectors(x, y):
     """Six central-difference tangents (..., 6, 10) of the embedding at pairs (..., 4)."""
     vecs = []

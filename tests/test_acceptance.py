@@ -113,7 +113,7 @@ def test_criterion_05_density_routes(separated10, perturbed02):
     worst_fd = 0.0
     worst_order = np.inf
     for link in (separated10, perturbed02):
-        g_closed = sp.metric_pairs(link.c1, link.c2, s[:, None], s)
+        g_closed = cf.density_pairs(link.c1, link.c2, s[:, None], s)[0]
         S, T = np.meshgrid(s, s, indexing="ij")
         _, ss_d, st_d = sp.sigma_derivatives(link.c1, link.c2, S.ravel(), T.ravel())
         g_explicit = mk.inner10(ss_d, st_d).reshape(n, n)
@@ -128,7 +128,7 @@ def test_criterion_05_density_routes(separated10, perturbed02):
         for _ in range(20):
             s0 = rng.uniform_in(0, TWO_PI)
             t0 = rng.uniform_in(0, TWO_PI)
-            want = 0.5 * sp.metric_pairs(link.c1, link.c2, s0, t0)
+            want = 0.5 * cf.density_pairs(link.c1, link.c2, s0, t0)[0]
             full = cf.cross_ratio_fd(link.c1, link.c2, s0, t0, 1e-3, pole=pole)
             half = cf.cross_ratio_fd(link.c1, link.c2, s0, t0, 5e-4, pole=pole)
             worst_fd = max(worst_fd, abs(full - want))
@@ -154,7 +154,7 @@ def test_criterion_07_minor_lift_group():
     for k in range(50):
         A = la.random_mobius(2000 + 2 * k, 1.5).matrix
         B = la.random_mobius(2001 + 2 * k, 1.5).matrix
-        worst_orth = max(worst_orth, mk.lift10_orthogonality_residual(mk.minor_lift(A)))
+        worst_orth = max(worst_orth, mk.orthogonality_residual(mk.minor_lift(A), mk.EPS10))
         hom = np.max(np.abs(mk.minor_lift(A @ B) - mk.minor_lift(A) @ mk.minor_lift(B)))
         worst_hom = max(worst_hom, float(hom))
     ok = worst_orth <= 1e-10 and worst_hom <= 1e-10

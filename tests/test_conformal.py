@@ -3,7 +3,6 @@ import pytest
 
 import linkarea as la
 from linkarea import conformal as cf
-from linkarea import spheres as sp
 from linkarea.errors import BadParameter, CoincidentPoints
 from linkarea.rng import Lcg64
 from test_spheres import antipodal_test_curves
@@ -91,7 +90,7 @@ class TestCrossRatioDensity:
         for _ in range(50):
             s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
             re = cf.density_pairs(perturbed02.c1, perturbed02.c2, s0, t0)[3]
-            g = sp.metric_pairs(perturbed02.c1, perturbed02.c2, s0, t0)
+            g = cf.density_pairs(perturbed02.c1, perturbed02.c2, s0, t0)[0]
             assert re == pytest.approx(g / 2, abs=1e-10)
 
     def test_density_identity(self, perturbed02):
@@ -162,7 +161,7 @@ class TestCrossRatioFd:
         # both stencil pairs on one planar circle through the chart
         c, pole = hopf.c1, np.array([0.0, 0.0, 0.0, 1.0])
         val = cf.cross_ratio_fd(c, c.reversed(), 0.0, np.pi / 2, 1e-3, pole=pole)
-        want = 0.5 * sp.metric_pairs(c, c.reversed(), 0.0, np.pi / 2)
+        want = 0.5 * cf.density_pairs(c, c.reversed(), 0.0, np.pi / 2)[0]
         assert abs(val - want) <= 5e-5
 
     def test_array_call_matches_scalar_calls(self, perturbed02):
@@ -205,7 +204,7 @@ def test_pole_scan_exhaustion():
         cf.chart_pole(c, c)
 
 
-def test_metric_pairs_rejects_touching_curves(hopf):
+def test_density_pairs_rejects_touching_curves(hopf):
     s = np.linspace(0, TWO_PI, 16, endpoint=False)
     with pytest.raises(CoincidentPoints):
-        sp.metric_pairs(hopf.c1, hopf.c1, s[:, None], s)
+        cf.density_pairs(hopf.c1, hopf.c1, s[:, None], s)

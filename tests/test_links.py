@@ -164,7 +164,7 @@ class TestMobius:
             m1 = la.random_mobius(seed, 1.7)
             m2 = la.random_mobius(seed, 1.7)
             assert np.array_equal(m1.matrix, m2.matrix)
-            assert mk.pseudo_orthogonality_residual(m1.matrix) <= 1e-12
+            assert mk.orthogonality_residual(m1.matrix, mk.ETA5) <= 1e-12
             assert m1.matrix[0, 0] > 0
 
     def test_zero_rapidity_is_rotation(self):
@@ -177,13 +177,19 @@ class TestMobius:
         with pytest.raises(BadParameter):
             la.random_mobius(0, 2.5)
 
+    def test_rejects_non_finite_matrix(self):
+        A = np.eye(5)
+        A[2, 3] = np.nan
+        with pytest.raises(BadParameter, match="pseudo-orthogonal"):
+            lk.MobiusMap(A)
+
     def test_action_preserves_metric_coefficient(self, perturbed02):
-        from linkarea.spheres import metric_pairs
-        base = float(metric_pairs(perturbed02.c1, perturbed02.c2, 0.9, 2.3))
+        from linkarea.conformal import density_pairs
+        base = float(density_pairs(perturbed02.c1, perturbed02.c2, 0.9, 2.3)[0])
         for seed in range(5):
             m = la.random_mobius(seed + 40, 1.0)
             moved = m.transform_link(perturbed02)
-            got = float(metric_pairs(moved.c1, moved.c2, 0.9, 2.3))
+            got = float(density_pairs(moved.c1, moved.c2, 0.9, 2.3)[0])
             assert got == pytest.approx(base, rel=1e-8, abs=1e-10)
 
 

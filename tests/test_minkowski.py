@@ -128,10 +128,28 @@ class TestMinorLift:
         for k in range(10):
             A = random_mobius(20 + 2 * k, 1.5).matrix
             B = random_mobius(21 + 2 * k, 1.5).matrix
-            assert mk.lift10_orthogonality_residual(mk.minor_lift(A)) <= 1e-10
+            assert mk.orthogonality_residual(mk.minor_lift(A), mk.EPS10) <= 1e-10
             diff = np.abs(mk.minor_lift(A @ B) - mk.minor_lift(A) @ mk.minor_lift(B))
             assert np.max(diff) <= 1e-10
+
+    def test_stack_matches_single_lifts(self):
+        from linkarea.links import random_mobius
+        A = np.array([random_mobius(30 + k, 1.5).matrix for k in range(6)]).reshape(2, 3, 5, 5)
+        lifted = mk.minor_lift(A)
+        assert lifted.shape == (2, 3, 10, 10) and lifted.flags.c_contiguous
+        assert np.array_equal(lifted, [[mk.minor_lift(a) for a in row] for row in A])
+        assert mk.orthogonality_residual(lifted, mk.EPS10) == max(
+            mk.orthogonality_residual(m, mk.EPS10) for m in lifted.reshape(6, 10, 10))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             mk.minor_lift(np.eye(4))
+        with pytest.raises(ValueError):
+            mk.minor_lift(np.ones((3, 5, 4)))
+
+
+class TestOrthogonalityResidual:
+    def test_non_finite_entry_is_nan(self):
+        A = np.eye(5)
+        A[1, 4] = np.nan
+        assert np.isnan(mk.orthogonality_residual(A, mk.ETA5))

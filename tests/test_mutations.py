@@ -2,12 +2,16 @@
 must report it as a property failure (exit 1), never as an input error.
 
 A row patches a kernel, not an entry point, in every module that imports
-it, so that each route that calls the kernel sees the defect."""
+it, so that each route that calls the kernel sees the defect.  The NaN
+rows write NaN at one element per call of a kernel: a deviation or a
+level that is not finite must fail, in `verify` and in the commands that
+judge the route (exit 3)."""
 
 import numpy as np
 import pytest
 
-from linkarea import cli, conformal, functionals, spheres, symplectic
+import linkarea as la
+from linkarea import cli, conformal, functionals, spheres, symplectic, verify
 
 
 def _patch(monkeypatch, modules, name, wrap):
@@ -61,6 +65,47 @@ def _shifted_chart_angle(monkeypatch, shift):
     _patch(monkeypatch, (conformal,), "_chart_angle", lambda f: lambda *a: f(*a) + shift)
 
 
+def _nan_first(a):
+    """A copy of a with its first element NaN."""
+    a = np.array(a, dtype=float)
+    a.flat[0] = np.nan
+    return a
+
+
+def _nan_in(monkeypatch, modules, name, field=None):
+    """NaN at one element per call of the kernel name: of its output, or of
+    the output's field at index field."""
+    def wrap(f):
+        def seeded(*a, **kw):
+            out = f(*a, **kw)
+            if field is None:
+                return _nan_first(out)
+            return tuple(_nan_first(v) if k == field else v for k, v in enumerate(out))
+        return seeded
+    _patch(monkeypatch, modules, name, wrap)
+
+
+#: name: (seed of the defect, the checks that verify must fail, and the
+#: commands that must exit 3; the other commands exit 0)
+NAN_MUTATIONS = {
+    "metric_nan": (lambda mp: _nan_in(mp, (spheres, conformal, symplectic), "metric_kernel"),
+                   ["metric_two_routes", "symplectic_one_form"],
+                   {"area", "oracle", "invariance"}),
+    "abs_omega_nan": (lambda mp: _nan_in(mp, (conformal, functionals), "magnitude_kernel", 1),
+                      ["cross_ratio_fd_oracle"], {"area", "oracle", "invariance"}),
+    "theta_nan": (lambda mp: _nan_in(mp, (conformal, functionals), "density_kernel", 1),
+                  ["angle_two_routes"], {"oracle", "invariance"}),
+    "re_omega_nan": (lambda mp: _nan_in(mp, (conformal, functionals), "density_kernel", 3),
+                     ["cross_ratio_fd_oracle"], {"oracle", "invariance"}),
+    "chart_angle_nan": (lambda mp: _nan_in(mp, (conformal,), "_chart_angle"),
+                        ["angle_two_routes"], {"oracle"}),
+    "fd_nan": (lambda mp: _nan_in(mp, (conformal,), "cross_ratio_fd"),
+               ["cross_ratio_fd_oracle"], {"oracle"}),
+    "t_derivative_nan": (lambda mp: _nan_in(mp, (symplectic,), "spectral_t_derivative"),
+                         ["symplectic_one_form"], {"oracle"}),
+}
+
+
 MUTATIONS = {
     # g off by 1e-8 pushes a cosine past 1 inside angle_two_routes
     "metric_times_1p1e-8": (lambda mp: _scaled_metric(mp, 1 + 1e-8),
@@ -75,6 +120,7 @@ MUTATIONS = {
     "wedge_theta_plus_1e-8": (lambda mp: _shifted_density_field(mp, 1, lambda theta: theta + 1e-8),
                               ["angle_two_routes"]),
     "chart_theta_plus_1e-8": (lambda mp: _shifted_chart_angle(mp, 1e-8), ["angle_two_routes"]),
+    **{name: row[:2] for name, row in NAN_MUTATIONS.items()},
 }
 
 
@@ -89,4 +135,23 @@ def test_defect_fails_verify(capsys, monkeypatch, seed_defect, failing):
         assert any(line.startswith(f"FAIL {check}:") for line in lines), out
     n_failed = sum(line.startswith("FAIL ") for line in lines)
     assert n_failed >= 1
-    assert lines[-1] == f"verify: passed={11 - n_failed} failed={n_failed}"
+    assert lines[-1] == f"verify: passed={len(verify.BATTERY) - n_failed} failed={n_failed}"
+
+
+@pytest.fixture(scope="module")
+def p02_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("links") / "p02.lk1"
+    la.write_link(la.perturbed_hopf_link(0.2, 0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("seed_defect, failing_commands",
+                         [row[::2] for row in NAN_MUTATIONS.values()], ids=list(NAN_MUTATIONS))
+def test_nan_fails_the_commands(capsys, monkeypatch, p02_file, seed_defect, failing_commands):
+    seed_defect(monkeypatch)
+    commands = {"area": ["area", p02_file],
+                "oracle": ["oracle", p02_file, "--samples", "20"],
+                "invariance": ["invariance", p02_file, "--transforms", "1"]}
+    codes = {name: cli.main(argv) for name, argv in commands.items()}
+    capsys.readouterr()
+    assert codes == {name: 3 if name in failing_commands else 0 for name in commands}

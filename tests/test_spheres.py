@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import linkarea as la
+from linkarea import conformal as cf
 from linkarea import links as lk
 from linkarea import minkowski as mk
 from linkarea import spheres as sp
@@ -93,19 +94,19 @@ class TestSigmaDerivatives:
 class TestMetricCoefficient:
     def test_hopf_everywhere_zero(self, hopf):
         s = np.linspace(0, TWO_PI, 64, endpoint=False)
-        assert np.max(np.abs(sp.metric_pairs(hopf.c1, hopf.c2, s[:, None], s))) <= 1e-14
+        assert np.max(np.abs(cf.density_pairs(hopf.c1, hopf.c2, s[:, None], s)[0])) <= 1e-14
 
     def test_antipodal_value(self):
         c1, c2 = antipodal_test_curves()
         want = -0.5 * (c1.evaluate(0.0)[1] @ c2.evaluate(0.0)[1])
-        assert sp.metric_pairs(c1, c2, 0.0, 0.0) == pytest.approx(want, abs=1e-12)
+        assert cf.density_pairs(c1, c2, 0.0, 0.0)[0] == pytest.approx(want, abs=1e-12)
 
     def test_matches_explicit_route(self, small_catalogue):
         rng = Lcg64(25)
         for link in small_catalogue.values():
             s = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
             t = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
-            closed = sp.metric_pairs(link.c1, link.c2, s, t)
+            closed = cf.density_pairs(link.c1, link.c2, s, t)[0]
             _, ss, st = sp.sigma_derivatives(link.c1, link.c2, s, t)
             explicit = mk.inner10(ss, st)
             scale = np.maximum(np.abs(explicit), 1.0)
@@ -113,7 +114,7 @@ class TestMetricCoefficient:
 
     def test_grid_matches_scalar(self, perturbed02):
         s = np.linspace(0, TWO_PI, 8, endpoint=False)
-        grid = sp.metric_pairs(perturbed02.c1, perturbed02.c2, s[:, None], s)
+        grid = cf.density_pairs(perturbed02.c1, perturbed02.c2, s[:, None], s)[0]
         for i in (0, 3, 7):
             for j in (1, 4, 6):
                 # the explicit route <sigma_s, sigma_t> at one scalar (s, t)
@@ -162,7 +163,7 @@ class TestSignature:
         assert sp.theta_tangent_signature(x[0], y[0]).tolist() == [0, 0, 0]
 
     def test_torus_gram_eigenvalues(self, separated10):
-        g = float(sp.metric_pairs(separated10.c1, separated10.c2, 0.3, 1.1))
+        g = float(cf.density_pairs(separated10.c1, separated10.c2, 0.3, 1.1)[0])
         assert abs(g) > 1e-5
         _, ss, st = sp.sigma_derivatives(separated10.c1, separated10.c2, 0.3, 1.1)
         gram = np.array([[mk.inner10(ss, ss), mk.inner10(ss, st)],
