@@ -76,7 +76,7 @@ def chart_point(x, pole, basis):
     """Stereographic chart coordinates of x, projecting from the pole."""
     x = np.asarray(x, dtype=float)
     d = 1.0 - x @ pole
-    if np.min(d) <= 1e-12:
+    if not np.min(d) > 1e-12:
         raise CoincidentPoints("point at the chart pole")
     q = (x - (x @ pole)[..., None] * pole) / d[..., None]
     return q @ basis.T

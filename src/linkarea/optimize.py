@@ -7,7 +7,10 @@ which vanishes identically on the Hopf link and its Moebius images, so
 each step solves the damped least-squares problem for the residual
 r = g·(2π/n) on the objective grid, with the Jacobian of r built
 analytically through the design matrices, the radial normalization and
-the metric kernel.  A step is accepted only if the area decreases.
+the metric kernel.  The Jacobian is built in blocks of s-rows, and a step
+adds up its normal equations J^T J and J^T r one block at a time, so it
+never holds the whole grid_n^2 x 72 Jacobian.  A step is accepted only if
+the area decreases.
 """
 
 from dataclasses import dataclass
@@ -32,6 +35,10 @@ LAMBDA_FACTOR = 10.0
 
 #: consecutive rejected trials before the descent reports a stall
 MAX_REJECTS = 25
+
+#: nodes per block of s-rows in which the descent builds its Jacobian: a
+#: block of J holds about this many rows of shape_dim() doubles, 590 kB
+_JAC_BLOCK_NODES = 1024
 
 
 def shape_dim() -> int:
@@ -113,61 +120,94 @@ def objective(vector, grid_n: int = GRID_OPT) -> float:
     return float(np.sum(np.abs(g, out=g))) * (TWO_PI / grid_n) ** 2
 
 
-def _component_jacobian(raw, draw, x, xp, gx, gxp, grid_n: int, out) -> None:
+def _node_terms(raw, draw, x, xp, design, ddesign):
+    """One component's factors in _component_jacobian that depend on its own
+    node only: x, x', 1/|F|, x.F', P F' and the design rows, each shaped
+    (own, 1, ...) to broadcast over the other nodes."""
+    x, xp, draw = x[:, None], xp[:, None], draw[:, None]
+    x_fp = np.sum(x * draw, axis=-1, keepdims=True)
+    return (x, xp, 1.0 / np.linalg.norm(raw, axis=-1)[:, None, None], x_fp,
+            draw - x * x_fp, design[:, None, None, :], ddesign[:, None, None, :])
+
+
+def _component_jacobian(terms, gx, gxp, out) -> None:
     """Derivative of a field on the grid with respect to one component's coefficients.
 
     gx and gxp are the field's gradients with respect to the component's
-    point and velocity, indexed (own node, other node, coordinate).  The
-    point is x = F/|F| with dx = P dF/|F|, P = I - x x^T, and the velocity
-    x' has dx' = P dF'/|F| - [P dF (x.F') + x ((P dF).F')]/|F|^2 - x' (x.dF)/|F|;
+    point and velocity, indexed (own node, other node, coordinate), and
+    terms are the component's _node_terms on the own nodes.  The point is
+    x = F/|F| with dx = P dF/|F|, P = I - x x^T, and the velocity x' has
+    dx' = P dF'/|F| - [P dF (x.F') + x ((P dF).F')]/|F|^2 - x' (x.dF)/|F|;
     dF and dF' are rows of the design matrices.  P is symmetric, so each
     term acts on the gradients.  Writes it to out, an (own, other, 4, 2K+1)
     array or view.
     """
-    design, ddesign = _designs(grid_n)
-    x, xp, draw = x[:, None], xp[:, None], draw[:, None]  # broadcast over the other nodes
-    inv = 1.0 / np.linalg.norm(raw, axis=-1)[:, None, None]
-    x_fp = np.sum(x * draw, axis=-1, keepdims=True)
-    p_fp = draw - x * x_fp
+    x, xp, inv, x_fp, p_fp, design, ddesign = terms
     x_gxp = np.sum(x * gxp, axis=-1, keepdims=True)
     p_gx = gx - x * np.sum(x * gx, axis=-1, keepdims=True)
     p_gxp = gxp - x * x_gxp
     from_f = (p_gx * inv - (p_gxp * x_fp + x_gxp * p_fp) * inv * inv
               - np.sum(xp * gxp, axis=-1, keepdims=True) * x * inv)
     from_fp = p_gxp * inv
-    np.multiply(from_f[..., None], design[:, None, None, :], out=out)
-    out += from_fp[..., None] * ddesign[:, None, None, :]
+    np.multiply(from_f[..., None], design, out=out)
+    out += from_fp[..., None] * ddesign
+
+
+def _jacobian_blocks(vector, grid_n: int):
+    """Residual r = g·(2π/n) on the objective grid and its Jacobian, by blocks of s-rows.
+
+    Yields (r, J) on consecutive blocks of whole s-rows, _JAC_BLOCK_NODES
+    nodes each (the last may be shorter): r flattened in (s, t) order and J
+    of shape (nodes, shape_dim()).  The kernel g = ((x'.y') b - (x'.y)(x.y')) / b^2
+    with b = x.y - 1 has dg/dx = ((x'.y') y - (x'.y) y') / b^2 - 2 g y / b and
+    dg/dx' = (b y' - (x.y') y) / b^2, and the mirror formulas in (y, y').
+    g and the four products are held on the whole grid: on a block's rows
+    alone, BLAS's edge kernels can move a product in its last bits.  The
+    gradients and J are built one block at a time.
+    """
+    raw, draw, pts, vel = _grid_fields(vector, grid_n)
+    x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
+    terms = [_node_terms(raw[c], draw[c], pts[c], vel[c], *_designs(grid_n)) for c in range(2)]
+    fields = (_metric_field(pts, vel), x @ y.T - 1.0, xp @ yp.T, xp @ y.T, x @ yp.T)
+    cell = TWO_PI / grid_n
+    step = max(1, _JAC_BLOCK_NODES // grid_n)
+    for i in range(0, grid_n, step):
+        rows = slice(i, i + step)
+        g, b, xp_yp, xp_y, x_yp = (f[rows, :, None] for f in fields)
+        two_g_b = 2.0 * g / b
+        b2 = b * b
+        xs, xps = x[rows, None], xp[rows, None]
+        gx = (xp_yp * y - xp_y * yp) / b2 - two_g_b * y
+        gxp = (b * yp - x_yp * y) / b2
+        gy = (xp_yp * xs - x_yp * xps) / b2 - two_g_b * xs
+        gyp = (b * xps - xp_y * xs) / b2
+        # each component's part of the block's (s, t, coefficient) Jacobian, in place
+        jac = np.empty((len(g), grid_n, shape_dim()))
+        parts = jac.reshape(len(g), grid_n, 2, 4, 2 * K_OPT + 1)
+        _component_jacobian([t[rows] for t in terms[0]], gx, gxp, parts[:, :, 0])
+        _component_jacobian(terms[1], np.swapaxes(gy, 0, 1), np.swapaxes(gyp, 0, 1),
+                            np.swapaxes(parts[:, :, 1], 0, 1))
+        jac *= cell
+        yield (g * cell).ravel(), jac.reshape(-1, shape_dim())
 
 
 def _residual_jacobian(vector, grid_n: int = GRID_OPT):
-    """Residual r = g·(2π/n) on the objective grid and its Jacobian in the shape vector.
+    """The blocks of _jacobian_blocks joined: r of length grid_n^2 and the
+    (grid_n^2, shape_dim()) Jacobian."""
+    r, jac = zip(*_jacobian_blocks(vector, grid_n))
+    return np.concatenate(r), np.concatenate(jac)
 
-    r is flattened in (s, t) order, and the Jacobian is (grid_n^2, shape_dim()).
-    The kernel g = ((x'.y') b - (x'.y)(x.y')) / b^2 with b = x.y - 1 has
-    dg/dx = ((x'.y') y - (x'.y) y') / b^2 - 2 g y / b and
-    dg/dx' = (b y' - (x.y') y) / b^2, and the mirror formulas in (y, y').
-    """
-    raw, draw, pts, vel = _grid_fields(vector, grid_n)
-    g = _metric_field(pts, vel)
-    x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
-    b = (x @ y.T - 1.0)[..., None]
-    xp_yp, xp_y, x_yp = (xp @ yp.T)[..., None], (xp @ y.T)[..., None], (x @ yp.T)[..., None]
-    two_g_b = 2.0 * g[..., None] / b
-    b2 = b * b
-    xs, xps = x[:, None], xp[:, None]
-    gx = (xp_yp * y - xp_y * yp) / b2 - two_g_b * y
-    gxp = (b * yp - x_yp * y) / b2
-    gy = (xp_yp * xs - x_yp * xps) / b2 - two_g_b * xs
-    gyp = (b * xps - xp_y * xs) / b2
-    # each component's block of the (s, t, coefficient) Jacobian, in place
-    jac = np.empty((grid_n, grid_n, shape_dim()))
-    blocks = jac.reshape(grid_n, grid_n, 2, 4, 2 * K_OPT + 1)
-    _component_jacobian(raw[0], draw[0], x, xp, gx, gxp, grid_n, blocks[:, :, 0])
-    _component_jacobian(raw[1], draw[1], y, yp, np.swapaxes(gy, 0, 1),
-                        np.swapaxes(gyp, 0, 1), grid_n, np.swapaxes(blocks[:, :, 1], 0, 1))
-    cell = TWO_PI / grid_n
-    jac *= cell
-    return (g * cell).ravel(), jac.reshape(grid_n * grid_n, shape_dim())
+
+def _normal_equations(vector, grid_n: int):
+    """J^T J, J^T r and ‖r‖, summed over the blocks of _jacobian_blocks."""
+    dim = shape_dim()
+    normal, grad, r2 = np.zeros((dim, dim)), np.zeros(dim), 0.0
+    for r, jac in _jacobian_blocks(vector, grid_n):
+        normal += jac.T @ jac
+        grad += jac.T @ r
+        r2 += r @ r
+        del jac  # so that the next block is built without this one
+    return normal, grad, float(np.sqrt(r2))
 
 
 def _renormalize(vector):
@@ -209,17 +249,19 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     """Levenberg–Marquardt descent of the area objective.
 
     Each step solves (J^T J + λ·tr(J^T J)/dim·I) δ = -J^T r for the residual
-    of _residual_jacobian and tries the renormalized v + δ.  The trial is
-    accepted only if the area decreases; otherwise, or if its components
-    touch, λ grows and the step is solved again.  The trace holds the area
-    at the start and after each accepted step, hence strictly decreases.
-    Status: "converged" once the area is at most stop_below, "stalled"
-    after MAX_REJECTS rejected trials in a row (the expected outcome at the
-    minimum itself), else "completed".
+    r and its Jacobian J (see _normal_equations) and tries the renormalized
+    v + δ.  The trial is accepted only if the area decreases; otherwise, or
+    if its components touch, λ grows and the step is solved again.  The
+    trace holds the area at the start and after each accepted step, hence
+    strictly decreases.  Status: "converged" once the area is at most
+    stop_below, "stalled" after MAX_REJECTS rejected trials in a row (the
+    expected outcome at the minimum itself), else "completed".
     """
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
-    if not 1 <= grid_n <= 256:  # the Jacobian holds grid_n^2 x 72 doubles, 38 MB at 256
+    # a step holds five grid_n^2 fields (2.6 MB at 256) and at most two blocks
+    # of J (_JAC_BLOCK_NODES x 72 doubles each); --grid 256 peaks at 35 MB RSS
+    if not 1 <= grid_n <= 256:
         raise BadParameter("grid_n must lie in [1, 256]")
     if not np.isfinite(stop_below):
         raise BadParameter("stop_below must be finite")
@@ -232,8 +274,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     for _ in range(steps):
         if f <= stop_below:
             break
-        r, jac = _residual_jacobian(v, grid_n)
-        normal, grad = jac.T @ jac, jac.T @ r
+        normal, grad, r_norm = _normal_equations(v, grid_n)
         diag = np.trace(normal) / len(v) * np.eye(len(v))
         for rejected in range(MAX_REJECTS):
             delta = np.linalg.solve(normal + lam * diag, -grad)
@@ -248,8 +289,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
         else:
             status = "stalled"  # f is unchanged, hence still above stop_below
             break
-        records.append(StepRecord(ft, float(np.linalg.norm(r)), lam,
-                                  float(np.linalg.norm(delta)), rejected))
+        records.append(StepRecord(ft, r_norm, lam, float(np.linalg.norm(delta)), rejected))
         v, f = trial, ft
         trace.append(f)
         lam = max(lam / LAMBDA_FACTOR, LAMBDA_MIN)

@@ -39,7 +39,7 @@ def _lift_velocity(v):
 
 def _check_separated(x, y):
     d2 = np.sum((np.asarray(x) - np.asarray(y)) ** 2, axis=-1)
-    if np.min(d2) <= DELTA_SEP * DELTA_SEP:
+    if not np.min(d2) > DELTA_SEP * DELTA_SEP:
         raise CoincidentPoints(f"points at chordal distance {np.sqrt(np.min(d2)):.3e}")
 
 
@@ -87,7 +87,7 @@ def metric_kernel(x, xp, y, yp):
     yt, ypt = np.swapaxes(y, -1, -2), np.swapaxes(yp, -1, -2)
     b = x @ yt
     b -= 1.0
-    if np.max(b) >= -0.5 * DELTA_SEP * DELTA_SEP:
+    if not np.max(b) < -0.5 * DELTA_SEP * DELTA_SEP:
         raise CoincidentPoints("coincident component points")
     g = xp @ ypt
     g *= b

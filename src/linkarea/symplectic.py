@@ -36,7 +36,7 @@ def stereo_project(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = 1.0 - np.sum(x * y, axis=-1)
-    if np.min(d) <= 1e-12:
+    if not np.min(d) > 1e-12:
         raise CoincidentPoints("projection pole coincides with the point")
     return (y - np.sum(x * y, axis=-1)[..., None] * x) / d[..., None]
 
@@ -46,7 +46,7 @@ def tautological_pullback(x, xp, y):
     first curve's points x and velocities xp, (n, 4), and the second
     curve's points y, (m, 4)."""
     dots = x @ y.T
-    if np.max(dots) >= 1.0 - 1e-12:
+    if not np.max(dots) < 1.0 - 1e-12:
         raise CoincidentPoints("grid contains coincident component points")
     proj = (y[None, :, :] - dots[:, :, None] * x[:, None, :]) / (1.0 - dots)[:, :, None]
     return np.sum(proj * xp[:, None, :], axis=-1)

@@ -34,13 +34,10 @@ def report(num, ok, detail):
 
 def test_criterion_01_signed_area_vanishes(full_catalogue):
     t0 = time.perf_counter()
-    worst = 0.0
-    largest_grid = 0
-    for name, link in full_catalogue.items():
-        rep = la.signed_area(link, tol=1e-8)
-        worst = max(worst, abs(rep.signed_area))
-        largest_grid = max(largest_grid, rep.grid_used[0])
+    reps = [la.signed_area(link, tol=1e-8) for link in full_catalogue.values()]
     elapsed = time.perf_counter() - t0
+    worst = np.max(np.abs([rep.signed_area for rep in reps]))
+    largest_grid = np.max([rep.grid_used[0] for rep in reps])
     ok = worst <= 1e-7 and largest_grid <= 512 and elapsed <= 30.0
     report(1, ok, f"max |signed_area| = {worst:.2e} over {len(full_catalogue)} links, "
                   f"grid <= {largest_grid}, {elapsed:.1f} s")
@@ -54,15 +51,15 @@ def test_criterion_01_pointwise_row_and_column_integrals_vanish(full_catalogue):
              "round_1.2_0.8": la.great_circle_pair(1.2, 0.8),
              "round_pi/2_1.2": la.great_circle_pair(np.pi / 2, 1.2),
              "moebius_p02": la.random_mobius(7, 1.0).transform_link(p02)}
-    worst, worst_name, bad = 0.0, "", []
-    for name, link in links.items():
+    integrals, scales = [], []
+    for link in links.values():
         g = la.build_grid(link, 64, 64).g
-        integral = max(np.abs(g.sum(axis=1)).max(), np.abs(g.sum(axis=0)).max()) * TWO_PI / 64
-        scale = np.abs(g).max()  # 0 on the Hopf link, where g vanishes identically
-        if not integral <= 1e-13 * scale:
-            bad.append(name)
-        if scale and integral / scale > worst:
-            worst, worst_name = integral / scale, name
+        integrals.append(np.max(np.abs([g.sum(axis=1), g.sum(axis=0)])) * TWO_PI / 64)
+        scales.append(np.max(np.abs(g)))  # 0 on the Hopf link, where g vanishes identically
+    integrals, scales = np.array(integrals), np.array(scales)
+    bad = [name for name, fine in zip(links, integrals <= 1e-13 * scales) if not fine]
+    ratios = np.divide(integrals, scales, out=np.zeros_like(scales), where=scales > 0)
+    worst, worst_name = ratios.max(), list(links)[np.argmax(ratios)]
     ok = not bad
     report(1, ok, f"max |row or column integral of g| / max|g| = {worst:.2e} ({worst_name}) "
                   f"over {len(links)} links at 64x64, above 1e-13 on {bad}")
@@ -70,38 +67,29 @@ def test_criterion_01_pointwise_row_and_column_integrals_vanish(full_catalogue):
 
 def test_criterion_02_hopf_minimum(hopf):
     worst_hopf = la.area(hopf, tol=1e-3).area
-    worst_moved = 0.0
-    for seed in range(10):
-        mob = la.random_mobius(1000 + seed, 1.0)
-        worst_moved = max(worst_moved, la.area(mob.transform_link(hopf), tol=1e-3).area)
+    worst_moved = np.max([la.area(la.random_mobius(1000 + seed, 1.0).transform_link(hopf),
+                                  tol=1e-3).area for seed in range(10)])
     ok = worst_hopf <= 1e-10 and worst_moved <= 1e-8
     report(2, ok, f"area(hopf) = {worst_hopf:.2e}, max over 10 moebius images = {worst_moved:.2e}")
 
 
 def test_criterion_03_positive_area_off_right_angle(full_catalogue):
-    checked = 0
-    ok = True
-    smallest = np.inf
-    for name, link in full_catalogue.items():
-        grid = la.build_grid(link, 64, 64)
-        if np.max(np.abs(grid.theta - np.pi / 2)) > 1e-3:
-            checked += 1
-            value = la.area(link, tol=1e-3).area
-            smallest = min(smallest, value)
-            ok = ok and value > 1e-4
-    report(3, ok and checked > 0,
-           f"{checked} links off the right angle, min area = {smallest:.2e}")
+    areas = np.array([la.area(link, tol=1e-3).area for link in full_catalogue.values()
+                      if np.max(np.abs(la.build_grid(link, 64, 64).theta - np.pi / 2)) > 1e-3])
+    smallest = np.min(areas, initial=np.inf)
+    report(3, areas.size > 0 and smallest > 1e-4,
+           f"{areas.size} links off the right angle, min area = {smallest:.2e}")
 
 
 def test_criterion_04_null_tangents(full_catalogue):
     rng = Lcg64(104)
-    worst = 0.0
+    norms = []
     for link in full_catalogue.values():
         s = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
         t = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
         _, ss, st = sp.sigma_derivatives(link.c1, link.c2, s, t)
-        worst = max(worst, float(np.max(np.abs(mk.inner10(ss, ss)))),
-                    float(np.max(np.abs(mk.inner10(st, st)))))
+        norms += [mk.inner10(ss, ss), mk.inner10(st, st)]
+    worst = np.max(np.abs(norms))
     report(4, worst <= 1e-10,
            f"max |<sigma_u, sigma_u>| = {worst:.2e} at 1000 samples per link")
 
@@ -109,9 +97,7 @@ def test_criterion_04_null_tangents(full_catalogue):
 def test_criterion_05_density_routes(separated10, perturbed02):
     n = 64
     s = np.linspace(0, TWO_PI, n, endpoint=False)
-    worst_grid = 0.0
-    worst_fd = 0.0
-    worst_order = np.inf
+    grid_devs, err_full, err_half = [], [], []
     for link in (separated10, perturbed02):
         g_closed = cf.density_pairs(link.c1, link.c2, s[:, None], s)[0]
         S, T = np.meshgrid(s, s, indexing="ij")
@@ -120,9 +106,7 @@ def test_criterion_05_density_routes(separated10, perturbed02):
         _, theta, absv, _ = cf.density_pairs(link.c1, link.c2, s[:, None], s)
         theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s[:, None], s)
         g_chart = 2.0 * absv * np.cos(theta_chart)
-        worst_grid = max(worst_grid,
-                         float(np.max(np.abs(g_closed - g_explicit))),
-                         float(np.max(np.abs(g_closed - g_chart))))
+        grid_devs += [g_closed - g_explicit, g_closed - g_chart]
         pole = cf.chart_pole(link.c1, link.c2)
         rng = Lcg64(105)
         for _ in range(20):
@@ -131,32 +115,32 @@ def test_criterion_05_density_routes(separated10, perturbed02):
             want = 0.5 * cf.density_pairs(link.c1, link.c2, s0, t0)[0]
             full = cf.cross_ratio_fd(link.c1, link.c2, s0, t0, 1e-3, pole=pole)
             half = cf.cross_ratio_fd(link.c1, link.c2, s0, t0, 5e-4, pole=pole)
-            worst_fd = max(worst_fd, abs(full - want))
-            if abs(full - want) > 1e-11 and abs(half - want) > 1e-13:
-                worst_order = min(worst_order, np.log2(abs(full - want) / abs(half - want)))
+            err_full.append(abs(full - want))
+            err_half.append(abs(half - want))
+    worst_grid = np.max(np.abs(grid_devs))
+    err_full, err_half = np.array(err_full), np.array(err_half)
+    worst_fd = np.max(err_full)
+    # the order is observed where both errors stand above roundoff, or are NaN
+    above = ~(err_full <= 1e-11) & ~(err_half <= 1e-13)
+    worst_order = np.min(np.log2(err_full[above] / err_half[above]), initial=np.inf)
     ok = worst_grid <= 1e-7 and worst_fd <= 5e-5 and worst_order >= 1.9
     report(5, ok, f"route deviation {worst_grid:.2e} on {n}x{n}, fd deviation {worst_fd:.2e}, "
                   f"observed order {worst_order:.2f}")
 
 
 def test_criterion_06_one_form_bridge(full_catalogue):
-    worst = 0.0
-    for name, link in full_catalogue.items():
-        worst = max(worst, sy.exterior_derivative_check(link.c1, link.c2))
+    worst = np.max([sy.exterior_derivative_check(link.c1, link.c2)
+                    for link in full_catalogue.values()])
     report(6, worst <= 1e-6,
            f"global sign {sy.SIGN:+d}, max pointwise residual {worst:.2e} "
            f"at {sy.N_GRID}x{sy.N_GRID}")
 
 
 def test_criterion_07_minor_lift_group():
-    worst_orth = 0.0
-    worst_hom = 0.0
-    for k in range(50):
-        A = la.random_mobius(2000 + 2 * k, 1.5).matrix
-        B = la.random_mobius(2001 + 2 * k, 1.5).matrix
-        worst_orth = max(worst_orth, mk.orthogonality_residual(mk.minor_lift(A), mk.EPS10))
-        hom = np.max(np.abs(mk.minor_lift(A @ B) - mk.minor_lift(A) @ mk.minor_lift(B)))
-        worst_hom = max(worst_hom, float(hom))
+    A = np.array([la.random_mobius(2000 + 2 * k, 1.5).matrix for k in range(50)])
+    B = np.array([la.random_mobius(2001 + 2 * k, 1.5).matrix for k in range(50)])
+    worst_orth = mk.orthogonality_residual(mk.minor_lift(A), mk.EPS10)
+    worst_hom = np.max(np.abs(mk.minor_lift(A @ B) - mk.minor_lift(A) @ mk.minor_lift(B)))
     ok = worst_orth <= 1e-10 and worst_hom <= 1e-10
     report(7, ok, f"orthogonality {worst_orth:.2e}, homomorphism {worst_hom:.2e} over 50 pairs")
 
@@ -200,20 +184,19 @@ def test_criterion_09_conformal_invariance(perturbed02):
     base_grid = la.build_grid(perturbed02, 128, 128)
     base_area = float(np.sum(np.abs(base_grid.g))) * cell
     base_energy = float(np.sum(base_grid.abs_omega - base_grid.re_omega)) * cell
-    dev_density = 0.0
-    dev_func = 0.0
+    # each field's deviations over its own scale, and the area's and energy's
+    scales = np.maximum(np.max(np.abs(base_fields), axis=(1, 2)), 1e-12)[:, None, None]
+    density_devs, func_devs = [], []
     for k in range(20):
-        mob = la.random_mobius(3000 + k, 1.0)
-        moved = mob.transform_link(perturbed02)
+        moved = la.random_mobius(3000 + k, 1.0).transform_link(perturbed02)
         fields = cf.density_pairs(moved.c1, moved.c2, s[:, None], s)
-        for f_new, f_base in zip(fields, base_fields):
-            scale = max(float(np.max(np.abs(f_base))), 1e-12)
-            dev_density = max(dev_density, float(np.max(np.abs(f_new - f_base))) / scale)
+        density_devs.append(np.abs(np.subtract(fields, base_fields)) / scales)
         grid = la.build_grid(moved, 128, 128)
         area = float(np.sum(np.abs(grid.g))) * cell
         energy = float(np.sum(grid.abs_omega - grid.re_omega)) * cell
-        dev_func = max(dev_func, abs(area - base_area) / base_area,
-                       abs(energy - base_energy) / base_energy)
+        func_devs += [abs(area - base_area) / base_area, abs(energy - base_energy) / base_energy]
+    dev_density = np.max(density_devs)
+    dev_func = np.max(func_devs)
     ok = dev_density <= 1e-7 and dev_func <= 1e-6
     report(9, ok, f"pointwise density deviation {dev_density:.2e}, "
                   f"area/energy deviation {dev_func:.2e} over 20 maps")

@@ -5,13 +5,16 @@ A row patches a kernel, not an entry point, in every module that imports
 it, so that each route that calls the kernel sees the defect.  The NaN
 rows write NaN at one element per call of a kernel: a deviation or a
 level that is not finite must fail, in `verify` and in the commands that
-judge the route (exit 3)."""
+judge the route (exit 3).  The NaN-point rows feed a NaN point straight
+to each coincidence test: it must raise CoincidentPoints, as a coincident
+pair does, not let the NaN through."""
 
 import numpy as np
 import pytest
 
 import linkarea as la
 from linkarea import cli, conformal, functionals, spheres, symplectic, verify
+from linkarea.errors import CoincidentPoints
 
 
 def _patch(monkeypatch, modules, name, wrap):
@@ -155,3 +158,26 @@ def test_nan_fails_the_commands(capsys, monkeypatch, p02_file, seed_defect, fail
     codes = {name: cli.main(argv) for name, argv in commands.items()}
     capsys.readouterr()
     assert codes == {name: 3 if name in failing_commands else 0 for name in commands}
+
+
+#: two points on S^3, far from each other, from the points _Y and from the
+#: pole _Y[0]; a velocity for each
+_X = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+_Y = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+_V = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+
+#: name: a call of one coincidence test on the points x
+NAN_POINTS = {
+    "metric_kernel": lambda x: spheres.metric_kernel(x, _V, _Y, _V),
+    "check_separated": lambda x: spheres._check_separated(x, _Y),
+    "tautological_pullback": lambda x: symplectic.tautological_pullback(x, _V, _Y),
+    "stereo_project": lambda x: symplectic.stereo_project(x, _Y),
+    "chart_point": lambda x: conformal.chart_point(x, _Y[0], np.eye(4)[:3]),
+}
+
+
+@pytest.mark.parametrize("call", list(NAN_POINTS.values()), ids=list(NAN_POINTS))
+def test_nan_point_is_coincident(call):
+    call(_X)  # the finite points pass
+    with pytest.raises(CoincidentPoints):
+        call(_nan_first(_X))

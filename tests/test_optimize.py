@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,39 @@ class TestJacobian:
                            compute_uv=False)
         assert sv[27] >= 4.4
         assert sv[28] <= 4e-15
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("grid_n", [64, 199])
+    def test_blocks_join_bit_for_bit(self, perturbed02, monkeypatch, grid_n):
+        """The blocks joined are the Jacobian built in one block.  At 199,
+        products on a block's rows alone would move in their last bits."""
+        v = opt.encode_link(perturbed02)
+        blocks = opt._residual_jacobian(v, grid_n)
+        monkeypatch.setattr(opt, "_JAC_BLOCK_NODES", grid_n * grid_n)
+        whole = opt._residual_jacobian(v, grid_n)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, whole))
+
+    @pytest.mark.parametrize("grid_n", [32, 37, 64])
+    def test_block_sums_match_whole_jacobian(self, perturbed02, grid_n):
+        """At 37 the last block is shorter: 37 is no multiple of its rows."""
+        v = opt.encode_link(perturbed02)
+        r, jac = opt._residual_jacobian(v, grid_n)
+        normal, grad, r_norm = opt._normal_equations(v, grid_n)
+        for got, want in ((normal, jac.T @ jac), (grad, jac.T @ r)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert r_norm == pytest.approx(np.linalg.norm(r), rel=1e-13)
+
+    def test_descent_never_holds_the_jacobian(self):
+        """Two steps at the default grid allocate less than one whole J."""
+        v = opt.encode_link(la.perturbed_hopf_link(0.1, 0))
+        tracemalloc.start()
+        try:
+            opt.minimize(v, steps=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < opt.GRID_OPT ** 2 * opt.shape_dim() * 8
 
 
 class TestMinimize:
