@@ -1,7 +1,9 @@
+# linkarea first: importing it pins OpenBLAS to one thread, which numpy
+# reads when it loads (see linkarea/__init__.py)
+import linkarea as la
 import numpy as np
 import pytest
 
-import linkarea as la
 from linkarea import optimize as opt
 
 

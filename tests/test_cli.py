@@ -473,6 +473,14 @@ class TestImports:
             "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
         assert self._fresh_python(script, preset).split()[-1] == threads
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    def test_suite_runs_pinned_blas(self):
+        # conftest.py imports linkarea before numpy, so this process's OpenBLAS
+        # starts the pinned number of threads (1 unless the variable was set)
+        assert "numpy" in sys.modules
+        threads = len(os.listdir("/proc/self/task"))
+        assert threads == int(os.environ["OPENBLAS_NUM_THREADS"]), threads
+
     @pytest.mark.parametrize("argv, skipped, needed", [
         (["area", "{link}"], {"gridio", "optimize", "symplectic", "verify"}, set()),
         (["anglemap", "{link}", "--grid", "32", "--out", "{tmp}/map.csv"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,37 @@ class TestNestedQuadrature:
         assert built[0] == (n_start, n_start) and built[-1] == rep.grid_used
         if n_start == 512:  # one s-doubling to 1024 rows at the carried columns
             assert built == [(512, 512), (1024, rep.grid_used[1])]
+
+    def test_one_level_alive_at_a_time(self):
+        # the 1024-row level is built after the 512 x 512 one is dropped: a
+        # level's modes alone are 512 x 257 complex, 2.1 MB (5.3 MiB with both)
+        tracemalloc.start()
+        try:
+            fn.compute_functionals(la.separated_link(0.5), tol=1e-3, n_start=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
+    def test_rerun_drops_the_level_it_replaces(self, monkeypatch):
+        # (64, 64) -> (128, 128) is a next level, (128, 128) -> (128, 256) the
+        # re-run at doubled n_t; neither call may find the previous level held
+        held = []
+
+        def traced_level(link, n_s, n_t):
+            held.append((n_s, n_t, tracemalloc.get_traced_memory()[0]))
+            return level(link, n_s, n_t)
+        level = fn._level
+        monkeypatch.setattr(fn, "_level", traced_level)
+        tracemalloc.start()
+        try:
+            fn.compute_functionals(la.separated_link(0.5), tol=1e-5, n_start=64)
+        finally:
+            tracemalloc.stop()
+        assert [shape[:2] for shape in held] == [(64, 64), (128, 128), (128, 256)]
+        for (n_s, n_t, before), (_, _, now) in zip(held, held[1:]):
+            modes_bytes = n_s * (n_t // 2 + 1) * 16
+            assert now - before < modes_bytes // 4, (n_s, n_t, now - before)
 
     def test_hopf_area_exactly_zero(self, hopf):
         rep = la.area(hopf, tol=1e-3)
