@@ -67,21 +67,25 @@ def cmd_area(args) -> int:
 def _keep_freed_heap() -> None:
     """Let glibc reuse the memory that one anglemap row block frees.
 
-    Each row block of anglemap allocates and frees about 3 MB of
-    temporaries, many of them 128 kB or larger.  glibc's defaults lose
-    them in two ways.  It trims freed memory at the top of the heap back
-    to the system, so the next block faults it in afresh: 52,000 page
-    faults and a fifth of the run at 512^2.  And it serves each request
-    above its mmap threshold with a mapping of its own, unmapped when
-    freed.  That threshold adapts upward by default, but setting the trim
-    threshold fixes it at 128 kB, so every such temporary is mapped and
-    faulted in anew per block (17,900 minor faults at 512^2, 5,500 with
-    both thresholds set).  So both are set above one block's use:
-    M_TRIM_THRESHOLD keeps freed heap memory, M_MMAP_THRESHOLD puts the
-    large temporaries on the heap, and peak memory stays as it is.  Only
-    anglemap calls this: set for every command, it raised the peak memory
-    of area --grid 512 and of minimize by 0.4 MB, as they keep what they
-    free.  Nothing happens where the C library has no mallopt.
+    Each row block of anglemap allocates and frees its temporaries, up to
+    about 1.2 MB at a time in a block of 2,048 nodes and 2.4 MB in the
+    4,096-node blocks of N = 1024, whose largest temporaries are 128 kB
+    or more.  glibc's defaults lose them in two ways.  It trims freed
+    memory at the top of the heap back to the system, so the next block
+    faults it in afresh: 148,000 minor faults at 1024^2.  And it serves
+    each request above its mmap threshold with a mapping of its own,
+    unmapped when freed.  That threshold adapts upward by default, but
+    setting the trim threshold fixes it at 128 kB, so every such
+    temporary is mapped and faulted in anew per block (20,800 minor
+    faults at 1024^2, 5,350 with both thresholds set).  So both are set
+    above one block's use: M_TRIM_THRESHOLD keeps freed heap memory,
+    M_MMAP_THRESHOLD puts the large temporaries on the heap, and peak
+    memory stays as it is.  The smaller blocks of N <= 512 lose little
+    either way (5,200 minor faults at 512^2 with neither set, 5,040 with
+    both).  Only anglemap calls this: set for every command, it raised
+    the peak memory of area --grid 512 and of minimize by 0.4 MB, as
+    they keep what they free.  Nothing happens where the C library has
+    no mallopt.
     """
     if not sys.platform.startswith("linux"):
         return

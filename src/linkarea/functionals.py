@@ -42,11 +42,15 @@ N_MAX = 1024
 #: temporaries of a block, so that a level holds little more than its modes
 _BLOCK_NODES = 1 << 14
 #: nodes per row block of the exported grid, which anglemap evaluates,
-#: formats and writes one block at a time.  As n_t <= N_MAX, a block holds
-#: at least 4 rows.  It must never be a single row: there the kernel's
-#: products take BLAS's matrix-vector path, and theta moves in its last
-#: bits against the kernel on the whole grid.
-_GRID_BLOCK_NODES = 4096
+#: formats and writes one block at a time.  A block holds
+#: max(4, _GRID_BLOCK_NODES // n_t) rows: 2,048 nodes up to n_t = 512, and
+#: 4 rows of 1,024 at N_MAX.  It must never be a single row: there the
+#: kernel's products take BLAS's matrix-vector path, and theta moves in its
+#: last bits against the kernel on the whole grid.  Smaller blocks hold
+#: less but cost time, as each block pays the fixed cost of some hundred
+#: numpy calls: 2-row blocks made write_grid about 10 % slower at
+#: n_t = 1024, and 1,024-node (2-row) blocks about 16 % slower at 512.
+_GRID_BLOCK_NODES = 2048
 #: zeros are bracketed on each row's interpolant sampled this much finer ...
 _OVERSAMPLE = 8
 #: ... up to this many columns, and at the columns' own nodes above it
@@ -114,18 +118,19 @@ def grid_blocks(link: Link2, n_s: int, n_t: int):
     """The densities at uniform nodes s_i = 2 pi i / n_s etc., by row blocks.
 
     Returns (s, t, blocks).  blocks yields (g, theta, abs, re) on
-    consecutive blocks of whole s-rows, _GRID_BLOCK_NODES nodes each (the
-    last may be shorter), and runs the kernel on a block only when it is
-    reached, so a kernel error in a later block (CoincidentPoints, the
-    cosine check's ValueError) is raised there.  The resolutions are
-    checked, and both curves evaluated, before this returns.
+    consecutive blocks of whole s-rows, max(4, _GRID_BLOCK_NODES // n_t)
+    rows each (the last may be shorter), and runs the kernel on a block
+    only when it is reached, so a kernel error in a later block
+    (CoincidentPoints, the cosine check's ValueError) is raised there.
+    The resolutions are checked, and both curves evaluated, before this
+    returns.
     """
     _check_resolution(n_s)
     _check_resolution(n_t)
     s, t = _nodes(n_s), _nodes(n_t)
     x, xp = link.c1.evaluate(s)
     y, yp = link.c2.evaluate(t)
-    step = _GRID_BLOCK_NODES // n_t
+    step = max(4, _GRID_BLOCK_NODES // n_t)
     return s, t, (density_kernel(x[i:i + step], xp[i:i + step], y, yp)
                   for i in range(0, n_s, step))
 

@@ -119,15 +119,16 @@ def _decimal(x):
     return key, d
 
 
-def _format_g17(x) -> np.ndarray:
-    """'%.17g' % v for each v of x, as the rows of a NUL-padded (n, _FIELD) uint8 array.
+def _sorted_g17(x):
+    """'%.17g' % v for each v of x, in an order of its own: (text, order).
 
-    The digits of 1e-6 < |v| < 1e17 are exact (_decimal); every other value
-    (zeros, subnormals, tiny and huge magnitudes, nan, +-inf) is formatted by
-    Python, once per distinct bit pattern.  The values are sorted once by
-    decimal exponent, a stable radix sort of int8 keys with the
-    Python-formatted ones last, so that the layout of each exponent fills
-    one contiguous slice of rows; the rows are scattered back once.
+    text is a NUL-padded (n, _FIELD) uint8 array whose row k is the text of
+    x[order[k]].  The digits of 1e-6 < |v| < 1e17 are exact (_decimal);
+    every other value (zeros, subnormals, tiny and huge magnitudes, nan,
+    +-inf) is formatted by Python, once per distinct bit pattern.  The
+    values are sorted once by decimal exponent, a stable radix sort of int8
+    keys with the Python-formatted ones last, so that the layout of each
+    exponent fills one contiguous slice of rows.
     """
     x = np.ravel(np.asarray(x, dtype=np.float64))
     key, d = _decimal(x)
@@ -138,11 +139,11 @@ def _format_g17(x) -> np.ndarray:
     text = np.zeros((len(x), _FIELD), np.uint8)
     text[:, 0] = ((x < 0) * np.uint8(ord("-")))[order]
     lo = 0
-    for k, hi in zip(range(-6, _FALLBACK), ends):
+    for k, hi in zip(range(-6, _FALLBACK), ends.tolist()):
+        if hi == lo:
+            continue
         rows, digits, sig = text[lo:hi], chars[lo:hi], nsig[lo:hi]
         lo = hi
-        if not len(rows):
-            continue
         if -4 <= k < 0:
             for i, c in enumerate(b"0." + b"0" * (-k - 1), 1):  # columns copy faster than rows
                 rows[:, i] = c
@@ -160,6 +161,12 @@ def _format_g17(x) -> np.ndarray:
         bits, inverse = np.unique(x[order[lo:]].view(np.uint64), return_inverse=True)
         rest = np.array([b"%.17g" % v for v in bits.view(np.float64)], dtype=f"S{_FIELD}")
         text[lo:] = rest.view(np.uint8).reshape(-1, _FIELD)[inverse]
+    return text, order
+
+
+def _format_g17(x) -> np.ndarray:
+    """'%.17g' % v for each v of x, as the rows of a NUL-padded (n, _FIELD) uint8 array."""
+    text, order = _sorted_g17(x)
     out = np.empty_like(text)
     out.view(f"V{_FIELD}")[order] = text.view(f"V{_FIELD}")
     return out
@@ -173,9 +180,11 @@ def write_grid(s, t, blocks, path) -> None:
     the one block [(g.g, g.theta, g.abs_omega, g.re_omega)].  Each block is
     formatted and written as it arrives, as a NUL-padded byte matrix of the
     six fields and their separators with the NULs dropped, so the writer
-    holds one block and its scratch.  The byte matrix is sized by the first
-    block and allocated once per file, unless a later block is larger.  The
-    bytes are those of np.savetxt with fmt "%.17g".
+    holds one block and its scratch.  The text of a block's values goes
+    from its sorted order (_sorted_g17) into the byte matrix in one
+    scatter.  The byte matrix is sized by the first block and allocated
+    once per file, unless a later block is larger.  The bytes are those of
+    np.savetxt with fmt "%.17g".
 
     Any exception raised while the file is open removes it (see
     errors.open_output): an OSError is raised as IoFailure, and anything
@@ -193,10 +202,14 @@ def write_grid(s, t, blocks, path) -> None:
                 block[..., _FIELD] = ord(",")
                 block[:, :, 5, _FIELD] = ord("\n")
                 block[:, :, 1, :_FIELD] = t_text
+                # the text of each CSV field, without its separator, as one item
+                field_text = block.reshape(-1, _FIELD + 1)[:, :_FIELD].view(f"V{_FIELD}")[:, 0]
             rows = block[:len(fields[0])]
             rows[:, :, 0, :_FIELD] = s_text[i:i + len(rows), None]
-            cells = np.stack(fields, axis=-1)
-            rows[:, :, 2:, :_FIELD] = _format_g17(cells).reshape(len(rows), n_t, 4, _FIELD)
+            text, order = _sorted_g17(np.stack(fields, axis=-1))
+            # value k of the block is field k % 4 of node k // 4: CSV field 6 (k // 4) + 2 + k % 4
+            field_text[order + 2 * (order >> 2) + 2] = text.view(f"V{_FIELD}")[:, 0]
+            del text, order  # before the next block is formatted
             fh.write(rows.tobytes().translate(None, b"\0"))
             i += len(rows)
 

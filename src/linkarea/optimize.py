@@ -307,7 +307,7 @@ def circle_fit_residual(curve: LinkCurve, n_samples: int = 256) -> float:
     s = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
     P = curve.point(s)
     centroid = P.mean(axis=0)
-    _, _, Vt = np.linalg.svd(P - centroid)
+    _, _, Vt = np.linalg.svd(P - centroid, full_matrices=False)
     u1, u2 = Vt[0], Vt[1]
     # in-plane point closest to the origin and the induced circle radius
     m = centroid - (centroid @ u1) * u1 - (centroid @ u2) * u2

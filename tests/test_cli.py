@@ -230,8 +230,8 @@ class TestAnglemap:
     @pytest.mark.parametrize("error", [CoincidentPoints, KeyboardInterrupt])
     def test_error_mid_stream_removes_file(self, capsys, link_files, tmp_path, monkeypatch,
                                            error):
-        # 128^2 is 4 blocks of 32 rows; the kernel fails on the third, once
-        # the first two are in the file
+        # 128^2 is 8 blocks of 16 rows; the kernel fails on the fifth, once
+        # the first four are in the file
         from linkarea import conformal as cf
         original, rows = cf.metric_kernel, [0]
         out_path = tmp_path / "map.csv"
@@ -252,7 +252,7 @@ class TestAnglemap:
             assert code == 3
             assert out == ""
             assert "coincident component points" in err
-        assert rows[0] == 96
+        assert rows[0] == 80
         assert not out_path.exists()
 
 

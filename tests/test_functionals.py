@@ -46,11 +46,12 @@ class TestBuildGrid:
         assert np.array_equal(coarse.s, fine.s[::2])
         assert np.allclose(coarse.g, fine.g[::2, ::2], atol=1e-15)
 
-    @pytest.mark.parametrize("n", [32, 512, 1024])
+    @pytest.mark.parametrize("n", [32, 64, 128, 512, 1024])
     @pytest.mark.parametrize("name", ["perturbed02", "separated10", "spline64"])
     def test_row_blocks_match_whole_grid(self, name, n, request):
-        # blocks of 4 or more rows reproduce the whole-grid kernel bit for bit;
-        # single rows would not (BLAS's matrix-vector path moves theta)
+        # blocks of 4 or more rows reproduce the whole-grid kernel bit for bit,
+        # at every block height grid_blocks uses (one block at 32, then 32, 16
+        # and 4 rows); single rows would not (BLAS's matrix-vector path moves theta)
         link = request.getfixturevalue(name)
         grid = la.build_grid(link, n, n)
         x, xp = link.c1.evaluate(grid.s)
@@ -507,9 +508,9 @@ class TestExportImport:
         pytest.param("hopf", 32, "whole", id="hopf"),
         # theta has exact zeros and values near 1e-8 (scientific notation)
         pytest.param("separated10", 32, "whole", id="separated10"),
-        # 64 row blocks of 8 rows each
+        # 128 row blocks of 4 rows each
         pytest.param("perturbed02", 512, "blocks", id="perturbed02-512"),
-        # the anglemap command streams 4 row blocks from the kernel to the file
+        # the anglemap command streams 8 row blocks from the kernel to the file
         pytest.param("separated10", 128, "anglemap", id="anglemap-separated10-128"),
     ])
     def test_export_bytes_match_savetxt(self, name, n, how, request, tmp_path):
@@ -531,6 +532,20 @@ class TestExportImport:
                                                       grid.abs_omega, grid.re_omega)])
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header=gio.CSV_HEADER, comments="")
         assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_export_holds_one_small_block(self, perturbed02, tmp_path, n):
+        # a block of 2,048 nodes, its byte matrix, the tobytes and translate
+        # copies of it and the formatter's scratch; 4,096-node blocks peak at
+        # 2.6 MiB (n = 64) and 2.4 MiB (n = 512)
+        path = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            la.write_grid(*la.grid_blocks(perturbed02, n, n), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 2 ** 20, peak
 
     def test_failed_write_leaves_no_file(self, perturbed02, tmp_path, monkeypatch):
         from linkarea.errors import IoFailure

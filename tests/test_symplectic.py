@@ -57,6 +57,15 @@ class TestTautologicalPullback:
                 bound = np.linalg.norm(sy.stereo_project(x[i], y[j])) * speeds[i]
                 assert abs(a[i, j]) <= bound + 1e-12
 
+    @pytest.mark.parametrize("n", [7, 16, 37])
+    def test_row_blocks_match_whole_grid(self, perturbed02, n):
+        # the blocked fill gives the whole-grid broadcast bit for bit, also
+        # where the last block is short
+        a, x, xp, y = _pullback(perturbed02, n)
+        dots = x @ y.T
+        proj = (y[None, :, :] - dots[:, :, None] * x[:, None, :]) / (1.0 - dots)[:, :, None]
+        assert np.array_equal(a, np.sum(proj * xp[:, None, :], axis=-1))
+
     def test_matches_scalar_projection(self, perturbed02):
         a, x, xp, y = _pullback(perturbed02, 32)
         for i in (0, 5, 17):
@@ -81,6 +90,18 @@ class TestExteriorDerivative:
 
     def test_perturbed_residual(self, perturbed02):
         assert sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2) <= 1e-6
+
+    def test_pullback_never_whole(self, perturbed02):
+        # the (N_GRID, N_GRID, 4) temporaries of the pullback, 0.5 MiB each,
+        # are formed 16 rows at a time; formed whole, the check peaks at 1.33 MiB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_residual_conformally_stable(self, perturbed02):
         base = sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2)
