@@ -64,45 +64,9 @@ def cmd_area(args) -> int:
     return EXIT_OK
 
 
-def _keep_freed_heap() -> None:
-    """Let glibc reuse the memory that one anglemap row block frees.
-
-    Each row block of anglemap allocates and frees its temporaries, up to
-    about 1.2 MB at a time in a block of 2,048 nodes and 2.4 MB in the
-    4,096-node blocks of N = 1024, whose largest temporaries are 128 kB
-    or more.  glibc's defaults lose them in two ways.  It trims freed
-    memory at the top of the heap back to the system, so the next block
-    faults it in afresh: 148,000 minor faults at 1024^2.  And it serves
-    each request above its mmap threshold with a mapping of its own,
-    unmapped when freed.  That threshold adapts upward by default, but
-    setting the trim threshold fixes it at 128 kB, so every such
-    temporary is mapped and faulted in anew per block (20,800 minor
-    faults at 1024^2, 5,350 with both thresholds set).  So both are set
-    above one block's use: M_TRIM_THRESHOLD keeps freed heap memory,
-    M_MMAP_THRESHOLD puts the large temporaries on the heap, and peak
-    memory stays as it is.  The smaller blocks of N <= 512 lose little
-    either way (5,200 minor faults at 512^2 with neither set, 5,040 with
-    both).  Only anglemap calls this: set for every command, it raised
-    the peak memory of area --grid 512 and of minimize by 0.4 MB, as
-    they keep what they free.  Nothing happens where the C library has
-    no mallopt.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD of glibc's malloc.h, in bytes
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD, in bytes
-
-
 def cmd_anglemap(args) -> int:
-    """Write the --grid x --grid density grid as CSV, one row block at a time.
+    """Write the --grid x --grid density grid as CSV, one row block of 2,048
+    nodes at a time (see functionals.grid_blocks).
 
     The link and the resolution are checked before the file is opened, and
     only one block of the grid is held at once; a failure at any point
@@ -111,7 +75,6 @@ def cmd_anglemap(args) -> int:
     from .functionals import grid_blocks
     from .gridio import write_grid
 
-    _keep_freed_heap()
     link = _load_link(args.file)
     write_grid(*grid_blocks(link, args.grid, args.grid), args.out)
     print(f"wrote {args.grid * args.grid} rows to {args.out}")
@@ -172,7 +135,7 @@ def cmd_oracle(args) -> int:
     _, theta, _, re = cf.density_pairs(link.c1, link.c2, s, t)
     theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t, pole=pole)
     dev_chart = float(np.max(np.abs(np.cos(theta) - np.cos(theta_chart))))
-    re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, args.eps, pole=pole)
+    re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, 1e-3, pole=pole)
     dev_fd = float(np.max(np.abs(re - re_fd)))
     residual = sy.exterior_derivative_check(link.c1, link.c2)
     print(f"samples={args.samples} wedge_vs_chart={_fmt(dev_chart)} "
@@ -235,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="audit the three density routes against each other")
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--eps", type=float, default=1e-3)
 
     p = sub.add_parser("minimize", help="Levenberg–Marquardt descent of the area over "
                                         "curve shapes")

@@ -34,7 +34,8 @@ POLE_CLEARANCE = 0.3
 #: magnifies a cosine's roundoff eps to an angle error of about sqrt(2 eps)
 TOL_WEDGE_CHART = 1e-12
 
-#: bound on |closed form - finite difference| of Re omega at eps = 1e-3 (the default)
+#: bound on |closed form - finite difference| of Re omega at eps = 1e-3, the
+#: stencil spread that oracle uses and that verify bounds
 TOL_FD = 5e-5
 
 #: a cosine beyond [-1, 1] by more than this is a defect, not roundoff

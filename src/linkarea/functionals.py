@@ -42,14 +42,13 @@ N_MAX = 1024
 #: temporaries of a block, so that a level holds little more than its modes
 _BLOCK_NODES = 1 << 14
 #: nodes per row block of the exported grid, which anglemap evaluates,
-#: formats and writes one block at a time.  A block holds
-#: max(4, _GRID_BLOCK_NODES // n_t) rows: 2,048 nodes up to n_t = 512, and
-#: 4 rows of 1,024 at N_MAX.  It must never be a single row: there the
-#: kernel's products take BLAS's matrix-vector path, and theta moves in its
-#: last bits against the kernel on the whole grid.  Smaller blocks hold
-#: less but cost time, as each block pays the fixed cost of some hundred
-#: numpy calls: 2-row blocks made write_grid about 10 % slower at
-#: n_t = 1024, and 1,024-node (2-row) blocks about 16 % slower at 512.
+#: formats and writes one block at a time: _GRID_BLOCK_NODES // n_t rows,
+#: 64 at N_MIN down to 2 at N_MAX.  These even heights reproduce the kernel
+#: on the whole grid bit for bit; 3-row blocks moved theta in its last
+#: bits, and a single row takes BLAS's matrix-vector path, so the height
+#: must stay even.  Smaller blocks hold less but cost time, as each block
+#: pays the fixed cost of some hundred numpy calls: 1,024-node (2-row)
+#: blocks made write_grid about 16 % slower at n_t = 512.
 _GRID_BLOCK_NODES = 2048
 #: zeros are bracketed on each row's interpolant sampled this much finer ...
 _OVERSAMPLE = 8
@@ -118,10 +117,10 @@ def grid_blocks(link: Link2, n_s: int, n_t: int):
     """The densities at uniform nodes s_i = 2 pi i / n_s etc., by row blocks.
 
     Returns (s, t, blocks).  blocks yields (g, theta, abs, re) on
-    consecutive blocks of whole s-rows, max(4, _GRID_BLOCK_NODES // n_t)
-    rows each (the last may be shorter), and runs the kernel on a block
-    only when it is reached, so a kernel error in a later block
-    (CoincidentPoints, the cosine check's ValueError) is raised there.
+    consecutive blocks of whole s-rows, _GRID_BLOCK_NODES // n_t rows each
+    (all n_s rows when fewer), and runs the kernel on a block only when it
+    is reached, so a kernel error in a later block (CoincidentPoints, the
+    cosine check's ValueError) is raised there.
     The resolutions are checked, and both curves evaluated, before this
     returns.
     """
@@ -130,7 +129,7 @@ def grid_blocks(link: Link2, n_s: int, n_t: int):
     s, t = _nodes(n_s), _nodes(n_t)
     x, xp = link.c1.evaluate(s)
     y, yp = link.c2.evaluate(t)
-    step = max(4, _GRID_BLOCK_NODES // n_t)
+    step = _GRID_BLOCK_NODES // n_t
     return s, t, (density_kernel(x[i:i + step], xp[i:i + step], y, yp)
                   for i in range(0, n_s, step))
 
@@ -175,7 +174,7 @@ def _level(link: Link2, n_s: int, n_t: int):
     peak = np.zeros(half + 1)  # largest |a_k| over the rows, up to a factor 2
     amp = np.zeros(half + 1)
     found = []
-    step = max(1, _BLOCK_NODES // (pad * n_t))
+    step = _BLOCK_NODES // (pad * n_t)
     for r0 in range(0, n_s, step):
         rows = slice(r0, r0 + step)
         g, absval = magnitude_kernel(x[rows], xp[rows], y, yp)[:2]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import minkowski as mk
 from .errors import (BadLinkFile, BadParameter, BadPolygon,
-                     DisjointnessViolation, ImmersionFailure)
+                     DisjointnessViolation, ImmersionFailure, open_output)
 from .rng import Lcg64
 
 TWO_PI = 2.0 * np.pi
@@ -495,8 +495,9 @@ def link_text(link: Link2) -> str:
 
 
 def write_link(link: Link2, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(link_text(link))
+    """Write the link's lk-1 file; a failed write raises IoFailure and leaves no file."""
+    with open_output(path) as fh:
+        fh.write(link_text(link).encode())
 
 
 def _component_from_dict(comp, index: int) -> LinkCurve:

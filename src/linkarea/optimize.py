@@ -170,7 +170,7 @@ def _jacobian_blocks(vector, grid_n: int):
     terms = [_node_terms(raw[c], draw[c], pts[c], vel[c], *_designs(grid_n)) for c in range(2)]
     fields = (_metric_field(pts, vel), x @ y.T - 1.0, xp @ yp.T, xp @ y.T, x @ yp.T)
     cell = TWO_PI / grid_n
-    step = max(1, _JAC_BLOCK_NODES // grid_n)
+    step = _JAC_BLOCK_NODES // grid_n
     for i in range(0, grid_n, step):
         rows = slice(i, i + step)
         g, b, xp_yp, xp_y, x_yp = (f[rows, :, None] for f in fields)

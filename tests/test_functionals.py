@@ -49,9 +49,10 @@ class TestBuildGrid:
     @pytest.mark.parametrize("n", [32, 64, 128, 512, 1024])
     @pytest.mark.parametrize("name", ["perturbed02", "separated10", "spline64"])
     def test_row_blocks_match_whole_grid(self, name, n, request):
-        # blocks of 4 or more rows reproduce the whole-grid kernel bit for bit,
-        # at every block height grid_blocks uses (one block at 32, then 32, 16
-        # and 4 rows); single rows would not (BLAS's matrix-vector path moves theta)
+        # blocks of even height reproduce the whole-grid kernel bit for bit,
+        # at every block height grid_blocks uses (one block at 32, then 32, 16,
+        # 4 and 2 rows); 3-row blocks and single rows would not (a single row
+        # takes BLAS's matrix-vector path, which moves theta)
         link = request.getfixturevalue(name)
         grid = la.build_grid(link, n, n)
         x, xp = link.c1.evaluate(grid.s)
@@ -455,6 +456,23 @@ def _write_whole(grid, path):
     la.write_grid(grid.s, grid.t, [(grid.g, grid.theta, grid.abs_omega, grid.re_omega)], path)
 
 
+def _disk_full_after(room):
+    """An open whose files take room bytes, then fail as a full disk does."""
+    def open_limited(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write, left = fh.write, [room]
+
+        def limited(data):
+            if len(data) > left[0]:
+                write(data[:left[0]])
+                raise OSError(28, "No space left on device")
+            left[0] -= len(data)
+            return write(data)
+        fh.write = limited
+        return fh
+    return open_limited
+
+
 class TestExportImport:
     def test_row_count_and_header(self, hopf, tmp_path):
         grid = la.build_grid(hopf, 32, 32)
@@ -533,11 +551,11 @@ class TestExportImport:
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",", header=gio.CSV_HEADER, comments="")
         assert path.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("n", [64, 512, 1024])
     def test_export_holds_one_small_block(self, perturbed02, tmp_path, n):
         # a block of 2,048 nodes, its byte matrix, the tobytes and translate
         # copies of it and the formatter's scratch; 4,096-node blocks peak at
-        # 2.6 MiB (n = 64) and 2.4 MiB (n = 512)
+        # 2.6 MiB (n = 64), 2.4 MiB (n = 512) and 2.4 MiB (n = 1024)
         path = tmp_path / "grid.csv"
         tracemalloc.start()
         try:
@@ -550,26 +568,23 @@ class TestExportImport:
     def test_failed_write_leaves_no_file(self, perturbed02, tmp_path, monkeypatch):
         from linkarea.errors import IoFailure
         grid = la.build_grid(perturbed02, 32, 32)
-
-        def disk_full_after_4k(*args, **kwargs):
-            fh = open(*args, **kwargs)
-            write, room = fh.write, [4096]
-
-            def limited(data):
-                if len(data) > room[0]:
-                    write(data[:room[0]])
-                    raise OSError(28, "No space left on device")
-                room[0] -= len(data)
-                return write(data)
-            fh.write = limited
-            return fh
-
         # write_grid opens its file through errors.open_output
         from linkarea import errors
-        monkeypatch.setattr(errors, "open", disk_full_after_4k, raising=False)
+        monkeypatch.setattr(errors, "open", _disk_full_after(4096), raising=False)
         path = tmp_path / "grid.csv"
         with pytest.raises(IoFailure):
             _write_whole(grid, path)
+        assert not path.exists()
+
+    def test_failed_link_write_leaves_no_file(self, perturbed02, tmp_path, monkeypatch):
+        from linkarea.errors import IoFailure
+        # write_link opens its file through errors.open_output too; the
+        # lk-1 file of perturbed02 is about 1.8 kB
+        from linkarea import errors
+        monkeypatch.setattr(errors, "open", _disk_full_after(512), raising=False)
+        path = tmp_path / "link.lk1"
+        with pytest.raises(IoFailure):
+            la.write_link(perturbed02, path)
         assert not path.exists()
 
     def test_io_failure(self, hopf, tmp_path):

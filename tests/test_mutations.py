@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import linkarea as la
-from linkarea import cli, conformal, functionals, spheres, symplectic, verify
+from linkarea import cli, conformal, functionals, minkowski, spheres, symplectic, verify
 from linkarea.errors import CoincidentPoints
 
 
@@ -66,6 +66,13 @@ def _reversed_chart_tangent(monkeypatch):
 
 def _shifted_chart_angle(monkeypatch, shift):
     _patch(monkeypatch, (conformal,), "_chart_angle", lambda f: lambda *a: f(*a) + shift)
+
+
+def _scaled(p, k, factor):
+    """A copy of p with its coordinate k (on the last axis) times factor."""
+    p = np.array(p, dtype=float)
+    p[..., k] *= factor
+    return p
 
 
 def _nan_first(a):
@@ -124,6 +131,35 @@ MUTATIONS = {
                               ["angle_two_routes"]),
     "chart_theta_plus_1e-8": (lambda mp: _shifted_chart_angle(mp, 1e-8), ["angle_two_routes"]),
     **{name: row[:2] for name, row in NAN_MUTATIONS.items()},
+    # the Minkowski algebra, which the sigma route and the algebraic checks run
+    "wedge_9_times_1p1e-6": (lambda mp: _patch(mp, (minkowski,), "wedge",
+                                               lambda f: lambda *a: _scaled(f(*a), 9, 1 + 1e-6)),
+                             ["plucker_relations", "wedge_determinant_identity",
+                              "psi_equivariance", "tangent_nullity", "metric_two_routes"]),
+    "wedge_0_1_swapped": (lambda mp: _patch(mp, (minkowski,), "wedge",
+                                            lambda f: lambda *a: f(*a)[..., np.r_[1, 0, 2:10]]),
+                          ["plucker_relations", "psi_equivariance"]),
+    "eps10_times_1p1e-8": (lambda mp: mp.setattr(minkowski, "EPS10", (1 + 1e-8) * minkowski.EPS10),
+                           ["wedge_determinant_identity"]),
+    "eta5_0_negated": (lambda mp: mp.setattr(minkowski, "ETA5", _scaled(minkowski.ETA5, 0, -1)),
+                       ["wedge_determinant_identity", "minor_lift", "psi_equivariance"]),
+    "lift_time_times_1p1e-6": (lambda mp: _patch(mp, (spheres,), "lift",
+                                                 lambda f: lambda x: _scaled(f(x), 0, 1 + 1e-6)),
+                               ["psi_equivariance", "tangent_nullity", "metric_two_routes"]),
+    "lift_velocity_times_1p1e-6": (lambda mp: _patch(mp, (spheres,), "_lift_velocity",
+                                                     lambda f: lambda v: (1 + 1e-6) * f(v)),
+                                   ["metric_two_routes"]),
+    "minor_lift_times_1p1e-8": (lambda mp: _patch(mp, (minkowski,), "minor_lift",
+                                                  lambda f: lambda A: (1 + 1e-8) * f(A)),
+                                ["minor_lift", "psi_equivariance"]),
+    # one sign of the wedge metric flipped makes <p, p> negative for some
+    # pairs: the sigma route's square root of it warns, and its NaN fails
+    # tangent_nullity and metric_two_routes
+    "eps10_3_negated": pytest.param(
+        lambda mp: mp.setattr(minkowski, "EPS10", _scaled(minkowski.EPS10, 3, -1)),
+        ["wedge_determinant_identity", "minor_lift", "psi_equivariance", "tangent_signature",
+         "tangent_nullity", "metric_two_routes"],
+        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 }
 
 
