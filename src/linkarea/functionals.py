@@ -1,30 +1,24 @@
 """Quadrature of the torus densities: signed area, area, cross energy.
 
-Grids are uniform n_s x n_t products of power-of-two sizes, each evaluated
-in one pass over blocks of whole s-rows, for g and |Omega| only: the
-quadrature never forms theta or Re Omega, which only the exported grid
-carries, and reduces each block to column sums and row spectra before the
-next, so that it never holds g whole.  The exported grid is evaluated in
-blocks of s-rows too (grid_blocks), which anglemap hands to the CSV writer
-one at a time; the TorusGrid of build_grid joins the same blocks.  Levels
-double n_s until successive values agree to the requested tolerance.  n_t
-follows the rows' Fourier spectra instead: where the area must converge,
-it doubles while the spectral tail of the rows puts its estimate of the
-area's t-error above the tolerance, and the next level keeps n_t >= n_s
-unless every row is resolved to roundoff at fewer columns, in which case
-it carries only those.  The error estimate is the larger of the last level difference and
-that t-tail estimate.
+Levels are uniform n x n grids, n a power of two doubling until
+successive values agree to the requested tolerance.  A level is one pass
+over blocks of whole s-rows, for g and |Omega| only, and each block is
+reduced to column sums and the brackets of its rows' sign changes before
+the next, so g is never held whole.  The exported grid, which also
+carries theta and Re Omega, is evaluated in blocks of s-rows too
+(grid_blocks, which anglemap writes one at a time; build_grid joins them).
 
 The signed area and the energy are trapezoid sums of smooth periodic
 integrands, which converge spectrally.  The area integrand |g| has a kink
-wherever g changes sign, so the area integrates each s-row exactly in t:
-the row's trigonometric interpolant is split at its zeros, found from sign
-changes and polished by Newton's method on the interpolant, and integrated
-between them through its Fourier antiderivative (J. P. Boyd, Solving
-Transcendental Equations, SIAM 2014); the rows are then summed by the
-trapezoid rule in s (L. N. Trefethen and J. A. C. Weideman, SIAM Review
-56, 2014).  A row resolved in t is integrated exactly, so only s needs
-refining.
+wherever g changes sign, so the area integrates each s-row exactly in t
+through the tautological 1-form: g = -da/dt, with a the closed-form
+pullback of symplectic.tautological_pullback, periodic in t, so a row's
+integral of |g| is the sum of |a(s, z') - a(s, z)| over its consecutive
+zeros z, z'.  The zeros are refined on g itself by regula falsi (N.
+Anderson and A. Bjorck, BIT 13, 1973); a is stationary at a zero, so a
+zero off by d moves its row's value by about |dg/dt| d^2 / 2.  The rows
+are summed by the trapezoid rule in s (L. N. Trefethen and J. A. C.
+Weideman, SIAM Review 56, 2014).
 """
 
 from dataclasses import dataclass
@@ -38,8 +32,8 @@ from .links import TWO_PI, Link2
 N_MIN = 32
 N_MAX = 1024
 
-#: oversampled nodes per row block of a level (see _level); bounds the
-#: temporaries of a block, so that a level holds little more than its modes
+#: nodes per row block of a level (see _level); bounds the temporaries of
+#: a block, so that a level holds little more than its brackets
 _BLOCK_NODES = 1 << 14
 #: nodes per row block of the exported grid, which anglemap evaluates,
 #: formats and writes one block at a time: _GRID_BLOCK_NODES // n_t rows,
@@ -50,19 +44,17 @@ _BLOCK_NODES = 1 << 14
 #: pays the fixed cost of some hundred numpy calls: 1,024-node (2-row)
 #: blocks made write_grid about 16 % slower at n_t = 512.
 _GRID_BLOCK_NODES = 2048
-#: zeros are bracketed on each row's interpolant sampled this much finer ...
-_OVERSAMPLE = 8
-#: ... up to this many columns, and at the columns' own nodes above it
-_OVERSAMPLE_MAX_N = 128
-#: |g| <= _ROUNDOFF * (largest |Omega| of the row) is roundoff, not a sign
+#: |g| <= _ROUNDOFF * (largest |Omega| of the row) is roundoff, not a sign;
+#: the area's level difference is floored at _ROUNDOFF times the area
 _ROUNDOFF = 64 * np.finfo(float).eps
-#: modes below this fraction of a level's largest are roundoff: left out of
-#: the interpolant, and a row whose higher modes are all below it is resolved
-_MODE_FLOOR = 4 * np.finfo(float).eps
-#: a zero is polished once a Newton step moves it by less than this ...
-_NEWTON_STEP = 1e-5
-#: ... or after this many steps
-_NEWTON_PASSES = 60
+#: a zero stops once its next step is at most _ZERO_STEP, or after _ZERO_PASSES
+_ZERO_STEP = 1e-9
+_ZERO_PASSES = 30
+#: Lagrange weights of the cubic through nodes u = -1, 0, 1, 2 at u = j / 32,
+#: u = (t - lo) / h in a bracket [lo, lo + h]: the start of each zero's search
+_U = np.linspace(0.0, 1.0, 33)
+_CUBIC = np.array([-_U * (_U - 1) * (_U - 2) / 6, (_U + 1) * (_U - 1) * (_U - 2) / 2,
+                   -(_U + 1) * _U * (_U - 2) / 2, (_U + 1) * _U * (_U - 1) / 6])
 
 
 def _check_resolution(n: int) -> None:
@@ -83,16 +75,14 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One grid of the refinement: its n_s x n_t size, the three values, the
-    number of zeros of the rows' interpolants that the area polished, and
-    the estimate of the area's t-error from the rows' spectral tail."""
+    """One grid of the refinement: its n_s x n_t size, the three values and
+    the number of zeros of g in t that the area refined."""
     n_s: int
     n_t: int
     signed_area: float
     area: float
     energy: float
     zeros: int
-    t_tail: float
 
     @property
     def values(self) -> tuple:
@@ -120,9 +110,8 @@ def grid_blocks(link: Link2, n_s: int, n_t: int):
     consecutive blocks of whole s-rows, _GRID_BLOCK_NODES // n_t rows each
     (all n_s rows when fewer), and runs the kernel on a block only when it
     is reached, so a kernel error in a later block (CoincidentPoints, the
-    cosine check's ValueError) is raised there.
-    The resolutions are checked, and both curves evaluated, before this
-    returns.
+    cosine check's ValueError) is raised there.  The resolutions are
+    checked, and both curves evaluated, before this returns.
     """
     _check_resolution(n_s)
     _check_resolution(n_t)
@@ -145,191 +134,97 @@ def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:
     return TorusGrid(s=s, t=t, g=g, theta=theta, abs_omega=absval, re_omega=re)
 
 
-def _level(link: Link2, n_s: int, n_t: int):
-    """One pass over the n_s x n_t grid, in blocks of whole rows.
+def _level(link: Link2, n: int):
+    """One pass over the n x n grid, in blocks of about _BLOCK_NODES nodes.
 
-    Each block runs the kernel for g and |Omega| and is then reduced and
-    dropped, so the level never holds g whole.  Row i of the modes holds
-    a_0, ..., a_{n/2} of the row's interpolant p(t) = Re sum_k a_k exp(ikt),
-    n = n_t.  Returns the modes; top, above which every mode of every row
-    is below _MODE_FLOOR of the largest, i.e. FFT roundoff; amp, the
-    amplitude |a_k| of each mode summed over the rows; the brackets (row,
-    lo, hi, p(lo), p(hi)) of the sign changes of p, lo and hi in radians;
-    and the column sums of g and |Omega| - g/2.  p is sampled _OVERSAMPLE
-    times finer than the columns while n_t <= _OVERSAMPLE_MAX_N and at the
-    columns above that, and a block holds about _BLOCK_NODES such samples.
-    Samples with |p| <= _ROUNDOFF times the largest |Omega| of their row
-    count as positive, so rows of roundoff (the Hopf link and its Moebius
-    images) have no sign changes, and a zero that falls on a sample is
-    bracketed between that sample and its neighbour.  A bracket joins two
-    consecutive samples, cyclically: the one before sample 0 is the row's
-    last, at index -1.  A g or |Omega| that is not finite anywhere on the
-    grid raises NoConvergence.
+    Returns the first curve's points and velocities at the rows; the
+    brackets (row, lo, hi, near) of the rows' sign changes, lo and hi in
+    radians and near the (k, 4) values of g at lo - h, lo, hi, hi + h,
+    h = 2 pi / n; and the column sums of g and |Omega| - g/2.  Nodes with
+    |g| <= _ROUNDOFF times the largest |Omega| of their row count as
+    positive, so rows of roundoff (the Hopf link and its Moebius images)
+    have no sign changes.  A bracket joins two consecutive nodes,
+    cyclically: the one before node 0 is the row's last, at t = -h.  A g
+    or |Omega| that is not finite anywhere raises NoConvergence.
     """
-    x, xp = link.c1.evaluate(_nodes(n_s))
-    y, yp = link.c2.evaluate(_nodes(n_t))
-    half = n_t // 2
-    pad = _OVERSAMPLE if n_t <= _OVERSAMPLE_MAX_N else 1
-    modes, sums = np.empty((n_s, half + 1), complex), np.zeros((2, n_t))
-    peak = np.zeros(half + 1)  # largest |a_k| over the rows, up to a factor 2
-    amp = np.zeros(half + 1)
-    found = []
-    step = _BLOCK_NODES // (pad * n_t)
-    for r0 in range(0, n_s, step):
-        rows = slice(r0, r0 + step)
-        g, absval = magnitude_kernel(x[rows], xp[rows], y, yp)[:2]
-        spec = np.fft.rfft(g, norm="forward")  # a_0, a_k / 2, a_{n/2}
-        vals = g
-        if pad > 1:  # padded, irfft takes mode n/2 as the pair +-n/2: halved, it counts once
-            padded = spec.copy()
-            padded[:, half] *= 0.5
-            vals = np.fft.irfft(padded, pad * n_t, norm="forward")
-        positive = vals >= -_ROUNDOFF * absval.max(axis=1)[:, None]
-        row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), pad * n_t)
-        found.append((row + r0, hi - 1, hi, vals[row, hi - 1], vals[row, hi]))
+    x, xp = link.c1.evaluate(_nodes(n))
+    y, yp = link.c2.evaluate(_nodes(n))
+    sums, found = np.zeros((2, n)), []
+    step = _BLOCK_NODES // n
+    for r0 in range(0, n, step):
+        g, absval = magnitude_kernel(x[r0:r0 + step], xp[r0:r0 + step], y, yp)[:2]
+        positive = g >= -_ROUNDOFF * absval.max(axis=1)[:, None]
+        row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), n)
+        found.append((row + r0, hi, g[row[:, None], (hi[:, None] + np.arange(-2, 2)) % n]))
         sums[0] += g.sum(axis=0)
-        g *= 0.5  # only now: vals is g itself when pad is 1
+        g *= 0.5
         absval -= g
         sums[1] += absval.sum(axis=0)
-        size = np.abs(spec)
-        np.maximum(peak, size.max(axis=0), out=peak)
-        amp += size.sum(axis=0)
-        spec[:, 1:half] *= 2.0
-        modes[rows] = spec
     if not np.all(np.isfinite(sums)):
-        raise NoConvergence(f"non-finite density on the {n_s}x{n_t} grid")
-    amp[1:half] *= 2.0
-    top = np.flatnonzero(peak > _MODE_FLOOR * np.max(peak))[-1] if np.any(peak) else 0
-    row, lo, hi, v_lo, v_hi = (np.concatenate(part) for part in zip(*found))
-    h = TWO_PI / (pad * n_t)
-    return modes, int(top), amp, (row, lo * h, hi * h, v_lo, v_hi), sums
+        raise NoConvergence(f"non-finite density on the {n}x{n} grid")
+    row, hi, near = (np.concatenate(part) for part in zip(*found))
+    return x, xp, (row, (hi - 1) * TWO_PI / n, hi * TWO_PI / n, near), sums
 
 
-def _t_tail(amp, top: int, n_s: int) -> float:
-    """Estimate of the area's t-error of a level, from _level's amp and top.
+def _zeros(c2, x, xp, lo, hi, near):
+    """The second curve's points at the zero of g(s, .) in each bracket.
 
-    A row's error is at most 2 pi max|g - p|, p its interpolant on the
-    level's n_t columns, and max|g - p| is at most twice the amplitudes of
-    the modes beyond n_t/2, which p misses or aliases.  Where every row is
-    resolved (each mode from n_t/2 up below the mode floor), p misses only
-    the roundoff modes above top, and those are summed.  Otherwise the
-    modes above n_t/4 stand in for the ones beyond n_t/2.  That bounds the
-    error only for a spectrum that decays geometrically, |a_k| ~ r^k with
-    r^(n_t/4) <= 1/3: under algebraic decay it can understate the error,
-    and under fast decay it overstates it about r^(-n_t/4)/2 times.  The
-    amplitudes are summed over the rows with the trapezoid weight 2 pi / n_s
-    in s.
+    x and xp are the first curve's stacks at the zeros' rows, and lo, hi
+    and near the brackets of _level; g is evaluated at paired points.  A
+    zero's first point is the sample of the cubic through near nearest 0;
+    each point replaces the bracket's end on its side, and the next is the
+    bracket's regula falsi point, or its midpoint where the values give
+    none.  An end kept twice in a row has its value scaled by 1 - g(new) /
+    g(replaced end), or halved where that is not positive, so that both
+    ends close in.
     """
-    half = len(amp) - 1
-    first = max(half // 2, top) if top < half else half // 2
-    return TWO_PI * TWO_PI / n_s * float(amp[first + 1:].sum())
-
-
-def _carried_columns(sums, top: int, n_s: int) -> int:
-    """n_t of the next level.
-
-    The fewest columns m >= N_MIN, up to the level's n_t, at which every
-    row is resolved (each mode from m/2 up below the mode floor) and the
-    energy's trapezoid sum over every (n_t/m)-th column matches the full
-    one to roundoff, since the floor is judged on g alone.  Without such
-    an m, n_t keeps up with the next level's n_s.
-    """
-    n_t = sums.shape[1]
-    m = max(N_MIN, 2 * top + 1)
-    m = 1 << (m - 1).bit_length()  # the next power of two
-    energy = sums[1].sum() if m <= n_t else 0.0
-    while m <= n_t:
-        stride = n_t // m
-        if abs(stride * sums[1, ::stride].sum() - energy) <= _ROUNDOFF * energy:
-            return m
-        m *= 2
-    return max(n_t, 2 * n_s)
-
-
-def _interpolant(modes, top, row, z):
-    """(p, p', P) at z, p the trigonometric interpolant of each zero's row.
-
-    With w = exp(iz), p(z) = Re sum_k a_k w^k over k = 0..n/2, and
-    P(z) = a_0 z + Re sum_{k>0} a_k w^k / (ik) is an antiderivative.  One
-    Horner pass over the modes evaluates all three at every zero at once;
-    the modes above top, negligible in every row, are left out.
-    """
-    w = np.exp(1j * z)
-    head = modes[row, 0].real
-    q = np.zeros(len(z), complex)
-    d = np.zeros_like(q)
-    anti = np.zeros_like(q)
-    for k in range(top, 0, -1):
-        c = modes[row, k]
-        d *= w
-        d += q
-        q *= w
-        q += c
-        anti *= w
-        anti += c * (-1j / k)
-    d *= w
-    d += q
-    q *= w
-    q += head
-    anti *= w
-    d *= w  # dp/dz = Re(i w dQ/dw)
-    return q.real, -d.imag, head * z + anti.real
-
-
-def _polish(modes, top, row, lo, hi, v_lo, v_hi):
-    """Antiderivative of each row's interpolant at its zero in [lo, hi].
-
-    Each zero starts at the regula falsi point of its bracket and moves by
-    Newton steps on the interpolant, bisecting the bracket instead whenever
-    a step would leave it, until a step is below _NEWTON_STEP.  With dz the
-    last step, P(z) - p(z) dz / 2 is P at the zero to within p'' dz^3 / 6.
-    """
-    z = lo + (hi - lo) * np.clip(v_lo / (v_lo - v_hi), 0.0, 1.0)
+    v_lo, v_hi = near[:, 1], near[:, 2]
     rises = v_lo < v_hi
-    anti = np.empty(len(z))
-    todo = np.arange(len(z))
-    for _ in range(_NEWTON_PASSES):
-        if not len(todo):
-            break
-        at = z[todo]
-        p, dp, value = _interpolant(modes, top, row[todo], at)
-        below = (p < 0) == rises[todo]  # at lies on the bracket's lo side of the zero
-        lo[todo] = np.where(below & (p != 0), at, lo[todo])
-        hi[todo] = np.where(below | (p == 0), hi[todo], at)
+    new = lo + (hi - lo) * _U[np.argmin(np.abs(near @ _CUBIC), axis=1)]
+    kept = np.zeros(len(lo), np.int8)  # the end the last point kept: 1 lo, -1 hi
+    at = np.empty_like(x)
+    todo = np.arange(len(lo))
+    for _ in range(_ZERO_PASSES):
+        y, yp = c2.evaluate(new)
+        at[todo] = y
+        f = magnitude_kernel(x[todo, None], xp[todo, None], y[:, None], yp[:, None])[0][:, 0, 0]
+        on_lo = (f < 0) == rises  # new lies on lo's side of the zero
+        keeps = np.where(on_lo, -1, 1).astype(np.int8)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / dp
-        new = at - step
-        left, right = lo[todo], hi[todo]
-        new = np.where((new >= left) & (new <= right), new, 0.5 * (left + right))
-        z[todo] = new
-        anti[todo] = value - 0.5 * p * (at - new)
-        todo = todo[np.abs(new - at) > _NEWTON_STEP]
-    return anti
+            m = 1.0 - f / np.where(on_lo, v_lo, v_hi)
+            m = np.where(keeps == kept, np.where(m > 0, m, 0.5), 1.0)
+            lo, v_lo = np.where(on_lo, new, lo), np.where(on_lo, f, v_lo * m)
+            hi, v_hi = np.where(on_lo, hi, new), np.where(on_lo, v_hi * m, f)
+            frac = v_lo / (v_lo - v_hi)
+        step = lo + (hi - lo) * np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5) - new
+        moves = np.abs(step) > _ZERO_STEP
+        if not moves.any():
+            break
+        todo, new, lo, hi, v_lo, v_hi, rises, kept = (
+            part[moves] for part in (todo, new + step, lo, hi, v_lo, v_hi, rises, keeps))
+    return at
 
 
-def _abs_integral(modes, top: int, brackets):
-    """Integral of |g| over the torus, and the number of zeros polished.
+def _area(c2, x, xp, brackets) -> float:
+    """Integral of |g| over the torus, from _level's stacks and brackets.
 
-    modes, top and the sign-change brackets are those of _level.
-    Each row's integral in t is that of |p|, p the row's trigonometric
-    interpolant, exact between consecutive zeros of p through the Fourier
-    antiderivative; the zeros are polished on p itself.  The rows are
-    summed by the trapezoid rule in s.
+    A row's integral in t is the sum of |a(z') - a(z)| over its consecutive
+    zeros z, z', the last one back to the first one period on, with a the
+    pulled-back 1-form at the zeros (g = -da/dt); a row without a zero adds
+    0.  The rows are summed by the trapezoid rule in s.
     """
-    n_s = len(modes)
+    from .symplectic import tautological_pullback  # the area's path only, not anglemap's
+
     row = brackets[0]
-    anti = _polish(modes, top, *brackets)
-    mean = modes[:, 0].real
-    integral = TWO_PI * np.abs(mean)
-    if len(row):
-        # consecutive zeros of a row, the last back to the first one period on
-        last = np.flatnonzero(np.r_[row[1:] != row[:-1], True])
-        after = np.arange(1, len(row) + 1)
-        after[last] = np.r_[0, last[:-1] + 1]
-        piece = anti[after] - anti
-        piece[last] += TWO_PI * mean[row[last]]
-        integral[row[last]] = np.bincount(row, np.abs(piece), minlength=n_s)[row[last]]
-    return np.sum(integral) * (TWO_PI / n_s), len(row)
+    if not len(row):
+        return 0.0
+    x_row, xp_row = x[row], xp[row]
+    y = _zeros(c2, x_row, xp_row, *brackets[1:])
+    a = tautological_pullback(x_row[:, None], xp_row[:, None], y[:, None])[:, 0, 0]
+    last = np.flatnonzero(np.r_[row[1:] != row[:-1], True])
+    after = np.arange(1, len(row) + 1)
+    after[last] = np.r_[0, last[:-1] + 1]
+    return float(np.sum(np.abs(a[after] - a))) * (TWO_PI / len(x))
 
 
 _CRITERIA = {"signed_area": (0,), "area": (1,), "energy": (2,), "all": (0, 1, 2)}
@@ -337,71 +232,54 @@ _CRITERIA = {"signed_area": (0,), "area": (1,), "energy": (2,), "all": (0, 1, 2)
 
 def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
                         criterion: str = "all") -> FunctionalReport:
-    """Signed area, area and cross energy on refined n_s x n_t grids.
+    """Signed area, area and cross energy on n x n grids, n doubling.
 
-    The first level is n_start x n_start.  Within a later level, if the
-    criterion watches the area, n_t doubles while the rows' spectral tail
-    puts its estimate of the area's t-error above tol (see _t_tail); the
-    rows' spectra decide this before any zero is polished.  Each next level
-    doubles n_s and carries the fewest columns, at least N_MIN, at which
-    every row is resolved to the mode floor, or else keeps n_t >= n_s (see
-    _carried_columns).  Each grid is evaluated in one pass by _level, for g
-    and |Omega| only: the energy integrand is |Omega| - Re Omega =
-    |Omega| - g/2.  Refinement stops once the functionals that the
-    criterion selects move by at most tol between levels and, if the area
-    is among them, the t-tail estimate is within tol; the larger of the two
-    is est_error.  All three values of the last level are reported either
-    way, with one LevelRecord per level, and grid_used is its (n_s, n_t).
-    A start with no finer level under the cap raises NoConvergence before
-    any node is evaluated.  A level's modes, brackets and amplitudes are
-    dropped before the next _level call, the next level's or the re-run's
-    at doubled n_t, so one level is alive at a time: a 512 start on
-    separated_link(0.5) peaks at 3.3 MiB of traced memory, about one
-    level's modes (2.1 MB) and its block temporaries.
+    The first level is n_start x n_start, and each is one pass of _level,
+    for g and |Omega| only: the energy integrand is |Omega| - g/2.
+    Refinement stops once the functionals that the criterion selects move
+    by at most tol between levels.  That move is est_error, floored at
+    _ROUNDOFF times the area if the area is watched: a smaller difference
+    says nothing of the area's error.  All three values of the last level
+    are reported either way, with one LevelRecord per level.  A start with
+    no finer level under the cap raises NoConvergence before any node is
+    evaluated.  A level's stacks and brackets are dropped before the next
+    is built: a 512 start on separated_link(0.5) peaks at 1.4 MiB traced.
 
     Signed area and energy are trapezoid sums, which converge spectrally.
-    The area integrand |g| has a kink along the zero set of g (present for
-    every link of positive area, since the signed area vanishes), so the
-    area integrates each row's interpolant exactly between its zeros (see
-    _abs_integral): once the rows are resolved in t, the round pairs, whose
-    row integrals are smooth in s, match their closed forms to roundoff.
-    Where zeros of a row merge as s moves, or whole rows of g vanish, the
-    row integral has kinks in s and the trapezoid rule in s converges at
-    order 2 to 3 only.
+    The area is exact in t (see _area), so the round pairs, whose row
+    integrals are smooth in s, match their closed forms to roundoff; where
+    zeros of a row merge as s moves, or whole rows of g vanish, the row
+    integral has kinks in s and the trapezoid rule converges at order 2 to
+    3 only.
     """
     if not tol >= 1e-10:  # also rejects nan
         raise ValueError("tolerance below 1e-10 is not supported")
     _check_resolution(n_start)
     watch = _CRITERIA[criterion]
-    area_watched = 1 in watch  # the t-tail estimates the area's error only
     failure = NoConvergence(f"no convergence to {tol} within {N_MAX} nodes")
     if 2 * n_start > N_MAX:
         raise failure
-    n_s = n_t = n_start
+    n = n_start
     levels = []
     while True:
-        modes, top, amp, brackets, sums = _level(link, n_s, n_t)
-        tail = _t_tail(amp, top, n_s)
-        if area_watched and levels and tail > tol and n_t < N_MAX:
-            del modes, amp, brackets  # the re-run builds its own
-            n_t *= 2
-            continue
-        area, zeros = _abs_integral(modes, top, brackets)
-        del modes, amp, brackets  # before the next level builds its own
-        cell = (TWO_PI / n_s) * (TWO_PI / n_t)
-        signed, energy = sums.sum(axis=1) * cell
-        levels.append(LevelRecord(n_s=n_s, n_t=n_t, signed_area=float(signed), area=float(area),
-                                  energy=float(energy), zeros=zeros, t_tail=tail))
+        x, xp, brackets, sums = _level(link, n)
+        signed, energy = sums.sum(axis=1) * (TWO_PI / n) ** 2
+        levels.append(LevelRecord(n_s=n, n_t=n, signed_area=float(signed),
+                                  area=_area(link.c2, x, xp, brackets), energy=float(energy),
+                                  zeros=len(brackets[0])))
+        del x, xp, brackets  # before the next level builds its own
         if len(levels) > 1:
             cur, prev = levels[-1].values, levels[-2].values
-            est = max(max(abs(cur[k] - prev[k]) for k in watch), tail if area_watched else 0.0)
+            est = max(abs(cur[k] - prev[k]) for k in watch)
+            if 1 in watch:
+                est = max(est, _ROUNDOFF * cur[1])
             if est <= tol:
                 return FunctionalReport(signed_area=cur[0], area=cur[1], energy=cur[2],
-                                        grid_used=(n_s, n_t), est_error=float(est),
+                                        grid_used=(n, n), est_error=float(est),
                                         levels=tuple(levels))
-        if n_s == N_MAX:
+        if n == N_MAX:
             raise failure
-        n_s, n_t = 2 * n_s, _carried_columns(sums, top, n_s)
+        n *= 2
 
 
 def signed_area(link: Link2, tol: float = 1e-8) -> FunctionalReport:
@@ -410,7 +288,8 @@ def signed_area(link: Link2, tol: float = 1e-8) -> FunctionalReport:
 
 
 def area(link: Link2, tol: float = 1e-3) -> FunctionalReport:
-    """Integral of |g|; zero exactly on Moebius images of the Hopf link.
+    """Integral of |g|; exactly zero on Moebius images of the Hopf link,
+    whose g is roundoff on every row.
 
     On round pairs the area converges spectrally and tolerances down to the
     1e-10 floor are reachable; on generic links its convergence in s is of
@@ -418,4 +297,3 @@ def area(link: Link2, tol: float = 1e-3) -> FunctionalReport:
     allows for.
     """
     return compute_functionals(link, tol, criterion="area")
-

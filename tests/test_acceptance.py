@@ -69,7 +69,7 @@ def test_criterion_02_hopf_minimum(hopf):
     worst_hopf = la.area(hopf, tol=1e-3).area
     worst_moved = np.max([la.area(la.random_mobius(1000 + seed, 1.0).transform_link(hopf),
                                   tol=1e-3).area for seed in range(10)])
-    ok = worst_hopf <= 1e-10 and worst_moved <= 1e-8
+    ok = worst_hopf == 0.0 and worst_moved == 0.0
     report(2, ok, f"area(hopf) = {worst_hopf:.2e}, max over 10 moebius images = {worst_moved:.2e}")
 
 

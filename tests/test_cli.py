@@ -95,6 +95,23 @@ class TestArea:
         assert code == 0
         assert parse_report(out.strip())["area"] == "0"
 
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_mobius_image_of_hopf_prints_exact_zero(self, capsys, tmp_path, seed):
+        # a Moebius map sends each circle of the Hopf link to a round circle,
+        # written as the one-mode Fourier curve through three of its points (a
+        # transformed curve itself would be written as spline samples)
+        def round_circle(curve):
+            p = curve.point(np.array([0.0, 2.0, 4.0]))
+            plane = np.linalg.qr((p[1:] - p[0]).T)[0]
+            center = p[0] - plane @ (plane.T @ p[0])
+            return la.CircleCurve(center, plane[:, 0], plane[:, 1], np.sqrt(1.0 - center @ center))
+        moved = la.random_mobius(seed, 1.0).transform_link(la.hopf_link())
+        path = tmp_path / "moved.lk1"
+        la.write_link(la.Link2(round_circle(moved.c1), round_circle(moved.c2)), path)
+        code, out, _ = run_cli(capsys, "area", str(path))
+        assert code == 0
+        assert parse_report(out.strip())["area"] == "0"
+
     def test_cosine_bound_is_input_error(self, capsys, link_files, monkeypatch):
         from linkarea import conformal as cf
         original = cf.metric_kernel
@@ -482,7 +499,7 @@ class TestImports:
         assert threads == int(os.environ["OPENBLAS_NUM_THREADS"]), threads
 
     @pytest.mark.parametrize("argv, skipped, needed", [
-        (["area", "{link}"], {"gridio", "optimize", "symplectic", "verify"}, set()),
+        (["area", "{link}"], {"gridio", "optimize", "verify"}, {"symplectic"}),
         (["anglemap", "{link}", "--grid", "32", "--out", "{tmp}/map.csv"],
          {"optimize", "symplectic", "verify"}, {"gridio"}),
         (["minimize", "{link}", "--steps", "1", "--trace-out", "{tmp}/trace.csv",

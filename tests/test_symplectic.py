@@ -57,14 +57,13 @@ class TestTautologicalPullback:
                 bound = np.linalg.norm(sy.stereo_project(x[i], y[j])) * speeds[i]
                 assert abs(a[i, j]) <= bound + 1e-12
 
-    @pytest.mark.parametrize("n", [7, 16, 37])
-    def test_row_blocks_match_whole_grid(self, perturbed02, n):
-        # the blocked fill gives the whole-grid broadcast bit for bit, also
-        # where the last block is short
-        a, x, xp, y = _pullback(perturbed02, n)
-        dots = x @ y.T
-        proj = (y[None, :, :] - dots[:, :, None] * x[:, None, :]) / (1.0 - dots)[:, :, None]
-        assert np.array_equal(a, np.sum(proj * xp[:, None, :], axis=-1))
+    def test_paired_stacks_match_grid(self, perturbed02):
+        # the area evaluates a at paired (k, 1, 4) stacks, one pair per zero
+        a, x, xp, y = _pullback(perturbed02, 16)
+        i, j = np.divmod(np.arange(0, 256, 7), 16)
+        paired = sy.tautological_pullback(x[i, None], xp[i, None], y[j, None])
+        assert paired.shape == (len(i), 1, 1)
+        assert np.allclose(paired[:, 0, 0], a[i, j], rtol=1e-14, atol=1e-15)
 
     def test_matches_scalar_projection(self, perturbed02):
         a, x, xp, y = _pullback(perturbed02, 32)
@@ -92,8 +91,9 @@ class TestExteriorDerivative:
         assert sy.exterior_derivative_check(perturbed02.c1, perturbed02.c2) <= 1e-6
 
     def test_pullback_never_whole(self, perturbed02):
-        # the (N_GRID, N_GRID, 4) temporaries of the pullback, 0.5 MiB each,
-        # are formed 16 rows at a time; formed whole, the check peaks at 1.33 MiB
+        # the pullback is formed from matrix products, with no (N_GRID,
+        # N_GRID, 4) temporary (0.5 MiB each); formed whole from the
+        # projections, the check peaks at 1.33 MiB
         import tracemalloc
         tracemalloc.start()
         try:
