@@ -107,6 +107,12 @@ def _clamped_arccos(arg):
     return np.arccos(np.clip(a, -1.0, 1.0))
 
 
+def _speed(v):
+    """|v| along the last axis: np.linalg.norm's arithmetic, bit for bit,
+    without its Python-level dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def magnitude_kernel(x, xp, y, yp):
     """(g, abs, cos)[..., i, j] for all pairs of (..., n, 4) and (..., m, 4) stacks.
 
@@ -119,8 +125,7 @@ def magnitude_kernel(x, xp, y, yp):
     cos = x @ np.swapaxes(y, -1, -2)
     cos *= -2.0
     cos += 2.0  # |x - y|^2
-    speeds = (np.linalg.norm(xp, axis=-1)[..., :, None]
-              * np.linalg.norm(yp, axis=-1)[..., None, :])
+    speeds = _speed(xp)[..., :, None] * _speed(yp)[..., None, :]
     absval = speeds / cos
     cos *= g
     speeds *= 2.0

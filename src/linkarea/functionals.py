@@ -75,10 +75,9 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One grid of the refinement: its n_s x n_t size, the three values and
-    the number of zeros of g in t that the area refined."""
-    n_s: int
-    n_t: int
+    """One grid of the refinement: its size n (the grid is n x n), the three
+    values and the number of zeros of g in t that the area refined."""
+    n: int
     signed_area: float
     area: float
     energy: float
@@ -94,7 +93,7 @@ class FunctionalReport:
     signed_area: float
     area: float
     energy: float
-    grid_used: tuple  # (n_s, n_t)
+    grid_used: tuple  # (n, n) of the last level
     est_error: float
     levels: tuple = ()
 
@@ -264,7 +263,7 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     while True:
         x, xp, brackets, sums = _level(link, n)
         signed, energy = sums.sum(axis=1) * (TWO_PI / n) ** 2
-        levels.append(LevelRecord(n_s=n, n_t=n, signed_area=float(signed),
+        levels.append(LevelRecord(n=n, signed_area=float(signed),
                                   area=_area(link.c2, x, xp, brackets), energy=float(energy),
                                   zeros=len(brackets[0])))
         del x, xp, brackets  # before the next level builds its own

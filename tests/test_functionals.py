@@ -123,8 +123,8 @@ class TestNestedQuadrature:
                 for name, link in links.items():
                     rep, want = fn.compute_functionals(link, 1e-3, n_start), default[name]
                     assert rep.area == want.area and rep.grid_used == want.grid_used, name
-                    assert ([(lv.n_s, lv.n_t, lv.zeros) for lv in rep.levels]
-                            == [(lv.n_s, lv.n_t, lv.zeros) for lv in want.levels]), name
+                    assert ([(lv.n, lv.zeros) for lv in rep.levels]
+                            == [(lv.n, lv.zeros) for lv in want.levels]), name
                     assert rep.energy == pytest.approx(want.energy, rel=1e-14), name
                     assert abs(rep.signed_area - want.signed_area) <= 1e-14, name
 
@@ -323,15 +323,14 @@ class TestArea:
 
     def test_levels_report_refinement(self, perturbed02):
         rep = la.compute_functionals(perturbed02, tol=1e-4, n_start=32)
-        assert [level.n_s for level in rep.levels] == [32 * 2 ** k for k in range(len(rep.levels))]
-        assert all(level.n_t == level.n_s for level in rep.levels)
+        assert [level.n for level in rep.levels] == [32 * 2 ** k for k in range(len(rep.levels))]
         last, before = rep.levels[-1], rep.levels[-2]
-        assert rep.grid_used == (last.n_s, last.n_t)
+        assert rep.grid_used == (last.n, last.n)
         assert (rep.signed_area, rep.area, rep.energy) == last.values
         delta = max(abs(a - b) for a, b in zip(last.values, before.values))
         assert rep.est_error == max(delta, fn._ROUNDOFF * last.area)
         assert all(level.zeros > 0 for level in rep.levels)
-        assert (rep.levels[0].n_s, rep.levels[0].n_t) == (32, 32)
+        assert rep.levels[0].n == 32
 
 
 class TestResolvedRows:
@@ -347,7 +346,7 @@ class TestResolvedRows:
 
     @pytest.mark.parametrize("name", ["sep0.5", "sep1.0", "sep1.5", "sep1.9", "parallel",
                                       "hopf", "p02"])
-    def test_start_512_carries_few_columns(self, name):
+    def test_start_512_matches_reference(self, name):
         reference = None  # p02 has no closed form
         if name.startswith("sep"):
             link = la.separated_link(float(name[3:]))
@@ -365,11 +364,14 @@ class TestResolvedRows:
             assert abs(rep.area - reference) <= 1e-13
 
     def test_hopf_images_keep_square_levels(self, hopf):
+        """Each level is an n x n grid, n doubling from n_start to grid_used."""
         for seed in range(4):
             moved = la.random_mobius(seed + 70, 2.0).transform_link(hopf)
-            for tol, criterion in ((1e-3, "area"), (1e-10, "all")):
-                rep = fn.compute_functionals(moved, tol=tol, criterion=criterion)
-                assert all(level.n_t == level.n_s for level in rep.levels), (seed, criterion)
+            for tol, criterion, n_start in ((1e-3, "area", 32), (1e-10, "all", 64)):
+                rep = fn.compute_functionals(moved, tol, n_start, criterion)
+                sizes = [level.n for level in rep.levels]
+                assert sizes == [n_start << k for k in range(len(sizes))], (seed, criterion)
+                assert len(sizes) >= 2 and rep.grid_used == (sizes[-1], sizes[-1])
 
     @pytest.mark.parametrize("n_start", [32, 512])
     def test_est_error_bounds_closed_form_error(self, n_start):

@@ -181,6 +181,21 @@ class TestNormalEquations:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert r_norm == pytest.approx(np.linalg.norm(r), rel=1e-13)
 
+    @pytest.mark.parametrize("moved", [False, True])
+    @pytest.mark.parametrize("grid_n", [32, 37, 64])
+    def test_products_match_whole_jacobian(self, perturbed02, moved, grid_n):
+        """J d and J^T w without J equal the products with the joined blocks."""
+        link = la.random_mobius(41, 1.0).transform_link(perturbed02) if moved else perturbed02
+        v = opt.encode_link(link)
+        r, jac = opt._residual_jacobian(v, grid_n)
+        got_r, jvp, vjp = opt._jacobian_products(v, grid_n)
+        assert np.array_equal(got_r, r)
+        rng = Lcg64(grid_n)
+        d = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(len(v))])
+        w = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(len(r))])
+        for got, want in ((jvp(d), jac @ d), (vjp(w), jac.T @ w), (vjp(r), jac.T @ r)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_descent_never_holds_the_jacobian(self):
         """Two steps at the default grid allocate less than one whole J."""
         v = opt.encode_link(la.perturbed_hopf_link(0.1, 0))
@@ -205,6 +220,20 @@ class TestMinimize:
         assert res.status == "converged"
         assert res.trace[-1] < 5e-4
 
+    def test_ten_steps_leave_the_linear_tail(self):
+        """Plain LM reads 7.2e-5 here; the geodesic correction 1.2e-6."""
+        res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=10)
+        assert res.trace[-1] <= 1e-5
+
+    def test_dropped_correction_is_plain_lm(self, monkeypatch):
+        """With every correction dropped, each trial is v + δ: the descent
+        crawls as plain Levenberg–Marquardt does."""
+        v0 = opt.encode_link(la.perturbed_hopf_link(0.1, 0))
+        monkeypatch.setattr(opt, "_ACCEL_MAX", 0.0)
+        res = opt.minimize(v0, steps=10)
+        assert all(rec.accel_ratio == 0.0 for rec in res.records)
+        assert res.trace[-1] > 5e-5
+
     def test_larger_perturbation(self, perturbed02):
         res = opt.minimize(opt.encode_link(perturbed02), steps=10, stop_below=1.7e-3)
         assert res.trace[-1] < 1.7e-3
@@ -215,6 +244,7 @@ class TestMinimize:
         assert [rec.objective for rec in records] == descent_result.trace[1:]
         assert all(rec.residual_norm > 0.0 and rec.step_norm > 0.0 for rec in records)
         assert all(opt.LAMBDA_MIN <= rec.damping and rec.rejected >= 0 for rec in records)
+        assert all(np.isfinite(rec.accel_ratio) and rec.accel_ratio >= 0.0 for rec in records)
 
     def test_trace_monotone(self, descent_result):
         trace = np.array(descent_result.trace)
