@@ -5,18 +5,17 @@ the objective is the area functional at a fixed grid resolution so that
 runs are deterministic.  The area is the L1 norm of the metric field g,
 which vanishes identically on the Hopf link and its Moebius images, so
 each step solves the damped least-squares problem for the residual
-r = g·(2π/n) on the objective grid, with the Jacobian of r built
-analytically through the design matrices, the radial normalization and
-the metric kernel.  The Jacobian is built in blocks of s-rows, and a step
-adds up its normal equations J^T J and J^T r one block at a time, so it
-never holds the whole grid_n^2 x 72 Jacobian.  Each trial step δ is
-corrected by half its geodesic acceleration a (M. K. Transtrum and J. P.
-Sethna, arXiv:1201.5885, 2012), which bends it along the curved, sloppy
-directions that stall plain Levenberg–Marquardt near the minimum: a
-solves the damped normal equations for the second directional derivative
-of r along δ, taken from one probe of the metric field and the products
-J δ and J^T w, which are built without J.  A step is accepted only if the
-area decreases.
+r = g·(2π/n) on the objective grid.  Each step linearizes r once: the
+partials of r in the four dot products that g is built from, with the
+chain rule through the metric kernel, the radial normalization and the
+design matrices, give J^T J and J^T r by blocks of s-rows, so that the
+whole grid_n^2 x 72 Jacobian is never held, and J δ and J^T w without J.
+Each trial step δ is corrected by half its geodesic acceleration a (M. K.
+Transtrum and J. P. Sethna, arXiv:1201.5885, 2012), which bends it along
+the curved, sloppy directions that stall plain Levenberg–Marquardt near
+the minimum: a solves the damped normal equations for the second
+directional derivative of r along δ, taken from one probe of the metric
+field, J δ and J^T w.  A step is accepted only if the area decreases.
 """
 
 from dataclasses import dataclass
@@ -47,8 +46,8 @@ MAX_REJECTS = 25
 _GEODESIC_H = 0.1
 _ACCEL_MAX = 0.75
 
-#: nodes per block of s-rows in which the descent builds its Jacobian: a
-#: block of J holds about this many rows of shape_dim() doubles, 590 kB
+#: nodes per block of s-rows in which a step's linearization builds J, J d
+#: and J^T w: a block of J holds this many rows of shape_dim() doubles, 590 kB
 _JAC_BLOCK_NODES = 1024
 
 
@@ -189,131 +188,109 @@ def _component_jacobian(terms, design, ddesign, gx, gxp, out) -> None:
     out += from_fp[..., None] * ddesign
 
 
-def _jacobian_blocks(vector, grid_n: int):
-    """Residual r = g·(2π/n) on the objective grid and its Jacobian, by blocks of s-rows.
+class _Linearization:
+    """r = g·(2π/n) on the objective grid at a shape vector, and its Jacobian J.
 
-    Yields (r, J) on consecutive blocks of whole s-rows, _JAC_BLOCK_NODES
-    nodes each (the last may be shorter): r flattened in (s, t) order and J
-    of shape (nodes, shape_dim()).  The kernel g = ((x'.y') b - (x'.y)(x.y')) / b^2
-    with b = x.y - 1 has dg/dx = ((x'.y') y - (x'.y) y') / b^2 - 2 g y / b and
-    dg/dx' = (b y' - (x.y') y) / b^2, and the mirror formulas in (y, y').
-    g and the four products are held on the whole grid: on a block's rows
-    alone, BLAS's edge kernels can move a product in its last bits.  The
-    gradients and J are built one block at a time.
+    g = (q b - c e)/b^2 depends on the points and velocities only through
+    b = x.y - 1, q = x'.y', c = x'.y and e = x.y', with partials g_q = 1/b,
+    g_c = -e/b^2, g_e = -c/b^2 and g_b = (q - 2 g b)/b^2 = g_c g_e/g_q - g g_q.
+    r, r_q, r_c and r_e are built once, on the whole grid (on a block's rows
+    alone, BLAS's edge kernels can move a product in its last bits), and r_b
+    from them on each block of whole s-rows, _JAC_BLOCK_NODES nodes (the last
+    may be shorter).  blocks() yields J a block at a time, normal_equations()
+    sums J^T J and J^T r over them, jvp and vjp give J d and J^T w without J.
     """
-    raw, draw, pts, vel = _grid_fields(vector, grid_n)
-    x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
-    terms = [[t[:, None] for t in _node_terms(raw[c], draw[c], pts[c], vel[c])]
-             for c in range(2)]
-    design, ddesign = (m[:, None, None, :] for m in _designs(grid_n))
-    fields = (_metric_field(pts, vel), x @ y.T - 1.0, xp @ yp.T, xp @ y.T, x @ yp.T)
-    cell = TWO_PI / grid_n
-    step = _JAC_BLOCK_NODES // grid_n
-    for i in range(0, grid_n, step):
-        rows = slice(i, i + step)
-        g, b, xp_yp, xp_y, x_yp = (f[rows, :, None] for f in fields)
-        two_g_b = 2.0 * g / b
-        b2 = b * b
-        xs, xps = x[rows, None], xp[rows, None]
-        gx = (xp_yp * y - xp_y * yp) / b2 - two_g_b * y
-        gxp = (b * yp - x_yp * y) / b2
-        gy = (xp_yp * xs - x_yp * xps) / b2 - two_g_b * xs
-        gyp = (b * xps - xp_y * xs) / b2
-        # each component's part of the block's (s, t, coefficient) Jacobian, in place
-        jac = np.empty((len(g), grid_n, shape_dim()))
-        parts = jac.reshape(len(g), grid_n, 2, 4, 2 * K_OPT + 1)
-        _component_jacobian([t[rows] for t in terms[0]], design[rows], ddesign[rows],
-                            gx, gxp, parts[:, :, 0])
-        _component_jacobian(terms[1], design, ddesign, np.swapaxes(gy, 0, 1),
-                            np.swapaxes(gyp, 0, 1), np.swapaxes(parts[:, :, 1], 0, 1))
-        jac *= cell
-        yield (g * cell).ravel(), jac.reshape(-1, shape_dim())
 
+    def __init__(self, vector, grid_n: int):
+        raw, draw, pts, vel = _grid_fields(vector, grid_n)
+        self.terms = [_node_terms(raw[c], draw[c], pts[c], vel[c]) for c in range(2)]
+        self.x, self.xp, self.y, self.yp = x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
+        self.n, self.cell = grid_n, TWO_PI / grid_n
+        g = _metric_field(pts, vel)
+        minus_b = x @ y.T  # becomes 1 - x.y = -b, then -(2π/n)/b^2, all in place
+        np.subtract(1.0, minus_b, out=minus_b)
+        self.r_q = -self.cell / minus_b
+        over_b2 = np.divide(self.r_q, minus_b, out=minus_b)
+        self.r_c, self.r_e = x @ yp.T, xp @ y.T
+        self.r_c *= over_b2
+        self.r_e *= over_b2
+        g *= self.cell
+        self.r = g.ravel()
 
-def _jacobian_products(vector, grid_n: int):
-    """r = g·(2π/n) at a shape vector and the maps d -> J d and w -> J^T w, without J.
+    def _partials(self):
+        """(rows, (r_b, r_q, r_c, r_e)) on each block of s-rows."""
+        r, step = self.r.reshape(self.n, self.n), _JAC_BLOCK_NODES // self.n
+        for rows in (slice(i, i + step) for i in range(0, self.n, step)):
+            r_q, r_c, r_e = self.r_q[rows], self.r_c[rows], self.r_e[rows]
+            yield rows, (r_c * r_e / r_q - r[rows] * r_q / self.cell, r_q, r_c, r_e)
 
-    g = (q b - c e) / b^2 depends on the points and velocities only through
-    the four products b = x.y - 1, q = x'.y', c = x'.y and e = x.y', with
-    partials g_b = (q - 2 g b) / b^2, g_q = 1/b, g_c = -e/b^2 and g_e =
-    -c/b^2.  Each map builds the products and the partials on the blocks of
-    s-rows of _jacobian_blocks, so that it holds no field but g, its input
-    and its output on the whole grid.  J d adds up the partials times the
-    products' variations, each one matmul of (n, 8) stacks that set each
-    node's _node_tangent beside its point.  J^T w contracts the partials,
-    weighted by w, over the other node first, by matmuls with the other
-    curve's stacks: these are the gradients gx, gx', gy, gy' of
-    _jacobian_blocks summed over the other node.  Then each node's
-    gradients go through _node_adjoint and the design matrices, so J^T w
-    makes no pass over J.
-    """
-    raw, draw, pts, vel = _grid_fields(vector, grid_n)
-    design, ddesign = _designs(grid_n)
-    terms = [_node_terms(raw[c], draw[c], pts[c], vel[c]) for c in range(2)]
-    x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
-    g = _metric_field(pts, vel)
-    cell = TWO_PI / grid_n
-    step = _JAC_BLOCK_NODES // grid_n
+    def blocks(self):
+        """(r, J) on each block: r flattened in (s, t) order, J of shape
+        (nodes, shape_dim()), from the gradients of r in each component's
+        point and velocity, dr/dx = r_b y + r_e y', dr/dx' = r_q y' + r_c y,
+        dr/dy = r_b x + r_c x' and dr/dy' = r_q x' + r_e x."""
+        x, xp, y, yp, n = self.x, self.xp, self.y, self.yp, self.n
+        terms = [[t[:, None] for t in c] for c in self.terms]
+        design, ddesign = (m[:, None, None, :] for m in _designs(n))
+        for rows, partials in self._partials():
+            r_b, r_q, r_c, r_e = (p[..., None] for p in partials)
+            xs, xps = x[rows, None], xp[rows, None]
+            # each component's part of the block's (s, t, coefficient) Jacobian, in place
+            parts = np.empty((len(xs), n, 2, 4, 2 * K_OPT + 1))
+            _component_jacobian([t[rows] for t in terms[0]], design[rows], ddesign[rows],
+                                r_b * y + r_e * yp, r_q * yp + r_c * y, parts[:, :, 0])
+            _component_jacobian(terms[1], design, ddesign,
+                                np.swapaxes(r_b * xs + r_c * xps, 0, 1),
+                                np.swapaxes(r_q * xps + r_e * xs, 0, 1),
+                                np.swapaxes(parts[:, :, 1], 0, 1))
+            yield self.r.reshape(n, n)[rows].ravel(), parts.reshape(-1, shape_dim())
 
-    def partials():
-        for i in range(0, grid_n, step):
-            rows = slice(i, i + step)
-            b = x[rows] @ y.T - 1.0
-            q, c, e = xp[rows] @ yp.T, xp[rows] @ y.T, x[rows] @ yp.T
-            b2 = b * b
-            yield rows, ((q - 2.0 * g[rows] * b) / b2, 1.0 / b, -e / b2, -c / b2)
+    def normal_equations(self):
+        """J^T J, J^T r and ‖r‖, summed over the blocks."""
+        normal, grad = np.zeros((shape_dim(), shape_dim())), np.zeros(shape_dim())
+        for r, jac in self.blocks():
+            normal += jac.T @ jac
+            grad += jac.T @ r
+            del jac  # so that the next block is built without this one
+        return normal, grad, float(np.linalg.norm(self.r))
 
-    def jvp(d):
-        (dx, dxp), (dy, dyp) = (_node_tangent(terms[k], design, ddesign, dc)
+    def jvp(self, d):
+        """J d: the partials times the products' variations, each one matmul
+        of (n, 8) stacks that set each node's _node_tangent beside its point."""
+        x, xp, y, yp = self.x, self.xp, self.y, self.yp
+        design, ddesign = _designs(len(x))
+        (dx, dxp), (dy, dyp) = (_node_tangent(self.terms[k], design, ddesign, dc)
                                 for k, dc in enumerate(decode_coeffs(d)))
         # [dx, x].[y, dy] = dx.y + x.dy is the variation of b, and so on
         u, up = np.hstack([dx, x]), np.hstack([dxp, xp])
         vt, vpt = np.hstack([y, dy]).T, np.hstack([yp, dyp]).T
-        dg = np.empty((grid_n, grid_n))
-        for rows, (g_b, g_q, g_c, g_e) in partials():
-            out = dg[rows]
-            np.multiply(g_b, u[rows] @ vt, out=out)
-            out += g_q * (up[rows] @ vpt)
-            out += g_c * (up[rows] @ vt)
-            out += g_e * (u[rows] @ vpt)
-        dg *= cell
-        return dg.ravel()
+        out = np.empty((len(x), len(y)))
+        for rows, (r_b, r_q, r_c, r_e) in self._partials():
+            out[rows] = (r_b * (u[rows] @ vt) + r_q * (up[rows] @ vpt)
+                         + r_c * (up[rows] @ vt) + r_e * (u[rows] @ vpt))
+        return out.ravel()
 
-    def vjp(w):
-        w = np.reshape(w, (grid_n, grid_n))
-        gx, gxp = np.empty((grid_n, 4)), np.empty((grid_n, 4))
-        gy, gyp = np.zeros((grid_n, 4)), np.zeros((grid_n, 4))
-        for rows, (g_b, g_q, g_c, g_e) in partials():
-            w_b, w_q, w_c, w_e = (w[rows] * p for p in (g_b, g_q, g_c, g_e))
+    def vjp(self, w):
+        """J^T w: the partials, weighted by w, contracted over the other node
+        first (the gradients of blocks() summed over it); then each node's
+        gradients go through _node_adjoint and the design matrices."""
+        x, xp, y, yp = self.x, self.xp, self.y, self.yp
+        w = np.reshape(w, (len(x), len(y)))
+        gx, gxp, gy, gyp = np.empty_like(x), np.empty_like(x), np.zeros_like(y), np.zeros_like(y)
+        for rows, partials in self._partials():
+            w_b, w_q, w_c, w_e = (w[rows] * p for p in partials)
             gx[rows], gxp[rows] = w_b @ y + w_e @ yp, w_q @ yp + w_c @ y
             gy += w_b.T @ x[rows] + w_c.T @ xp[rows]
             gyp += w_q.T @ xp[rows] + w_e.T @ x[rows]
-        out = []
-        for k, grads in enumerate(((gx, gxp), (gy, gyp))):
-            from_f, from_fp = _node_adjoint(terms[k], *grads)
-            out.append((from_f.T @ design + from_fp.T @ ddesign).ravel())
-        return np.concatenate(out) * cell
-
-    return (g * cell).ravel(), jvp, vjp
+        design, ddesign = _designs(len(x))
+        grads = (_node_adjoint(t, *g) for t, g in zip(self.terms, ((gx, gxp), (gy, gyp))))
+        return np.concatenate([(f.T @ design + fp.T @ ddesign).ravel() for f, fp in grads])
 
 
 def _residual_jacobian(vector, grid_n: int = GRID_OPT):
-    """The blocks of _jacobian_blocks joined: r of length grid_n^2 and the
-    (grid_n^2, shape_dim()) Jacobian."""
-    r, jac = zip(*_jacobian_blocks(vector, grid_n))
+    """r and the (grid_n^2, shape_dim()) Jacobian: _Linearization's blocks joined."""
+    r, jac = zip(*_Linearization(vector, grid_n).blocks())
     return np.concatenate(r), np.concatenate(jac)
-
-
-def _normal_equations(vector, grid_n: int):
-    """J^T J, J^T r and ‖r‖, summed over the blocks of _jacobian_blocks."""
-    dim = shape_dim()
-    normal, grad, r2 = np.zeros((dim, dim)), np.zeros(dim), 0.0
-    for r, jac in _jacobian_blocks(vector, grid_n):
-        normal += jac.T @ jac
-        grad += jac.T @ r
-        r2 += r @ r
-        del jac  # so that the next block is built without this one
-    return normal, grad, float(np.sqrt(r2))
 
 
 def _renormalize(vector):
@@ -381,7 +358,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     """Levenberg–Marquardt descent of the area objective, with geodesic acceleration.
 
     Each step solves (J^T J + λ·tr(J^T J)/dim·I) δ = -J^T r for the residual
-    r and its Jacobian J (see _normal_equations), corrects it by half its
+    r and its Jacobian J (see _Linearization), corrects it by half its
     geodesic acceleration a (see _acceleration) and tries the renormalized
     v + δ + a/2.  The trial is accepted only if the area decreases;
     otherwise, or if its components touch, λ grows and the step is solved
@@ -392,9 +369,9 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     """
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
-    # a step holds five grid_n^2 fields (2.6 MB at 256) and at most two blocks
-    # of J (_JAC_BLOCK_NODES x 72 doubles each); --grid 256 peaks at 36 MB RSS
-    # (x86-64 Linux, Python 3.11, numpy 2.4)
+    # a step holds four grid_n^2 fields (2.1 MB at 256) through its trials, whose
+    # metric kernels add four more; --grid 256 peaks at 36.3 MB RSS (x86-64
+    # Linux, Python 3.11, numpy 2.4)
     if not 1 <= grid_n <= 256:
         raise BadParameter("grid_n must lie in [1, 256]")
     if not np.isfinite(stop_below):
@@ -408,13 +385,13 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     for _ in range(steps):
         if f <= stop_below:
             break
-        normal, grad, r_norm = _normal_equations(v, grid_n)
-        r, jvp, vjp = _jacobian_products(v, grid_n)
+        lin = _Linearization(v, grid_n)
+        normal, grad, r_norm = lin.normal_equations()
         diag = np.trace(normal) / len(v) * np.eye(len(v))
         for rejected in range(MAX_REJECTS):
             damped = normal + lam * diag
             delta = np.linalg.solve(damped, -grad)
-            accel, ratio = _acceleration(v, delta, r, jvp, vjp, damped, grid_n)
+            accel, ratio = _acceleration(v, delta, lin.r, lin.jvp, lin.vjp, damped, grid_n)
             trial = _renormalize(v + delta + 0.5 * accel)
             try:
                 ft = objective(trial, grid_n)
@@ -426,7 +403,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
         else:
             status = "stalled"  # f is unchanged, hence still above stop_below
             break
-        del r, jvp, vjp, damped  # before the next step's Jacobian pass
+        del lin, damped  # before the next step's linearization
         records.append(StepRecord(ft, r_norm, lam, float(np.linalg.norm(delta)), rejected,
                                   ratio))
         v, f = trial, ft

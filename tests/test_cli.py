@@ -442,6 +442,21 @@ class TestMinimize:
         assert "name the same file" in err
         assert not path.exists()
 
+    def test_deterministic_output(self, capsys, link_files, tmp_path):
+        """Two runs into different directories print the same report, up to
+        the directory, and write the same trace and link bytes."""
+        runs = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            trace, final = out_dir / "t.csv", out_dir / "f.lk1"
+            code, out, _ = run_cli(capsys, "minimize", link_files["perturbed"], "--steps", "10",
+                                   "--trace-out", str(trace), "--link-out", str(final))
+            assert code == 0
+            runs.append((out.replace(str(out_dir), "DIR"), trace.read_bytes(),
+                         final.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_hopf_immediate(self, capsys, link_files, tmp_path):
         code, out, _ = run_cli(capsys, "minimize", link_files["hopf"],
                                "--steps", "5",

@@ -127,17 +127,23 @@ class TestBatchObjective:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_central_differences(self, seed):
-        v = opt.encode_link(la.perturbed_hopf_link(0.2, seed))
-        r, jac = opt._residual_jacobian(v)
-        assert np.array_equal(r, residual(v))
+    @pytest.mark.parametrize("case", [0, 1, 2, "mobius", "grid37"])
+    def test_matches_central_differences(self, case):
+        """perturbed_hopf_link(0.2, seed) for seeds 0-2, the random_mobius(41, 1.0)
+        image of seed 0, and seed 0 at grid_n 37, whose last row block is short."""
+        link = la.perturbed_hopf_link(0.2, case if isinstance(case, int) else 0)
+        if case == "mobius":
+            link = la.random_mobius(41, 1.0).transform_link(link)
+        grid_n = 37 if case == "grid37" else opt.GRID_OPT
+        v = opt.encode_link(link)
+        r, jac = opt._residual_jacobian(v, grid_n)
+        assert np.array_equal(r, residual(v, grid_n))
         h = 1e-6
         fd = np.empty_like(jac)
         for k in range(len(v)):
             dv = np.zeros_like(v)
             dv[k] = h
-            fd[:, k] = (residual(v + dv) - residual(v - dv)) / (2.0 * h)
+            fd[:, k] = (residual(v + dv, grid_n) - residual(v - dv, grid_n)) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize("seed", [None, 1, 2])
@@ -176,7 +182,7 @@ class TestNormalEquations:
         """At 37 the last block is shorter: 37 is no multiple of its rows."""
         v = opt.encode_link(perturbed02)
         r, jac = opt._residual_jacobian(v, grid_n)
-        normal, grad, r_norm = opt._normal_equations(v, grid_n)
+        normal, grad, r_norm = opt._Linearization(v, grid_n).normal_equations()
         for got, want in ((normal, jac.T @ jac), (grad, jac.T @ r)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert r_norm == pytest.approx(np.linalg.norm(r), rel=1e-13)
@@ -188,7 +194,8 @@ class TestNormalEquations:
         link = la.random_mobius(41, 1.0).transform_link(perturbed02) if moved else perturbed02
         v = opt.encode_link(link)
         r, jac = opt._residual_jacobian(v, grid_n)
-        got_r, jvp, vjp = opt._jacobian_products(v, grid_n)
+        lin = opt._Linearization(v, grid_n)
+        got_r, jvp, vjp = lin.r, lin.jvp, lin.vjp
         assert np.array_equal(got_r, r)
         rng = Lcg64(grid_n)
         d = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(len(v))])
@@ -224,6 +231,21 @@ class TestMinimize:
         """Plain LM reads 7.2e-5 here; the geodesic correction 1.2e-6."""
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=10)
         assert res.trace[-1] <= 1e-5
+
+    def test_one_linearization_per_step(self, monkeypatch):
+        """g is evaluated once at the start, once per step by its linearization
+        and twice per trial, by its objective and its acceleration probe: 35
+        times over these 10 steps with 2 rejected trials."""
+        real, calls = opt._metric_field, []
+
+        def counted(pts, vel):
+            calls.append(None)
+            return real(pts, vel)
+
+        monkeypatch.setattr(opt, "_metric_field", counted)
+        res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=10)
+        trials = sum(rec.rejected + 1 for rec in res.records)
+        assert len(calls) == 1 + len(res.records) + 2 * trials
 
     def test_dropped_correction_is_plain_lm(self, monkeypatch):
         """With every correction dropped, each trial is v + δ: the descent
