@@ -9,13 +9,13 @@ r = g·(2π/n) on the objective grid.  Each step linearizes r once: the
 partials of r in the four dot products that g is built from, with the
 chain rule through the metric kernel, the radial normalization and the
 design matrices, give J^T J and J^T r by blocks of s-rows, so that the
-whole grid_n^2 x 72 Jacobian is never held, and J δ and J^T w without J.
+whole grid_n^2 x 72 Jacobian is never held, and J^T w without J.
 Each trial step δ is corrected by half its geodesic acceleration a (M. K.
 Transtrum and J. P. Sethna, arXiv:1201.5885, 2012), which bends it along
 the curved, sloppy directions that stall plain Levenberg–Marquardt near
 the minimum: a solves the damped normal equations for the second
-directional derivative of r along δ, taken from one probe of the metric
-field, J δ and J^T w.  A step is accepted only if the area decreases.
+directional derivative of r along δ, from two probes of the metric field,
+and J^T w.  A step is accepted only if the area decreases.
 """
 
 from dataclasses import dataclass
@@ -46,8 +46,8 @@ MAX_REJECTS = 25
 _GEODESIC_H = 0.1
 _ACCEL_MAX = 0.75
 
-#: nodes per block of s-rows in which a step's linearization builds J, J d
-#: and J^T w: a block of J holds this many rows of shape_dim() doubles, 590 kB
+#: nodes per block of s-rows in which a step builds J and J^T w, and a trial
+#: its probes: a block of J holds this many rows of shape_dim() doubles, 590 kB
 _JAC_BLOCK_NODES = 1024
 
 
@@ -58,13 +58,11 @@ def shape_dim() -> int:
 def to_fourier_coeffs(curve: LinkCurve, n_nodes: int = 256):
     """Truncated Fourier fit, up to mode K_OPT, of a curve through uniform samples."""
     s = np.linspace(0.0, TWO_PI, n_nodes, endpoint=False)
-    pts = curve.point(s)
-    spectrum = np.fft.rfft(pts, axis=0)
-    coeffs = np.zeros((4, 2 * K_OPT + 1))
-    coeffs[:, 0] = spectrum[0].real / n_nodes
-    for k in range(1, K_OPT + 1):
-        coeffs[:, 2 * k - 1] = 2.0 * spectrum[k].real / n_nodes
-        coeffs[:, 2 * k] = -2.0 * spectrum[k].imag / n_nodes
+    spectrum = np.fft.rfft(curve.point(s), axis=0)[:K_OPT + 1].T
+    coeffs = np.empty((4, 2 * K_OPT + 1))
+    coeffs[:, 0] = spectrum[:, 0].real / n_nodes
+    coeffs[:, 1::2] = 2.0 * spectrum[:, 1:].real / n_nodes
+    coeffs[:, 2::2] = -2.0 * spectrum[:, 1:].imag / n_nodes
     return coeffs
 
 
@@ -108,13 +106,21 @@ def _designs(grid_n: int):
 def _grid_fields(vector, grid_n: int):
     """Raw Fourier values F, F' and the points F/|F| and their velocities.
 
-    Each is a (2, grid_n, 4) stack over both components on the grid nodes.
+    Each is a (..., 2, grid_n, 4) stack over both components on the grid
+    nodes, for a shape vector or a (..., shape_dim()) stack of them.
     """
-    coeffs = np.swapaxes(np.asarray(vector, dtype=float).reshape(2, 4, 2 * K_OPT + 1), -1, -2)
+    shape = np.shape(vector)[:-1] + (2, 4, 2 * K_OPT + 1)
+    coeffs = np.swapaxes(np.asarray(vector, dtype=float).reshape(shape), -1, -2)
     design, ddesign = _designs(grid_n)
     raw, draw = design @ coeffs, ddesign @ coeffs
     pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw, draw, pts, radial_velocity(raw, draw)
+
+
+def _row_blocks(grid_n: int):
+    """Slices of whole s-rows, _JAC_BLOCK_NODES nodes each (the last may be shorter)."""
+    step = _JAC_BLOCK_NODES // grid_n
+    return (slice(i, i + step) for i in range(0, grid_n, step))
 
 
 def _metric_field(pts, vel):
@@ -137,27 +143,10 @@ def _node_terms(raw, draw, x, xp):
     return x, xp, 1.0 / np.linalg.norm(raw, axis=-1, keepdims=True), x_fp, draw - x * x_fp
 
 
-def _node_tangent(terms, design, ddesign, dc):
-    """One component's point and velocity variations (dx, dx') at its nodes
-    for a variation dc, (4, 2K+1), of its coefficients.
-
-    The node map takes F and F' to the point x = F/|F|, with dx = P dF/|F|,
-    P = I - x x^T, and to the velocity x', with dx' = P dF'/|F| -
-    [P dF (x.F') + x ((P dF).F')]/|F|^2 - x' (x.dF)/|F|; dF and dF' are the
-    design matrices times dc, and (P dF).F' = dF.(P F').
-    """
-    x, xp, inv, x_fp, p_fp = terms
-    df, dfp = design @ dc.T, ddesign @ dc.T
-    x_df = np.sum(x * df, axis=-1, keepdims=True)
-    p_df = df - x * x_df
-    dxp = ((dfp - x * np.sum(x * dfp, axis=-1, keepdims=True)) * inv
-           - (p_df * x_fp + x * np.sum(df * p_fp, axis=-1, keepdims=True)) * inv * inv
-           - xp * x_df * inv)
-    return p_df * inv, dxp
-
-
 def _node_adjoint(terms, gx, gxp):
-    """The transpose of _node_tangent's map before the design matrices.
+    """The transpose of one component's node map, which takes F and F' to the
+    point x = F/|F|, with dx = P dF/|F|, P = I - x x^T, and to the velocity x',
+    with dx' = P dF'/|F| - [P dF (x.F') + x (dF.(P F'))]/|F|^2 - x' (x.dF)/|F|.
 
     gx and gxp are a field's gradients with respect to the point and the
     velocity, at the nodes of terms (broadcasting over any other axes).
@@ -198,7 +187,7 @@ class _Linearization:
     alone, BLAS's edge kernels can move a product in its last bits), and r_b
     from them on each block of whole s-rows, _JAC_BLOCK_NODES nodes (the last
     may be shorter).  blocks() yields J a block at a time, normal_equations()
-    sums J^T J and J^T r over them, jvp and vjp give J d and J^T w without J.
+    sums J^T J and J^T r over them, and vjp gives J^T w without J.
     """
 
     def __init__(self, vector, grid_n: int):
@@ -219,8 +208,8 @@ class _Linearization:
 
     def _partials(self):
         """(rows, (r_b, r_q, r_c, r_e)) on each block of s-rows."""
-        r, step = self.r.reshape(self.n, self.n), _JAC_BLOCK_NODES // self.n
-        for rows in (slice(i, i + step) for i in range(0, self.n, step)):
+        r = self.r.reshape(self.n, self.n)
+        for rows in _row_blocks(self.n):
             r_q, r_c, r_e = self.r_q[rows], self.r_c[rows], self.r_e[rows]
             yield rows, (r_c * r_e / r_q - r[rows] * r_q / self.cell, r_q, r_c, r_e)
 
@@ -254,22 +243,6 @@ class _Linearization:
             del jac  # so that the next block is built without this one
         return normal, grad, float(np.linalg.norm(self.r))
 
-    def jvp(self, d):
-        """J d: the partials times the products' variations, each one matmul
-        of (n, 8) stacks that set each node's _node_tangent beside its point."""
-        x, xp, y, yp = self.x, self.xp, self.y, self.yp
-        design, ddesign = _designs(len(x))
-        (dx, dxp), (dy, dyp) = (_node_tangent(self.terms[k], design, ddesign, dc)
-                                for k, dc in enumerate(decode_coeffs(d)))
-        # [dx, x].[y, dy] = dx.y + x.dy is the variation of b, and so on
-        u, up = np.hstack([dx, x]), np.hstack([dxp, xp])
-        vt, vpt = np.hstack([y, dy]).T, np.hstack([yp, dyp]).T
-        out = np.empty((len(x), len(y)))
-        for rows, (r_b, r_q, r_c, r_e) in self._partials():
-            out[rows] = (r_b * (u[rows] @ vt) + r_q * (up[rows] @ vpt)
-                         + r_c * (up[rows] @ vt) + r_e * (u[rows] @ vpt))
-        return out.ravel()
-
     def vjp(self, w):
         """J^T w: the partials, weighted by w, contracted over the other node
         first (the gradients of blocks() summed over it); then each node's
@@ -296,31 +269,32 @@ def _residual_jacobian(vector, grid_n: int = GRID_OPT):
 def _renormalize(vector):
     """Rescale each component block to mean radius one (a pure gauge move)."""
     v = np.asarray(vector, dtype=float).reshape(2, 4, 2 * K_OPT + 1)
-    design = _designs(64)[0]
-    out = v.copy()
-    for c in range(2):
-        radii = np.linalg.norm(design @ v[c].T, axis=-1)
-        out[c] /= np.mean(radii)
-    return out.ravel()
+    radii = np.linalg.norm(_designs(64)[0] @ np.swapaxes(v, -1, -2), axis=-1)
+    return (v / np.mean(radii, axis=-1)[:, None, None]).ravel()
 
 
-def _acceleration(v, delta, r, jvp, vjp, damped, grid_n: int):
+def _acceleration(v, delta, r, vjp, damped, grid_n: int):
     """The geodesic acceleration a of the step δ, and ‖a‖/‖δ‖.
 
-    r_vv, the second directional derivative of r along δ, is the forward
-    second difference (2/h)[(r(v + hδ) - r(v))/h - Jδ], and a solves the
+    r_vv, the second directional derivative of r along δ, is the central
+    second difference [r(v + hδ) - 2r(v) + r(v - hδ)]/h^2, and a solves the
     damped normal equations for it: damped a = -J^T r_vv (Transtrum and
-    Sethna, arXiv:1201.5885).  The probe calls _metric_field, not objective,
-    so that objective is called once per trial.  Where ‖a‖ exceeds
-    _ACCEL_MAX ‖δ‖, or the probe's components touch, the correction is
-    dropped: a = 0 with ratio 0.0.
+    Sethna, arXiv:1201.5885).  The probes call _metric_field, not objective
+    (called once per trial), by blocks of s-rows: no whole-grid probe is held.
+    Where ‖a‖ exceeds _ACCEL_MAX ‖δ‖, or a probe's components touch, the
+    correction is dropped: a = 0 with ratio 0.0.
     """
     h = _GEODESIC_H
+    # both probes' points and velocities, each (probe, component, node, 4)
+    pts, vel = _grid_fields(v + np.multiply.outer((h, -h), delta), grid_n)[2:]
+    probes = np.empty((grid_n, grid_n))  # r(v + hδ) + r(v - hδ), over 2π/n
     try:
-        probe = _metric_field(*_grid_fields(v + h * delta, grid_n)[2:])
+        for rows in _row_blocks(grid_n):
+            g = _metric_field((pts[:, 0, rows], pts[:, 1]), (vel[:, 0, rows], vel[:, 1]))
+            np.add(g[0], g[1], out=probes[rows])
     except DisjointnessViolation:
         return 0.0, 0.0
-    r_vv = (2.0 / h) * ((probe.ravel() * (TWO_PI / grid_n) - r) / h - jvp(delta))
+    r_vv = (probes.ravel() * (TWO_PI / grid_n) - 2.0 * r) / (h * h)
     accel = np.linalg.solve(damped, -vjp(r_vv))
     norm_a, norm_d = np.linalg.norm(accel), np.linalg.norm(delta)
     if not 0.0 < norm_a <= _ACCEL_MAX * norm_d:  # also drops a NaN
@@ -370,8 +344,8 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
     # a step holds four grid_n^2 fields (2.1 MB at 256) through its trials, whose
-    # metric kernels add four more; --grid 256 peaks at 36.3 MB RSS (x86-64
-    # Linux, Python 3.11, numpy 2.4)
+    # areas' metric kernels add four more; --grid 256 peaks at 36.0 MB VmHWM
+    # (x86-64 Linux, Python 3.11, numpy 2.4)
     if not 1 <= grid_n <= 256:
         raise BadParameter("grid_n must lie in [1, 256]")
     if not np.isfinite(stop_below):
@@ -387,11 +361,11 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
             break
         lin = _Linearization(v, grid_n)
         normal, grad, r_norm = lin.normal_equations()
-        diag = np.trace(normal) / len(v) * np.eye(len(v))
+        mean_diag = np.trace(normal) / len(v)
         for rejected in range(MAX_REJECTS):
-            damped = normal + lam * diag
+            damped = normal + lam * mean_diag * np.eye(len(v))
             delta = np.linalg.solve(damped, -grad)
-            accel, ratio = _acceleration(v, delta, lin.r, lin.jvp, lin.vjp, damped, grid_n)
+            accel, ratio = _acceleration(v, delta, lin.r, lin.vjp, damped, grid_n)
             trial = _renormalize(v + delta + 0.5 * accel)
             try:
                 ft = objective(trial, grid_n)
@@ -403,7 +377,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
         else:
             status = "stalled"  # f is unchanged, hence still above stop_below
             break
-        del lin, damped  # before the next step's linearization
+        del lin, normal, damped  # before the next step's linearization
         records.append(StepRecord(ft, r_norm, lam, float(np.linalg.norm(delta)), rejected,
                                   ratio))
         v, f = trial, ft

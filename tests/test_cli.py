@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -541,3 +542,74 @@ class TestImports:
             "    getattr(linkarea, name)\n"
             "assert len(set(linkarea.__all__)) == len(linkarea.__all__)\n")
         self._fresh_python(script)
+
+
+def readme_synopses():
+    """The synopses in the fenced blocks of README's CLI section: each line that
+    starts with "linkarea ", joined with the lines of options right below it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n#", 1)[0]
+    synopses, follows = [], False
+    for block in section.split("```")[1::2]:
+        for line in block.splitlines():
+            if line.startswith("linkarea "):
+                synopses.append(line)
+            elif follows and line.lstrip().startswith("["):
+                synopses[-1] += " " + line.strip()
+            follows = line.startswith("linkarea ") or (follows and line.lstrip().startswith("["))
+    return synopses
+
+
+def check_synopsis(synopsis, parser):
+    """The command a synopsis names, and where it disagrees with the parser: an
+    option its parser (the program's before the command, the command's after
+    it) lacks, a count of positionals other than the command's, or an option
+    of the command left out."""
+    tokens = synopsis.replace("[", " ").replace("]", " ").split()[1:]
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    owner, errors, positionals, named = parser, [], 0, set()
+    while tokens:
+        token = tokens.pop(0)
+        if token.startswith("-"):
+            action = owner._option_string_actions.get(token)
+            if action is None:
+                errors.append(f"{token} is no option of {owner.prog}")
+                continue
+            named.add(token)
+            if action.nargs != 0 and tokens:
+                tokens.pop(0)  # its metavar
+        elif owner is not parser:
+            positionals += 1
+        elif token in commands.choices:
+            owner, command = commands.choices[token], token
+        else:
+            errors.append(f"{token} is no command")
+    if owner is parser:
+        return None, errors + ["no command"]
+    actions = [a for a in owner._actions if not isinstance(a, argparse._HelpAction)]
+    if positionals != sum(not a.option_strings for a in actions):
+        errors.append(f"{positionals} positionals for {owner.prog}")
+    errors += [f"{a.option_strings[0]} of {owner.prog} left out" for a in actions
+               if a.option_strings and a.option_strings[0] not in named]
+    return command, errors
+
+
+class TestReadmeSynopses:
+    def test_synopses_match_parser(self):
+        """One synopsis per command, each naming exactly the options it owns."""
+        parser = cli.build_parser()
+        checked = {s: check_synopsis(s, parser) for s in readme_synopses()}
+        assert sorted(command for command, _ in checked.values()) == sorted(cli._COMMANDS)
+        assert {s: errors for s, (_, errors) in checked.items()} == {s: [] for s in checked}
+
+    @pytest.mark.parametrize("synopsis, error", [
+        ("linkarea oracle FILE [--seed S] [--samples M]", "--seed is no option of linkarea oracle"),
+        ("linkarea area FILE [--grid N] [--tol T] [--steps N]",
+         "--steps is no option of linkarea area"),
+        ("linkarea --transforms K invariance FILE", "--transforms is no option of linkarea"),
+        ("linkarea minimize FILE [--steps N] [--grid N] [--stop-below F] [--trace-out PATH]",
+         "--link-out of linkarea minimize left out"),
+        ("linkarea anglemap --out PATH [--grid N]", "0 positionals for linkarea anglemap"),
+    ])
+    def test_disagreement_found(self, synopsis, error):
+        assert error in check_synopsis(synopsis, cli.build_parser())[1]

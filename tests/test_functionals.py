@@ -383,6 +383,17 @@ class TestResolvedRows:
             rep = fn.compute_functionals(link, tol=1e-3, n_start=n_start)
             assert rep.est_error >= abs(rep.area - reference), (rep.grid_used, reference)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the last level difference "
+                       "understates the error where the row integral has kinks in s")
+    @pytest.mark.parametrize("seed, tol, reference", [(0, 1e-6, 2.865945123469321),
+                                                      (3, 1e-5, 3.223421966286152)])
+    def test_est_error_bounds_generic_link_error(self, seed, tol, reference):
+        """References from the contour route of ROADMAP item 14.  p02 stops at
+        512^2 with est_error 3.2e-8 but 1.7e-7 off; seed 3 reads est_error
+        3.5e-6 against an error of 2.7e-5."""
+        rep = fn.compute_functionals(la.perturbed_hopf_link(0.2, seed), tol=tol, criterion="area")
+        assert rep.est_error >= abs(rep.area - reference)
+
 
 class TestCrossEnergy:
     def test_pointwise_nonnegative(self, perturbed02):

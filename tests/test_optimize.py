@@ -20,6 +20,16 @@ def residual(vector, grid_n=opt.GRID_OPT):
     return (sp.metric_kernel(x[0], xp[0], x[1], xp[1]) * (TWO_PI / grid_n)).ravel()
 
 
+def traced_peak(link, **kwargs):
+    """tracemalloc's peak, in bytes, over a descent from link."""
+    tracemalloc.start()
+    try:
+        opt.minimize(opt.encode_link(link), **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def moved_hopf(hopf, matrix):
     """Shape of the Moebius image of the Hopf link under a 5x5 matrix, and |F|.
 
@@ -190,29 +200,66 @@ class TestNormalEquations:
     @pytest.mark.parametrize("moved", [False, True])
     @pytest.mark.parametrize("grid_n", [32, 37, 64])
     def test_products_match_whole_jacobian(self, perturbed02, moved, grid_n):
-        """J d and J^T w without J equal the products with the joined blocks."""
+        """J^T w without J equals the product with the joined blocks."""
         link = la.random_mobius(41, 1.0).transform_link(perturbed02) if moved else perturbed02
         v = opt.encode_link(link)
         r, jac = opt._residual_jacobian(v, grid_n)
         lin = opt._Linearization(v, grid_n)
-        got_r, jvp, vjp = lin.r, lin.jvp, lin.vjp
+        got_r, vjp = lin.r, lin.vjp
         assert np.array_equal(got_r, r)
         rng = Lcg64(grid_n)
-        d = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(len(v))])
         w = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(len(r))])
-        for got, want in ((jvp(d), jac @ d), (vjp(w), jac.T @ w), (vjp(r), jac.T @ r)):
+        for got, want in ((vjp(w), jac.T @ w), (vjp(r), jac.T @ r)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_descent_never_holds_the_jacobian(self):
         """Two steps at the default grid allocate less than one whole J."""
-        v = opt.encode_link(la.perturbed_hopf_link(0.1, 0))
-        tracemalloc.start()
-        try:
-            opt.minimize(v, steps=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < opt.GRID_OPT ** 2 * opt.shape_dim() * 8
+        assert traced_peak(la.perturbed_hopf_link(0.1, 0), steps=2) < (
+            opt.GRID_OPT ** 2 * opt.shape_dim() * 8)
+
+    def test_trial_peak_at_256(self):
+        """3 steps at 256^2 trace 4.21 MiB: a trial's area holds its metric
+        kernel's four grid fields beside the step's four.  Two whole-grid
+        probes summed in place of the blocked ones would trace 4.74 MiB."""
+        assert traced_peak(la.perturbed_hopf_link(0.1, 0), steps=3, grid_n=256) < 4.5 * 2 ** 20
+
+
+class TestGeodesicAcceleration:
+    @staticmethod
+    def second_differences(link, grid_n, hs, monkeypatch):
+        """r_vv of _acceleration's probes for the first Levenberg–Marquardt step
+        δ from link, at each probe step h in hs; and the step's v, δ, r and J."""
+        v = opt._renormalize(opt.encode_link(link))
+        lin = opt._Linearization(v, grid_n)
+        normal, grad, _ = lin.normal_equations()
+        damped = normal + opt.LAMBDA_START * np.trace(normal) / len(v) * np.eye(len(v))
+        delta = np.linalg.solve(damped, -grad)
+        got = []
+        for h in hs:
+            monkeypatch.setattr(opt, "_GEODESIC_H", h)
+            opt._acceleration(v, delta, lin.r, lambda w: got.append(np.ravel(w)) or lin.vjp(w),
+                              damped, grid_n)
+        r, jac = opt._residual_jacobian(v, grid_n)
+        return got, (v, delta, r, jac)
+
+    @pytest.mark.parametrize("case", ["p01", "p02", "mobius", "grid37"])
+    def test_central_difference(self, case, monkeypatch):
+        """The probes' r_vv converges at order 2 in h, and agrees to O(h) with the
+        forward difference (2/h)[(r(v + hδ) - r(v))/h - Jδ], J from the joined
+        blocks: the discrepancy halves with h and stays within 2 % at h = 0.1."""
+        link = la.perturbed_hopf_link(0.2 if case == "p02" else 0.1, 0)
+        if case == "mobius":
+            link = la.random_mobius(41, 1.0).transform_link(link)
+        grid_n = 37 if case == "grid37" else opt.GRID_OPT
+        hs = [opt._GEODESIC_H / 2 ** k for k in range(3)]
+        r_vv, (v, delta, r, jac) = self.second_differences(link, grid_n, hs, monkeypatch)
+        assert len(r_vv) == 3
+        diffs = [np.linalg.norm(a - b) for a, b in zip(r_vv, r_vv[1:])]
+        assert diffs[0] >= 3.0 * diffs[1]
+        gaps = [np.linalg.norm((2.0 / h) * ((residual(v + h * delta, grid_n) - r) / h - jac @ delta)
+                               - got) for h, got in zip(hs, r_vv)]
+        assert gaps[0] <= 0.02 * np.linalg.norm(r_vv[0])
+        assert all(1.9 <= a / b <= 2.1 for a, b in zip(gaps, gaps[1:]))
 
 
 class TestMinimize:
@@ -233,19 +280,33 @@ class TestMinimize:
         assert res.trace[-1] <= 1e-5
 
     def test_one_linearization_per_step(self, monkeypatch):
-        """g is evaluated once at the start, once per step by its linearization
-        and twice per trial, by its objective and its acceleration probe: 35
-        times over these 10 steps with 2 rejected trials."""
-        real, calls = opt._metric_field, []
+        """g is evaluated on the whole grid once at the start (objective), once per
+        step (its linearization) and three times per trial (its objective and
+        the two acceleration probes, which go together by blocks of s-rows):
+        1 + 10 + 3 x 12 grids over these 10 steps with 2 rejected trials."""
+        rows, counts = [], {"objective": 0, "_Linearization": 0}
+        real_field = opt._metric_field
 
-        def counted(pts, vel):
-            calls.append(None)
-            return real(pts, vel)
+        def counted_field(pts, vel):
+            rows.append(np.prod(pts[0].shape[:-1]))  # s-rows, over both probes
+            return real_field(pts, vel)
 
-        monkeypatch.setattr(opt, "_metric_field", counted)
+        def counted(name):
+            real = getattr(opt, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(opt, "_metric_field", counted_field)
+        for name in counts:
+            monkeypatch.setattr(opt, name, counted(name))
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=10)
         trials = sum(rec.rejected + 1 for rec in res.records)
-        assert len(calls) == 1 + len(res.records) + 2 * trials
+        assert (len(res.records), trials) == (10, 12)
+        assert counts == {"objective": 1 + trials, "_Linearization": len(res.records)}
+        assert sum(rows) == opt.GRID_OPT * (1 + len(res.records) + 3 * trials)
 
     def test_dropped_correction_is_plain_lm(self, monkeypatch):
         """With every correction dropped, each trial is v + δ: the descent
