@@ -28,6 +28,7 @@ import numpy as np
 from .conformal import density_kernel, magnitude_kernel
 from .errors import NoConvergence
 from .links import TWO_PI, Link2
+from .spheres import ROUNDOFF
 
 N_MIN = 32
 N_MAX = 1024
@@ -44,9 +45,6 @@ _BLOCK_NODES = 1 << 14
 #: pays the fixed cost of some hundred numpy calls: 1,024-node (2-row)
 #: blocks made write_grid about 16 % slower at n_t = 512.
 _GRID_BLOCK_NODES = 2048
-#: |g| <= _ROUNDOFF * (largest |Omega| of the row) is roundoff, not a sign;
-#: the area's level difference is floored at _ROUNDOFF times the area
-_ROUNDOFF = 64 * np.finfo(float).eps
 #: a zero stops once its next step is at most _ZERO_STEP, or after _ZERO_PASSES
 _ZERO_STEP = 1e-9
 _ZERO_PASSES = 30
@@ -140,7 +138,7 @@ def _level(link: Link2, n: int):
     brackets (row, lo, hi, near) of the rows' sign changes, lo and hi in
     radians and near the (k, 4) values of g at lo - h, lo, hi, hi + h,
     h = 2 pi / n; and the column sums of g and |Omega| - g/2.  Nodes with
-    |g| <= _ROUNDOFF times the largest |Omega| of their row count as
+    |g| <= ROUNDOFF times the largest |Omega| of their row count as
     positive, so rows of roundoff (the Hopf link and its Moebius images)
     have no sign changes.  A bracket joins two consecutive nodes,
     cyclically: the one before node 0 is the row's last, at t = -h.  A g
@@ -152,7 +150,7 @@ def _level(link: Link2, n: int):
     step = _BLOCK_NODES // n
     for r0 in range(0, n, step):
         g, absval = magnitude_kernel(x[r0:r0 + step], xp[r0:r0 + step], y, yp)[:2]
-        positive = g >= -_ROUNDOFF * absval.max(axis=1)[:, None]
+        positive = g >= -ROUNDOFF * absval.max(axis=1)[:, None]
         row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), n)
         found.append((row + r0, hi, g[row[:, None], (hi[:, None] + np.arange(-2, 2)) % n]))
         sums[0] += g.sum(axis=0)
@@ -235,14 +233,15 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
 
     The first level is n_start x n_start, and each is one pass of _level,
     for g and |Omega| only: the energy integrand is |Omega| - g/2.
-    Refinement stops once the functionals that the criterion selects move
-    by at most tol between levels.  That move is est_error, floored at
-    _ROUNDOFF times the area if the area is watched: a smaller difference
-    says nothing of the area's error.  All three values of the last level
-    are reported either way, with one LevelRecord per level.  A start with
-    no finer level under the cap raises NoConvergence before any node is
-    evaluated.  A level's stacks and brackets are dropped before the next
-    is built: a 512 start on separated_link(0.5) peaks at 1.4 MiB traced.
+    Refinement stops once the functionals that the criterion selects (a key
+    of _CRITERIA, else ValueError) move by at most tol between levels.
+    That move is est_error, floored at ROUNDOFF times the area if the area
+    is watched: a smaller difference says nothing of the area's error.  All
+    three values of the last level are reported either way, with one
+    LevelRecord per level.  A start with no finer level under the cap
+    raises NoConvergence before any node is evaluated.  A level's stacks
+    and brackets are dropped before the next is built: a 512 start on
+    separated_link(0.5) peaks at 1.4 MiB traced.
 
     Signed area and energy are trapezoid sums, which converge spectrally.
     The area is exact in t (see _area), so the round pairs, whose row
@@ -254,6 +253,8 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     if not tol >= 1e-10:  # also rejects nan
         raise ValueError("tolerance below 1e-10 is not supported")
     _check_resolution(n_start)
+    if criterion not in _CRITERIA:
+        raise ValueError(f"criterion must be one of {', '.join(map(repr, _CRITERIA))}")
     watch = _CRITERIA[criterion]
     failure = NoConvergence(f"no convergence to {tol} within {N_MAX} nodes")
     if 2 * n_start > N_MAX:
@@ -271,7 +272,7 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
             cur, prev = levels[-1].values, levels[-2].values
             est = max(abs(cur[k] - prev[k]) for k in watch)
             if 1 in watch:
-                est = max(est, _ROUNDOFF * cur[1])
+                est = max(est, ROUNDOFF * cur[1])
             if est <= tol:
                 return FunctionalReport(signed_area=cur[0], area=cur[1], energy=cur[2],
                                         grid_used=(n, n), est_error=float(est),

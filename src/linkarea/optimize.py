@@ -18,6 +18,7 @@ directional derivative of r along δ, from two probes of the metric field,
 and J^T w.  A step is accepted only if the area decreases.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,20 +27,16 @@ import numpy as np
 from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
 from .links import (TWO_PI, FourierCurve, Link2, LinkCurve, _fourier_design,
                     radial_velocity)
-from .spheres import metric_kernel
+from .spheres import ROUNDOFF, metric_kernel
 
 #: optimizer defaults: mode cap, quadrature resolution
 K_OPT = 4
 GRID_OPT = 64
 
-#: Levenberg–Marquardt damping: initial value, floor, and the factor by which
-#: it falls after an accepted step and grows after a rejected trial
+#: Levenberg–Marquardt damping: initial value, and the factor by which it
+#: falls after an accepted step and grows after a rejected trial
 LAMBDA_START = 1e-3
-LAMBDA_MIN = 1e-12
 LAMBDA_FACTOR = 10.0
-
-#: consecutive rejected trials before the descent reports a stall
-MAX_REJECTS = 25
 
 #: geodesic acceleration: the probe step h of the second difference along
 #: δ, and the largest ‖a‖/‖δ‖ at which a trial keeps the correction
@@ -243,6 +240,11 @@ class _Linearization:
             del jac  # so that the next block is built without this one
         return normal, grad, float(np.linalg.norm(self.r))
 
+    def roundoff(self) -> float:
+        """The area's roundoff, ROUNDOFF·Σ|Omega|·(2π/n)^2: |Omega|·2π/n = |x'||y'||r_q|/2."""
+        speed_x, speed_y = (np.linalg.norm(p, axis=-1) for p in (self.xp, self.yp))
+        return ROUNDOFF * 0.5 * self.cell * float(speed_x @ np.abs(self.r_q) @ speed_y)
+
     def vjp(self, w):
         """J^T w: the partials, weighted by w, contracted over the other node
         first (the gradients of blocks() summed over it); then each node's
@@ -336,10 +338,13 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     geodesic acceleration a (see _acceleration) and tries the renormalized
     v + δ + a/2.  The trial is accepted only if the area decreases;
     otherwise, or if its components touch, λ grows and the step is solved
-    again.  The trace holds the area at the start and after each accepted
-    step, hence strictly decreases.  Status: "converged" once the area is
-    at most stop_below, "stalled" after MAX_REJECTS rejected trials in a
-    row (the expected outcome at the minimum itself), else "completed".
+    again; it falls after an accepted step, but not below the float epsilon
+    ε, under which λ·tr(J^T J)/dim no longer moves J^T J's diagonal.  The
+    trace holds the area at the start and after each accepted step, hence
+    strictly decreases.  Status: "converged" once the area is at most
+    max(stop_below, _Linearization.roundoff()); "stalled" once a trial's δ
+    falls to v's resolution, ‖δ‖ <= ε‖v‖, or is not finite; else
+    "completed".
     """
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
@@ -354,17 +359,20 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     v = _renormalize(np.asarray(v0, dtype=float))
     f = objective(v, grid_n)
     trace, records = [f], []
-    lam = LAMBDA_START
-    status = "completed"
+    lam, eps = LAMBDA_START, np.finfo(float).eps
     for _ in range(steps):
         if f <= stop_below:
             break
         lin = _Linearization(v, grid_n)
+        if f <= lin.roundoff():
+            return MinimizeResult(vector=v, trace=trace, status="converged", records=records)
         normal, grad, r_norm = lin.normal_equations()
         mean_diag = np.trace(normal) / len(v)
-        for rejected in range(MAX_REJECTS):
+        for rejected in itertools.count():
             damped = normal + lam * mean_diag * np.eye(len(v))
             delta = np.linalg.solve(damped, -grad)
+            if not np.linalg.norm(delta) > eps * np.linalg.norm(v):  # a NaN δ too
+                return MinimizeResult(vector=v, trace=trace, status="stalled", records=records)
             accel, ratio = _acceleration(v, delta, lin.r, lin.vjp, damped, grid_n)
             trial = _renormalize(v + delta + 0.5 * accel)
             try:
@@ -374,17 +382,13 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
             if ft < f:
                 break
             lam *= LAMBDA_FACTOR
-        else:
-            status = "stalled"  # f is unchanged, hence still above stop_below
-            break
         del lin, normal, damped  # before the next step's linearization
         records.append(StepRecord(ft, r_norm, lam, float(np.linalg.norm(delta)), rejected,
                                   ratio))
         v, f = trial, ft
         trace.append(f)
-        lam = max(lam / LAMBDA_FACTOR, LAMBDA_MIN)
-    if f <= stop_below:
-        status = "converged"
+        lam = max(lam / LAMBDA_FACTOR, eps)
+    status = "converged" if f <= stop_below else "completed"
     return MinimizeResult(vector=v, trace=trace, status=status, records=records)
 
 

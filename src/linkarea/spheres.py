@@ -18,6 +18,10 @@ H_FD = 1e-5
 #: zero threshold for Gram eigenvalues (h^2 truncation sits well below)
 TAU_EIG = 1e-7
 
+#: roundoff of g relative to |Omega|, in the area quadrature's sign test and
+#: error floor (see functionals) and in the descent's stop (optimize.minimize)
+ROUNDOFF = 64 * np.finfo(float).eps
+
 
 def lift(x):
     """Light-cone lift of a point of S^3: x -> (1, x) (broadcasts).

@@ -98,7 +98,7 @@ class TestNestedQuadrature:
                 grid = la.build_grid(link, n, n)
                 assert np.array_equal(x, link.c1.evaluate(grid.s)[0]), (name, n)
                 # the sign changes on the whole grid, each between a node and the next
-                positive = grid.g >= -fn._ROUNDOFF * np.max(grid.abs_omega, axis=1)[:, None]
+                positive = grid.g >= -fn.ROUNDOFF * np.max(grid.abs_omega, axis=1)[:, None]
                 row, hi = divmod(np.flatnonzero(positive != np.roll(positive, 1, axis=1)), n)
                 assert np.array_equal(brackets[0], row), (name, n)
                 assert np.allclose(brackets[1:3], [(hi - 1) * TWO_PI / n, hi * TWO_PI / n],
@@ -187,6 +187,13 @@ class TestNestedQuadrature:
         with pytest.raises(NoConvergence, match="no convergence to 0.001 within 1024 nodes"):
             fn.compute_functionals(separated10, tol=1e-3, n_start=fn.N_MAX)
         assert calls == []
+
+    def test_unknown_criterion_fails_before_evaluating(self, separated10, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("the kernel must not run")
+        monkeypatch.setattr(fn, "magnitude_kernel", kernel)
+        with pytest.raises(ValueError, match="'signed_area', 'area', 'energy', 'all'"):
+            fn.compute_functionals(separated10, criterion="areas")
 
     @pytest.mark.parametrize("excess, raises, alternating", [
         pytest.param(1e-6, True, True, id="1e-06-True"),
@@ -328,7 +335,7 @@ class TestArea:
         assert rep.grid_used == (last.n, last.n)
         assert (rep.signed_area, rep.area, rep.energy) == last.values
         delta = max(abs(a - b) for a, b in zip(last.values, before.values))
-        assert rep.est_error == max(delta, fn._ROUNDOFF * last.area)
+        assert rep.est_error == max(delta, fn.ROUNDOFF * last.area)
         assert all(level.zeros > 0 for level in rep.levels)
         assert rep.levels[0].n == 32
 

@@ -326,7 +326,7 @@ class TestMinimize:
         assert len(records) == len(descent_result.trace) - 1
         assert [rec.objective for rec in records] == descent_result.trace[1:]
         assert all(rec.residual_norm > 0.0 and rec.step_norm > 0.0 for rec in records)
-        assert all(opt.LAMBDA_MIN <= rec.damping and rec.rejected >= 0 for rec in records)
+        assert all(np.finfo(float).eps <= rec.damping and rec.rejected >= 0 for rec in records)
         assert all(np.isfinite(rec.accel_ratio) and rec.accel_ratio >= 0.0 for rec in records)
 
     def test_trace_monotone(self, descent_result):
@@ -348,9 +348,43 @@ class TestMinimize:
         assert res.trace[0] <= 1e-10
 
     def test_hopf_single_step_stationary(self, hopf):
+        """Its area 0 is at its own roundoff, whatever stop_below says."""
         res = opt.minimize(opt.encode_link(hopf), steps=1, stop_below=-1.0)
         assert abs(res.trace[-1] - res.trace[0]) <= 1e-9
-        assert res.status == "stalled"
+        assert res.status == "converged"
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_descent_ends_at_roundoff(self, seed):
+        """From p02 seeds 2 and 4, the area reaches its roundoff, 64ε·Σ|Ω|·(2π/n)^2
+        or about 2.8e-13, in 68 and 65 steps."""
+        res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.2, seed)), steps=100)
+        assert res.status == "converged"
+        assert res.trace[-1] <= 1e-12
+
+    def test_shrinking_pair_is_not_at_roundoff(self):
+        """The unlinked pair's |Ω| shrinks with its area, so the stop, which is
+        relative to Σ|Ω|, does not take its vanishing area for the minimum."""
+        res = opt.minimize(opt.encode_link(la.separated_link(1.0)), 30)
+        assert res.trace[-1] < 1e-18
+        assert res.status != "converged"
+
+    def test_nan_gradient_stalls_at_once(self, monkeypatch):
+        """A NaN δ is below v's resolution: no trial is evaluated, and no
+        RuntimeWarning (an error under this suite's settings) is raised."""
+        real_normal, real_objective, calls = opt._Linearization.normal_equations, opt.objective, []
+
+        def nan_gradient(lin):
+            normal, grad, r_norm = real_normal(lin)
+            return normal, np.full_like(grad, np.nan), r_norm
+
+        def counted(vector, grid_n=opt.GRID_OPT):
+            calls.append(vector)
+            return real_objective(vector, grid_n)
+
+        monkeypatch.setattr(opt._Linearization, "normal_equations", nan_gradient)
+        monkeypatch.setattr(opt, "objective", counted)
+        res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=5)
+        assert (res.status, len(res.trace), len(calls)) == ("stalled", 1, 1)
 
     @pytest.mark.parametrize("bad", [
         dict(steps=6000),
@@ -380,6 +414,8 @@ class TestMinimize:
         res = opt.minimize(v0, steps=3, stop_below=-1.0)
         assert res.status == "stalled"
         assert len(res.trace) == 1
+        # λ grows tenfold per trial until ‖δ‖ <= ε‖v‖, after 18 trials here
+        assert calls["n"] - 1 < 25
 
 
 class TestCircleFit:
