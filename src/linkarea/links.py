@@ -28,7 +28,7 @@ DELTA_SEP = 1e-6
 #: minimum admissible parametric speed (immersion floor)
 V_MIN = 1e-4
 
-#: default node count for sampled curves, default Fourier mode cap
+#: node count for sampled curves and for whole-curve probes, default Fourier mode cap
 N_SAMPLES = 256
 K_MAX = 16
 
@@ -241,7 +241,7 @@ class TransformedCurve(LinkCurve):
 class Link2:
     """Two disjoint closed curves on S^3.
 
-    Disjointness is probed on a 256x256 parameter grid at construction.
+    Disjointness is probed on an N_SAMPLES x N_SAMPLES parameter grid at construction.
     """
 
     def __init__(self, c1: LinkCurve, c2: LinkCurve):
@@ -251,8 +251,8 @@ class Link2:
         if sep <= DELTA_SEP:
             raise DisjointnessViolation(f"components approach to {sep:.3e}")
 
-    def min_separation(self, n: int = 256) -> float:
-        s = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    def min_separation(self) -> float:
+        s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
         x = self.c1.point(s)
         y = self.c2.point(s)
         # both factors unit: |x-y|^2 = 2 - 2 x.y
@@ -392,16 +392,11 @@ class MobiusMap:
         return Link2(self.transform_curve(link.c1), self.transform_curve(link.c2))
 
 
-def boost_matrix(rapidity: float, axis: int = 1):
-    """Boost mixing the timelike coordinate with spatial axis (1..4)."""
-    if not 1 <= axis <= 4:
-        raise BadParameter("boost axis must be 1..4")
+def boost_matrix(rapidity: float):
+    """Boost mixing the timelike coordinate with the first spatial axis."""
     A = np.eye(5)
-    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-    A[0, 0] = ch
-    A[axis, axis] = ch
-    A[0, axis] = sh
-    A[axis, 0] = sh
+    A[0, 0] = A[1, 1] = np.cosh(rapidity)
+    A[0, 1] = A[1, 0] = np.sinh(rapidity)
     return A
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
-from .links import (TWO_PI, FourierCurve, Link2, LinkCurve, _fourier_design,
+from .links import (N_SAMPLES, TWO_PI, FourierCurve, Link2, LinkCurve, _fourier_design,
                     radial_velocity)
 from .spheres import ROUNDOFF, metric_kernel
 
@@ -52,14 +52,14 @@ def shape_dim() -> int:
     return 2 * 4 * (2 * K_OPT + 1)
 
 
-def to_fourier_coeffs(curve: LinkCurve, n_nodes: int = 256):
-    """Truncated Fourier fit, up to mode K_OPT, of a curve through uniform samples."""
-    s = np.linspace(0.0, TWO_PI, n_nodes, endpoint=False)
+def to_fourier_coeffs(curve: LinkCurve):
+    """Truncated Fourier fit, up to mode K_OPT, of a curve through N_SAMPLES uniform samples."""
+    s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
     spectrum = np.fft.rfft(curve.point(s), axis=0)[:K_OPT + 1].T
     coeffs = np.empty((4, 2 * K_OPT + 1))
-    coeffs[:, 0] = spectrum[:, 0].real / n_nodes
-    coeffs[:, 1::2] = 2.0 * spectrum[:, 1:].real / n_nodes
-    coeffs[:, 2::2] = -2.0 * spectrum[:, 1:].imag / n_nodes
+    coeffs[:, 0] = spectrum[:, 0].real / N_SAMPLES
+    coeffs[:, 1::2] = 2.0 * spectrum[:, 1:].real / N_SAMPLES
+    coeffs[:, 2::2] = -2.0 * spectrum[:, 1:].imag / N_SAMPLES
     return coeffs
 
 
@@ -131,6 +131,17 @@ def objective(vector, grid_n: int = GRID_OPT) -> float:
     """Area of the decoded link at fixed grid resolution (no refinement)."""
     g = _metric_field(*_grid_fields(vector, grid_n)[2:])
     return float(np.sum(np.abs(g, out=g))) * (TWO_PI / grid_n) ** 2
+
+
+def _roundoff(vector, grid_n: int) -> float:
+    """The area's roundoff at a shape vector, ROUNDOFF·Σ|Omega|·(2π/n)^2: |Omega|·2π/n
+    = |x'||y'||r_q|/2, with _Linearization's r_q built by the same operations."""
+    pts, vel = _grid_fields(vector, grid_n)[2:]
+    cell = TWO_PI / grid_n
+    r_q = pts[0] @ pts[1].T  # becomes 1 - x.y, then r_q and |r_q|, all in place
+    np.divide(-cell, np.subtract(1.0, r_q, out=r_q), out=r_q)
+    speed_x, speed_y = (np.linalg.norm(p, axis=-1) for p in vel)
+    return ROUNDOFF * 0.5 * cell * float(speed_x @ np.abs(r_q, out=r_q) @ speed_y)
 
 
 def _node_terms(raw, draw, x, xp):
@@ -240,11 +251,6 @@ class _Linearization:
             del jac  # so that the next block is built without this one
         return normal, grad, float(np.linalg.norm(self.r))
 
-    def roundoff(self) -> float:
-        """The area's roundoff, ROUNDOFF·Σ|Omega|·(2π/n)^2: |Omega|·2π/n = |x'||y'||r_q|/2."""
-        speed_x, speed_y = (np.linalg.norm(p, axis=-1) for p in (self.xp, self.yp))
-        return ROUNDOFF * 0.5 * self.cell * float(speed_x @ np.abs(self.r_q) @ speed_y)
-
     def vjp(self, w):
         """J^T w: the partials, weighted by w, contracted over the other node
         first (the gradients of blocks() summed over it); then each node's
@@ -341,10 +347,10 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     again; it falls after an accepted step, but not below the float epsilon
     ε, under which λ·tr(J^T J)/dim no longer moves J^T J's diagonal.  The
     trace holds the area at the start and after each accepted step, hence
-    strictly decreases.  Status: "converged" once the area is at most
-    max(stop_below, _Linearization.roundoff()); "stalled" once a trial's δ
-    falls to v's resolution, ‖δ‖ <= ε‖v‖, or is not finite; else
-    "completed".
+    strictly decreases.  Status: "converged" once the area at an accepted
+    point, the start and the last included, is at most max(stop_below,
+    _roundoff); "stalled" once a trial's δ falls to v's resolution,
+    ‖δ‖ <= ε‖v‖, or is not finite; else "completed", after steps steps.
     """
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
@@ -360,12 +366,12 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     f = objective(v, grid_n)
     trace, records = [f], []
     lam, eps = LAMBDA_START, np.finfo(float).eps
-    for _ in range(steps):
-        if f <= stop_below:
+    for step in range(steps + 1):
+        if f <= max(stop_below, _roundoff(v, grid_n)):
+            return MinimizeResult(vector=v, trace=trace, status="converged", records=records)
+        if step == steps:
             break
         lin = _Linearization(v, grid_n)
-        if f <= lin.roundoff():
-            return MinimizeResult(vector=v, trace=trace, status="converged", records=records)
         normal, grad, r_norm = lin.normal_equations()
         mean_diag = np.trace(normal) / len(v)
         for rejected in itertools.count():
@@ -388,17 +394,16 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
         v, f = trial, ft
         trace.append(f)
         lam = max(lam / LAMBDA_FACTOR, eps)
-    status = "converged" if f <= stop_below else "completed"
-    return MinimizeResult(vector=v, trace=trace, status=status, records=records)
+    return MinimizeResult(vector=v, trace=trace, status="completed", records=records)
 
 
-def circle_fit_residual(curve: LinkCurve, n_samples: int = 256) -> float:
-    """RMS distance of samples to the best-fit circle, over the diameter.
+def circle_fit_residual(curve: LinkCurve) -> float:
+    """RMS distance of N_SAMPLES samples to the best-fit circle, over the diameter.
 
     The circle is the intersection of the best-fit affine 2-plane of the
     samples with the unit sphere.
     """
-    s = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
+    s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
     P = curve.point(s)
     centroid = P.mean(axis=0)
     _, _, Vt = np.linalg.svd(P - centroid, full_matrices=False)

@@ -36,6 +36,18 @@ def _scaled_p02(factor):
     return json.dumps({"version": "lk-1", "components": comps})
 
 
+def _lk1(*components):
+    """lk-1 text of the given component entries."""
+    return json.dumps({"version": "lk-1", "components": list(components)})
+
+
+def _hopf_nodes(n, scale_first=1.0):
+    """n nodes of the Hopf link's first component, the first node scaled."""
+    nodes = la.hopf_link().c1.point(np.linspace(0.0, 2 * np.pi, n, endpoint=False))
+    nodes[0] *= scale_first
+    return {"kind": "samples4", "nodes": nodes.tolist()}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -140,10 +152,28 @@ class TestArea:
                      "components[0].nodes not numeric", id="nodes-object"),
         pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nested-array"),
         pytest.param(_scaled_p02(1e150), "components[0].coefficients invalid",
-                     id="coefficients-overflow")])
+                     id="coefficients-overflow"),
+        pytest.param(_lk1(1, 2), "components[0] is not an object", id="component-number"),
+        pytest.param(_lk1({"kind": "samples4"}, {"kind": "samples4"}),
+                     "components[0].nodes missing", id="nodes-missing"),
+        pytest.param(_lk1(*2 * [{"kind": "fourier4", "coefficients": np.eye(4, 3).tolist()}]),
+                     "components are not disjoint", id="equal-components"),
+        pytest.param(_lk1({"kind": "fourier4", "coefficients": np.eye(4, 6).tolist()}, {}),
+                     "must have shape (4, 2K+1)", id="coefficients-even-width"),
+        pytest.param(_lk1({"kind": "fourier4", "coefficients": np.eye(4, 35).tolist()}, {}),
+                     "more than 16 fourier modes", id="coefficients-17-modes"),
+        pytest.param(_scaled_p02(0.01), "too close to the origin", id="coefficients-near-origin"),
+        pytest.param(_lk1(_hopf_nodes(7), {}), "need at least 8 nodes", id="nodes-7"),
+        pytest.param(_lk1(_hopf_nodes(16, 3.0), {}), "node norms too far",
+                     id="nodes-off-sphere"),
+        pytest.param(None, "cannot read", id="directory")])
     def test_malformed_file(self, capsys, tmp_path, text, message):
+        """text None makes the path a directory."""
         path = tmp_path / "bad.lk1"
-        path.write_text(text)
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
         code, out, err = run_cli(capsys, "area", str(path))
         assert code == 2
         assert out == ""

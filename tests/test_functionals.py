@@ -493,11 +493,15 @@ class TestExportImport:
         gio.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n1,1,1,2,3,4\n",  # no product
         gio.CSV_HEADER + "\n0,0,1,2,3,4\n1,0,1,2,3,4\n0,1,1,2,3,4\n1,1,1,2,3,4\n",  # t-major
         gio.CSV_HEADER + "\n0,0,1,2,3,4\n0,1,1,2,3\n",                  # ragged rows
+        None,                                                           # a directory
     ])
     def test_read_rejects_malformed(self, tmp_path, body):
         from linkarea.errors import IoFailure
         path = tmp_path / "grid.csv"
-        path.write_text(body)
+        if body is None:
+            path.mkdir()
+        else:
+            path.write_text(body)
         with pytest.raises(IoFailure):
             la.read_grid(path)
 

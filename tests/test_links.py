@@ -75,7 +75,10 @@ class TestCurveEvaluation:
             assert np.max(np.abs(c.point(s_nodes) - c.nodes)) <= 1e-14
 
     def test_reversed(self):
-        for c in (la.hopf_link().c1, la.perturbed_hopf_link(0.1, 2).c1):
+        sampled = lk.SampledCurve(la.perturbed_hopf_link(0.15, 1).c2.point(
+            np.linspace(0, TWO_PI, 64, endpoint=False)))
+        for c in (la.hopf_link().c1, la.perturbed_hopf_link(0.1, 2).c1, sampled,
+                  la.random_mobius(9, 1.0).transform_curve(sampled)):
             r = c.reversed()
             for s in (0.0, 0.7, 3.1):
                 assert np.allclose(r.point(s), c.point(-s), atol=1e-12)
@@ -87,6 +90,9 @@ class TestCurveEvaluation:
         coeffs[1, 1] = 1e-6  # nearly stationary loop
         with pytest.raises(ImmersionFailure):
             lk.FourierCurve(coeffs)
+        radius = 0.5 * lk.V_MIN  # a circle on the sphere, below the floor
+        with pytest.raises(ImmersionFailure):
+            lk.CircleCurve(np.sqrt(1.0 - radius * radius) * lk._E[0], lk._E[1], lk._E[2], radius)
 
 
 class TestCatalogue:
@@ -106,7 +112,7 @@ class TestCatalogue:
     def test_separated_distance(self):
         for d in (0.5, 1.0, 1.9):
             link = la.separated_link(d)
-            assert link.min_separation(256) >= d
+            assert link.min_separation() >= d
 
     def test_perturbed_amplitude_seeded(self):
         a = la.perturbed_hopf_link(0.2, 7)
@@ -123,6 +129,11 @@ class TestCatalogue:
         lambda: la.perturbed_hopf_link(-0.1, 0),
         lambda: la.parallel_circles_link(0.0, 1.0),
         lambda: la.parallel_circles_link(1.0, -1.0),
+        lambda: la.separated_link(1.9999999999),  # too close to the diameter
+        lambda: lk.CircleCurve(np.zeros(4), lk._E[0], lk._E[0], 1.0),  # not orthonormal
+        lambda: lk.CircleCurve(np.zeros(4), lk._E[0], lk._E[1], 0.5),  # off the sphere
+        lambda: lk.MobiusMap(np.eye(4)),
+        lambda: lk.MobiusMap(-np.eye(5)),  # reverses time orientation
     ])
     def test_bad_parameters(self, bad):
         with pytest.raises(BadParameter):
@@ -155,7 +166,7 @@ class TestMobius:
 
     def test_boost_fixed_point(self):
         # the boost axis direction lifts to an eigenvector of the matrix
-        m = lk.MobiusMap(lk.boost_matrix(0.8, axis=1))
+        m = lk.MobiusMap(lk.boost_matrix(0.8))
         x = np.array([1.0, 0, 0, 0])
         assert np.allclose(m.act_point(x), x, atol=1e-15)
 
@@ -272,6 +283,21 @@ class TestLinkFiles:
                 (p, v), (q, w) = a.evaluate(s), b.evaluate(s)
                 assert np.array_equal(p, q), name
                 assert np.array_equal(v, w), name
+
+    def test_mobius_image_written_as_samples(self, tmp_path, hopf):
+        """A Moebius image is written as the samples4 nodes of its points, and
+        the Hopf image reads back at area 2.2e-13, not 0 (ROADMAP item 19)."""
+        moved = la.random_mobius(3, 1.0).transform_link(hopf)
+        path = tmp_path / "moved.lk1"
+        la.write_link(moved, path)
+        comps = json.loads(path.read_text())["components"]
+        back = la.read_link(path)
+        s = np.linspace(0, TWO_PI, lk.N_SAMPLES, endpoint=False)
+        for comp, curve, read in zip(comps, (moved.c1, moved.c2), (back.c1, back.c2)):
+            assert comp["kind"] == "samples4"
+            assert np.array_equal(comp["nodes"], curve.point(s))
+            assert np.max(np.abs(read.point(s) - curve.point(s))) <= 1e-14
+        assert la.compute_functionals(back).area <= 1e-12
 
     def test_samples3_component(self, tmp_path):
         s = np.linspace(0, TWO_PI, 32, endpoint=False)

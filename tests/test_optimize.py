@@ -261,6 +261,15 @@ class TestGeodesicAcceleration:
         assert gaps[0] <= 0.02 * np.linalg.norm(r_vv[0])
         assert all(1.9 <= a / b <= 2.1 for a, b in zip(gaps, gaps[1:]))
 
+    def test_touching_probe_drops_the_correction(self, hopf):
+        """Where a probe's components touch, a = 0 with ratio 0.0: here v + hδ
+        moves the first component onto the second."""
+        v = opt.encode_link(hopf)
+        half = len(v) // 2
+        delta = np.zeros_like(v)
+        delta[:half] = (v[half:] - v[:half]) / opt._GEODESIC_H
+        assert opt._acceleration(v, delta, None, None, None, opt.GRID_OPT) == (0.0, 0.0)
+
 
 class TestMinimize:
     def test_descent_reaches_threshold(self, descent_result):
@@ -360,6 +369,16 @@ class TestMinimize:
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.2, seed)), steps=100)
         assert res.status == "converged"
         assert res.trace[-1] <= 1e-12
+
+    def test_cap_on_the_converging_step_converges(self):
+        """The stop is tested at the last accepted point too: capped at the k
+        steps that reach roundoff, the run ends "converged", on the same trace."""
+        v0 = opt.encode_link(la.perturbed_hopf_link(0.2, 4))
+        free = opt.minimize(v0, 500)
+        capped = opt.minimize(v0, len(free.records))
+        assert (free.status, capped.status) == ("converged", "converged")
+        assert capped.trace == free.trace
+        assert np.array_equal(capped.vector, free.vector)
 
     def test_shrinking_pair_is_not_at_roundoff(self):
         """The unlinked pair's |Ω| shrinks with its area, so the stop, which is
