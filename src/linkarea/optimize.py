@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
 from .links import (N_SAMPLES, TWO_PI, FourierCurve, Link2, LinkCurve, _fourier_design,
                     radial_velocity)
-from .spheres import ROUNDOFF, metric_kernel
+from .spheres import ROUNDOFF, lift, metric_kernel
 
 #: optimizer defaults: mode cap, quadrature resolution
 K_OPT = 4
@@ -277,7 +277,7 @@ def _residual_jacobian(vector, grid_n: int = GRID_OPT):
 def _renormalize(vector):
     """Rescale each component block to mean radius one (a pure gauge move)."""
     v = np.asarray(vector, dtype=float).reshape(2, 4, 2 * K_OPT + 1)
-    radii = np.linalg.norm(_designs(64)[0] @ np.swapaxes(v, -1, -2), axis=-1)
+    radii = np.linalg.norm(_designs(GRID_OPT)[0] @ np.swapaxes(v, -1, -2), axis=-1)
     return (v / np.mean(radii, axis=-1)[:, None, None]).ravel()
 
 
@@ -398,26 +398,9 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
 
 
 def circle_fit_residual(curve: LinkCurve) -> float:
-    """RMS distance of N_SAMPLES samples to the best-fit circle, over the diameter.
-
-    The circle is the intersection of the best-fit affine 2-plane of the
-    samples with the unit sphere.
-    """
+    """σ₄/σ₃ of the N_SAMPLES x 5 light-cone lifts (1, x) of the curve's samples: 0
+    exactly on round circles, whose lifts span a 3-space of R^{4,1}; on a circle of
+    radius r, σ₂ = σ₃ ∝ r, so it reads the relative out-of-circle amplitude at any r."""
     s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
-    P = curve.point(s)
-    centroid = P.mean(axis=0)
-    _, _, Vt = np.linalg.svd(P - centroid, full_matrices=False)
-    u1, u2 = Vt[0], Vt[1]
-    # in-plane point closest to the origin and the induced circle radius
-    m = centroid - (centroid @ u1) * u1 - (centroid @ u2) * u2
-    rho2 = 1.0 - m @ m
-    rho = np.sqrt(rho2) if rho2 > 0.0 else 0.0
-    rel = P - m
-    qa = rel @ u1
-    qb = rel @ u2
-    inplane = np.hypot(qa, qb)
-    off = rel - qa[:, None] * u1 - qb[:, None] * u2
-    d2 = (inplane - rho) ** 2 + np.sum(off * off, axis=1)
-    gram = P @ P.T
-    diam = float(np.sqrt(max(2.0 - 2.0 * np.min(gram), 1e-30)))
-    return float(np.sqrt(np.mean(d2)) / diam)
+    sigma = np.linalg.svd(lift(curve.point(s)), compute_uv=False)
+    return float(sigma[3] / sigma[2])

@@ -41,10 +41,15 @@ def _lift_velocity(v):
     return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
+def require_separated(chord2, what):
+    """Raise CoincidentPoints unless chord2, the least squared chord |x - y|^2
+    = 2 - 2 x.y of a set of pairs of points, exceeds DELTA_SEP^2; a NaN raises too."""
+    if not chord2 > DELTA_SEP * DELTA_SEP:
+        raise CoincidentPoints(f"{what} at chordal distance {np.sqrt(max(chord2, 0.0)):.3e}")
+
+
 def _check_separated(x, y):
-    d2 = np.sum((np.asarray(x) - np.asarray(y)) ** 2, axis=-1)
-    if not np.min(d2) > DELTA_SEP * DELTA_SEP:
-        raise CoincidentPoints(f"points at chordal distance {np.sqrt(np.min(d2)):.3e}")
+    require_separated(np.min(np.sum((np.asarray(x) - np.asarray(y)) ** 2, axis=-1)), "points")
 
 
 def psi_embed(x, y):
@@ -91,8 +96,7 @@ def metric_kernel(x, xp, y, yp):
     yt, ypt = np.swapaxes(y, -1, -2), np.swapaxes(yp, -1, -2)
     b = x @ yt
     b -= 1.0
-    if not np.max(b) < -0.5 * DELTA_SEP * DELTA_SEP:
-        raise CoincidentPoints("coincident component points")
+    require_separated(-2.0 * np.max(b), "component points")
     g = xp @ ypt
     g *= b
     cross = xp @ yt

@@ -16,9 +16,8 @@ variation of a between the row's zeros of g.
 
 import numpy as np
 
-from .errors import CoincidentPoints
 from .links import TWO_PI
-from .spheres import metric_kernel
+from .spheres import metric_kernel, require_separated
 
 #: the sign in g = SIGN * da/dt, i.e. g = -da/dt
 SIGN = -1
@@ -38,8 +37,7 @@ def stereo_project(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = 1.0 - np.sum(x * y, axis=-1)
-    if not np.min(d) > 1e-12:
-        raise CoincidentPoints("projection pole coincides with the point")
+    require_separated(2.0 * np.min(d), "projection pole and point")
     return (y - np.sum(x * y, axis=-1)[..., None] * x) / d[..., None]
 
 
@@ -56,8 +54,7 @@ def tautological_pullback(x, xp, y):
     """
     yt = np.swapaxes(y, -1, -2)
     dots = x @ yt
-    if not np.max(dots) < 1.0 - 1e-12:
-        raise CoincidentPoints("grid contains coincident component points")
+    require_separated(2.0 - 2.0 * np.max(dots), "grid component points")
     a = xp @ yt
     a -= dots * np.sum(xp * x, axis=-1)[..., None]
     a /= 1.0 - dots

@@ -362,6 +362,17 @@ class TestOracle:
         assert code == 0
         assert float(parse_report(out.strip())["wedge_vs_fd"]) <= 5e-5
 
+    def test_link_at_separation_floor(self, capsys, tmp_path):
+        # a link that Link2 accepts, 1.2 DELTA_SEP apart, reaches the report;
+        # the one-form's residual there fails its bound
+        path = tmp_path / "sep12e-7.lk1"
+        la.write_link(la.separated_link(1.2e-6), path)
+        code, out, _ = run_cli(capsys, "oracle", str(path), "--samples", "20")
+        assert code == 3
+        rep = parse_report(out.strip())
+        assert float(rep["wedge_vs_chart"]) <= 1e-11
+        assert float(rep["symplectic_residual"]) > 1e6
+
     def test_sample_cap(self, capsys, link_files):
         code, _, _ = run_cli(capsys, "oracle", link_files["hopf"], "--samples", "20000")
         assert code == 2
@@ -574,10 +585,13 @@ class TestImports:
         self._fresh_python(script)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_synopses():
     """The synopses in the fenced blocks of README's CLI section: each line that
     starts with "linkarea ", joined with the lines of options right below it."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     section = text.split("\n## CLI\n", 1)[1].split("\n#", 1)[0]
     synopses, follows = [], False
     for block in section.split("```")[1::2]:
@@ -631,6 +645,15 @@ class TestReadmeSynopses:
         checked = {s: check_synopsis(s, parser) for s in readme_synopses()}
         assert sorted(command for command, _ in checked.values()) == sorted(cli._COMMANDS)
         assert {s: errors for s, (_, errors) in checked.items()} == {s: [] for s in checked}
+
+    def test_python_blocks_run(self, tmp_path, monkeypatch):
+        """Both fenced python blocks of README run, writing their files in tmp_path."""
+        text = README.read_text(encoding="utf-8")
+        blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+        assert len(blocks) == 2
+        monkeypatch.chdir(tmp_path)
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
 
     @pytest.mark.parametrize("synopsis, error", [
         ("linkarea oracle FILE [--seed S] [--samples M]", "--seed is no option of linkarea oracle"),

@@ -437,6 +437,20 @@ class TestMinimize:
         assert calls["n"] - 1 < 25
 
 
+#: the Moebius maps of TestCircleFit: seeds 0-9 at rapidity 1 and 2
+MOBIUS_MAPS = [(seed, rapidity) for seed in range(10) for rapidity in (1.0, 2.0)]
+
+
+def bulge(eps, radius=1.0):
+    """A circle of the given radius, about the axis e4, with the out-of-circle
+    bulge eps·radius·cos 2s along e3 (before radial normalization)."""
+    coeffs = np.zeros((4, 5))
+    coeffs[0, 1] = coeffs[1, 2] = radius  # radius·(cos s, sin s)
+    coeffs[2, 3] = eps * radius
+    coeffs[3, 0] = np.sqrt(1.0 - radius ** 2)
+    return FourierCurve(coeffs)
+
+
 class TestCircleFit:
     def test_great_circle_zero(self, hopf):
         assert opt.circle_fit_residual(hopf.c1) <= 1e-12
@@ -446,13 +460,20 @@ class TestCircleFit:
         assert opt.circle_fit_residual(link.c1) <= 1e-12
 
     def test_out_of_plane_second_mode(self):
-        coeffs = np.zeros((4, 5))
-        coeffs[0, 1] = 1.0   # cos s
-        coeffs[1, 2] = 1.0   # sin s
-        coeffs[2, 3] = 0.1   # cos 2s bulge out of the plane
-        residual = opt.circle_fit_residual(FourierCurve(coeffs))
-        assert 0.01 < residual < 0.2
+        assert 0.01 < opt.circle_fit_residual(bulge(0.1)) < 0.2
 
-    def test_mobius_image_of_circle_is_circle(self, hopf):
-        moved = la.random_mobius(17, 1.0).transform_curve(hopf.c1)
-        assert opt.circle_fit_residual(moved) <= 1e-10
+    def test_mobius_image_of_circle_is_circle(self, hopf, separated19):
+        for seed, rapidity in MOBIUS_MAPS:
+            m = la.random_mobius(seed, rapidity)
+            for circle in (hopf.c1, hopf.c2, separated19.c1):
+                assert opt.circle_fit_residual(m.transform_curve(circle)) <= 1e-13
+
+    @pytest.mark.parametrize("radius", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("eps", [0.05, 0.1])
+    def test_bulge_reads_its_amplitude(self, eps, radius):
+        assert opt.circle_fit_residual(bulge(eps, radius)) == pytest.approx(eps, rel=5e-3)
+
+    def test_mobius_image_of_bulge_is_not_circle(self):
+        for seed, rapidity in MOBIUS_MAPS:
+            moved = la.random_mobius(seed, rapidity).transform_curve(bulge(0.1))
+            assert 0.05 <= opt.circle_fit_residual(moved) <= 0.15

@@ -6,6 +6,7 @@ from linkarea import conformal as cf
 from linkarea import links as lk
 from linkarea import minkowski as mk
 from linkarea import spheres as sp
+from linkarea import symplectic as sy
 from linkarea.errors import CoincidentPoints, NotOnSphere
 from linkarea.rng import Lcg64
 from conftest import random_unit4
@@ -64,6 +65,28 @@ class TestPsiEmbed:
         x = np.array([1.0, 0, 0, 0])
         with pytest.raises(CoincidentPoints):
             sp.psi_embed(x, x)
+
+
+class TestSeparationFloor:
+    """The four tests of coincident points apply Link2's floor, a chord of DELTA_SEP."""
+
+    CALLS = {
+        "check_separated": sp._check_separated,
+        "metric_kernel": lambda x, y: sp.metric_kernel(x, E4[2:3], y, E4[2:3]),
+        "tautological_pullback": lambda x, y: sy.tautological_pullback(x, E4[2:3], y),
+        "stereo_project": sy.stereo_project,
+    }
+
+    @staticmethod
+    def pair(chord):
+        theta = 2.0 * np.arcsin(0.5 * chord)
+        return E4[:1], np.array([[np.cos(theta), np.sin(theta), 0.0, 0.0]])
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_floor_is_delta_sep(self, name):
+        self.CALLS[name](*self.pair(1.2 * lk.DELTA_SEP))
+        with pytest.raises(CoincidentPoints):
+            self.CALLS[name](*self.pair(0.9 * lk.DELTA_SEP))
 
 
 class TestSigmaDerivatives:
