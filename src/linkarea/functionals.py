@@ -27,10 +27,9 @@ import numpy as np
 
 from .conformal import density_kernel, magnitude_kernel
 from .errors import NoConvergence
-from .links import TWO_PI, Link2
+from .links import N_MIN, TWO_PI, Link2
 from .spheres import ROUNDOFF
 
-N_MIN = 32
 N_MAX = 1024
 
 #: nodes per row block of a level (see _level); bounds the temporaries of

@@ -32,6 +32,11 @@ V_MIN = 1e-4
 N_SAMPLES = 256
 K_MAX = 16
 
+#: coarsest torus grid, per side, that measures the area: the quadrature's first
+#: level and the descent's least objective grid, below which the descent zeroes g
+#: at the few nodes without reaching the Hopf link
+N_MIN = 32
+
 
 def _as_param(s):
     return np.asarray(s, dtype=float)
@@ -241,7 +246,8 @@ class TransformedCurve(LinkCurve):
 class Link2:
     """Two disjoint closed curves on S^3.
 
-    Disjointness is probed on an N_SAMPLES x N_SAMPLES parameter grid at construction.
+    Disjointness is probed at construction: on an N_SAMPLES x N_SAMPLES parameter
+    grid, and between samples wherever the curves could meet (see min_separation).
     """
 
     def __init__(self, c1: LinkCurve, c2: LinkCurve):
@@ -252,12 +258,37 @@ class Link2:
             raise DisjointnessViolation(f"components approach to {sep:.3e}")
 
     def min_separation(self) -> float:
+        """Least chord over the sample pairs, refined near each pair that the
+        sampled speeds cannot clear of DELTA_SEP, so that curves meeting
+        between samples read about 0."""
         s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
-        x = self.c1.point(s)
-        y = self.c2.point(s)
+        (x, xp), (y, yp) = self.c1._point_velocity(s), self.c2._point_velocity(s)
+        dots = x @ y.T
         # both factors unit: |x-y|^2 = 2 - 2 x.y
-        top = float(np.max(x @ y.T))
-        return float(np.sqrt(max(0.0, 2.0 - 2.0 * top)))
+        sep = float(np.sqrt(max(0.0, 2.0 - 2.0 * float(np.max(dots)))))
+        # a point lies within pi/N_SAMPLES in parameter of a sample, so within
+        # |x'| pi/N_SAMPLES of it; the factor 2 covers speeds above the sampled ones
+        speeds = np.max(np.linalg.norm(xp, axis=-1)) + np.max(np.linalg.norm(yp, axis=-1))
+        reach = DELTA_SEP + 2.0 * speeds * np.pi / N_SAMPLES
+        if sep > reach:
+            return sep
+        i, j = np.nonzero(dots >= 1.0 - 0.5 * reach * reach)
+        return min(sep, self._refined_separation(s[i], s[j])) if len(i) else sep
+
+    def _refined_separation(self, s, t):
+        """Least chord along four least-squares Gauss-Newton steps on x(s) - y(t)
+        from the parameter pairs (s, t), each clipped to one sample spacing."""
+        h = TWO_PI / N_SAMPLES
+        best = np.inf
+        for step in range(5):
+            (x, xp), (y, yp) = self.c1._point_velocity(s), self.c2._point_velocity(t)
+            best = min(best, float(np.min(np.linalg.norm(x - y, axis=-1))))
+            if step == 4:
+                return best
+            # pinv takes the least-norm step where the two tangents are parallel
+            delta = np.linalg.pinv(np.stack([xp, -yp], axis=-1)) @ (y - x)[..., None]
+            delta = np.clip(delta[..., 0], -h, h)
+            s, t = s + delta[:, 0], t + delta[:, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
-from .links import (N_SAMPLES, TWO_PI, FourierCurve, Link2, LinkCurve, _fourier_design,
-                    radial_velocity)
+from .links import (N_MIN, N_SAMPLES, TWO_PI, FourierCurve, Link2, LinkCurve,
+                    _fourier_design, radial_velocity)
 from .spheres import ROUNDOFF, lift, metric_kernel
 
 #: optimizer defaults: mode cap, quadrature resolution
@@ -357,8 +357,8 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     # a step holds four grid_n^2 fields (2.1 MB at 256) through its trials, whose
     # areas' metric kernels add four more; --grid 256 peaks at 36.0 MB VmHWM
     # (x86-64 Linux, Python 3.11, numpy 2.4)
-    if not 1 <= grid_n <= 256:
-        raise BadParameter("grid_n must lie in [1, 256]")
+    if not N_MIN <= grid_n <= 256:
+        raise BadParameter(f"grid_n must lie in [{N_MIN}, 256]")
     if not np.isfinite(stop_below):
         raise BadParameter("stop_below must be finite")
     decode_coeffs(v0)  # validates the vector length

@@ -12,10 +12,8 @@ from . import minkowski as mk
 from .errors import CoincidentPoints, NotOnSphere
 from .links import DELTA_SEP
 
-#: central-difference step for tangent construction on unit-scale geometry
-H_FD = 1e-5
-
-#: zero threshold for Gram eigenvalues (h^2 truncation sits well below)
+#: zero threshold for Gram eigenvalues; theta_tangent_signature applies it
+#: relative to the largest |lambda| of each pair's Gram matrix
 TAU_EIG = 1e-7
 
 #: roundoff of g relative to |Omega|, in the area quadrature's sign test and
@@ -64,6 +62,14 @@ def psi_embed(x, y):
     return p / np.sqrt(n2)[..., None]
 
 
+def _psi_jet(p, dp):
+    """psi = p/|p| and its derivatives dp/|p| - p<p, dp>/|p|^3 along a stack of
+    wedge derivatives dp (k, ..., 10) of p (..., 10)."""
+    n2 = np.asarray(mk.inner10(p, p))[..., None]
+    rn = np.sqrt(n2)
+    return p / rn, dp / rn - p * (mk.inner10(p, dp)[..., None] / (n2 * rn))
+
+
 def sigma_derivatives(c1, c2, s, t):
     """The embedded torus point and its two parameter derivatives.
 
@@ -75,15 +81,8 @@ def sigma_derivatives(c1, c2, s, t):
     y, yp = c2.evaluate(t)
     _check_separated(x, y)
     xb, yb = lift(x), lift(y)
-    xbp, ybp = _lift_velocity(xp), _lift_velocity(yp)
-    p = mk.wedge(xb, yb)
-    ps = mk.wedge(xbp, yb)
-    pt = mk.wedge(xb, ybp)
-    n2 = np.asarray(mk.inner10(p, p))
-    rn = np.sqrt(n2)[..., None]
-    sigma = p / rn
-    sigma_s = ps / rn - p * np.asarray(mk.inner10(p, ps) / (n2 * np.sqrt(n2)))[..., None]
-    sigma_t = pt / rn - p * np.asarray(mk.inner10(p, pt) / (n2 * np.sqrt(n2)))[..., None]
+    dp = np.stack([mk.wedge(_lift_velocity(xp), yb), mk.wedge(xb, _lift_velocity(yp))])
+    sigma, (sigma_s, sigma_t) = _psi_jet(mk.wedge(xb, yb), dp)
     return sigma, sigma_s, sigma_t
 
 
@@ -108,20 +107,13 @@ def metric_kernel(x, xp, y, yp):
 
 
 def _pair_tangent_vectors(x, y):
-    """Six central-difference tangents (..., 6, 10) of the embedding at pairs (..., 4)."""
-    vecs = []
-    for base, other, first in ((x, y, True), (y, x, False)):
-        q = np.linalg.qr(base[..., :, None], mode="complete")[0]
-        for k in range(1, 4):  # the columns of q after the first span the tangents at base
-            d = q[..., :, k]
-            plus = np.cos(H_FD) * base + np.sin(H_FD) * d
-            minus = np.cos(H_FD) * base - np.sin(H_FD) * d
-            if first:
-                dv = psi_embed(plus, other) - psi_embed(minus, other)
-            else:
-                dv = psi_embed(other, plus) - psi_embed(other, minus)
-            vecs.append(dv / (2.0 * H_FD))
-    return np.stack(vecs, axis=-2)
+    """Six tangents (..., 6, 10) at pairs (..., 4): psi's exact derivatives along the
+    last three columns of each point's complete QR, an orthonormal tangent basis."""
+    dx, dy = (np.moveaxis(np.linalg.qr(b[..., None], mode="complete")[0], -1, 0)[1:]
+              for b in (x, y))
+    xb, yb = lift(x), lift(y)
+    dp = np.concatenate([mk.wedge(_lift_velocity(dx), yb), mk.wedge(xb, _lift_velocity(dy))])
+    return np.moveaxis(_psi_jet(mk.wedge(xb, yb), dp)[1], 0, -2)
 
 
 def theta_tangent_signature(x, y):
@@ -130,19 +122,18 @@ def theta_tangent_signature(x, y):
     Three directions through each point span the tangent space; the 6x6
     Gram matrix under the wedge metric has signature (3, 3, 0) everywhere.
     Broadcasts over the leading axes of (..., 4) pairs and returns their
-    (..., 3) counts; a pair whose tangents are non-finite or of rank below
-    6 has no signature and counts (0, 0, 0).
+    (..., 3) counts, relative to each Gram's largest |lambda|; a pair whose
+    tangents are non-finite or all zero has no signature and counts (0, 0, 0).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     _check_separated(x, y)
-    V = _pair_tangent_vectors(x, y)
-    finite = np.all(np.isfinite(V), axis=(-2, -1))
-    V = np.where(finite[..., None, None], V, 0.0)
-    rank_ev = np.linalg.eigvalsh(V @ np.swapaxes(V, -1, -2))
-    full = finite & (rank_ev[..., 0] >= 1e-8 * np.maximum(1.0, rank_ev[..., -1]))
-    gram = (V * mk.EPS10) @ np.swapaxes(V, -1, -2)
-    return np.where(full[..., None], signature_counts(np.linalg.eigvalsh(gram)), 0)
+    # below chord about 1e-5, <p, p> can round to <= 0: such a pair counts (0, 0, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = _pair_tangent_vectors(x, y)
+        V = np.where(np.all(np.isfinite(V), axis=(-2, -1))[..., None, None], V, 0.0)
+        ev = np.linalg.eigvalsh((V * mk.EPS10) @ np.swapaxes(V, -1, -2))
+        scale = np.max(np.abs(ev), axis=-1, keepdims=True)
+        return np.where(scale > 0.0, signature_counts(ev / scale), 0)
 
 
 def signature_counts(eigenvalues):

@@ -41,6 +41,17 @@ def _lk1(*components):
     return json.dumps({"version": "lk-1", "components": list(components)})
 
 
+def _great_circles_meeting_between_samples():
+    """lk-1 text of the great circle in the e1e2-plane and one that meets it at
+    s = t = pi/256, midway between samples, where the samples stay 0.017 apart."""
+    a = np.pi / 256
+    p = np.array([np.cos(a), np.sin(a), 0.0, 0.0])
+    e3 = np.eye(4)[2]
+    u, v = np.cos(a) * p - np.sin(a) * e3, np.sin(a) * p + np.cos(a) * e3
+    return _lk1({"kind": "fourier4", "coefficients": np.eye(4, 3, 1).tolist()},
+                {"kind": "fourier4", "coefficients": np.stack([0 * u, u, v], 1).tolist()})
+
+
 def _hopf_nodes(n, scale_first=1.0):
     """n nodes of the Hopf link's first component, the first node scaled."""
     nodes = la.hopf_link().c1.point(np.linspace(0.0, 2 * np.pi, n, endpoint=False))
@@ -158,6 +169,8 @@ class TestArea:
                      "components[0].nodes missing", id="nodes-missing"),
         pytest.param(_lk1(*2 * [{"kind": "fourier4", "coefficients": np.eye(4, 3).tolist()}]),
                      "components are not disjoint", id="equal-components"),
+        pytest.param(_great_circles_meeting_between_samples(), "components are not disjoint",
+                     id="components-meeting-between-samples"),
         pytest.param(_lk1({"kind": "fourier4", "coefficients": np.eye(4, 6).tolist()}, {}),
                      "must have shape (4, 2K+1)", id="coefficients-even-width"),
         pytest.param(_lk1({"kind": "fourier4", "coefficients": np.eye(4, 35).tolist()}, {}),
@@ -471,6 +484,16 @@ class TestMinimize:
             cli.main(["minimize", link_files["hopf"], "--steps", "2",
                       "--trace-out", str(trace), "--link-out", str(final)])
         monkeypatch.undo()
+        assert not trace.exists()
+        assert not final.exists()
+
+    def test_grid_below_floor_fails_without_outputs(self, capsys, link_files, tmp_path):
+        trace, final = tmp_path / "t.csv", tmp_path / "f.lk1"
+        code, out, err = run_cli(capsys, "minimize", link_files["perturbed"], "--grid", "16",
+                                 "--trace-out", str(trace), "--link-out", str(final))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid_n must lie in [32, 256]")
         assert not trace.exists()
         assert not final.exists()
 

@@ -147,6 +147,20 @@ class TestCatalogue:
         with pytest.raises(DisjointnessViolation):
             lk.Link2(hopf.c1, hopf.c1)
 
+    def test_link2_rejects_crossing_between_samples(self):
+        # great circles that meet at s = t = a, midway between two sample pairs
+        a = np.pi / lk.N_SAMPLES
+        e = np.eye(4)
+        p = np.cos(a) * e[0] + np.sin(a) * e[1]
+        c1 = lk.CircleCurve(np.zeros(4), e[0], e[1], 1.0)
+        c2 = lk.CircleCurve(np.zeros(4), np.cos(a) * p - np.sin(a) * e[2],
+                            np.sin(a) * p + np.cos(a) * e[2], 1.0)
+        assert np.linalg.norm(c1.point(a) - c2.point(a)) <= 1e-15
+        s = np.linspace(0.0, TWO_PI, lk.N_SAMPLES, endpoint=False)
+        assert np.min(np.linalg.norm(c1.point(s)[:, None] - c2.point(s), axis=-1)) > 0.017
+        with pytest.raises(DisjointnessViolation, match="approach to"):
+            lk.Link2(c1, c2)
+
 
 class TestMobius:
     def test_identity(self):

@@ -412,6 +412,8 @@ class TestMinimize:
         dict(steps=10, grid_n=257),
         dict(steps=10, stop_below=float("nan")),
         dict(steps=10, stop_below=float("inf")),
+        dict(steps=10, grid_n=16),  # below links.N_MIN, too coarse to measure the area
+        dict(steps=10, grid_n=31),
     ])
     def test_parameter_validation(self, hopf, bad):
         with pytest.raises(BadParameter):

@@ -173,13 +173,43 @@ class TestSignature:
         assert np.all(batched == (3, 3, 0))
         assert sp.theta_tangent_signature(x[None], y[None]).shape == (1, 101, 3)
 
+    @staticmethod
+    def pairs_at_chord(rng, chord, n):
+        """n pairs (x, y) at the given chordal distance, in random directions."""
+        x = np.array([random_unit4(rng) for _ in range(n)])
+        d = np.array([random_unit4(rng) for _ in range(n)])
+        d -= np.sum(d * x, axis=1, keepdims=True) * x
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        angle = 2.0 * np.arcsin(0.5 * chord)
+        return x, np.cos(angle) * x + np.sin(angle) * d
+
+    @pytest.mark.parametrize("chord", [1e-4, 3e-5, 1e-5])
+    def test_close_pairs(self, chord):
+        x, y = self.pairs_at_chord(Lcg64(34), chord, 50)
+        assert np.linalg.norm(x - y, axis=1) == pytest.approx(chord, rel=1e-9)
+        assert np.all(sp.theta_tangent_signature(x, y) == (3, 3, 0))
+
+    def test_close_pair_on_great_circle(self):
+        angle = 2.0 * np.arcsin(0.5e-5)  # chord 1e-5
+        y = np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
+        assert sp.theta_tangent_signature(E4[0], y).tolist() == [3, 3, 0]
+
+    @pytest.mark.parametrize("chord", [5e-6, 3e-6, 2e-6, 1.2e-6])
+    def test_pairs_near_floor_never_miscount(self, chord):
+        """Below chord 1e-5, <p, p> = chord^4/4 drowns in the rounding of the
+        wedge coordinates: a pair may have no signature, never a wrong one."""
+        x, y = self.pairs_at_chord(Lcg64(35), chord, 50)
+        counts = sp.theta_tangent_signature(x, y)
+        assert np.all(np.all(counts == (3, 3, 0), axis=1) | np.all(counts == 0, axis=1))
+
     @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["rank_deficient", "non_finite"])
     def test_batched_degenerate_pair_counts_zero(self, monkeypatch, fill):
-        original = sp.psi_embed
+        original = sp._psi_jet
 
-        def broken(x, y):  # breaks the embedding near x = e0 only: the first pair
-            return np.where(np.abs(x[..., :1]) > 0.5, fill, original(x, y))
-        monkeypatch.setattr(sp, "psi_embed", broken)
+        def broken(p, dp):  # breaks the tangents where p_01 = y_0 - x_0 is large: the first pair
+            psi, dpsi = original(p, dp)
+            return psi, np.where(np.abs(p[..., :1]) > 0.5, fill, dpsi)
+        monkeypatch.setattr(sp, "_psi_jet", broken)
         x = np.array([[1.0, 0, 0, 0], [0.0, 0, 1, 0]])
         y = np.array([[0.0, 1, 0, 0], [0.0, 0, -1, 0]])
         assert sp.theta_tangent_signature(x, y).tolist() == [[0, 0, 0], [3, 3, 0]]
@@ -204,7 +234,7 @@ def test_signature_counts():
 
 def test_degenerate_basis_detected(monkeypatch):
     # a pair without a tangent basis has no signature: it counts (0, 0, 0)
-    monkeypatch.setattr(sp, "psi_embed", lambda x, y: np.zeros(10))
+    monkeypatch.setattr(sp, "_psi_jet", lambda p, dp: (p, np.zeros_like(dp)))
     counts = sp.theta_tangent_signature(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
     assert counts.tolist() == [0, 0, 0]
 
