@@ -135,7 +135,7 @@ def cmd_oracle(args) -> int:
     _, theta, _, re = cf.density_pairs(link.c1, link.c2, s, t)
     theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t, pole=pole)
     dev_chart = float(np.max(np.abs(np.cos(theta) - np.cos(theta_chart))))
-    re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, 1e-3, pole=pole)
+    re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, pole=pole)
     dev_fd = float(np.max(np.abs(re - re_fd)))
     residual = sy.exterior_derivative_check(link.c1, link.c2)
     print(f"samples={args.samples} wedge_vs_chart={_fmt(dev_chart)} "

@@ -254,7 +254,7 @@ class Link2:
         self.c1 = c1
         self.c2 = c2
         sep = self.min_separation()
-        if sep <= DELTA_SEP:
+        if not sep > DELTA_SEP:
             raise DisjointnessViolation(f"components approach to {sep:.3e}")
 
     def min_separation(self) -> float:
@@ -264,16 +264,18 @@ class Link2:
         s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
         (x, xp), (y, yp) = self.c1._point_velocity(s), self.c2._point_velocity(s)
         dots = x @ y.T
-        # both factors unit: |x-y|^2 = 2 - 2 x.y
-        sep = float(np.sqrt(max(0.0, 2.0 - 2.0 * float(np.max(dots)))))
+        # the nearest sample pair has the largest x.y (both factors unit); its
+        # chord is read from the difference, since 2 - 2 x.y cancels
+        near = np.unravel_index(np.argmax(dots), dots.shape)
+        sep = float(np.linalg.norm(x[near[0]] - y[near[1]]))
         # a point lies within pi/N_SAMPLES in parameter of a sample, so within
         # |x'| pi/N_SAMPLES of it; the factor 2 covers speeds above the sampled ones
         speeds = np.max(np.linalg.norm(xp, axis=-1)) + np.max(np.linalg.norm(yp, axis=-1))
         reach = DELTA_SEP + 2.0 * speeds * np.pi / N_SAMPLES
-        if sep > reach:
+        if not sep <= reach:  # a NaN too, which __init__ rejects
             return sep
-        i, j = np.nonzero(dots >= 1.0 - 0.5 * reach * reach)
-        return min(sep, self._refined_separation(s[i], s[j])) if len(i) else sep
+        i, j = np.nonzero(dots >= min(dots[near], 1.0 - 0.5 * reach * reach))  # near included
+        return self._refined_separation(s[i], s[j])
 
     def _refined_separation(self, s, t):
         """Least chord along four least-squares Gauss-Newton steps on x(s) - y(t)

@@ -43,7 +43,8 @@ def require_separated(chord2, what):
     """Raise CoincidentPoints unless chord2, the least squared chord |x - y|^2
     = 2 - 2 x.y of a set of pairs of points, exceeds DELTA_SEP^2; a NaN raises too."""
     if not chord2 > DELTA_SEP * DELTA_SEP:
-        raise CoincidentPoints(f"{what} at chordal distance {np.sqrt(max(chord2, 0.0)):.3e}")
+        # abs: max(-0.0, 0.0) keeps the -0.0
+        raise CoincidentPoints(f"{what} at chordal distance {abs(np.sqrt(max(chord2, 0.0))):.3e}")
 
 
 def _check_separated(x, y):

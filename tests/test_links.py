@@ -110,9 +110,10 @@ class TestCatalogue:
         assert np.allclose(link.c2.point(s), hopf.c2.point(s), atol=1e-14)
 
     def test_separated_distance(self):
-        for d in (0.5, 1.0, 1.9):
-            link = la.separated_link(d)
-            assert link.min_separation() >= d
+        # down to the floor: the chord is read from x - y, as 2 - 2 x.y cancels
+        for d in (0.5, 1.0, 1.9, 1e-5, 1.2e-6):
+            link = la.separated_link(d)  # at d (1 + 1e-9)
+            assert link.min_separation() == pytest.approx(d * (1 + 1e-9), rel=1e-12)
 
     def test_perturbed_amplitude_seeded(self):
         a = la.perturbed_hopf_link(0.2, 7)

@@ -122,6 +122,14 @@ MUTATIONS = {
                             ["metric_two_routes", "angle_two_routes"]),
     "abs_omega_times_1p1e-6": (lambda mp: _scaled_abs(mp, 1 + 1e-6),
                                ["cross_ratio_fd_oracle"]),
+    # the smallest defects that the stencil's Richardson value tells from
+    # roundoff: each moves Re Omega by up to 7e-10, against TOL_FD = 1e-10
+    "metric_times_1p1e-9": (lambda mp: _scaled_metric(mp, 1 + 1e-9),
+                            ["metric_two_routes", "angle_two_routes", "cross_ratio_fd_oracle"]),
+    "abs_omega_times_1p1e-9": (lambda mp: _scaled_abs(mp, 1 + 1e-9),
+                               ["cross_ratio_fd_oracle"]),
+    "re_omega_times_1p1e-9": (lambda mp: _shifted_density_field(mp, 3, lambda re: (1 + 1e-9) * re),
+                              ["cross_ratio_fd_oracle"]),
     "re_omega_negated": (lambda mp: _shifted_density_field(mp, 3, np.negative),
                          ["cross_ratio_fd_oracle"]),
     "t_derivative_negated": (_negated_t_derivative, ["symplectic_one_form"]),

@@ -88,6 +88,12 @@ class TestSeparationFloor:
         with pytest.raises(CoincidentPoints):
             self.CALLS[name](*self.pair(0.9 * lk.DELTA_SEP))
 
+    def test_meeting_pair_reads_zero(self):
+        # metric_kernel's squared chord 2 - 2 x.y is -0.0 here
+        with pytest.raises(CoincidentPoints, match=r"distance 0\.000e\+00$") as err:
+            sp.metric_kernel(E4[:1], E4[1:2], E4[:1], E4[1:2])
+        assert "-" not in str(err.value)
+
 
 class TestSigmaDerivatives:
     def test_nullity_random_links(self, small_catalogue):
