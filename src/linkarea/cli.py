@@ -69,8 +69,12 @@ def cmd_anglemap(args) -> int:
     nodes at a time (see functionals.grid_blocks).
 
     The link and the resolution are checked before the file is opened, and
-    only one block of the grid is held at once; a failure at any point
-    leaves no file (see gridio.write_grid).
+    a writer holds one block of the grid at a time.  Above 64 x 64 (more
+    than two blocks), a seekable --out in this single-threaded process is
+    written by two processes, this one and a forked helper taking the odd
+    blocks; the bytes are the same, and no option chooses.  A failure at
+    any point, in either process, is reported as the first failed block's
+    error, leaves no file and no helper process (see gridio.write_grid).
     """
     from .functionals import grid_blocks
     from .gridio import write_grid

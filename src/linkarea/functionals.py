@@ -21,6 +21,7 @@ are summed by the trapezoid rule in s (L. N. Trefethen and J. A. C.
 Weideman, SIAM Review 56, 2014).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +100,33 @@ def _nodes(n: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
+class _GridBlocks(Sequence):
+    """density_kernel on the row blocks of a grid, run when a block is read."""
+
+    def __init__(self, x, xp, y, yp, step):
+        self._rows = range(0, len(x), step)
+        self._step = step
+        self._curves = x, xp, y, yp
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        rows = slice(self._rows[k], self._rows[k] + self._step)
+        x, xp, y, yp = self._curves
+        return density_kernel(x[rows], xp[rows], y, yp)
+
+
 def grid_blocks(link: Link2, n_s: int, n_t: int):
     """The densities at uniform nodes s_i = 2 pi i / n_s etc., by row blocks.
 
-    Returns (s, t, blocks).  blocks yields (g, theta, abs, re) on
-    consecutive blocks of whole s-rows, _GRID_BLOCK_NODES // n_t rows each
-    (all n_s rows when fewer), and runs the kernel on a block only when it
-    is reached, so a kernel error in a later block (CoincidentPoints, the
-    cosine check's ValueError) is raised there.  The resolutions are
+    Returns (s, t, blocks).  blocks is a sequence whose item k is (g,
+    theta, abs, re) on block k of consecutive blocks of whole s-rows,
+    _GRID_BLOCK_NODES // n_t rows each (all n_s rows when fewer).  Reading
+    item k runs the kernel on that block alone, so a process reads only
+    the blocks it writes (gridio.write_grid splits them between two), and
+    a kernel error in block k (CoincidentPoints, the cosine check's
+    ValueError) is raised when block k is read.  The resolutions are
     checked, and both curves evaluated, before this returns.
     """
     _check_resolution(n_s)
@@ -114,9 +134,7 @@ def grid_blocks(link: Link2, n_s: int, n_t: int):
     s, t = _nodes(n_s), _nodes(n_t)
     x, xp = link.c1.evaluate(s)
     y, yp = link.c2.evaluate(t)
-    step = _GRID_BLOCK_NODES // n_t
-    return s, t, (density_kernel(x[i:i + step], xp[i:i + step], y, yp)
-                  for i in range(0, n_s, step))
+    return s, t, _GridBlocks(x, xp, y, yp, _GRID_BLOCK_NODES // n_t)
 
 
 def build_grid(link: Link2, n_s: int, n_t: int) -> TorusGrid:

@@ -12,10 +12,24 @@ that window fall back to Python's formatting, once per distinct value.
 The values are sorted by decimal exponent, so that each exponent's text
 fills one slice of rows, and each block's NUL-padded byte matrix loses its
 NULs in one bytes.translate.
+A grid of more than two blocks, written to a seekable file by a
+single-threaded Linux process, is written on two cores: a forked helper
+reads and formats the odd blocks while this process does the even ones,
+and each pwrites its blocks in order, at the offset that the writer of
+the block before sends it.  The file is the same on either path, errors
+come in block order, and no option selects the path.  The helper's own
+peak RSS (VmHWM, pages shared with this process included) is 27-28 MB
+at 128^2 to 1024^2, against this process's 33 MB, the same as when it
+writes every block (p02 through the anglemap command, x86-64 Linux,
+Python 3.11, numpy 2.4).
 The import accepts only the s-major product grid that the export writes.
 """
 
+import contextlib
+import errno
 import functools
+import os
+import pickle
 
 import numpy as np
 
@@ -28,6 +42,11 @@ CSV_HEADER = "s,t,g,theta,abs_omega,re_omega"
 _FIELD = 24
 #: 10**p for p = 0..22, all exact doubles (5**22 < 2**53)
 _POW10 = np.array([float(10 ** p) for p in range(23)])
+#: Veltkamp's factor 2**27 + 1, and the split of _POW10 into 26-bit high parts and the rest
+_SPLIT = 134217729.0
+_POW10_HI = _SPLIT * _POW10
+_POW10_HI -= _POW10_HI - _POW10
+_POW10_LO = _POW10 - _POW10_HI
 #: the sort key of the values that Python formats, above every decimal exponent
 _FALLBACK = 18
 
@@ -44,16 +63,26 @@ def _quad_text():
 
 def _scaled(a, p):
     """a * 10**p as h + l with h = fl(a * 10**p), exactly: Dekker's two-product,
-    with Veltkamp's split of each factor into a 26-bit high part and the rest.
+    with Veltkamp's split of each factor into a 26-bit high part and the rest
+    (of 10**p, from _POW10_HI and _POW10_LO).  The arithmetic is in place, so
+    that it holds six arrays the size of a at once.
     """
-    b = _POW10[p]
-    h = a * b
-    ah, bh = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
-    ah -= ah - a
-    bh -= bh - b
-    al = a - ah
-    b -= bh
-    return h, ((ah * bh - h) + ah * b + al * bh) + al * b
+    h = _POW10[p]
+    h *= a
+    ah = a * _SPLIT
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    bh, bl = _POW10_HI[p], _POW10_LO[p]
+    l = ah * bh
+    l -= h
+    ah *= bl
+    l += ah
+    bh *= al
+    l += bh
+    al *= bl
+    l += al
+    return h, l
 
 
 def _mantissa(d, e):
@@ -97,23 +126,29 @@ def _decimal(x):
     outside = not window.all()
     if outside:
         a[~window] = 1.0  # a stand-in with no special case; Python formats these
-    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
-    h, l = _scaled(a, 16 - e)
+    p = np.log10(a)
+    np.floor(p, out=p)
+    np.clip(p, -6, 16, out=p)
+    np.subtract(16, p, out=p)
+    p = p.astype(np.intp)  # 16 - E
+    h, l = _scaled(a, p)
     # log10 may miss the decade by one; settle it on the unrounded h + l
-    off = (((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.intp)
-           - ((h < 1e16) | ((h == 1e16) & (l < 0))))
-    fix = np.flatnonzero(off)
-    e[fix] += off[fix]
-    h[fix], l[fix] = _scaled(a[fix], 16 - e[fix])
+    up = (h > 1e17) | ((h == 1e17) & (l >= 0))
+    fix = np.flatnonzero(up | (h < 1e16) | ((h == 1e16) & (l < 0)))
+    p[fix] += np.where(up[fix], -1, 1)
+    h[fix], l[fix] = _scaled(a[fix], p[fix])
     # h is an integer (>= 2**53); round h + l half to even
     down = np.floor(l)
-    frac = l - down
-    d = h.astype(np.int64) + down.astype(np.int64)
-    d += (frac > 0.5) | ((frac == 0.5) & (d & 1 == 1))
+    l -= down
+    d = h.astype(np.int64)
+    del h
+    d += down.astype(np.int64)
+    d += (l > 0.5) | ((l == 0.5) & (d & 1 == 1))
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
-    e[carry] += 1
-    key = e.astype(np.int8)
+    p[carry] -= 1
+    np.subtract(16, p, out=p)
+    key = p.astype(np.int8)
     if outside:
         key[~window] = _FALLBACK
     return key, d
@@ -172,46 +207,149 @@ def _format_g17(x) -> np.ndarray:
     return out
 
 
+def _single_threaded() -> bool:
+    """Whether this is a Linux process of one thread, which may fork safely."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            return b"\nThreads:\t1\n" in fh.read()
+    except OSError:
+        return False
+
+
+def _receive(pipe) -> int:
+    """The 8-byte offset that the other writer sends, or its pickled error raised."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        raise OSError(errno.EPIPE, "the other writer of the grid ended early")
+    n = int.from_bytes(head, "little", signed=True)
+    if n < 0:
+        raise pickle.load(pipe)
+    return n
+
+
+def _take_turns(fd, text, mine, count, pipe_in, pipe_out, offset=0) -> None:
+    """pwrite each block k of mine at the offset where block k - 1 ends.
+
+    Block 0 goes at offset, and a later block at the offset that _receive
+    reads from pipe_in.  Each block then sends its end through pipe_out,
+    except an even last block, which no one waits for: the helper's blocks
+    are odd, and the end of its last block tells the parent that it is
+    done.  A block that fails to format first waits for block k - 1, so
+    that the error raised is the first in block order.
+    """
+    for k in mine:
+        try:
+            data = text(k)
+        except BaseException:
+            if k:
+                _receive(pipe_in)
+            raise
+        if k:
+            offset = _receive(pipe_in)
+        view = memoryview(data)
+        while view:
+            n = os.pwrite(fd, view, offset)
+            view, offset = view[n:], offset + n
+        del data, view  # before the next block is formatted
+        if k % 2 or k + 1 < count:
+            os.write(pipe_out, offset.to_bytes(8, "little", signed=True))
+
+
+def _write_forked(fd, text, count, offset) -> None:
+    """Write blocks 0, 2, 4, ... here and 1, 3, 5, ... in a forked helper.
+
+    Each process formats its next block while the other writes.  The helper
+    sends its error, pickled, in place of an offset, and this process
+    raises it at that block.  The helper leaves only through os._exit.  Once
+    this process closes its ends of the pipes, the helper's next read or
+    send fails and ends it, and this process reaps it on every path.
+    """
+    down_r, down_w = os.pipe()  # to the helper
+    up_r, up_w = os.pipe()      # from the helper
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            _take_turns(fd, text, range(1, count, 2), count, open(down_r, "rb"), up_w)
+        except BaseException as exc:
+            with contextlib.suppress(BaseException):
+                os.write(up_w, (-1).to_bytes(8, "little", signed=True) + pickle.dumps(exc))
+        finally:
+            os._exit(0)
+    os.close(down_r)
+    os.close(up_w)
+    up = open(up_r, "rb")
+    try:
+        _take_turns(fd, text, range(0, count, 2), count, up, down_w, offset)
+        if count % 2 == 0:
+            _receive(up)  # the helper wrote the last block
+    finally:
+        os.close(down_w)
+        up.close()
+        os.waitpid(pid, 0)
+
+
 def write_grid(s, t, blocks, path) -> None:
     """Write the grid on the nodes s x t as CSV, s-major rows, 17 significant digits.
 
-    blocks yields the fields (g, theta, abs_omega, re_omega) on consecutive
-    blocks of whole s-rows, as grid_blocks hands them; a TorusGrid g is
-    the one block [(g.g, g.theta, g.abs_omega, g.re_omega)].  Each block is
-    formatted and written as it arrives, as a NUL-padded byte matrix of the
-    six fields and their separators with the NULs dropped, so the writer
-    holds one block and its scratch.  The text of a block's values goes
-    from its sorted order (_sorted_g17) into the byte matrix in one
-    scatter.  The byte matrix is sized by the first block and allocated
-    once per file, unless a later block is larger.  The bytes are those of
-    np.savetxt with fmt "%.17g".
+    blocks is a sequence of the fields (g, theta, abs_omega, re_omega) on
+    consecutive blocks of whole s-rows, all but the last of one height, as
+    grid_blocks returns them; a TorusGrid g is the one block [(g.g,
+    g.theta, g.abs_omega, g.re_omega)].  Each block is formatted and
+    written as it is read, as a NUL-padded byte matrix of the six fields
+    and their separators with the NULs dropped, so a writer holds one
+    block and its scratch.  The text of a block's values goes from its
+    sorted order (_sorted_g17) into the byte matrix in one scatter.  The
+    byte matrix is sized by the first block and allocated once per file,
+    unless a later block is larger.  The bytes are those of np.savetxt with
+    fmt "%.17g".
+
+    With more than two blocks, a seekable file and a single-threaded Linux
+    process (Threads: 1 in /proc/self/status), the blocks are split between
+    this process and one forked helper (_write_forked), which read and
+    write the even and the odd blocks; otherwise this process writes every
+    block in turn.  There is no option: the file is the same either way.
 
     Any exception raised while the file is open removes it (see
     errors.open_output): an OSError is raised as IoFailure, and anything
     else (a kernel error in a later block, KeyboardInterrupt) unchanged.
+    On both paths the error raised is that of the first failed block.
     """
-    n_t = len(t)
+    n_s, n_t = len(s), len(t)
     s_text, t_text = _format_g17(s), _format_g17(t)
-    block = np.zeros((0, n_t, 6, _FIELD + 1), np.uint8)
+    count = len(blocks)
+    block = field_text = np.zeros((0, n_t, 6, _FIELD + 1), np.uint8)
+
+    def text(k):
+        """The CSV bytes of block k."""
+        nonlocal block, field_text
+        fields = blocks[k]
+        n = len(fields[0])
+        if n > len(block):
+            block = np.zeros((n, n_t, 6, _FIELD + 1), np.uint8)
+            block[..., _FIELD] = ord(",")
+            block[:, :, 5, _FIELD] = ord("\n")
+            block[:, :, 1, :_FIELD] = t_text
+            # the text of each CSV field, without its separator, as one item
+            field_text = block.reshape(-1, _FIELD + 1)[:, :_FIELD].view(f"V{_FIELD}")[:, 0]
+        rows = block[:n]
+        first = n_s - n if k == count - 1 else k * n  # every block but the last is n rows
+        rows[:, :, 0, :_FIELD] = s_text[first:first + n, None]
+        values, order = _sorted_g17(np.stack(fields, axis=-1))
+        # value j of the block is field j % 4 of node j // 4: CSV field 6 (j // 4) + 2 + j % 4
+        field_text[order + 2 * (order >> 2) + 2] = values.view(f"V{_FIELD}")[:, 0]
+        del values, order  # before the bytes are copied
+        return rows.tobytes().translate(None, b"\0")
+
     with open_output(path) as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
-        i = 0
-        for fields in blocks:
-            if len(fields[0]) > len(block):
-                block = np.zeros((len(fields[0]), n_t, 6, _FIELD + 1), np.uint8)
-                block[..., _FIELD] = ord(",")
-                block[:, :, 5, _FIELD] = ord("\n")
-                block[:, :, 1, :_FIELD] = t_text
-                # the text of each CSV field, without its separator, as one item
-                field_text = block.reshape(-1, _FIELD + 1)[:, :_FIELD].view(f"V{_FIELD}")[:, 0]
-            rows = block[:len(fields[0])]
-            rows[:, :, 0, :_FIELD] = s_text[i:i + len(rows), None]
-            text, order = _sorted_g17(np.stack(fields, axis=-1))
-            # value k of the block is field k % 4 of node k // 4: CSV field 6 (k // 4) + 2 + k % 4
-            field_text[order + 2 * (order >> 2) + 2] = text.view(f"V{_FIELD}")[:, 0]
-            del text, order  # before the next block is formatted
-            fh.write(rows.tobytes().translate(None, b"\0"))
-            i += len(rows)
+        if count > 2 and fh.seekable() and _single_threaded():
+            fh.flush()
+            _write_forked(fh.fileno(), text, count, fh.tell())
+        else:
+            for k in range(count):
+                fh.write(text(k))
 
 
 def read_grid(path) -> TorusGrid:

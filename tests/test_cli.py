@@ -288,33 +288,65 @@ class TestAnglemap:
         assert "cosine argument exceeds 1" in err
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("error", [CoincidentPoints, KeyboardInterrupt])
+    @pytest.mark.parametrize("error", [CoincidentPoints, KeyboardInterrupt, "cosine"])
     def test_error_mid_stream_removes_file(self, capsys, link_files, tmp_path, monkeypatch,
                                            error):
-        # 128^2 is 8 blocks of 16 rows; the kernel fails on the fifth, once
-        # the first four are in the file
+        # 128^2 is 8 blocks of 16 rows: this process writes blocks 0, 2, 4
+        # and 6, and the forked helper 1, 3, 5 and 7.  The kernel fails on
+        # block 4, then on block 5, picked by the s-rows it receives, and
+        # only in the process that writes that block, so block 5 fails only
+        # if the helper ran.  Blocks 0 to block - 2 are in the file by then.
         from linkarea import conformal as cf
-        original, rows = cf.metric_kernel, [0]
+        original, test_pid = cf.metric_kernel, os.getpid()
+        x = la.read_link(link_files["p02"]).c1.evaluate(
+            np.linspace(0.0, 2 * np.pi, 128, endpoint=False))[0]
         out_path = tmp_path / "map.csv"
-
-        def failing_past_half(x, xp, y, yp):
-            rows[0] += len(x)
-            if rows[0] > 64:
-                assert out_path.stat().st_size > 64 * 128 * 6 * 16
-                raise error("coincident component points")
-            return original(x, xp, y, yp)
-        monkeypatch.setattr(cf, "metric_kernel", failing_past_half)
         argv = ["anglemap", link_files["p02"], "--grid", "128", "--out", str(out_path)]
-        if error is KeyboardInterrupt:
-            with pytest.raises(KeyboardInterrupt):
-                cli.main(argv)
-        else:
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 3
-            assert out == ""
-            assert "coincident component points" in err
-        assert rows[0] == 80
+        for block in (4, 5):
+            def failing_at_block(xs, xp, y, yp):
+                g = original(xs, xp, y, yp)
+                if (np.array_equal(xs, x[16 * block:16 * block + 16])
+                        and (os.getpid() == test_pid) == (block % 2 == 0)):
+                    assert out_path.stat().st_size > (block - 1) * 16 * 128 * 6 * 16
+                    if error == "cosine":
+                        return 1e6 * g
+                    raise error("coincident component points")
+                return g
+            monkeypatch.setattr(cf, "metric_kernel", failing_at_block)
+            if error is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    cli.main(argv)
+            else:
+                code, out, err = run_cli(capsys, *argv)
+                assert out == ""
+                if error == "cosine":
+                    assert code == 2
+                    assert "cosine argument exceeds 1" in err
+                else:
+                    assert code == 3
+                    assert "coincident component points" in err
+            assert not out_path.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_disk_full_in_helper_block(self, capsys, link_files, tmp_path, monkeypatch):
+        import errno
+        original, test_pid = os.pwrite, os.getpid()
+
+        def pwrite(fd, data, offset):
+            if os.getpid() != test_pid:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return original(fd, data, offset)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        out_path = tmp_path / "map.csv"
+        code, out, err = run_cli(capsys, "anglemap", link_files["p02"], "--grid", "128",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "No space left on device" in err
         assert not out_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestInvariance:

@@ -519,13 +519,17 @@ class TestExportImport:
         pytest.param("hopf", 32, "whole", id="hopf"),
         # theta has exact zeros and values near 1e-8 (scientific notation)
         pytest.param("separated10", 32, "whole", id="separated10"),
-        # 128 row blocks of 4 rows each
+        # 128 row blocks of 4 rows each, written by this process and a forked
+        # helper in turns, and by this process alone
         pytest.param("perturbed02", 512, "blocks", id="perturbed02-512"),
+        pytest.param("perturbed02", 512, "serial", id="perturbed02-512-serial"),
         # the anglemap command streams 8 row blocks from the kernel to the file
         pytest.param("separated10", 128, "anglemap", id="anglemap-separated10-128"),
     ])
-    def test_export_bytes_match_savetxt(self, name, n, how, request, tmp_path):
+    def test_export_bytes_match_savetxt(self, name, n, how, request, tmp_path, monkeypatch):
         link = request.getfixturevalue(name)
+        if how == "serial":
+            monkeypatch.setattr(gio, "_single_threaded", lambda: False)
         path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
         if how == "anglemap":
             link_path = tmp_path / "link.lk1"
@@ -533,7 +537,7 @@ class TestExportImport:
             argv = ["anglemap", str(link_path), "--grid", str(n), "--out", str(path)]
             assert cli.main(argv) == 0
             link = la.read_link(link_path)
-        elif how == "blocks":
+        elif how in ("blocks", "serial"):
             la.write_grid(*la.grid_blocks(link, n, n), path)
         grid = la.build_grid(link, n, n)
         if how == "whole":
@@ -547,8 +551,11 @@ class TestExportImport:
     @pytest.mark.parametrize("n", [64, 512, 1024])
     def test_export_holds_one_small_block(self, perturbed02, tmp_path, n):
         # a block of 2,048 nodes, its byte matrix, the tobytes and translate
-        # copies of it and the formatter's scratch; 4,096-node blocks peak at
-        # 2.6 MiB (n = 64), 2.4 MiB (n = 512) and 2.4 MiB (n = 1024)
+        # copies of it and the formatter's scratch: 1.05 MiB (n = 64), 1.08 MiB
+        # (n = 512) and 1.18 MiB (n = 1024); 4,096-node blocks peak at 2.6,
+        # 2.4 and 2.4 MiB.  At 512 and 1024 a forked helper writes the odd
+        # blocks, out of tracemalloc's sight; this process's peak is the same
+        # as when it writes every block itself
         path = tmp_path / "grid.csv"
         tracemalloc.start()
         try:
@@ -556,7 +563,7 @@ class TestExportImport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.8 * 2 ** 20, peak
+        assert peak < 1.5 * 2 ** 20, peak
 
     def test_failed_write_leaves_no_file(self, perturbed02, tmp_path, monkeypatch):
         from linkarea.errors import IoFailure
