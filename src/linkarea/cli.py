@@ -161,7 +161,10 @@ def cmd_minimize(args) -> int:
     v0 = encode_link(link)
     result = minimize(v0, steps=args.steps, grid_n=args.grid,
                       stop_below=args.stop_below)
-    final = decode_link(result.vector)  # validated before either file is written
+    try:  # validated before either file is written
+        final = decode_link(result.vector)
+    except BadParameter as exc:  # the descent produced it: not an input error
+        raise LinkAreaError(f"the descent's endpoint is not a valid link: {exc}") from exc
     trace = "step,objective\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(result.trace))
     with open_output(args.trace_out) as fh:
         fh.write(trace.encode())

@@ -6,10 +6,12 @@ runs are deterministic.  The area is the L1 norm of the metric field g,
 which vanishes identically on the Hopf link and its Moebius images, so
 each step solves the damped least-squares problem for the residual
 r = g·(2π/n) on the objective grid.  Each step linearizes r once: the
-partials of r in the four dot products that g is built from, with the
-chain rule through the metric kernel, the radial normalization and the
-design matrices, give J^T J and J^T r by blocks of s-rows, so that the
-whole grid_n^2 x 72 Jacobian is never held, and J^T w without J.
+partials of r in the four dot products that g is built from give its
+gradients in each component's points and velocities, and the chain rule
+through each node's 8x8 derivative of these in the Fourier values and
+the design rows gives J by blocks of s-rows; J^T J and J^T r are summed
+over them, so that the whole grid_n^2 x 72 Jacobian is never held, and
+J^T w contracts the same 8x8 matrices without J.
 Each trial step δ is corrected by half its geodesic acceleration a (M. K.
 Transtrum and J. P. Sethna, arXiv:1201.5885, 2012), which bends it along
 the curved, sloppy directions that stall plain Levenberg–Marquardt near
@@ -144,45 +146,21 @@ def _roundoff(vector, grid_n: int) -> float:
     return ROUNDOFF * 0.5 * cell * float(speed_x @ np.abs(r_q, out=r_q) @ speed_y)
 
 
-def _node_terms(raw, draw, x, xp):
-    """One component's factors of its node map that depend on the node only:
-    x, x', 1/|F|, x.F' and P F', each of shape (nodes, 4) or (nodes, 1)."""
+def _node_jacobian(raw, draw, x, xp):
+    """The (..., nodes, 8, 8) derivative of the node map, which takes F and F'
+    to the point x = F/|F| and its velocity x', in (F, F'): with P = I - x x^T,
+    dx = P dF/|F| and
+    dx' = P dF'/|F| - [P dF (x.F') + x (dF.(P F'))]/|F|^2 - x' (x.dF)/|F|.
+    """
+    inv = 1.0 / np.linalg.norm(raw, axis=-1)[..., None, None]
     x_fp = np.sum(x * draw, axis=-1, keepdims=True)
-    return x, xp, 1.0 / np.linalg.norm(raw, axis=-1, keepdims=True), x_fp, draw - x * x_fp
-
-
-def _node_adjoint(terms, gx, gxp):
-    """The transpose of one component's node map, which takes F and F' to the
-    point x = F/|F|, with dx = P dF/|F|, P = I - x x^T, and to the velocity x',
-    with dx' = P dF'/|F| - [P dF (x.F') + x (dF.(P F'))]/|F|^2 - x' (x.dF)/|F|.
-
-    gx and gxp are a field's gradients with respect to the point and the
-    velocity, at the nodes of terms (broadcasting over any other axes).
-    Returns the gradients (from_f, from_fp) with respect to F and F': P is
-    symmetric, so each term of dx and dx' acts on the gradients.
-    """
-    x, xp, inv, x_fp, p_fp = terms
-    x_gxp = np.sum(x * gxp, axis=-1, keepdims=True)
-    p_gx = gx - x * np.sum(x * gx, axis=-1, keepdims=True)
-    p_gxp = gxp - x * x_gxp
-    from_f = (p_gx * inv - (p_gxp * x_fp + x_gxp * p_fp) * inv * inv
-              - np.sum(xp * gxp, axis=-1, keepdims=True) * x * inv)
-    return from_f, p_gxp * inv
-
-
-def _component_jacobian(terms, design, ddesign, gx, gxp, out) -> None:
-    """Derivative of a field on the grid with respect to one component's coefficients.
-
-    gx and gxp are the field's gradients with respect to the component's
-    point and velocity, indexed (own node, other node, coordinate); terms
-    are the component's _node_terms and design, ddesign its design rows on
-    the own nodes, each shaped (own, 1, ...) to broadcast over the other
-    nodes.  Writes the gradients of _node_adjoint times the design rows to
-    out, an (own, other, 4, 2K+1) array or view.
-    """
-    from_f, from_fp = _node_adjoint(terms, gx, gxp)
-    np.multiply(from_f[..., None], design, out=out)
-    out += from_fp[..., None] * ddesign
+    col, row = x[..., :, None], x[..., None, :]
+    proj = (np.eye(4) - col * row) * inv
+    jac = np.zeros(x.shape[:-1] + (8, 8))
+    jac[..., :4, :4] = jac[..., 4:, 4:] = proj
+    jac[..., 4:, :4] = -(proj * x_fp[..., None] + col * (draw - x * x_fp)[..., None, :] * inv
+                         + xp[..., :, None] * row) * inv
+    return jac
 
 
 class _Linearization:
@@ -194,13 +172,15 @@ class _Linearization:
     r, r_q, r_c and r_e are built once, on the whole grid (on a block's rows
     alone, BLAS's edge kernels can move a product in its last bits), and r_b
     from them on each block of whole s-rows, _JAC_BLOCK_NODES nodes (the last
-    may be shorter).  blocks() yields J a block at a time, normal_equations()
-    sums J^T J and J^T r over them, and vjp gives J^T w without J.
+    may be shorter).  The chain rule through each component's _node_jacobian
+    and design rows (_chain) turns the gradients of r in (x, x') and (y, y')
+    into J: blocks() yields J a block at a time, normal_equations() sums
+    J^T J and J^T r over them, and vjp gives J^T w without J.
     """
 
     def __init__(self, vector, grid_n: int):
-        raw, draw, pts, vel = _grid_fields(vector, grid_n)
-        self.terms = [_node_terms(raw[c], draw[c], pts[c], vel[c]) for c in range(2)]
+        self.fields = _grid_fields(vector, grid_n)  # F, F', the points and their velocities
+        pts, vel = self.fields[2:]
         self.x, self.xp, self.y, self.yp = x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
         self.n, self.cell = grid_n, TWO_PI / grid_n
         g = _metric_field(pts, vel)
@@ -221,26 +201,32 @@ class _Linearization:
             r_q, r_c, r_e = self.r_q[rows], self.r_c[rows], self.r_e[rows]
             yield rows, (r_c * r_e / r_q - r[rows] * r_q / self.cell, r_q, r_c, r_e)
 
+    def _chain(self, comp: int, rows=slice(None)):
+        """The (nodes, 8, shape_dim()/2) derivative of component comp's points and
+        velocities on the nodes rows in its coefficients: its _node_jacobian
+        times the design block that maps the coefficients to (F, F')."""
+        design = np.concatenate([np.eye(4)[:, :, None] * m[rows, None, None]
+                                 for m in _designs(self.n)], axis=1)
+        node_jac = _node_jacobian(*(f[comp, rows] for f in self.fields))
+        return node_jac @ design.reshape(len(design), 8, -1)
+
     def blocks(self):
         """(r, J) on each block: r flattened in (s, t) order, J of shape
         (nodes, shape_dim()), from the gradients of r in each component's
         point and velocity, dr/dx = r_b y + r_e y', dr/dx' = r_q y' + r_c y,
-        dr/dy = r_b x + r_c x' and dr/dy' = r_q x' + r_e x."""
+        dr/dy = r_b x + r_c x' and dr/dy' = r_q x' + r_e x, stacked
+        (s, t, 8), each times its node's _chain by one batched matmul."""
         x, xp, y, yp, n = self.x, self.xp, self.y, self.yp, self.n
-        terms = [[t[:, None] for t in c] for c in self.terms]
-        design, ddesign = (m[:, None, None, :] for m in _designs(n))
+        chain_y = self._chain(1)
         for rows, partials in self._partials():
             r_b, r_q, r_c, r_e = (p[..., None] for p in partials)
             xs, xps = x[rows, None], xp[rows, None]
-            # each component's part of the block's (s, t, coefficient) Jacobian, in place
-            parts = np.empty((len(xs), n, 2, 4, 2 * K_OPT + 1))
-            _component_jacobian([t[rows] for t in terms[0]], design[rows], ddesign[rows],
-                                r_b * y + r_e * yp, r_q * yp + r_c * y, parts[:, :, 0])
-            _component_jacobian(terms[1], design, ddesign,
-                                np.swapaxes(r_b * xs + r_c * xps, 0, 1),
-                                np.swapaxes(r_q * xps + r_e * xs, 0, 1),
-                                np.swapaxes(parts[:, :, 1], 0, 1))
-            yield self.r.reshape(n, n)[rows].ravel(), parts.reshape(-1, shape_dim())
+            grad_x = np.concatenate([r_b * y + r_e * yp, r_q * yp + r_c * y], axis=-1)
+            grad_y = np.concatenate([r_b * xs + r_c * xps, r_q * xps + r_e * xs], axis=-1)
+            jac = np.empty((len(xs), n, 2, shape_dim() // 2))
+            np.matmul(grad_x, self._chain(0, rows), out=jac[:, :, 0])
+            np.matmul(grad_y.swapaxes(0, 1), chain_y, out=jac[:, :, 1].swapaxes(0, 1))
+            yield self.r.reshape(n, n)[rows].ravel(), jac.reshape(-1, shape_dim())
 
     def normal_equations(self):
         """J^T J, J^T r and ‖r‖, summed over the blocks."""
@@ -254,18 +240,19 @@ class _Linearization:
     def vjp(self, w):
         """J^T w: the partials, weighted by w, contracted over the other node
         first (the gradients of blocks() summed over it); then each node's
-        gradients go through _node_adjoint and the design matrices."""
+        gradients go through its _node_jacobian and the design matrices."""
         x, xp, y, yp = self.x, self.xp, self.y, self.yp
         w = np.reshape(w, (len(x), len(y)))
-        gx, gxp, gy, gyp = np.empty_like(x), np.empty_like(x), np.zeros_like(y), np.zeros_like(y)
+        grads = np.zeros((2, len(x), 8))  # in (x, x') and in (y, y')
         for rows, partials in self._partials():
             w_b, w_q, w_c, w_e = (w[rows] * p for p in partials)
-            gx[rows], gxp[rows] = w_b @ y + w_e @ yp, w_q @ yp + w_c @ y
-            gy += w_b.T @ x[rows] + w_c.T @ xp[rows]
-            gyp += w_q.T @ xp[rows] + w_e.T @ x[rows]
-        design, ddesign = _designs(len(x))
-        grads = (_node_adjoint(t, *g) for t, g in zip(self.terms, ((gx, gxp), (gy, gyp))))
-        return np.concatenate([(f.T @ design + fp.T @ ddesign).ravel() for f, fp in grads])
+            grads[0, rows, :4], grads[0, rows, 4:] = w_b @ y + w_e @ yp, w_q @ yp + w_c @ y
+            grads[1, :, :4] += w_b.T @ x[rows] + w_c.T @ xp[rows]
+            grads[1, :, 4:] += w_q.T @ xp[rows] + w_e.T @ x[rows]
+        design, ddesign = _designs(self.n)
+        from_f = np.matmul(grads[:, :, None], _node_jacobian(*self.fields))[:, :, 0]  # in (F, F')
+        return np.concatenate([(f[:, :4].T @ design + f[:, 4:].T @ ddesign).ravel()
+                               for f in from_f])
 
 
 def _residual_jacobian(vector, grid_n: int = GRID_OPT):
@@ -355,7 +342,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
     # a step holds four grid_n^2 fields (2.1 MB at 256) through its trials, whose
-    # areas' metric kernels add four more; --grid 256 peaks at 36.0 MB VmHWM
+    # areas' metric kernels add four more; --grid 256 peaks at 36.9 MB VmHWM
     # (x86-64 Linux, Python 3.11, numpy 2.4)
     if not N_MIN <= grid_n <= 256:
         raise BadParameter(f"grid_n must lie in [{N_MIN}, 256]")

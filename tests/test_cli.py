@@ -469,6 +469,24 @@ class TestMinimize:
         assert not trace.exists()
         assert not final.exists()
 
+    def test_invalid_endpoint_is_a_numerical_failure(self, capsys, link_files, tmp_path,
+                                                     monkeypatch):
+        """An endpoint that decode_link rejects as a bad parameter (here a zero
+        vector, which passes through the origin) was produced by the descent."""
+        from linkarea import optimize as opt
+
+        monkeypatch.setattr(opt, "minimize", lambda v0, **kwargs: opt.MinimizeResult(
+            vector=np.zeros_like(v0), trace=[0.0], status="converged", records=[]))
+        trace, final = tmp_path / "t.csv", tmp_path / "f.lk1"
+        code, out, err = run_cli(capsys, "minimize", link_files["hopf"],
+                                 "--trace-out", str(trace), "--link-out", str(final))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the descent's endpoint is not a valid link: "
+                              "fourier curve passes too close to the origin")
+        assert not trace.exists()
+        assert not final.exists()
+
     def test_unwritable_trace_fails_without_outputs(self, capsys, link_files, tmp_path):
         trace, final = tmp_path / "missing" / "t.csv", tmp_path / "f.lk1"
         code, out, err = run_cli(capsys, "minimize", link_files["hopf"], "--steps", "5",
