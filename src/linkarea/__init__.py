@@ -32,7 +32,7 @@ _EXPORTS = {
               "hopf_link", "inverse_stereographic", "parallel_circles_link",
               "perturbed_hopf_link", "random_mobius", "read_link",
               "separated_link", "write_link"),
-    "minkowski": ("inner5", "inner10", "minor_lift", "plucker_residuals", "wedge"),
+    "minkowski": ("inner10", "minor_lift", "wedge"),
     "optimize": ("MinimizeResult", "circle_fit_residual", "decode_link",
                  "encode_link", "minimize", "objective"),
     "spheres": ("lift", "psi_embed", "sigma_derivatives", "theta_tangent_signature"),

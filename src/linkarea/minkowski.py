@@ -29,16 +29,6 @@ ETA5 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
 #: metric signs of the wedge square: +1 when i1 = 0, -1 when i1 >= 1
 EPS10 = np.where(_I1 == 0, 1.0, -1.0)
 
-# the five quadratic decomposability relations, one per 4-subset of indices
-_QUADS = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)]
-
-
-def inner5(u, v):
-    """Indefinite inner product of two vectors in R^5 (broadcasts)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.sum(u * ETA5 * v, axis=-1)
-
 
 def wedge(x, y):
     """Wedge product in the 10 lexicographic coordinates (broadcasts).
@@ -64,33 +54,6 @@ def inner10(p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return np.sum(p * EPS10 * q, axis=-1)
-
-
-def inner10_det(x, y, xp, yp):
-    """Determinant form of inner10(wedge(x, y), wedge(xp, yp)).
-
-    Kept as an independent route for cross-checks; the coordinate form is
-    the primary path.
-    """
-    return -(inner5(x, xp) * inner5(y, yp) - inner5(x, yp) * inner5(y, xp))
-
-
-def plucker_residuals(p):
-    """The five quadratic relations that vanish exactly on decomposables.
-
-    For each 4-subset (a, b, c, d) the residual is
-
-        sum_k (-1)^k p_(a jk) p_(rest)  =  -(p_ab p_cd - p_ac p_bd + p_ad p_bc).
-    """
-    p = np.asarray(p, dtype=float)
-
-    def at(i, j):
-        return p[..., PAIR_INDEX[(i, j)]]
-
-    out = []
-    for a, b, c, d in _QUADS:
-        out.append(-(at(a, b) * at(c, d) - at(a, c) * at(b, d) + at(a, d) * at(b, c)))
-    return np.stack(out, axis=-1)
 
 
 def minor_lift(A):

@@ -255,12 +255,6 @@ class _Linearization:
                                for f in from_f])
 
 
-def _residual_jacobian(vector, grid_n: int = GRID_OPT):
-    """r and the (grid_n^2, shape_dim()) Jacobian: _Linearization's blocks joined."""
-    r, jac = zip(*_Linearization(vector, grid_n).blocks())
-    return np.concatenate(r), np.concatenate(jac)
-
-
 def _renormalize(vector):
     """Rescale each component block to mean radius one (a pure gauge move)."""
     v = np.asarray(vector, dtype=float).reshape(2, 4, 2 * K_OPT + 1)

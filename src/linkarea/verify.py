@@ -32,49 +32,6 @@ def _random_pair_on_sphere(rng):
                 return x, y
 
 
-def check_plucker_relations(seed):
-    # 50 pairs of vectors of R^5, drawn pair by pair
-    u, v = Lcg64(seed).uniform_array(500, -1.0, 1.0).reshape(50, 2, 5).transpose(1, 0, 2)
-    p = mk.wedge(u, v)
-    scale = np.maximum(np.max(np.abs(p), axis=-1) ** 2, 1e-30)
-    worst = float(np.max(np.max(np.abs(mk.plucker_residuals(p)), axis=-1) / scale))
-    e = np.eye(5)
-    mixed = mk.wedge(e[0], e[1]) + mk.wedge(e[2], e[3])
-    nontrivial = float(np.max(np.abs(mk.plucker_residuals(mixed))))
-    return (worst <= 1e-12 and nontrivial >= 0.5,
-            f"max scaled residual {worst:.2e}, non-decomposable witness {nontrivial:.2f}")
-
-
-def check_wedge_determinant(seed):
-    # 200 quadruples x, y, x', y' of R^5, drawn quadruple by quadruple
-    x, y, xp, yp = Lcg64(seed).uniform_array(4000, -1.0, 1.0).reshape(200, 4, 5).transpose(1, 0, 2)
-    lhs = mk.inner10(mk.wedge(x, y), mk.wedge(xp, yp))
-    rhs = mk.inner10_det(x, y, xp, yp)
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    worst = float(np.max(np.abs(lhs - rhs) / scale))
-    return worst <= 1e-12, f"max relative deviation {worst:.2e}"
-
-
-def check_plane_classification():
-    e = np.eye(5)
-    timelike = mk.inner10(mk.wedge(e[0], e[1]), mk.wedge(e[0], e[1]))
-    spacelike = mk.inner10(mk.wedge(e[1], e[2]), mk.wedge(e[1], e[2]))
-    light = e[0] + e[1]
-    iso = mk.inner10(mk.wedge(light, e[2]), mk.wedge(light, e[2]))
-    return (timelike > 0.5 and spacelike < -0.5 and abs(iso) < 1e-12,
-            f"timelike {timelike:+.1f}, spacelike {spacelike:+.1f}, isotropic {iso:+.1e}")
-
-
-def check_minor_lift(seed):
-    # 50 pairs of maps A, B, drawn pair by pair
-    maps = np.array([random_mobius(seed + k, 1.5).matrix for k in range(100)])
-    A, B = maps.reshape(50, 2, 5, 5).transpose(1, 0, 2, 3)
-    orth = mk.orthogonality_residual(mk.minor_lift(A), mk.EPS10)
-    hom = float(np.max(np.abs(mk.minor_lift(A @ B) - mk.minor_lift(A) @ mk.minor_lift(B))))
-    return (orth <= 1e-10 and hom <= 1e-10,
-            f"orthogonality {orth:.2e}, homomorphism {hom:.2e} over 50 maps")
-
-
 def check_equivariance(seed):
     rng = Lcg64(seed)
     dev = []
@@ -89,6 +46,15 @@ def check_equivariance(seed):
 
 
 def check_nullity(links, seed):
+    """|<sigma_s, sigma_s>| and |<sigma_t, sigma_t>| within 1e-10 on the links.
+
+    The bound is absolute while |sigma_s| grows like 1/chord, so it holds
+    only above a chord of about 0.15: on 1000 random pairs with unit-scale
+    tangents the nullity reads 3.9e-12 at chord 0.3, 3.9e-10 at 0.1 and
+    6.2e-9 at 0.05.  The battery runs it on the catalogue links, whose
+    least separation is 0.889 (parallel_circles); its random pairs, in the
+    other checks, are farther apart than 0.1.
+    """
     # 1000 samples per link, the draws link by link, s then t
     draws = Lcg64(seed).uniform_array(2000 * len(links), 0, TWO_PI).reshape(-1, 2, 1000)
     dev = []
@@ -100,6 +66,14 @@ def check_nullity(links, seed):
 
 
 def check_metric_routes(links, seed):
+    """The closed-form g against <sigma_s, sigma_t>, relative to max(|g|, 1),
+    within 1e-10 on the links.
+
+    The bound holds only above a chord of about 0.06: on 1000 random pairs
+    with unit-scale tangents the deviation reads 2.7e-13 at chord 0.3,
+    1.4e-11 at 0.1 and 1.7e-10 at 0.05.  The battery runs it on the catalogue
+    links, whose least separation is 0.889 (parallel_circles).
+    """
     draws = Lcg64(seed).uniform_array(2000 * len(links), 0, TWO_PI).reshape(-1, 2, 1000)
     dev = []
     for link, (s, t) in zip(links.values(), draws):  # drawn as in check_nullity
@@ -159,10 +133,6 @@ def check_symplectic(links):
 #: function rebound on this module (a benchmark's tracing wrapper) is the
 #: one called.
 BATTERY = (
-    ("plucker_relations", lambda links, seed: check_plucker_relations(seed)),
-    ("wedge_determinant_identity", lambda links, seed: check_wedge_determinant(seed + 1)),
-    ("plane_classification", lambda links, seed: check_plane_classification()),
-    ("minor_lift", lambda links, seed: check_minor_lift(seed + 2)),
     ("psi_equivariance", lambda links, seed: check_equivariance(seed + 3)),
     ("tangent_nullity", lambda links, seed: check_nullity(links, seed + 4)),
     ("metric_two_routes", lambda links, seed: check_metric_routes(links, seed + 5)),

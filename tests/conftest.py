@@ -4,6 +4,7 @@ import linkarea as la
 import numpy as np
 import pytest
 
+from linkarea import minkowski as mk
 from linkarea import optimize as opt
 
 
@@ -68,3 +69,34 @@ def random_unit4(rng):
         n = np.linalg.norm(v)
         if n > 0.1:
             return v / n
+
+
+# reference routes of the Minkowski algebra, independent of its coordinate
+# forms: the inner product of R^5, the determinant form of inner10 and the
+# quadratic relations that vanish exactly on decomposable 2-vectors
+
+
+def inner5(u, v):
+    """Indefinite inner product of two vectors in R^5 (broadcasts)."""
+    return np.sum(np.asarray(u, dtype=float) * mk.ETA5 * np.asarray(v, dtype=float), axis=-1)
+
+
+def inner10_det(x, y, xp, yp):
+    """Determinant form of mk.inner10(mk.wedge(x, y), mk.wedge(xp, yp))."""
+    return -(inner5(x, xp) * inner5(y, yp) - inner5(x, yp) * inner5(y, xp))
+
+
+#: the 4-subsets of the indices, one relation each
+_QUADS = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)]
+
+
+def plucker_residuals(p):
+    """The five Plücker relations of the 2-vectors p (broadcasts); for each
+    4-subset (a, b, c, d), -(p_ab p_cd - p_ac p_bd + p_ad p_bc)."""
+    p = np.asarray(p, dtype=float)
+
+    def at(i, j):
+        return p[..., mk.PAIR_INDEX[(i, j)]]
+
+    return np.stack([-(at(a, b) * at(c, d) - at(a, c) * at(b, d) + at(a, d) * at(b, c))
+                     for a, b, c, d in _QUADS], axis=-1)

@@ -16,7 +16,6 @@ RESOLVED = {
     ("functionals", "build_grid"), ("symplectic", "exterior_derivative_check"),
     ("optimize", "objective"), ("optimize", "minimize"),
 } | {("verify", "check_" + name) for name in (
-    "plucker_relations", "wedge_determinant", "plane_classification", "minor_lift",
     "equivariance", "nullity", "metric_routes", "signature", "angle_routes", "fd_oracle",
     "symplectic")}
 
@@ -39,7 +38,7 @@ def _wrapped_names():
 
 def test_replayed_names_resolve():
     wrapped = _wrapped_names()
-    assert len(RESOLVED) == 20
+    assert len(RESOLVED) == 16
     assert RESOLVED <= wrapped, RESOLVED - wrapped
     for module, name in sorted(RESOLVED):
         assert callable(getattr(importlib.import_module(f"linkarea.{module}"), name, None)), \

@@ -144,6 +144,12 @@ class TestCatalogue:
         for name, link in la.catalogue().items():
             assert link.min_separation() > lk.DELTA_SEP, name
 
+    def test_catalogue_in_sigma_route_range(self):
+        # verify's sigma-route checks run on the catalogue links, and their
+        # 1e-10 bounds hold only above a chord of about 0.15 (check_nullity)
+        for name, link in la.catalogue().items():
+            assert link.min_separation() >= 0.15, name
+
     def test_link2_rejects_crossing(self, hopf):
         with pytest.raises(DisjointnessViolation):
             lk.Link2(hopf.c1, hopf.c1)

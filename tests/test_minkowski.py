@@ -3,6 +3,7 @@ import pytest
 
 from linkarea import minkowski as mk
 from linkarea.rng import Lcg64
+from conftest import inner5, inner10_det, plucker_residuals
 
 E = np.eye(5)
 
@@ -13,23 +14,23 @@ def rand5(rng, scale=1.0):
 
 class TestInner5:
     def test_basis_signature(self):
-        assert mk.inner5(E[0], E[0]) == -1.0
+        assert inner5(E[0], E[0]) == -1.0
         for i in range(1, 5):
-            assert mk.inner5(E[i], E[i]) == 1.0
+            assert inner5(E[i], E[i]) == 1.0
 
     def test_antipodal_lift_pair(self):
         u = np.array([1.0, 0, 0, 1, 0])
         v = np.array([1.0, 0, 0, -1, 0])
-        assert mk.inner5(u, v) == -2.0
+        assert inner5(u, v) == -2.0
 
     def test_symmetric_bilinear(self):
         rng = Lcg64(10)
         for _ in range(50):
             u, v, w = rand5(rng), rand5(rng), rand5(rng)
             a, b = rng.uniform_in(-2, 2), rng.uniform_in(-2, 2)
-            assert mk.inner5(u, v) == pytest.approx(mk.inner5(v, u), rel=1e-14, abs=1e-14)
-            lhs = mk.inner5(a * u + b * w, v)
-            rhs = a * mk.inner5(u, v) + b * mk.inner5(w, v)
+            assert inner5(u, v) == pytest.approx(inner5(v, u), rel=1e-14, abs=1e-14)
+            lhs = inner5(a * u + b * w, v)
+            rhs = a * inner5(u, v) + b * inner5(w, v)
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
@@ -81,7 +82,7 @@ class TestInner10:
         for _ in range(200):
             x, y, xp, yp = (rand5(rng) for _ in range(4))
             lhs = mk.inner10(mk.wedge(x, y), mk.wedge(xp, yp))
-            rhs = mk.inner10_det(x, y, xp, yp)
+            rhs = inner10_det(x, y, xp, yp)
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -100,15 +101,15 @@ class TestPluckerResiduals:
         for _ in range(50):
             p = mk.wedge(rand5(rng), rand5(rng))
             bound = 1e-12 * max(np.max(np.abs(p)) ** 2, 1e-30)
-            assert np.max(np.abs(mk.plucker_residuals(p))) <= bound
+            assert np.max(np.abs(plucker_residuals(p))) <= bound
 
     def test_non_decomposable(self):
         p = mk.wedge(E[0], E[1]) + mk.wedge(E[2], E[3])
-        res = mk.plucker_residuals(p)
+        res = plucker_residuals(p)
         assert np.max(np.abs(res)) == 1.0
 
     def test_zero(self):
-        assert np.array_equal(mk.plucker_residuals(np.zeros(10)), np.zeros(5))
+        assert np.array_equal(plucker_residuals(np.zeros(10)), np.zeros(5))
 
 
 class TestMinorLift:

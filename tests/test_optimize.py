@@ -20,6 +20,12 @@ def residual(vector, grid_n=opt.GRID_OPT):
     return (sp.metric_kernel(x[0], xp[0], x[1], xp[1]) * (TWO_PI / grid_n)).ravel()
 
 
+def residual_jacobian(vector, grid_n=opt.GRID_OPT):
+    """r and the (grid_n^2, shape_dim()) Jacobian: _Linearization's blocks joined."""
+    r, jac = zip(*opt._Linearization(vector, grid_n).blocks())
+    return np.concatenate(r), np.concatenate(jac)
+
+
 def traced_peak(link, **kwargs):
     """tracemalloc's peak, in bytes, over a descent from link."""
     tracemalloc.start()
@@ -146,7 +152,7 @@ class TestJacobian:
             link = la.random_mobius(41, 1.0).transform_link(link)
         grid_n = 37 if case == "grid37" else opt.GRID_OPT
         v = opt.encode_link(link)
-        r, jac = opt._residual_jacobian(v, grid_n)
+        r, jac = residual_jacobian(v, grid_n)
         assert np.array_equal(r, residual(v, grid_n))
         h = 1e-6
         fd = np.empty_like(jac)
@@ -163,14 +169,14 @@ class TestJacobian:
         matrix = np.eye(5) if seed is None else la.random_mobius(seed, 1.0).matrix
         v, norms = moved_hopf(hopf, matrix)
         assert opt.objective(v) <= 1e-13
-        jac = opt._residual_jacobian(v)[1]
+        jac = residual_jacobian(v)[1]
         scale = np.linalg.norm(jac, 2)
         for field in killing_fields(v, norms):
             assert np.linalg.norm(jac @ field) <= 1e-12 * scale * np.linalg.norm(field)
 
     @pytest.mark.parametrize("grid_n", [32, 64])
     def test_rank_at_hopf(self, hopf, grid_n):
-        sv = np.linalg.svd(opt._residual_jacobian(opt.encode_link(hopf), grid_n)[1],
+        sv = np.linalg.svd(residual_jacobian(opt.encode_link(hopf), grid_n)[1],
                            compute_uv=False)
         assert sv[27] >= 4.4
         assert sv[28] <= 4e-15
@@ -182,16 +188,16 @@ class TestNormalEquations:
         """The blocks joined are the Jacobian built in one block.  At 199,
         products on a block's rows alone would move in their last bits."""
         v = opt.encode_link(perturbed02)
-        blocks = opt._residual_jacobian(v, grid_n)
+        blocks = residual_jacobian(v, grid_n)
         monkeypatch.setattr(opt, "_JAC_BLOCK_NODES", grid_n * grid_n)
-        whole = opt._residual_jacobian(v, grid_n)
+        whole = residual_jacobian(v, grid_n)
         assert all(np.array_equal(a, b) for a, b in zip(blocks, whole))
 
     @pytest.mark.parametrize("grid_n", [32, 37, 64])
     def test_block_sums_match_whole_jacobian(self, perturbed02, grid_n):
         """At 37 the last block is shorter: 37 is no multiple of its rows."""
         v = opt.encode_link(perturbed02)
-        r, jac = opt._residual_jacobian(v, grid_n)
+        r, jac = residual_jacobian(v, grid_n)
         normal, grad, r_norm = opt._Linearization(v, grid_n).normal_equations()
         for got, want in ((normal, jac.T @ jac), (grad, jac.T @ r)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -203,7 +209,7 @@ class TestNormalEquations:
         """J^T w without J equals the product with the joined blocks."""
         link = la.random_mobius(41, 1.0).transform_link(perturbed02) if moved else perturbed02
         v = opt.encode_link(link)
-        r, jac = opt._residual_jacobian(v, grid_n)
+        r, jac = residual_jacobian(v, grid_n)
         lin = opt._Linearization(v, grid_n)
         got_r, vjp = lin.r, lin.vjp
         assert np.array_equal(got_r, r)
@@ -239,7 +245,7 @@ class TestGeodesicAcceleration:
             monkeypatch.setattr(opt, "_GEODESIC_H", h)
             opt._acceleration(v, delta, lin.r, lambda w: got.append(np.ravel(w)) or lin.vjp(w),
                               damped, grid_n)
-        r, jac = opt._residual_jacobian(v, grid_n)
+        r, jac = residual_jacobian(v, grid_n)
         return got, (v, delta, r, jac)
 
     @pytest.mark.parametrize("case", ["p01", "p02", "mobius", "grid37"])

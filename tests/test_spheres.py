@@ -9,7 +9,7 @@ from linkarea import spheres as sp
 from linkarea import symplectic as sy
 from linkarea.errors import CoincidentPoints, NotOnSphere
 from linkarea.rng import Lcg64
-from conftest import random_unit4
+from conftest import inner5, plucker_residuals, random_unit4
 
 TWO_PI = 2 * np.pi
 E4 = np.eye(4)
@@ -28,7 +28,7 @@ class TestLift:
         x = np.array([0.0, 0, 1, 0])
         bar = sp.lift(x)
         assert np.array_equal(bar, [1, 0, 0, 1, 0])
-        assert mk.inner5(bar, bar) == 0.0
+        assert inner5(bar, bar) == 0.0
         assert np.array_equal(sp.lift(np.array([1.0, 0, 0, 0])), [1, 1, 0, 0, 0])
 
     def test_pair_inner_product(self):
@@ -36,8 +36,8 @@ class TestLift:
         for _ in range(50):
             x, y = random_unit4(rng), random_unit4(rng)
             want = -np.sum((x - y) ** 2) / 2
-            assert mk.inner5(sp.lift(x), sp.lift(y)) == pytest.approx(want, abs=1e-14)
-            assert mk.inner5(sp.lift(x), sp.lift(y)) == pytest.approx(-1 + x @ y, abs=1e-14)
+            assert inner5(sp.lift(x), sp.lift(y)) == pytest.approx(want, abs=1e-14)
+            assert inner5(sp.lift(x), sp.lift(y)) == pytest.approx(-1 + x @ y, abs=1e-14)
 
     def test_rejects_off_sphere(self):
         with pytest.raises(NotOnSphere):
@@ -59,7 +59,7 @@ class TestPsiEmbed:
                 continue
             p = sp.psi_embed(x, y)
             assert mk.inner10(p, p) == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(mk.plucker_residuals(p))) <= 1e-12
+            assert np.max(np.abs(plucker_residuals(p))) <= 1e-12
 
     def test_coincident_rejected(self):
         x = np.array([1.0, 0, 0, 0])
