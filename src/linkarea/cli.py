@@ -41,6 +41,14 @@ def _load_link(path):
         raise BadLinkFile(f"cannot read {path}: {exc}")
 
 
+def _distinct_files(*named):
+    """Raise BadParameter if two of the (name, path) pairs are one file by realpath."""
+    seen = {}
+    for name, path in named:
+        if (first := seen.setdefault(os.path.realpath(path), name)) != name:
+            raise BadParameter(f"{first} and {name} name the same file")
+
+
 def cmd_verify(args) -> int:
     from . import verify as vf
     from .links import catalogue
@@ -68,17 +76,18 @@ def cmd_anglemap(args) -> int:
     """Write the --grid x --grid density grid as CSV, one row block of 2,048
     nodes at a time (see functionals.grid_blocks).
 
-    The link and the resolution are checked before the file is opened, and
-    a writer holds one block of the grid at a time.  Above 64 x 64 (more
-    than two blocks), a seekable --out in this single-threaded process is
-    written by two processes, this one and a forked helper taking the odd
-    blocks; the bytes are the same, and no option chooses.  A failure at
-    any point, in either process, is reported as the first failed block's
-    error, leaves no file and no helper process (see gridio.write_grid).
+    --out may not name FILE.  The link and the resolution are checked
+    before the file is opened, and a writer holds one block at a time.
+    Above 64 x 64 (more than two blocks), this single-threaded process and
+    a forked helper taking the odd blocks write --out in turns, a file or a
+    FIFO alike; the bytes are the same, and no option chooses.  A failure
+    in either process is reported as the first failed block's error, and
+    leaves no file and no helper process (see gridio.write_grid).
     """
     from .functionals import grid_blocks
     from .gridio import write_grid
 
+    _distinct_files(("FILE", args.file), ("--out", args.out))
     link = _load_link(args.file)
     write_grid(*grid_blocks(link, args.grid, args.grid), args.out)
     print(f"wrote {args.grid * args.grid} rows to {args.out}")
@@ -155,8 +164,8 @@ def cmd_minimize(args) -> int:
     from .links import link_text
     from .optimize import circle_fit_residual, decode_link, encode_link, minimize
 
-    if os.path.realpath(args.trace_out) == os.path.realpath(args.link_out):
-        raise BadParameter("--trace-out and --link-out name the same file")
+    _distinct_files(("FILE", args.file), ("--trace-out", args.trace_out),
+                    ("--link-out", args.link_out))
     link = _load_link(args.file)
     v0 = encode_link(link)
     result = minimize(v0, steps=args.steps, grid_n=args.grid,

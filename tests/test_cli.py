@@ -330,15 +330,34 @@ class TestAnglemap:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
-    def test_disk_full_in_helper_block(self, capsys, link_files, tmp_path, monkeypatch):
-        import errno
-        original, test_pid = os.pwrite, os.getpid()
+    @pytest.mark.parametrize("spelling", ["dot", "symlink"])
+    def test_out_naming_file_rejected(self, capsys, link_files, tmp_path, spelling):
+        link_path = tmp_path / "p02.lk1"
+        text = Path(link_files["p02"]).read_bytes()
+        link_path.write_bytes(text)
+        out_path = tmp_path / "." / "p02.lk1"
+        if spelling == "symlink":
+            out_path = tmp_path / "map.csv"
+            out_path.symlink_to(link_path)
+        code, out, err = run_cli(capsys, "anglemap", str(link_path), "--grid", "128",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "FILE and --out name the same file" in err
+        assert link_path.read_bytes() == text
 
-        def pwrite(fd, data, offset):
-            if os.getpid() != test_pid:
+    def test_disk_full_in_helper_block(self, capsys, link_files, tmp_path, monkeypatch):
+        # the helper's first write to the file fails; its writes to its pipe
+        # to this process do not
+        import errno
+        import stat
+        original, test_pid = os.write, os.getpid()
+
+        def write(fd, data):
+            if os.getpid() != test_pid and stat.S_ISREG(os.fstat(fd).st_mode):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return original(fd, data, offset)
-        monkeypatch.setattr(os, "pwrite", pwrite)
+            return original(fd, data)
+        monkeypatch.setattr(os, "write", write)
         out_path = tmp_path / "map.csv"
         code, out, err = run_cli(capsys, "anglemap", link_files["p02"], "--grid", "128",
                                  "--out", str(out_path))
@@ -557,6 +576,21 @@ class TestMinimize:
         assert out == ""
         assert "name the same file" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("option", ["--trace-out", "--link-out"])
+    def test_output_naming_file_rejected(self, capsys, link_files, tmp_path, option):
+        link_path = tmp_path / "hopf.lk1"
+        text = Path(link_files["hopf"]).read_bytes()
+        link_path.write_bytes(text)
+        outputs = {"--trace-out": str(tmp_path / "t.csv"), "--link-out": str(tmp_path / "f.lk1")}
+        outputs[option] = str(tmp_path / "." / "hopf.lk1")
+        code, out, err = run_cli(capsys, "minimize", str(link_path), "--steps", "2",
+                                 *[arg for item in outputs.items() for arg in item])
+        assert code == 2
+        assert out == ""
+        assert f"FILE and {option} name the same file" in err
+        assert link_path.read_bytes() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hopf.lk1"]
 
     def test_deterministic_output(self, capsys, link_files, tmp_path):
         """Two runs into different directories print the same report, up to

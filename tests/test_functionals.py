@@ -1,3 +1,5 @@
+import os
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -519,10 +521,14 @@ class TestExportImport:
         pytest.param("hopf", 32, "whole", id="hopf"),
         # theta has exact zeros and values near 1e-8 (scientific notation)
         pytest.param("separated10", 32, "whole", id="separated10"),
-        # 128 row blocks of 4 rows each, written by this process and a forked
-        # helper in turns, and by this process alone
+        # 128 row blocks of 4 rows each, written in turns by this process and a
+        # forked helper through the file position they share, and by this
+        # process alone
         pytest.param("perturbed02", 512, "blocks", id="perturbed02-512"),
         pytest.param("perturbed02", 512, "serial", id="perturbed02-512-serial"),
+        # a FIFO has no offsets to write at, but the two writers' turns on the
+        # file position that they share put its 8 blocks in order all the same
+        pytest.param("perturbed02", 128, "fifo", id="perturbed02-128-fifo"),
         # the anglemap command streams 8 row blocks from the kernel to the file
         pytest.param("separated10", 128, "anglemap", id="anglemap-separated10-128"),
     ])
@@ -539,6 +545,16 @@ class TestExportImport:
             link = la.read_link(link_path)
         elif how in ("blocks", "serial"):
             la.write_grid(*la.grid_blocks(link, n, n), path)
+        elif how == "fifo":
+            fifo, forks, fork = tmp_path / "grid.fifo", [], os.fork
+            os.mkfifo(fifo)
+            monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+            # the timeout ends cat if write_grid fails before it opens the FIFO
+            drain = ["timeout", "60", "cat", str(fifo)]
+            with open(path, "wb") as out, subprocess.Popen(drain, stdout=out) as cat:
+                la.write_grid(*la.grid_blocks(link, n, n), fifo)
+            assert cat.returncode == 0
+            assert forks == [os.getpid()]
         grid = la.build_grid(link, n, n)
         if how == "whole":
             _write_whole(grid, path)
@@ -553,9 +569,9 @@ class TestExportImport:
         # a block of 2,048 nodes, its byte matrix, the tobytes and translate
         # copies of it and the formatter's scratch: 1.05 MiB (n = 64), 1.08 MiB
         # (n = 512) and 1.18 MiB (n = 1024); 4,096-node blocks peak at 2.6,
-        # 2.4 and 2.4 MiB.  At 512 and 1024 a forked helper writes the odd
-        # blocks, out of tracemalloc's sight; this process's peak is the same
-        # as when it writes every block itself
+        # 2.4 and 2.4 MiB.  At 512 and 1024 a forked helper formats and writes
+        # the odd blocks, out of tracemalloc's sight; this process's peak is
+        # the same as when it writes every block itself
         path = tmp_path / "grid.csv"
         tracemalloc.start()
         try:
