@@ -42,10 +42,16 @@ def _load_link(path):
 
 
 def _distinct_files(*named):
-    """Raise BadParameter if two of the (name, path) pairs are one file by realpath."""
+    """Raise BadParameter if two of the (name, path) pairs are one file: by
+    (st_dev, st_ino) where the path exists, hard links included, else by realpath."""
     seen = {}
     for name, path in named:
-        if (first := seen.setdefault(os.path.realpath(path), name)) != name:
+        try:
+            info = os.stat(path)
+            key = info.st_dev, info.st_ino
+        except OSError:
+            key = os.path.realpath(path)
+        if (first := seen.setdefault(key, name)) != name:
             raise BadParameter(f"{first} and {name} name the same file")
 
 
@@ -76,13 +82,14 @@ def cmd_anglemap(args) -> int:
     """Write the --grid x --grid density grid as CSV, one row block of 2,048
     nodes at a time (see functionals.grid_blocks).
 
-    --out may not name FILE.  The link and the resolution are checked
-    before the file is opened, and a writer holds one block at a time.
-    Above 64 x 64 (more than two blocks), this single-threaded process and
-    a forked helper taking the odd blocks write --out in turns, a file or a
-    FIFO alike; the bytes are the same, and no option chooses.  A failure
-    in either process is reported as the first failed block's error, and
-    leaves no file and no helper process (see gridio.write_grid).
+    --out may not name FILE, by any path or hard link.  The link and the
+    resolution are checked before the file is opened, and a writer holds
+    one block at a time.  Above 64 x 64 (more than two blocks), this
+    single-threaded process and a forked helper taking the odd blocks write
+    --out in turns, a file or a FIFO alike; the bytes are the same, and no
+    option chooses.  A failure in either process is reported as the first
+    failed block's error, and leaves no file (a FIFO stays) and no helper
+    process (see gridio.write_grid).
     """
     from .functionals import grid_blocks
     from .gridio import write_grid

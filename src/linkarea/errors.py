@@ -3,6 +3,7 @@ turns a failed write into IoFailure and leaves no partial file."""
 
 import contextlib
 import os
+import stat
 
 
 class LinkAreaError(Exception):
@@ -53,7 +54,8 @@ class IoFailure(LinkAreaError):
 def open_output(path):
     """Open path for binary writing, as a context whose failure leaves no file.
 
-    An exception raised inside the block removes the file.  It propagates,
+    An exception raised inside the block removes the file if it was a regular
+    file when opened; a FIFO or a device is never removed.  It propagates,
     as does a failed open: an OSError as IoFailure, anything else (a kernel
     error, KeyboardInterrupt) unchanged.  Nested, an inner failure removes
     the outer file as well.
@@ -62,12 +64,14 @@ def open_output(path):
         fh = open(path, "wb")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    regular = stat.S_ISREG(os.stat(path).st_mode)  # the file just opened; a FIFO stays
     try:
         with fh:
             yield fh
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(path)
+        if regular:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         if isinstance(exc, OSError):
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise

@@ -303,7 +303,7 @@ def write_grid(s, t, blocks, path) -> None:
     regular file, a FIFO or a pipe takes either path, and there is no
     option: the file is the same either way.
 
-    Any exception raised while the file is open removes it (see
+    Any exception raised while the file is open removes a regular file (see
     errors.open_output): an OSError is raised as IoFailure, and anything
     else (a kernel error in a later block, KeyboardInterrupt) unchanged.
     On both paths the error raised is that of the first failed block.

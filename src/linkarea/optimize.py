@@ -5,13 +5,13 @@ the objective is the area functional at a fixed grid resolution so that
 runs are deterministic.  The area is the L1 norm of the metric field g,
 which vanishes identically on the Hopf link and its Moebius images, so
 each step solves the damped least-squares problem for the residual
-r = g·(2π/n) on the objective grid.  Each step linearizes r once: the
-partials of r in the four dot products that g is built from give its
-gradients in each component's points and velocities, and the chain rule
-through each node's 8x8 derivative of these in the Fourier values and
-the design rows gives J by blocks of s-rows; J^T J and J^T r are summed
-over them, so that the whole grid_n^2 x 72 Jacobian is never held, and
-J^T w contracts the same 8x8 matrices without J.
+r = g·(2π/n) on the objective grid, evaluated once per point
+(_Linearization).  The partials of r in the four dot products that g is
+built from give its gradients in each component's points and velocities,
+and the chain rule through each node's 8x8 derivative of these in the
+Fourier values and the design rows gives J by blocks of s-rows; J^T J
+and J^T r are summed over them, so that the whole grid_n^2 x 72 Jacobian
+is never held, and J^T w contracts the same 8x8 matrices without J.
 Each trial step δ is corrected by half its geodesic acceleration a (M. K.
 Transtrum and J. P. Sethna, arXiv:1201.5885, 2012), which bends it along
 the curved, sloppy directions that stall plain Levenberg–Marquardt near
@@ -22,7 +22,7 @@ and J^T w.  A step is accepted only if the area decreases.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -131,19 +131,7 @@ def _metric_field(pts, vel):
 
 def objective(vector, grid_n: int = GRID_OPT) -> float:
     """Area of the decoded link at fixed grid resolution (no refinement)."""
-    g = _metric_field(*_grid_fields(vector, grid_n)[2:])
-    return float(np.sum(np.abs(g, out=g))) * (TWO_PI / grid_n) ** 2
-
-
-def _roundoff(vector, grid_n: int) -> float:
-    """The area's roundoff at a shape vector, ROUNDOFF·Σ|Omega|·(2π/n)^2: |Omega|·2π/n
-    = |x'||y'||r_q|/2, with _Linearization's r_q built by the same operations."""
-    pts, vel = _grid_fields(vector, grid_n)[2:]
-    cell = TWO_PI / grid_n
-    r_q = pts[0] @ pts[1].T  # becomes 1 - x.y, then r_q and |r_q|, all in place
-    np.divide(-cell, np.subtract(1.0, r_q, out=r_q), out=r_q)
-    speed_x, speed_y = (np.linalg.norm(p, axis=-1) for p in vel)
-    return ROUNDOFF * 0.5 * cell * float(speed_x @ np.abs(r_q, out=r_q) @ speed_y)
+    return _Linearization(vector, grid_n).area
 
 
 def _node_jacobian(raw, draw, x, xp):
@@ -164,41 +152,53 @@ def _node_jacobian(raw, draw, x, xp):
 
 
 class _Linearization:
-    """r = g·(2π/n) on the objective grid at a shape vector, and its Jacobian J.
+    """The one evaluation of a shape vector: area, r = g·(2π/n) and r's Jacobian J.
 
     g = (q b - c e)/b^2 depends on the points and velocities only through
     b = x.y - 1, q = x'.y', c = x'.y and e = x.y', with partials g_q = 1/b,
     g_c = -e/b^2, g_e = -c/b^2 and g_b = (q - 2 g b)/b^2 = g_c g_e/g_q - g g_q.
-    r, r_q, r_c and r_e are built once, on the whole grid (on a block's rows
-    alone, BLAS's edge kernels can move a product in its last bits), and r_b
-    from them on each block of whole s-rows, _JAC_BLOCK_NODES nodes (the last
-    may be shorter).  The chain rule through each component's _node_jacobian
-    and design rows (_chain) turns the gradients of r in (x, x') and (y, y')
-    into J: blocks() yields J a block at a time, normal_equations() sums
-    J^T J and J^T r over them, and vjp gives J^T w without J.
+    r_q, r_c and r_e are built at the first step solved from the point or
+    read of its roundoff (a rejected trial needs neither), and like r on the
+    whole grid (on a block's rows alone, BLAS's edge kernels can move a product
+    in its last bits); r_b is formed from them on each block of whole s-rows,
+    _JAC_BLOCK_NODES nodes (the last may be shorter).  The chain rule through
+    each component's _node_jacobian and design rows (_chain) turns the
+    gradients of r in (x, x') and (y, y') into J: blocks() yields J a block
+    at a time, normal_equations() sums J^T J and J^T r over them, and vjp
+    gives J^T w without J.
     """
 
     def __init__(self, vector, grid_n: int):
         self.fields = _grid_fields(vector, grid_n)  # F, F', the points and their velocities
         pts, vel = self.fields[2:]
-        self.x, self.xp, self.y, self.yp = x, xp, y, yp = pts[0], vel[0], pts[1], vel[1]
+        self.x, self.xp, self.y, self.yp = pts[0], vel[0], pts[1], vel[1]
         self.n, self.cell = grid_n, TWO_PI / grid_n
         g = _metric_field(pts, vel)
-        minus_b = x @ y.T  # becomes 1 - x.y = -b, then -(2π/n)/b^2, all in place
+        self.area = float(np.sum(np.abs(g))) * self.cell ** 2
+        self.r = np.multiply(g, self.cell, out=g).ravel()
+
+    @cached_property
+    def _r_qce(self):
+        """r_q, r_c and r_e on the whole grid."""
+        minus_b = self.x @ self.y.T  # becomes 1 - x.y = -b, then -(2π/n)/b^2, all in place
         np.subtract(1.0, minus_b, out=minus_b)
-        self.r_q = -self.cell / minus_b
-        over_b2 = np.divide(self.r_q, minus_b, out=minus_b)
-        self.r_c, self.r_e = x @ yp.T, xp @ y.T
-        self.r_c *= over_b2
-        self.r_e *= over_b2
-        g *= self.cell
-        self.r = g.ravel()
+        r_q = -self.cell / minus_b
+        over_b2 = np.divide(r_q, minus_b, out=minus_b)
+        r_c, r_e = self.x @ self.yp.T, self.xp @ self.y.T
+        r_c *= over_b2
+        r_e *= over_b2
+        return r_q, r_c, r_e
+
+    def roundoff(self) -> float:
+        """The area's roundoff, ROUNDOFF·Σ|Omega|·(2π/n)^2: |Omega|·2π/n = |x'||y'||r_q|/2."""
+        speed_x, speed_y = (np.linalg.norm(p, axis=-1) for p in (self.xp, self.yp))
+        return ROUNDOFF * 0.5 * self.cell * float(speed_x @ np.abs(self._r_qce[0]) @ speed_y)
 
     def _partials(self):
         """(rows, (r_b, r_q, r_c, r_e)) on each block of s-rows."""
         r = self.r.reshape(self.n, self.n)
         for rows in _row_blocks(self.n):
-            r_q, r_c, r_e = self.r_q[rows], self.r_c[rows], self.r_e[rows]
+            r_q, r_c, r_e = (p[rows] for p in self._r_qce)
             yield rows, (r_c * r_e / r_q - r[rows] * r_q / self.cell, r_q, r_c, r_e)
 
     def _chain(self, comp: int, rows=slice(None)):
@@ -268,8 +268,8 @@ def _acceleration(v, delta, r, vjp, damped, grid_n: int):
     r_vv, the second directional derivative of r along δ, is the central
     second difference [r(v + hδ) - 2r(v) + r(v - hδ)]/h^2, and a solves the
     damped normal equations for it: damped a = -J^T r_vv (Transtrum and
-    Sethna, arXiv:1201.5885).  The probes call _metric_field, not objective
-    (called once per trial), by blocks of s-rows: no whole-grid probe is held.
+    Sethna, arXiv:1201.5885).  The probes call _metric_field, not _Linearization
+    (built once per trial), by blocks of s-rows: no whole-grid probe is held.
     Where ‖a‖ exceeds _ACCEL_MAX ‖δ‖, or a probe's components touch, the
     correction is dropped: a = 0 with ratio 0.0.
     """
@@ -323,36 +323,35 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     Each step solves (J^T J + λ·tr(J^T J)/dim·I) δ = -J^T r for the residual
     r and its Jacobian J (see _Linearization), corrects it by half its
     geodesic acceleration a (see _acceleration) and tries the renormalized
-    v + δ + a/2.  The trial is accepted only if the area decreases;
-    otherwise, or if its components touch, λ grows and the step is solved
-    again; it falls after an accepted step, but not below the float epsilon
-    ε, under which λ·tr(J^T J)/dim no longer moves J^T J's diagonal.  The
-    trace holds the area at the start and after each accepted step, hence
-    strictly decreases.  Status: "converged" once the area at an accepted
-    point, the start and the last included, is at most max(stop_below,
-    _roundoff); "stalled" once a trial's δ falls to v's resolution,
-    ‖δ‖ <= ε‖v‖, or is not finite; else "completed", after steps steps.
+    v + δ + a/2, whose one evaluation (a _Linearization, as the start's) is
+    the next step's linearization if the area decreases; otherwise, or if its
+    components touch, it is dropped, λ grows and the step is solved again.
+    λ falls after an accepted step, but not below the float epsilon ε, under
+    which λ·tr(J^T J)/dim no longer moves J^T J's diagonal.  The trace holds
+    the area at the start and after each accepted step, hence strictly
+    decreases.  Status: "converged" once the area at an accepted point, the
+    start and the last included, is at most max(stop_below, its roundoff());
+    "stalled" once a trial's δ falls to v's resolution, ‖δ‖ <= ε‖v‖, or is
+    not finite; else "completed", after steps steps.
     """
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
-    # a step holds four grid_n^2 fields (2.1 MB at 256) through its trials, whose
-    # areas' metric kernels add four more; --grid 256 peaks at 36.9 MB VmHWM
-    # (x86-64 Linux, Python 3.11, numpy 2.4)
+    # a step holds four grid_n^2 fields (2.1 MB at 256) through its trials, whose kernels
+    # add four more: 37.0 MB VmHWM at --grid 256 (x86-64 Linux, Python 3.11, numpy 2.4)
     if not N_MIN <= grid_n <= 256:
         raise BadParameter(f"grid_n must lie in [{N_MIN}, 256]")
     if not np.isfinite(stop_below):
         raise BadParameter("stop_below must be finite")
     decode_coeffs(v0)  # validates the vector length
     v = _renormalize(np.asarray(v0, dtype=float))
-    f = objective(v, grid_n)
-    trace, records = [f], []
+    lin = _Linearization(v, grid_n)
+    trace, records = [lin.area], []
     lam, eps = LAMBDA_START, np.finfo(float).eps
     for step in range(steps + 1):
-        if f <= max(stop_below, _roundoff(v, grid_n)):
+        if lin.area <= max(stop_below, lin.roundoff()):
             return MinimizeResult(vector=v, trace=trace, status="converged", records=records)
         if step == steps:
             break
-        lin = _Linearization(v, grid_n)
         normal, grad, r_norm = lin.normal_equations()
         mean_diag = np.trace(normal) / len(v)
         for rejected in itertools.count():
@@ -363,17 +362,18 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
             accel, ratio = _acceleration(v, delta, lin.r, lin.vjp, damped, grid_n)
             trial = _renormalize(v + delta + 0.5 * accel)
             try:
-                ft = objective(trial, grid_n)
+                point = _Linearization(trial, grid_n)
             except DisjointnessViolation:
-                ft = np.inf  # a colliding trial is rejected like a non-decrease
-            if ft < f:
+                point = None  # a colliding trial is rejected like a non-decrease
+            if point is not None and point.area < lin.area:
                 break
+            del point  # before the next trial
             lam *= LAMBDA_FACTOR
-        del lin, normal, damped  # before the next step's linearization
-        records.append(StepRecord(ft, r_norm, lam, float(np.linalg.norm(delta)), rejected,
-                                  ratio))
-        v, f = trial, ft
-        trace.append(f)
+        records.append(StepRecord(point.area, r_norm, lam, float(np.linalg.norm(delta)),
+                                  rejected, ratio))
+        del normal, damped  # before the next step's normal equations
+        v, lin = trial, point  # the accepted point is the next step's linearization
+        trace.append(lin.area)
         lam = max(lam / LAMBDA_FACTOR, eps)
     return MinimizeResult(vector=v, trace=trace, status="completed", records=records)
 

@@ -330,7 +330,7 @@ class TestAnglemap:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("spelling", ["dot", "symlink"])
+    @pytest.mark.parametrize("spelling", ["dot", "symlink", "hardlink"])
     def test_out_naming_file_rejected(self, capsys, link_files, tmp_path, spelling):
         link_path = tmp_path / "p02.lk1"
         text = Path(link_files["p02"]).read_bytes()
@@ -339,12 +339,36 @@ class TestAnglemap:
         if spelling == "symlink":
             out_path = tmp_path / "map.csv"
             out_path.symlink_to(link_path)
+        elif spelling == "hardlink":  # another name, one inode
+            out_path = tmp_path / "map.csv"
+            os.link(link_path, out_path)
         code, out, err = run_cli(capsys, "anglemap", str(link_path), "--grid", "128",
                                  "--out", str(out_path))
         assert code == 2
         assert out == ""
         assert "FILE and --out name the same file" in err
         assert link_path.read_bytes() == text
+
+    def test_reader_quitting_early_keeps_fifo(self, capsys, link_files, tmp_path):
+        """A FIFO whose reader quits after 1,000 bytes fails the export with a
+        broken pipe, in this process and the helper; the FIFO stays, and no
+        helper process is left."""
+        import stat
+        fifo = tmp_path / "map.fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["head", "-c", "1000", str(fifo)], stdout=subprocess.DEVNULL)
+        try:
+            code, out, err = run_cli(capsys, "anglemap", link_files["hopf"], "--grid", "256",
+                                     "--out", str(fifo))
+        finally:
+            reader.kill()  # a no-op once it has quit, as it must have for the pipe to break
+            reader.wait()
+        assert code == 2
+        assert out == ""
+        assert "Broken pipe" in err
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_disk_full_in_helper_block(self, capsys, link_files, tmp_path, monkeypatch):
         # the helper's first write to the file fails; its writes to its pipe
@@ -577,20 +601,27 @@ class TestMinimize:
         assert "name the same file" in err
         assert not path.exists()
 
-    @pytest.mark.parametrize("option", ["--trace-out", "--link-out"])
-    def test_output_naming_file_rejected(self, capsys, link_files, tmp_path, option):
+    @pytest.mark.parametrize("option, spelling", [
+        ("--trace-out", "dot"), ("--link-out", "dot"),
+        ("--trace-out", "hardlink"), ("--link-out", "hardlink")],
+        ids=["--trace-out", "--link-out", "hardlink--trace-out", "hardlink--link-out"])
+    def test_output_naming_file_rejected(self, capsys, link_files, tmp_path, option, spelling):
         link_path = tmp_path / "hopf.lk1"
         text = Path(link_files["hopf"]).read_bytes()
         link_path.write_bytes(text)
         outputs = {"--trace-out": str(tmp_path / "t.csv"), "--link-out": str(tmp_path / "f.lk1")}
         outputs[option] = str(tmp_path / "." / "hopf.lk1")
+        if spelling == "hardlink":  # another name, one inode
+            outputs[option] = str(tmp_path / "linked.lk1")
+            os.link(link_path, outputs[option])
         code, out, err = run_cli(capsys, "minimize", str(link_path), "--steps", "2",
                                  *[arg for item in outputs.items() for arg in item])
         assert code == 2
         assert out == ""
         assert f"FILE and {option} name the same file" in err
         assert link_path.read_bytes() == text
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["hopf.lk1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["hopf.lk1", "linked.lk1"] if spelling == "hardlink" else ["hopf.lk1"])
 
     def test_deterministic_output(self, capsys, link_files, tmp_path):
         """Two runs into different directories print the same report, up to

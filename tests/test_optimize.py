@@ -224,7 +224,7 @@ class TestNormalEquations:
             opt.GRID_OPT ** 2 * opt.shape_dim() * 8)
 
     def test_trial_peak_at_256(self):
-        """3 steps at 256^2 trace 4.21 MiB: a trial's area holds its metric
+        """3 steps at 256^2 trace 4.28 MiB: a trial's evaluation holds its metric
         kernel's four grid fields beside the step's four.  Two whole-grid
         probes summed in place of the blocked ones would trace 4.74 MiB."""
         assert traced_peak(la.perturbed_hopf_link(0.1, 0), steps=3, grid_n=256) < 4.5 * 2 ** 20
@@ -295,11 +295,13 @@ class TestMinimize:
         assert res.trace[-1] <= 1e-5
 
     def test_one_linearization_per_step(self, monkeypatch):
-        """g is evaluated on the whole grid once at the start (objective), once per
-        step (its linearization) and three times per trial (its objective and
-        the two acceleration probes, which go together by blocks of s-rows):
-        1 + 10 + 3 x 12 grids over these 10 steps with 2 rejected trials."""
-        rows, counts = [], {"objective": 0, "_Linearization": 0}
+        """Each point is evaluated once, as a _Linearization: g on the whole grid
+        once at the start and three times per trial (its point and the two
+        acceleration probes, which go together by blocks of s-rows), none per
+        step, for the accepted trial is the next step's linearization: 1 + 3 x 12
+        grids over these 10 steps with 2 rejected trials, from 1 + 2 x 12 grid
+        fields (the probes share one)."""
+        rows, counts = [], {"objective": 0, "_Linearization": 0, "_grid_fields": 0}
         real_field = opt._metric_field
 
         def counted_field(pts, vel):
@@ -320,8 +322,9 @@ class TestMinimize:
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=10)
         trials = sum(rec.rejected + 1 for rec in res.records)
         assert (len(res.records), trials) == (10, 12)
-        assert counts == {"objective": 1 + trials, "_Linearization": len(res.records)}
-        assert sum(rows) == opt.GRID_OPT * (1 + len(res.records) + 3 * trials)
+        assert counts == {"objective": 0, "_Linearization": 1 + trials,
+                          "_grid_fields": 1 + 2 * trials}
+        assert sum(rows) == opt.GRID_OPT * (1 + 3 * trials) == opt.GRID_OPT * 37
 
     def test_dropped_correction_is_plain_lm(self, monkeypatch):
         """With every correction dropped, each trial is v + δ: the descent
@@ -394,20 +397,21 @@ class TestMinimize:
         assert res.status != "converged"
 
     def test_nan_gradient_stalls_at_once(self, monkeypatch):
-        """A NaN δ is below v's resolution: no trial is evaluated, and no
-        RuntimeWarning (an error under this suite's settings) is raised."""
-        real_normal, real_objective, calls = opt._Linearization.normal_equations, opt.objective, []
+        """A NaN δ is below v's resolution: no trial point is built, so the
+        start's is the one _Linearization, and no RuntimeWarning (an error
+        under this suite's settings) is raised."""
+        real_lin, calls = opt._Linearization, []
 
-        def nan_gradient(lin):
-            normal, grad, r_norm = real_normal(lin)
-            return normal, np.full_like(grad, np.nan), r_norm
+        class NanGradient(real_lin):
+            def __init__(self, vector, grid_n):
+                calls.append(vector)
+                super().__init__(vector, grid_n)
 
-        def counted(vector, grid_n=opt.GRID_OPT):
-            calls.append(vector)
-            return real_objective(vector, grid_n)
+            def normal_equations(self):
+                normal, grad, r_norm = super().normal_equations()
+                return normal, np.full_like(grad, np.nan), r_norm
 
-        monkeypatch.setattr(opt._Linearization, "normal_equations", nan_gradient)
-        monkeypatch.setattr(opt, "objective", counted)
+        monkeypatch.setattr(opt, "_Linearization", NanGradient)
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=5)
         assert (res.status, len(res.trace), len(calls)) == ("stalled", 1, 1)
 
@@ -426,23 +430,26 @@ class TestMinimize:
             opt.minimize(opt.encode_link(hopf), **bad)
 
     def test_colliding_steps_rejected_not_raised(self, monkeypatch):
+        """After the start's evaluation, every metric field collides: each
+        trial's first probe block (its correction is dropped) and its point."""
         link = la.perturbed_hopf_link(0.1, 1)
         v0 = opt.encode_link(link)
-        real = opt.objective
+        real = opt._metric_field
         calls = {"n": 0}
 
-        def guarded(vector, grid_n=opt.GRID_OPT):
+        def guarded(pts, vel):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise DisjointnessViolation("forced collision")
-            return real(vector, grid_n)
+            return real(pts, vel)
 
-        monkeypatch.setattr(opt, "objective", guarded)
+        monkeypatch.setattr(opt, "_metric_field", guarded)
         res = opt.minimize(v0, steps=3, stop_below=-1.0)
         assert res.status == "stalled"
         assert len(res.trace) == 1
         # λ grows tenfold per trial until ‖δ‖ <= ε‖v‖, after 18 trials here
-        assert calls["n"] - 1 < 25
+        trials, odd = divmod(calls["n"] - 1, 2)
+        assert odd == 0 and trials < 25
 
 
 #: the Moebius maps of TestCircleFit: seeds 0-9 at rapidity 1 and 2
