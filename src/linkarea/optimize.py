@@ -11,13 +11,12 @@ built from give its gradients in each component's points and velocities,
 and the chain rule through each node's 8x8 derivative of these in the
 Fourier values and the design rows gives J by blocks of s-rows; J^T J
 and J^T r are summed over them, so that the whole grid_n^2 x 72 Jacobian
-is never held, and J^T w contracts the same 8x8 matrices without J.
-Each trial step δ is corrected by half its geodesic acceleration a (M. K.
-Transtrum and J. P. Sethna, arXiv:1201.5885, 2012), which bends it along
-the curved, sloppy directions that stall plain Levenberg–Marquardt near
-the minimum: a solves the damped normal equations for the second
-directional derivative of r along δ, from two probes of the metric field,
-and J^T w.  A step is accepted only if the area decreases.
+is never held.  Beside r, the normal equations carry gauge rows that tie
+each component's speed |x'| to its mean: x = F/|F| can move along its own
+curve without changing the link, and those reparametrizations are sloppy
+directions of J^T J that stall plain Levenberg–Marquardt near the minimum
+(M. K. Transtrum, B. B. Machta and J. P. Sethna, Phys. Rev. E 83, 2011);
+the rows make them stiff.  A step is accepted only if the area decreases.
 """
 
 import itertools
@@ -40,13 +39,8 @@ GRID_OPT = 64
 LAMBDA_START = 1e-3
 LAMBDA_FACTOR = 10.0
 
-#: geodesic acceleration: the probe step h of the second difference along
-#: δ, and the largest ‖a‖/‖δ‖ at which a trial keeps the correction
-_GEODESIC_H = 0.1
-_ACCEL_MAX = 0.75
-
-#: nodes per block of s-rows in which a step builds J and J^T w, and a trial
-#: its probes: a block of J holds this many rows of shape_dim() doubles, 590 kB
+#: nodes per block of s-rows in which a step builds J: a block holds this
+#: many rows of shape_dim() doubles, 590 kB
 _JAC_BLOCK_NODES = 1024
 
 
@@ -116,12 +110,6 @@ def _grid_fields(vector, grid_n: int):
     return raw, draw, pts, radial_velocity(raw, draw)
 
 
-def _row_blocks(grid_n: int):
-    """Slices of whole s-rows, _JAC_BLOCK_NODES nodes each (the last may be shorter)."""
-    step = _JAC_BLOCK_NODES // grid_n
-    return (slice(i, i + step) for i in range(0, grid_n, step))
-
-
 def _metric_field(pts, vel):
     try:
         return metric_kernel(pts[0], vel[0], pts[1], vel[1])
@@ -152,7 +140,8 @@ def _node_jacobian(raw, draw, x, xp):
 
 
 class _Linearization:
-    """The one evaluation of a shape vector: area, r = g·(2π/n) and r's Jacobian J.
+    """The one evaluation of a shape vector: area, r = g·(2π/n), r's Jacobian J
+    and the gauge rows.
 
     g = (q b - c e)/b^2 depends on the points and velocities only through
     b = x.y - 1, q = x'.y', c = x'.y and e = x.y', with partials g_q = 1/b,
@@ -164,8 +153,8 @@ class _Linearization:
     _JAC_BLOCK_NODES nodes (the last may be shorter).  The chain rule through
     each component's _node_jacobian and design rows (_chain) turns the
     gradients of r in (x, x') and (y, y') into J: blocks() yields J a block
-    at a time, normal_equations() sums J^T J and J^T r over them, and vjp
-    gives J^T w without J.
+    at a time, and normal_equations() sums J^T J and J^T r over them and adds
+    the gauge rows' terms, from the lower half of the same _chain.
     """
 
     def __init__(self, vector, grid_n: int):
@@ -196,8 +185,8 @@ class _Linearization:
 
     def _partials(self):
         """(rows, (r_b, r_q, r_c, r_e)) on each block of s-rows."""
-        r = self.r.reshape(self.n, self.n)
-        for rows in _row_blocks(self.n):
+        r, step = self.r.reshape(self.n, self.n), _JAC_BLOCK_NODES // self.n
+        for rows in (slice(i, i + step) for i in range(0, self.n, step)):
             r_q, r_c, r_e = (p[rows] for p in self._r_qce)
             yield rows, (r_c * r_e / r_q - r[rows] * r_q / self.cell, r_q, r_c, r_e)
 
@@ -228,31 +217,36 @@ class _Linearization:
             np.matmul(grad_y.swapaxes(0, 1), chain_y, out=jac[:, :, 1].swapaxes(0, 1))
             yield self.r.reshape(n, n)[rows].ravel(), jac.reshape(-1, shape_dim())
 
+    @cached_property
+    def gauge(self):
+        """The gauge rows (|x'| - mean|x'|)·√(2π/n), one per node of each
+        component, (2, n): all 0 where each component runs at constant speed."""
+        speeds = np.linalg.norm(self.fields[3], axis=-1)
+        return (speeds - np.mean(speeds, axis=-1, keepdims=True)) * np.sqrt(self.cell)
+
+    def gauge_jacobian(self, comp: int):
+        """The (n, shape_dim()/2) Jacobian of component comp's gauge rows in its
+        coefficients: d|x'| = (x'/|x'|).dx', with dx' the lower half of its
+        _chain, minus its mean over the nodes, times √(2π/n)."""
+        vel = self.fields[3][comp]
+        tangent = vel / np.linalg.norm(vel, axis=-1, keepdims=True)
+        d_speed = np.einsum("nj,njk->nk", tangent, self._chain(comp)[:, 4:])
+        return (d_speed - np.mean(d_speed, axis=0)) * np.sqrt(self.cell)
+
     def normal_equations(self):
-        """J^T J, J^T r and ‖r‖, summed over the blocks."""
+        """J^T J and J^T r, summed over the blocks, with each component's
+        Jg^T Jg and Jg^T gauge added to its diagonal block; and ‖r‖."""
         normal, grad = np.zeros((shape_dim(), shape_dim())), np.zeros(shape_dim())
         for r, jac in self.blocks():
             normal += jac.T @ jac
             grad += jac.T @ r
             del jac  # so that the next block is built without this one
+        half = shape_dim() // 2
+        for comp, rows in enumerate(self.gauge):
+            jac, block = self.gauge_jacobian(comp), slice(comp * half, (comp + 1) * half)
+            normal[block, block] += jac.T @ jac
+            grad[block] += jac.T @ rows
         return normal, grad, float(np.linalg.norm(self.r))
-
-    def vjp(self, w):
-        """J^T w: the partials, weighted by w, contracted over the other node
-        first (the gradients of blocks() summed over it); then each node's
-        gradients go through its _node_jacobian and the design matrices."""
-        x, xp, y, yp = self.x, self.xp, self.y, self.yp
-        w = np.reshape(w, (len(x), len(y)))
-        grads = np.zeros((2, len(x), 8))  # in (x, x') and in (y, y')
-        for rows, partials in self._partials():
-            w_b, w_q, w_c, w_e = (w[rows] * p for p in partials)
-            grads[0, rows, :4], grads[0, rows, 4:] = w_b @ y + w_e @ yp, w_q @ yp + w_c @ y
-            grads[1, :, :4] += w_b.T @ x[rows] + w_c.T @ xp[rows]
-            grads[1, :, 4:] += w_q.T @ xp[rows] + w_e.T @ x[rows]
-        design, ddesign = _designs(self.n)
-        from_f = np.matmul(grads[:, :, None], _node_jacobian(*self.fields))[:, :, 0]  # in (F, F')
-        return np.concatenate([(f[:, :4].T @ design + f[:, 4:].T @ ddesign).ravel()
-                               for f in from_f])
 
 
 def _renormalize(vector):
@@ -262,50 +256,20 @@ def _renormalize(vector):
     return (v / np.mean(radii, axis=-1)[:, None, None]).ravel()
 
 
-def _acceleration(v, delta, r, vjp, damped, grid_n: int):
-    """The geodesic acceleration a of the step δ, and ‖a‖/‖δ‖.
-
-    r_vv, the second directional derivative of r along δ, is the central
-    second difference [r(v + hδ) - 2r(v) + r(v - hδ)]/h^2, and a solves the
-    damped normal equations for it: damped a = -J^T r_vv (Transtrum and
-    Sethna, arXiv:1201.5885).  The probes call _metric_field, not _Linearization
-    (built once per trial), by blocks of s-rows: no whole-grid probe is held.
-    Where ‖a‖ exceeds _ACCEL_MAX ‖δ‖, or a probe's components touch, the
-    correction is dropped: a = 0 with ratio 0.0.
-    """
-    h = _GEODESIC_H
-    # both probes' points and velocities, each (probe, component, node, 4)
-    pts, vel = _grid_fields(v + np.multiply.outer((h, -h), delta), grid_n)[2:]
-    probes = np.empty((grid_n, grid_n))  # r(v + hδ) + r(v - hδ), over 2π/n
-    try:
-        for rows in _row_blocks(grid_n):
-            g = _metric_field((pts[:, 0, rows], pts[:, 1]), (vel[:, 0, rows], vel[:, 1]))
-            np.add(g[0], g[1], out=probes[rows])
-    except DisjointnessViolation:
-        return 0.0, 0.0
-    r_vv = (probes.ravel() * (TWO_PI / grid_n) - 2.0 * r) / (h * h)
-    accel = np.linalg.solve(damped, -vjp(r_vv))
-    norm_a, norm_d = np.linalg.norm(accel), np.linalg.norm(delta)
-    if not 0.0 < norm_a <= _ACCEL_MAX * norm_d:  # also drops a NaN
-        return 0.0, 0.0
-    return accel, float(norm_a / norm_d)
-
-
 @dataclass
 class StepRecord:
     """One accepted descent step.
 
     The area after the step, ‖r‖ at the point the step was solved from,
     the damping λ and the length ‖δ‖ of the accepted trial, the number of
-    trials rejected before it, and the accepted trial's ‖a‖/‖δ‖, 0.0 where
-    its geodesic correction was dropped.
+    trials rejected before it, and the norm of the gauge rows after the step.
     """
     objective: float
     residual_norm: float
     damping: float
     step_norm: float
     rejected: int
-    accel_ratio: float
+    gauge_norm: float
 
 
 @dataclass
@@ -318,13 +282,13 @@ class MinimizeResult:
 
 def minimize(v0, steps: int, grid_n: int = GRID_OPT,
              stop_below: float = 0.0) -> MinimizeResult:
-    """Levenberg–Marquardt descent of the area objective, with geodesic acceleration.
+    """Levenberg–Marquardt descent of the area objective.
 
     Each step solves (J^T J + λ·tr(J^T J)/dim·I) δ = -J^T r for the residual
-    r and its Jacobian J (see _Linearization), corrects it by half its
-    geodesic acceleration a (see _acceleration) and tries the renormalized
-    v + δ + a/2, whose one evaluation (a _Linearization, as the start's) is
-    the next step's linearization if the area decreases; otherwise, or if its
+    r with the gauge rows stacked under it, and its Jacobian J (see
+    _Linearization), and tries the renormalized v + δ, whose one evaluation
+    (a _Linearization, as the start's) is the next step's linearization if
+    the area decreases; otherwise, or if its
     components touch, it is dropped, λ grows and the step is solved again.
     λ falls after an accepted step, but not below the float epsilon ε, under
     which λ·tr(J^T J)/dim no longer moves J^T J's diagonal.  The trace holds
@@ -337,7 +301,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     if not 0 <= steps <= 5000:
         raise BadParameter("steps must lie in [0, 5000]")
     # a step holds four grid_n^2 fields (2.1 MB at 256) through its trials, whose kernels
-    # add four more: 37.0 MB VmHWM at --grid 256 (x86-64 Linux, Python 3.11, numpy 2.4)
+    # add four more: 36.5 MB VmHWM at --grid 256 (x86-64 Linux, Python 3.11, numpy 2.4)
     if not N_MIN <= grid_n <= 256:
         raise BadParameter(f"grid_n must lie in [{N_MIN}, 256]")
     if not np.isfinite(stop_below):
@@ -359,8 +323,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
             delta = np.linalg.solve(damped, -grad)
             if not np.linalg.norm(delta) > eps * np.linalg.norm(v):  # a NaN δ too
                 return MinimizeResult(vector=v, trace=trace, status="stalled", records=records)
-            accel, ratio = _acceleration(v, delta, lin.r, lin.vjp, damped, grid_n)
-            trial = _renormalize(v + delta + 0.5 * accel)
+            trial = _renormalize(v + delta)
             try:
                 point = _Linearization(trial, grid_n)
             except DisjointnessViolation:
@@ -370,7 +333,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
             del point  # before the next trial
             lam *= LAMBDA_FACTOR
         records.append(StepRecord(point.area, r_norm, lam, float(np.linalg.norm(delta)),
-                                  rejected, ratio))
+                                  rejected, float(np.linalg.norm(point.gauge))))
         del normal, damped  # before the next step's normal equations
         v, lin = trial, point  # the accepted point is the next step's linearization
         trace.append(lin.area)

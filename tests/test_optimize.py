@@ -26,6 +26,22 @@ def residual_jacobian(vector, grid_n=opt.GRID_OPT):
     return np.concatenate(r), np.concatenate(jac)
 
 
+def gauge_rows(vector, grid_n=opt.GRID_OPT):
+    """(|x'| - mean|x'|)·√(2π/n) on each component's nodes, joined, from the grid fields."""
+    speeds = np.linalg.norm(opt._grid_fields(vector, grid_n)[3], axis=-1)
+    return ((speeds - speeds.mean(axis=-1, keepdims=True)) * np.sqrt(TWO_PI / grid_n)).ravel()
+
+
+def gauge_jacobian(lin):
+    """The (2 grid_n, shape_dim()) Jacobian of the joined gauge rows: each
+    component's gauge_jacobian in its own coefficients' columns."""
+    half = opt.shape_dim() // 2
+    jac = np.zeros((2, lin.n, 2, half))
+    for comp in range(2):
+        jac[comp, :, comp] = lin.gauge_jacobian(comp)
+    return jac.reshape(2 * lin.n, -1)
+
+
 def traced_peak(link, **kwargs):
     """tracemalloc's peak, in bytes, over a descent from link."""
     tracemalloc.start()
@@ -162,6 +178,25 @@ class TestJacobian:
             fd[:, k] = (residual(v + dv, grid_n) - residual(v - dv, grid_n)) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
+    @pytest.mark.parametrize("case", [0, 1, 2, "mobius", "grid37"])
+    def test_gauge_matches_central_differences(self, case):
+        """The gauge rows' Jacobian, on the cases of test_matches_central_differences."""
+        link = la.perturbed_hopf_link(0.2, case if isinstance(case, int) else 0)
+        if case == "mobius":
+            link = la.random_mobius(41, 1.0).transform_link(link)
+        grid_n = 37 if case == "grid37" else opt.GRID_OPT
+        v = opt.encode_link(link)
+        lin = opt._Linearization(v, grid_n)
+        assert np.array_equal(lin.gauge.ravel(), gauge_rows(v, grid_n))
+        jac = gauge_jacobian(lin)
+        h = 1e-6
+        fd = np.empty_like(jac)
+        for k in range(len(v)):
+            dv = np.zeros_like(v)
+            dv[k] = h
+            fd[:, k] = (gauge_rows(v + dv, grid_n) - gauge_rows(v - dv, grid_n)) / (2.0 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
+
     @pytest.mark.parametrize("seed", [None, 1, 2])
     def test_annihilates_killing_fields(self, hopf, seed):
         """No finite differences: the Hopf link (seed None) and two of its
@@ -195,27 +230,33 @@ class TestNormalEquations:
 
     @pytest.mark.parametrize("grid_n", [32, 37, 64])
     def test_block_sums_match_whole_jacobian(self, perturbed02, grid_n):
-        """At 37 the last block is shorter: 37 is no multiple of its rows."""
+        """At 37 the last block is shorter: 37 is no multiple of its rows.  The
+        gauge rows' products are added to the whole Jacobian's."""
         v = opt.encode_link(perturbed02)
         r, jac = residual_jacobian(v, grid_n)
-        normal, grad, r_norm = opt._Linearization(v, grid_n).normal_equations()
-        for got, want in ((normal, jac.T @ jac), (grad, jac.T @ r)):
+        lin = opt._Linearization(v, grid_n)
+        normal, grad, r_norm = lin.normal_equations()
+        jac_g, rows = gauge_jacobian(lin), lin.gauge.ravel()
+        for got, want in ((normal, jac.T @ jac + jac_g.T @ jac_g),
+                          (grad, jac.T @ r + jac_g.T @ rows)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert r_norm == pytest.approx(np.linalg.norm(r), rel=1e-13)
 
     @pytest.mark.parametrize("moved", [False, True])
     @pytest.mark.parametrize("grid_n", [32, 37, 64])
     def test_products_match_whole_jacobian(self, perturbed02, moved, grid_n):
-        """J^T w without J equals the product with the joined blocks."""
+        """The normal equations are the products of the whole system: the joined
+        blocks' r, which is the linearization's, with the gauge rows taken from
+        the grid fields alone stacked under it, and J with the gauge rows'
+        Jacobian stacked under it; on a Moebius image too, where |F| != 1."""
         link = la.random_mobius(41, 1.0).transform_link(perturbed02) if moved else perturbed02
         v = opt.encode_link(link)
         r, jac = residual_jacobian(v, grid_n)
         lin = opt._Linearization(v, grid_n)
-        got_r, vjp = lin.r, lin.vjp
-        assert np.array_equal(got_r, r)
-        rng = Lcg64(grid_n)
-        w = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(len(r))])
-        for got, want in ((vjp(w), jac.T @ w), (vjp(r), jac.T @ r)):
+        assert np.array_equal(lin.r, r)
+        r, jac = np.concatenate([r, gauge_rows(v, grid_n)]), np.vstack([jac, gauge_jacobian(lin)])
+        normal, grad, _ = lin.normal_equations()
+        for got, want in ((normal, jac.T @ jac), (grad, jac.T @ r)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_descent_never_holds_the_jacobian(self):
@@ -224,57 +265,9 @@ class TestNormalEquations:
             opt.GRID_OPT ** 2 * opt.shape_dim() * 8)
 
     def test_trial_peak_at_256(self):
-        """3 steps at 256^2 trace 4.28 MiB: a trial's evaluation holds its metric
-        kernel's four grid fields beside the step's four.  Two whole-grid
-        probes summed in place of the blocked ones would trace 4.74 MiB."""
+        """3 steps at 256^2 trace 4.27 MiB: a trial's evaluation holds its metric
+        kernel's four grid fields beside the step's four."""
         assert traced_peak(la.perturbed_hopf_link(0.1, 0), steps=3, grid_n=256) < 4.5 * 2 ** 20
-
-
-class TestGeodesicAcceleration:
-    @staticmethod
-    def second_differences(link, grid_n, hs, monkeypatch):
-        """r_vv of _acceleration's probes for the first Levenberg–Marquardt step
-        δ from link, at each probe step h in hs; and the step's v, δ, r and J."""
-        v = opt._renormalize(opt.encode_link(link))
-        lin = opt._Linearization(v, grid_n)
-        normal, grad, _ = lin.normal_equations()
-        damped = normal + opt.LAMBDA_START * np.trace(normal) / len(v) * np.eye(len(v))
-        delta = np.linalg.solve(damped, -grad)
-        got = []
-        for h in hs:
-            monkeypatch.setattr(opt, "_GEODESIC_H", h)
-            opt._acceleration(v, delta, lin.r, lambda w: got.append(np.ravel(w)) or lin.vjp(w),
-                              damped, grid_n)
-        r, jac = residual_jacobian(v, grid_n)
-        return got, (v, delta, r, jac)
-
-    @pytest.mark.parametrize("case", ["p01", "p02", "mobius", "grid37"])
-    def test_central_difference(self, case, monkeypatch):
-        """The probes' r_vv converges at order 2 in h, and agrees to O(h) with the
-        forward difference (2/h)[(r(v + hδ) - r(v))/h - Jδ], J from the joined
-        blocks: the discrepancy halves with h and stays within 2 % at h = 0.1."""
-        link = la.perturbed_hopf_link(0.2 if case == "p02" else 0.1, 0)
-        if case == "mobius":
-            link = la.random_mobius(41, 1.0).transform_link(link)
-        grid_n = 37 if case == "grid37" else opt.GRID_OPT
-        hs = [opt._GEODESIC_H / 2 ** k for k in range(3)]
-        r_vv, (v, delta, r, jac) = self.second_differences(link, grid_n, hs, monkeypatch)
-        assert len(r_vv) == 3
-        diffs = [np.linalg.norm(a - b) for a, b in zip(r_vv, r_vv[1:])]
-        assert diffs[0] >= 3.0 * diffs[1]
-        gaps = [np.linalg.norm((2.0 / h) * ((residual(v + h * delta, grid_n) - r) / h - jac @ delta)
-                               - got) for h, got in zip(hs, r_vv)]
-        assert gaps[0] <= 0.02 * np.linalg.norm(r_vv[0])
-        assert all(1.9 <= a / b <= 2.1 for a, b in zip(gaps, gaps[1:]))
-
-    def test_touching_probe_drops_the_correction(self, hopf):
-        """Where a probe's components touch, a = 0 with ratio 0.0: here v + hδ
-        moves the first component onto the second."""
-        v = opt.encode_link(hopf)
-        half = len(v) // 2
-        delta = np.zeros_like(v)
-        delta[:half] = (v[half:] - v[:half]) / opt._GEODESIC_H
-        assert opt._acceleration(v, delta, None, None, None, opt.GRID_OPT) == (0.0, 0.0)
 
 
 class TestMinimize:
@@ -290,22 +283,38 @@ class TestMinimize:
         assert res.trace[-1] < 5e-4
 
     def test_ten_steps_leave_the_linear_tail(self):
-        """Plain LM reads 7.2e-5 here; the geodesic correction 1.2e-6."""
+        """Without the gauge rows plain LM reads 7.2e-5 here; with them the area
+        reaches its roundoff, 3.1e-16, in 4 steps."""
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=10)
-        assert res.trace[-1] <= 1e-5
+        assert res.status == "converged"
+        assert res.trace[-1] <= 1e-12
+
+    @pytest.mark.parametrize("amplitude, seed", [(0.2, s) for s in range(5)] + [(0.1, 0), (0.1, 1)])
+    def test_perturbed_starts_reach_exact_hopf_images(self, amplitude, seed):
+        """From each perturbed catalogue start the descent converges in at most 8
+        steps (4 each), at a Hopf image that runs at constant speed: the area
+        and E - 2π² read 0.0 at tol 1e-8, and the speeds agree to 1e-13."""
+        res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(amplitude, seed)), steps=8)
+        assert res.status == "converged"
+        link = opt.decode_link(res.vector)
+        report = la.compute_functionals(link, tol=1e-8)
+        assert report.area <= 1e-12
+        assert abs(report.energy - 2.0 * np.pi ** 2) <= 1e-12
+        s = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+        for comp in (link.c1, link.c2):
+            speed = np.linalg.norm(comp.evaluate(s)[1], axis=-1)
+            assert np.ptp(speed) <= 1e-10 * np.mean(speed)
 
     def test_one_linearization_per_step(self, monkeypatch):
         """Each point is evaluated once, as a _Linearization: g on the whole grid
-        once at the start and three times per trial (its point and the two
-        acceleration probes, which go together by blocks of s-rows), none per
-        step, for the accepted trial is the next step's linearization: 1 + 3 x 12
-        grids over these 10 steps with 2 rejected trials, from 1 + 2 x 12 grid
-        fields (the probes share one)."""
+        once at the start and once per trial, none per step, for the accepted
+        trial is the next step's linearization: 1 + 19 grids over these 10 steps
+        from a round pair, with 9 rejected trials."""
         rows, counts = [], {"objective": 0, "_Linearization": 0, "_grid_fields": 0}
         real_field = opt._metric_field
 
         def counted_field(pts, vel):
-            rows.append(np.prod(pts[0].shape[:-1]))  # s-rows, over both probes
+            rows.append(len(pts[0]))  # s-rows
             return real_field(pts, vel)
 
         def counted(name):
@@ -319,21 +328,12 @@ class TestMinimize:
         monkeypatch.setattr(opt, "_metric_field", counted_field)
         for name in counts:
             monkeypatch.setattr(opt, name, counted(name))
-        res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.1, 0)), steps=10)
+        res = opt.minimize(opt.encode_link(la.great_circle_pair(0.3, 0.3)), steps=10)
         trials = sum(rec.rejected + 1 for rec in res.records)
-        assert (len(res.records), trials) == (10, 12)
+        assert (len(res.records), trials) == (10, 19)
         assert counts == {"objective": 0, "_Linearization": 1 + trials,
-                          "_grid_fields": 1 + 2 * trials}
-        assert sum(rows) == opt.GRID_OPT * (1 + 3 * trials) == opt.GRID_OPT * 37
-
-    def test_dropped_correction_is_plain_lm(self, monkeypatch):
-        """With every correction dropped, each trial is v + δ: the descent
-        crawls as plain Levenberg–Marquardt does."""
-        v0 = opt.encode_link(la.perturbed_hopf_link(0.1, 0))
-        monkeypatch.setattr(opt, "_ACCEL_MAX", 0.0)
-        res = opt.minimize(v0, steps=10)
-        assert all(rec.accel_ratio == 0.0 for rec in res.records)
-        assert res.trace[-1] > 5e-5
+                          "_grid_fields": 1 + trials}
+        assert sum(rows) == opt.GRID_OPT * (1 + trials) == opt.GRID_OPT * 20
 
     def test_larger_perturbation(self, perturbed02):
         res = opt.minimize(opt.encode_link(perturbed02), steps=10, stop_below=1.7e-3)
@@ -345,7 +345,7 @@ class TestMinimize:
         assert [rec.objective for rec in records] == descent_result.trace[1:]
         assert all(rec.residual_norm > 0.0 and rec.step_norm > 0.0 for rec in records)
         assert all(np.finfo(float).eps <= rec.damping and rec.rejected >= 0 for rec in records)
-        assert all(np.isfinite(rec.accel_ratio) and rec.accel_ratio >= 0.0 for rec in records)
+        assert all(np.isfinite(rec.gauge_norm) and rec.gauge_norm >= 0.0 for rec in records)
 
     def test_trace_monotone(self, descent_result):
         trace = np.array(descent_result.trace)
@@ -374,7 +374,7 @@ class TestMinimize:
     @pytest.mark.parametrize("seed", [2, 4])
     def test_descent_ends_at_roundoff(self, seed):
         """From p02 seeds 2 and 4, the area reaches its roundoff, 64ε·Σ|Ω|·(2π/n)^2
-        or about 2.8e-13, in 68 and 65 steps."""
+        or about 2.8e-13, in 4 steps each."""
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(0.2, seed)), steps=100)
         assert res.status == "converged"
         assert res.trace[-1] <= 1e-12
@@ -431,7 +431,7 @@ class TestMinimize:
 
     def test_colliding_steps_rejected_not_raised(self, monkeypatch):
         """After the start's evaluation, every metric field collides: each
-        trial's first probe block (its correction is dropped) and its point."""
+        trial's point."""
         link = la.perturbed_hopf_link(0.1, 1)
         v0 = opt.encode_link(link)
         real = opt._metric_field
@@ -448,8 +448,7 @@ class TestMinimize:
         assert res.status == "stalled"
         assert len(res.trace) == 1
         # λ grows tenfold per trial until ‖δ‖ <= ε‖v‖, after 18 trials here
-        trials, odd = divmod(calls["n"] - 1, 2)
-        assert odd == 0 and trials < 25
+        assert calls["n"] - 1 < 25
 
 
 #: the Moebius maps of TestCircleFit: seeds 0-9 at rapidity 1 and 2
