@@ -159,42 +159,38 @@ class TestBatchObjective:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("case", [0, 1, 2, "mobius", "grid37"])
-    def test_matches_central_differences(self, case):
-        """perturbed_hopf_link(0.2, seed) for seeds 0-2, the random_mobius(41, 1.0)
+    @staticmethod
+    def case_and_differences(case, rows):
+        """The shape vector and grid of a case, and the central differences
+        (h = 1e-6) of rows(vector, grid_n) in each coefficient.  The cases:
+        perturbed_hopf_link(0.2, seed) for seeds 0-2, the random_mobius(41, 1.0)
         image of seed 0, and seed 0 at grid_n 37, whose last row block is short."""
         link = la.perturbed_hopf_link(0.2, case if isinstance(case, int) else 0)
         if case == "mobius":
             link = la.random_mobius(41, 1.0).transform_link(link)
         grid_n = 37 if case == "grid37" else opt.GRID_OPT
         v = opt.encode_link(link)
-        r, jac = residual_jacobian(v, grid_n)
-        assert np.array_equal(r, residual(v, grid_n))
         h = 1e-6
-        fd = np.empty_like(jac)
+        fd = np.empty((len(rows(v, grid_n)), len(v)))
         for k in range(len(v)):
             dv = np.zeros_like(v)
             dv[k] = h
-            fd[:, k] = (residual(v + dv, grid_n) - residual(v - dv, grid_n)) / (2.0 * h)
+            fd[:, k] = (rows(v + dv, grid_n) - rows(v - dv, grid_n)) / (2.0 * h)
+        return v, grid_n, fd
+
+    @pytest.mark.parametrize("case", [0, 1, 2, "mobius", "grid37"])
+    def test_matches_central_differences(self, case):
+        v, grid_n, fd = self.case_and_differences(case, residual)
+        r, jac = residual_jacobian(v, grid_n)
+        assert np.array_equal(r, residual(v, grid_n))
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize("case", [0, 1, 2, "mobius", "grid37"])
     def test_gauge_matches_central_differences(self, case):
-        """The gauge rows' Jacobian, on the cases of test_matches_central_differences."""
-        link = la.perturbed_hopf_link(0.2, case if isinstance(case, int) else 0)
-        if case == "mobius":
-            link = la.random_mobius(41, 1.0).transform_link(link)
-        grid_n = 37 if case == "grid37" else opt.GRID_OPT
-        v = opt.encode_link(link)
+        v, grid_n, fd = self.case_and_differences(case, gauge_rows)
         lin = opt._Linearization(v, grid_n)
         assert np.array_equal(lin.gauge.ravel(), gauge_rows(v, grid_n))
         jac = gauge_jacobian(lin)
-        h = 1e-6
-        fd = np.empty_like(jac)
-        for k in range(len(v)):
-            dv = np.zeros_like(v)
-            dv[k] = h
-            fd[:, k] = (gauge_rows(v + dv, grid_n) - gauge_rows(v - dv, grid_n)) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize("seed", [None, 1, 2])
@@ -293,7 +289,7 @@ class TestMinimize:
     def test_perturbed_starts_reach_exact_hopf_images(self, amplitude, seed):
         """From each perturbed catalogue start the descent converges in at most 8
         steps (4 each), at a Hopf image that runs at constant speed: the area
-        and E - 2π² read 0.0 at tol 1e-8, and the speeds agree to 1e-13."""
+        and E - 2π² read 0.0 at tol 1e-8, and the speeds agree to 1.0e-13."""
         res = opt.minimize(opt.encode_link(la.perturbed_hopf_link(amplitude, seed)), steps=8)
         assert res.status == "converged"
         link = opt.decode_link(res.vector)
