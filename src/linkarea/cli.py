@@ -30,17 +30,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _load_link(path):
-    from .links import read_link
-
-    try:
-        return read_link(path)
-    except FileNotFoundError:
-        raise BadLinkFile(f"no such file: {path}")
-    except OSError as exc:
-        raise BadLinkFile(f"cannot read {path}: {exc}")
-
-
 def _distinct_files(*named):
     """Raise BadParameter if two of the (name, path) pairs are one file: by
     (st_dev, st_ino) where the path exists, hard links included, else by realpath."""
@@ -70,8 +59,9 @@ def cmd_verify(args) -> int:
 
 def cmd_area(args) -> int:
     from .functionals import compute_functionals
+    from .links import read_link
 
-    rep = compute_functionals(_load_link(args.file), tol=args.tol, n_start=args.grid)
+    rep = compute_functionals(read_link(args.file), tol=args.tol, n_start=args.grid)
     print(f"signed_area={_fmt(rep.signed_area)} area={_fmt(rep.area)} "
           f"energy={_fmt(rep.energy)} grid={rep.grid_used[0]}x{rep.grid_used[1]} "
           f"est_error={_fmt(rep.est_error)}")
@@ -93,9 +83,10 @@ def cmd_anglemap(args) -> int:
     """
     from .functionals import grid_blocks
     from .gridio import write_grid
+    from .links import read_link
 
     _distinct_files(("FILE", args.file), ("--out", args.out))
-    link = _load_link(args.file)
+    link = read_link(args.file)
     write_grid(*grid_blocks(link, args.grid, args.grid), args.out)
     print(f"wrote {args.grid * args.grid} rows to {args.out}")
     return EXIT_OK
@@ -105,13 +96,13 @@ def cmd_invariance(args) -> int:
     import numpy as np
 
     from .functionals import build_grid, compute_functionals
-    from .links import random_mobius
+    from .links import random_mobius, read_link
 
     if args.transforms < 1:
         raise BadParameter("at least 1 transform")
     if args.transforms > 100:
         raise BadParameter("at most 100 transforms")
-    link = _load_link(args.file)
+    link = read_link(args.file)
     fields = ("g", "theta", "abs_omega", "re_omega")
     base = build_grid(link, 32, 32)
     scales = [np.maximum(np.max(np.abs(getattr(base, f))), 1.0) for f in fields]
@@ -140,14 +131,14 @@ def cmd_oracle(args) -> int:
 
     from . import conformal as cf
     from . import symplectic as sy
-    from .links import TWO_PI
+    from .links import TWO_PI, read_link
     from .rng import Lcg64
 
     if args.samples < 1:
         raise BadParameter("at least 1 sample")
     if args.samples > 10000:
         raise BadParameter("at most 10000 samples")
-    link = _load_link(args.file)
+    link = read_link(args.file)
     rng = Lcg64(args.seed)
     pole = cf.chart_pole(link.c1, link.c2)
     # the draws alternate s, t
@@ -168,12 +159,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    from .links import link_text
+    from .links import link_text, read_link
     from .optimize import circle_fit_residual, decode_link, encode_link, minimize
 
     _distinct_files(("FILE", args.file), ("--trace-out", args.trace_out),
                     ("--link-out", args.link_out))
-    link = _load_link(args.file)
+    link = read_link(args.file)
     v0 = encode_link(link)
     result = minimize(v0, steps=args.steps, grid_n=args.grid,
                       stop_below=args.stop_below)

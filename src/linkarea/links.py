@@ -16,8 +16,8 @@ import json
 import numpy as np
 
 from . import minkowski as mk
-from .errors import (BadLinkFile, BadParameter, BadPolygon,
-                     DisjointnessViolation, ImmersionFailure, open_output)
+from .errors import (BadLinkFile, BadParameter, BadPolygon, DisjointnessViolation,
+                     ImmersionFailure, LinkAreaError, open_output)
 from .rng import Lcg64
 
 TWO_PI = 2.0 * np.pi
@@ -528,42 +528,41 @@ def write_link(link: Link2, path) -> None:
         fh.write(link_text(link).encode())
 
 
+#: each lk-1 component kind: the field that holds its numbers, and the curve they build
+_KINDS = {"fourier4": ("coefficients", FourierCurve),
+          "samples4": ("nodes", SampledCurve),
+          "samples3": ("nodes", chart_lift)}
+
+
 def _component_from_dict(comp, index: int) -> LinkCurve:
     where = f"components[{index}]"
     if not isinstance(comp, dict):
         raise BadLinkFile(f"{where} is not an object")
     kind = comp.get("kind")
-    if kind == "fourier4":
-        coeffs = comp.get("coefficients")
-        if coeffs is None:
-            raise BadLinkFile(f"{where}.coefficients missing")
-        try:
-            return FourierCurve(np.asarray(coeffs, dtype=float))
-        except (BadParameter, ImmersionFailure, TypeError, ValueError) as exc:
-            raise BadLinkFile(f"{where}.coefficients invalid: {exc}") from exc
-    if kind in ("samples4", "samples3"):
-        nodes = comp.get("nodes")
-        if nodes is None:
-            raise BadLinkFile(f"{where}.nodes missing")
-        try:
-            arr = np.asarray(nodes, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise BadLinkFile(f"{where}.nodes not numeric") from exc
-        try:
-            if kind == "samples4":
-                return SampledCurve(arr)
-            return chart_lift(arr)
-        except (BadPolygon, ImmersionFailure, ValueError) as exc:
-            raise BadLinkFile(f"{where}.nodes invalid: {exc}") from exc
-    raise BadLinkFile(f"{where}.kind must be fourier4, samples4 or samples3")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise BadLinkFile(f"{where}.kind must be fourier4, samples4 or samples3")
+    field, build = _KINDS[kind]
+    value = comp.get(field)
+    if value is None:
+        raise BadLinkFile(f"{where}.{field} missing")
+    try:
+        with np.errstate(all="ignore"):  # an overflow fails the curve's own checks
+            return build(np.asarray(value, dtype=float))
+    except (LinkAreaError, TypeError, ValueError, OverflowError) as exc:
+        raise BadLinkFile(f"{where}.{field} invalid: {exc}") from exc
 
 
 def read_link(path) -> Link2:
-    """Parse an lk-1 file into a validated two-component link."""
+    """Parse an lk-1 file into a validated two-component link.  A file that
+    cannot be read, or does not hold one, raises BadLinkFile and nothing else."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError as exc:
+        raise BadLinkFile(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise BadLinkFile(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an integer's digit limit
         raise BadLinkFile(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise BadLinkFile("not valid JSON: nested too deeply") from exc

@@ -183,13 +183,6 @@ class _Linearization:
         speed_x, speed_y = (np.linalg.norm(p, axis=-1) for p in (self.xp, self.yp))
         return ROUNDOFF * 0.5 * self.cell * float(speed_x @ np.abs(self._r_qce[0]) @ speed_y)
 
-    def _partials(self):
-        """(rows, (r_b, r_q, r_c, r_e)) on each block of s-rows."""
-        r, step = self.r.reshape(self.n, self.n), _JAC_BLOCK_NODES // self.n
-        for rows in (slice(i, i + step) for i in range(0, self.n, step)):
-            r_q, r_c, r_e = (p[rows] for p in self._r_qce)
-            yield rows, (r_c * r_e / r_q - r[rows] * r_q / self.cell, r_q, r_c, r_e)
-
     def _chain(self, comp: int, rows=slice(None)):
         """The (nodes, 8, shape_dim()/2) derivative of component comp's points and
         velocities on the nodes rows in its coefficients: its _node_jacobian
@@ -206,16 +199,17 @@ class _Linearization:
         dr/dy = r_b x + r_c x' and dr/dy' = r_q x' + r_e x, stacked
         (s, t, 8), each times its node's _chain by one batched matmul."""
         x, xp, y, yp, n = self.x, self.xp, self.y, self.yp, self.n
-        chain_y = self._chain(1)
-        for rows, partials in self._partials():
-            r_b, r_q, r_c, r_e = (p[..., None] for p in partials)
+        r, step, chain_y = self.r.reshape(n, n), _JAC_BLOCK_NODES // n, self._chain(1)
+        for rows in (slice(i, i + step) for i in range(0, n, step)):
+            r_q, r_c, r_e = (p[rows, :, None] for p in self._r_qce)
+            r_b = r_c * r_e / r_q - r[rows, :, None] * r_q / self.cell
             xs, xps = x[rows, None], xp[rows, None]
             grad_x = np.concatenate([r_b * y + r_e * yp, r_q * yp + r_c * y], axis=-1)
             grad_y = np.concatenate([r_b * xs + r_c * xps, r_q * xps + r_e * xs], axis=-1)
             jac = np.empty((len(xs), n, 2, shape_dim() // 2))
             np.matmul(grad_x, self._chain(0, rows), out=jac[:, :, 0])
             np.matmul(grad_y.swapaxes(0, 1), chain_y, out=jac[:, :, 1].swapaxes(0, 1))
-            yield self.r.reshape(n, n)[rows].ravel(), jac.reshape(-1, shape_dim())
+            yield r[rows].ravel(), jac.reshape(-1, shape_dim())
 
     @cached_property
     def gauge(self):

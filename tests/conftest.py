@@ -63,6 +63,22 @@ def descent_result():
     return result
 
 
+def lk1_component(kind, factor=1.0, huge=False):
+    """A component entry of the kind, its numbers times factor: the Hopf link's
+    first component (fourier4, samples4 at 16 nodes) or a circle in R^3
+    (samples3); huge makes the first number 10^400, which json writes as an
+    integer literal beyond the double range."""
+    s = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    circle = la.hopf_link().c1
+    field, values = {"fourier4": ("coefficients", circle.coeffs),
+                     "samples4": ("nodes", circle.point(s)),
+                     "samples3": ("nodes", np.stack([3 + np.cos(s), np.sin(s), 0 * s], 1))}[kind]
+    values = (factor * values).tolist()
+    if huge:
+        values[0][0] = 10 ** 400
+    return {"kind": kind, field: values}
+
+
 def random_unit4(rng):
     while True:
         v = np.array([rng.normal() for _ in range(4)])

@@ -11,6 +11,7 @@ import pytest
 import linkarea as la
 from linkarea import cli
 from linkarea.errors import CoincidentPoints
+from conftest import lk1_component
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +162,7 @@ class TestArea:
                      "components[0].coefficients invalid", id="coefficients-object"),
         pytest.param(json.dumps({"version": "lk-1", "components": [
             {"kind": "samples4", "nodes": {"a": 1}}, {"kind": "samples4"}]}),
-                     "components[0].nodes not numeric", id="nodes-object"),
+                     "components[0].nodes invalid", id="nodes-object"),
         pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nested-array"),
         pytest.param(_scaled_p02(1e150), "components[0].coefficients invalid",
                      id="coefficients-overflow"),
@@ -180,17 +181,29 @@ class TestArea:
         pytest.param(_lk1(_hopf_nodes(7), {}), "need at least 8 nodes", id="nodes-7"),
         pytest.param(_lk1(_hopf_nodes(16, 3.0), {}), "node norms too far",
                      id="nodes-off-sphere"),
+        pytest.param(_lk1(lk1_component("fourier4", huge=True), {}),
+                     "components[0].coefficients invalid", id="coefficients-integer-1e400"),
+        pytest.param(_lk1(lk1_component("samples4", huge=True), {}), "components[0].nodes invalid",
+                     id="samples4-integer-1e400"),
+        pytest.param(_lk1(lk1_component("samples3", huge=True), {}), "components[0].nodes invalid",
+                     id="samples3-integer-1e400"),
+        pytest.param(_lk1(lk1_component("samples4", 1e300), {}), "components[0].nodes invalid",
+                     id="samples4-nodes-1e300"),
+        pytest.param(_lk1(lk1_component("samples3", 1e200), {}), "components[0].nodes invalid",
+                     id="samples3-nodes-1e200"),
+        pytest.param(b'{"version": "lk-1\xff"}', "not valid JSON", id="not-utf8"),
         pytest.param(None, "cannot read", id="directory")])
     def test_malformed_file(self, capsys, tmp_path, text, message):
-        """text None makes the path a directory."""
+        """text None makes the path a directory.  An input error is one line."""
         path = tmp_path / "bad.lk1"
         if text is None:
             path.mkdir()
         else:
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run_cli(capsys, "area", str(path))
         assert code == 2
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -213,8 +226,10 @@ class TestArea:
             assert f"components[1].{field} invalid" in err and "finite" in err, err
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "area", str(tmp_path / "nope.lk1"))
+        code, out, err = run_cli(capsys, "area", str(tmp_path / "nope.lk1"))
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: no such file") and err.count("\n") == 1, err
         assert "nope.lk1" in err
 
     def test_unreachable_tolerance(self, capsys, link_files):

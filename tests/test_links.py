@@ -13,6 +13,7 @@ from linkarea import minkowski as mk
 from linkarea.errors import (BadLinkFile, BadParameter, BadPolygon,
                              DisjointnessViolation, ImmersionFailure)
 from linkarea.rng import Lcg64
+from conftest import lk1_component
 
 TWO_PI = 2 * np.pi
 
@@ -371,6 +372,16 @@ class TestLinkFiles:
         (lambda d: d.update(components=d["components"][:1]), "components"),
         (lambda d: d["components"][0].pop("coefficients"), "components[0]"),
         (lambda d: d["components"][1].update(kind="spline"), "components[1]"),
+        (lambda d: d["components"][0].update(lk1_component("fourier4", huge=True)),
+         "components[0].coefficients invalid"),
+        (lambda d: d["components"][0].update(lk1_component("samples4", huge=True)),
+         "components[0].nodes invalid"),
+        (lambda d: d["components"][0].update(lk1_component("samples3", huge=True)),
+         "components[0].nodes invalid"),
+        (lambda d: d["components"][0].update(lk1_component("samples4", 1e300)),
+         "components[0].nodes invalid"),
+        (lambda d: d["components"][0].update(lk1_component("samples3", 1e200)),
+         "components[0].nodes invalid"),
     ])
     def test_malformed_files(self, tmp_path, perturbed02, mangle, field):
         path = tmp_path / "bad.lk1"
@@ -385,4 +396,18 @@ class TestLinkFiles:
         path = tmp_path / "junk.lk1"
         path.write_text("not json")
         with pytest.raises(BadLinkFile):
+            la.read_link(path)
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda path: None, "no such file", id="missing"),
+        pytest.param(Path.mkdir, "cannot read", id="directory"),
+        pytest.param(lambda path: path.write_bytes(b'{"version": "lk-1\xff"}'),
+                     "not valid JSON", id="not-utf8"),
+        pytest.param(lambda path: path.write_text("[" + "1" * 5000 + "]"), "not valid JSON",
+                     id="integer-5000-digits", marks=pytest.mark.skipif(
+                         not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"))])
+    def test_unreadable_files(self, tmp_path, make, message):
+        path = tmp_path / "bad.lk1"
+        make(path)
+        with pytest.raises(BadLinkFile, match=message):
             la.read_link(path)
