@@ -15,8 +15,8 @@ grid s x t, scalars 0-d arrays.  The wedge kernel has two parts:
 magnitude_kernel gives g, |Omega| and the cosine of the angle, and checks
 that cosine; density_kernel adds theta and Re Omega for density_pairs and
 for the row blocks of the exported grid (functionals.grid_blocks).  The
-quadrature calls only the first part, since Re Omega = g/2.  The
-finite-difference route broadcasts the same way.  The three share no code
+quadrature's levels call only the first part, since Re Omega = g/2, and
+its zero refinement only metric_kernel.  The finite-difference route broadcasts the same way.  The three share no code
 beyond the chart stacks that the chart and finite-difference routes both
 lay out."""
 
@@ -111,12 +111,6 @@ def _clamped_arccos(arg):
     return np.arccos(np.clip(a, -1.0, 1.0))
 
 
-def _speed(v):
-    """|v| along the last axis: np.linalg.norm's arithmetic, bit for bit,
-    without its Python-level dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
-
-
 def magnitude_kernel(x, xp, y, yp):
     """(g, abs, cos)[..., i, j] for all pairs of (..., n, 4) and (..., m, 4) stacks.
 
@@ -129,7 +123,7 @@ def magnitude_kernel(x, xp, y, yp):
     cos = x @ np.swapaxes(y, -1, -2)
     cos *= -2.0
     cos += 2.0  # |x - y|^2
-    speeds = _speed(xp)[..., :, None] * _speed(yp)[..., None, :]
+    speeds = np.linalg.norm(xp, axis=-1)[..., :, None] * np.linalg.norm(yp, axis=-1)[..., None, :]
     absval = speeds / cos
     cos *= g
     speeds *= 2.0

@@ -29,7 +29,7 @@ import numpy as np
 from .conformal import density_kernel, magnitude_kernel
 from .errors import NoConvergence
 from .links import N_MIN, TWO_PI, Link2
-from .spheres import ROUNDOFF
+from .spheres import ROUNDOFF, metric_kernel
 
 N_MAX = 1024
 
@@ -184,13 +184,14 @@ def _zeros(c2, x, xp, lo, hi, near):
     """The second curve's points at the zero of g(s, .) in each bracket.
 
     x and xp are the first curve's stacks at the zeros' rows, and lo, hi
-    and near the brackets of _level; g is evaluated at paired points.  A
-    zero's first point is the sample of the cubic through near nearest 0;
-    each point replaces the bracket's end on its side, and the next is the
-    bracket's regula falsi point, or its midpoint where the values give
-    none.  An end kept twice in a row has its value scaled by 1 - g(new) /
-    g(replaced end), or halved where that is not positive, so that both
-    ends close in.
+    and near the brackets of _level.  g alone is evaluated, by
+    metric_kernel at paired points: _level's magnitude_kernel has checked
+    the cosine on every node.  A zero's first point is the sample of the
+    cubic through near nearest 0; each point replaces the bracket's end on
+    its side, and the next is the bracket's regula falsi point, or its
+    midpoint where the values give none.  An end kept twice in a row has
+    its value scaled by 1 - g(new) / g(replaced end), or halved where that
+    is not positive, so that both ends close in.
     """
     v_lo, v_hi = near[:, 1], near[:, 2]
     rises = v_lo < v_hi
@@ -201,7 +202,7 @@ def _zeros(c2, x, xp, lo, hi, near):
     for _ in range(_ZERO_PASSES):
         y, yp = c2.evaluate(new)
         at[todo] = y
-        f = magnitude_kernel(x[todo, None], xp[todo, None], y[:, None], yp[:, None])[0][:, 0, 0]
+        f = metric_kernel(x[todo, None], xp[todo, None], y[:, None], yp[:, None])[:, 0, 0]
         on_lo = (f < 0) == rises  # new lies on lo's side of the zero
         keeps = np.where(on_lo, -1, 1).astype(np.int8)
         with np.errstate(divide="ignore", invalid="ignore"):

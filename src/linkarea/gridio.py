@@ -27,7 +27,6 @@ The import accepts only the s-major product grid that the export writes.
 
 import contextlib
 import errno
-import functools
 import os
 import pickle
 
@@ -49,16 +48,9 @@ _POW10_HI -= _POW10_HI - _POW10
 _POW10_LO = _POW10 - _POW10_HI
 #: the sort key of the values that Python formats, above every decimal exponent
 _FALLBACK = 18
-
-
-@functools.cache
-def _quad_text():
-    """The text "%04d" of 0..9999, four ASCII bytes packed in a uint32, built
-    on first use, so that commands that write no CSV do not pay for it.
-    """
-    digits = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
-                                  indexing="ij"), axis=-1).reshape(10000, 4)
-    return digits.view(np.uint32)[:, 0]
+#: the text "%04d" of 0..9999, four ASCII bytes packed in a uint32
+_QUAD_TEXT = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                  indexing="ij"), axis=-1).reshape(10000, 4).view(np.uint32)[:, 0]
 
 
 def _scaled(a, p):
@@ -93,12 +85,11 @@ def _mantissa(d, e):
     count of significant digits.  Only the rows whose last digit is 0 are
     searched for trailing zeros, one digit further each pass.
     """
-    quad_text = _quad_text()
     quads = np.empty((len(d), 5), np.uint32)
     chars = quads.view(np.uint8)[:, 3:]
     for k in range(4, 0, -1):
         q = d // 10000
-        quads[:, k] = quad_text[d - 10000 * q]
+        quads[:, k] = _QUAD_TEXT[d - 10000 * q]
         d = q
     chars[:, 0] = d + ord("0")
     nsig = np.full(len(d), 17)

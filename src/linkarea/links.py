@@ -38,10 +38,6 @@ K_MAX = 16
 N_MIN = 32
 
 
-def _as_param(s):
-    return np.asarray(s, dtype=float)
-
-
 class LinkCurve:
     """Interface shared by all curve representations.
 
@@ -74,7 +70,7 @@ def _speed_floor(v):
 
 def _fourier_design(s, modes):
     """Rows [1, cos s, sin s, ..., cos(modes s), sin(modes s)] and their s-derivatives."""
-    s = _as_param(s)
+    s = np.asarray(s, dtype=float)
     k = np.arange(1, modes + 1)
     ks = s[..., None] * k
     cos, sin = np.cos(ks), np.sin(ks)
@@ -85,10 +81,11 @@ def _fourier_design(s, modes):
     return design, ddesign
 
 
-def radial_velocity(f, fp):
-    """Derivative of f/|f| in R^4 given f and its derivative fp (broadcasts)."""
+def radial_jet(f, fp):
+    """f/|f| and its derivative in R^4, given f and its derivative fp
+    (broadcasts), from one |f|."""
     n = np.linalg.norm(f, axis=-1, keepdims=True)
-    return fp / n - f * np.sum(f * fp, axis=-1, keepdims=True) / n ** 3
+    return f / n, fp / n - f * np.sum(f * fp, axis=-1, keepdims=True) / n ** 3
 
 
 class FourierCurve(LinkCurve):
@@ -113,7 +110,7 @@ class FourierCurve(LinkCurve):
         probe = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         with np.errstate(all="ignore"):  # an overflow is reported below, as a bad parameter
             f, fp = (m @ coeffs.T for m in _fourier_design(probe, self.n_modes))
-            radii, v = np.linalg.norm(f, axis=-1), radial_velocity(f, fp)
+            radii, v = np.linalg.norm(f, axis=-1), radial_jet(f, fp)[1]
         if np.min(radii) < 0.05:
             raise BadParameter("fourier curve passes too close to the origin")
         if not np.all(np.isfinite(v)):
@@ -121,8 +118,7 @@ class FourierCurve(LinkCurve):
         _speed_floor(v)
 
     def _point_velocity(self, s):
-        f, fp = (m @ self.coeffs.T for m in _fourier_design(s, self.n_modes))
-        return f / np.linalg.norm(f, axis=-1, keepdims=True), radial_velocity(f, fp)
+        return radial_jet(*(m @ self.coeffs.T for m in _fourier_design(s, self.n_modes)))
 
     def reversed(self):
         flipped = self.coeffs.copy()
@@ -197,15 +193,14 @@ class SampledCurve(LinkCurve):
 
     def _point_velocity(self, s):
         n = len(self._coeffs)
-        x = np.mod(_as_param(s), TWO_PI) * (n / TWO_PI)
+        x = np.mod(np.asarray(s, dtype=float), TWO_PI) * (n / TWO_PI)
         cell = np.floor(x)
         tau = x - cell
         # x = n (s just below a multiple of 2 pi) wraps to cell 0
         local = self._coeffs[(cell.astype(int)[..., None] + _STENCIL) % n]
         weights = (tau[..., None] ** np.arange(6)) @ _QUINTIC
         f, fp = np.moveaxis(weights.reshape(tau.shape + (2, 6)) @ local, -2, 0)
-        fp = fp * (n / TWO_PI)
-        return f / np.linalg.norm(f, axis=-1, keepdims=True), radial_velocity(f, fp)
+        return radial_jet(f, fp * (n / TWO_PI))
 
     def reversed(self):
         rev = np.vstack([self.nodes[:1], self.nodes[:0:-1]])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
 from .links import (N_MIN, N_SAMPLES, TWO_PI, FourierCurve, Link2, LinkCurve,
-                    _fourier_design, radial_velocity)
+                    _fourier_design, radial_jet)
 from .spheres import ROUNDOFF, lift, metric_kernel
 
 #: optimizer defaults: mode cap, quadrature resolution
@@ -97,17 +97,12 @@ def _designs(grid_n: int):
 
 
 def _grid_fields(vector, grid_n: int):
-    """Raw Fourier values F, F' and the points F/|F| and their velocities.
-
-    Each is a (..., 2, grid_n, 4) stack over both components on the grid
-    nodes, for a shape vector or a (..., shape_dim()) stack of them.
-    """
-    shape = np.shape(vector)[:-1] + (2, 4, 2 * K_OPT + 1)
-    coeffs = np.swapaxes(np.asarray(vector, dtype=float).reshape(shape), -1, -2)
+    """Raw Fourier values F, F' and the points F/|F| and their velocities,
+    each a (2, grid_n, 4) stack over both components on the grid nodes."""
+    coeffs = np.asarray(vector, dtype=float).reshape(2, 4, 2 * K_OPT + 1).swapaxes(-1, -2)
     design, ddesign = _designs(grid_n)
     raw, draw = design @ coeffs, ddesign @ coeffs
-    pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    return raw, draw, pts, radial_velocity(raw, draw)
+    return raw, draw, *radial_jet(raw, draw)
 
 
 def _metric_field(pts, vel):

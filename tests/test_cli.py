@@ -718,7 +718,10 @@ class TestImports:
                                            "verify"}, set()),
         (["oracle", "{link}", "--samples", "20"], {"functionals", "gridio", "optimize",
                                                     "verify"}, {"conformal", "symplectic"}),
-    ], ids=["area", "anglemap", "minimize", "oracle"])
+        (["invariance", "{link}", "--transforms", "1"], {"gridio", "optimize", "verify"},
+         {"functionals", "symplectic"}),
+        (["verify"], {"gridio", "optimize"}, {"verify", "functionals", "symplectic"}),
+    ], ids=["area", "anglemap", "minimize", "oracle", "invariance", "verify"])
     def test_command_imports_only_what_it_runs(self, link_files, tmp_path, argv, skipped,
                                                needed):
         argv = [a.format(link=link_files["hopf"], tmp=tmp_path) for a in argv]

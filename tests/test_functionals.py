@@ -70,25 +70,28 @@ class TestBuildGrid:
 
 
 def _node_counts(link, monkeypatch):
-    """Counts of the nodes of the N_MAX x N_MAX grid that reach the kernel,
-    live, and the list of the paired off-grid points that the refinement
-    of the zeros sends it, one entry per call."""
+    """Counts of the nodes of the N_MAX x N_MAX grid that reach
+    magnitude_kernel, live, and the list of the paired off-grid points that
+    the refinement of the zeros sends metric_kernel, one entry per call."""
     nodes = fn._nodes(fn.N_MAX)
     xs, ys = link.c1.point(nodes), link.c2.point(nodes)
     counts = np.zeros((fn.N_MAX, fn.N_MAX), int)
     paired = []
 
     def counting_kernel(x, xp, y, yp):
-        if x.ndim == 3:  # (k, 1, 4) stacks: one point of a zero's row per pair
-            paired.append(len(x))
-            return kernel(x, xp, y, yp)
         i, j = np.argmax(x @ xs.T, axis=1), np.argmax(y @ ys.T, axis=1)
         assert np.allclose(xs[i], x, rtol=0, atol=1e-14)
         assert np.allclose(ys[j], y, rtol=0, atol=1e-14)
         counts[np.ix_(i, j)] += 1
-        return kernel(x, xp, y, yp)
-    kernel = fn.magnitude_kernel
+        return magnitude(x, xp, y, yp)
+
+    def paired_kernel(x, xp, y, yp):
+        assert x.shape[1:] == (1, 4)  # (k, 1, 4) stacks: one point of a zero's row per pair
+        paired.append(len(x))
+        return metric(x, xp, y, yp)
+    magnitude, metric = fn.magnitude_kernel, fn.metric_kernel
     monkeypatch.setattr(fn, "magnitude_kernel", counting_kernel)
+    monkeypatch.setattr(fn, "metric_kernel", paired_kernel)
     return counts, paired
 
 
@@ -151,7 +154,7 @@ class TestNestedQuadrature:
         rep = fn.compute_functionals(link, tol=1e-3, n_start=n_start)
         assert built[0] == n_start and rep.grid_used == (built[-1], built[-1])
         assert built == [n_start * 2 ** k for k in range(len(built))]
-        # the refinement sends the kernel one point per open zero and step,
+        # the refinement sends metric_kernel one point per open zero and step,
         # in at most 8 steps per level (plain regula falsi, without the
         # Anderson-Bjorck scaling, takes 26 at 32 x 32 on perturbed02)
         assert sum(paired) >= sum(lv.zeros for lv in rep.levels)
@@ -216,6 +219,7 @@ class TestNestedQuadrature:
                 sign = np.where(np.arange(y.shape[-2]) % 2 == 0, 1.0, -1.0)
             return 2.0 * (1.0 + excess) * sign * speeds / chord2
         monkeypatch.setattr(cf, "metric_kernel", metric_beyond_bound)
+        monkeypatch.setattr(fn, "metric_kernel", metric_beyond_bound)
         if raises:
             with pytest.raises(ValueError, match="cosine argument exceeds 1"):
                 fn.compute_functionals(perturbed02, tol=1e-3)

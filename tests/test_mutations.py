@@ -25,7 +25,7 @@ def _patch(monkeypatch, modules, name, wrap):
 
 
 def _scaled_metric(monkeypatch, factor):
-    _patch(monkeypatch, (spheres, conformal, symplectic), "metric_kernel",
+    _patch(monkeypatch, (spheres, conformal, symplectic, functionals), "metric_kernel",
            lambda f: lambda *a: factor * f(*a))
 
 
@@ -110,7 +110,8 @@ def _nan_in(monkeypatch, modules, name, field=None):
 #: name: (seed of the defect, the checks that verify must fail, and the
 #: commands that must exit 3; the other commands exit 0)
 NAN_MUTATIONS = {
-    "metric_nan": (lambda mp: _nan_in(mp, (spheres, conformal, symplectic), "metric_kernel"),
+    "metric_nan": (lambda mp: _nan_in(mp, (spheres, conformal, symplectic, functionals),
+                                      "metric_kernel"),
                    ["metric_two_routes", "angle_two_routes", "cross_ratio_fd_oracle",
                     "symplectic_one_form"],
                    {"area", "oracle", "invariance"}),

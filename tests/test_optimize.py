@@ -205,12 +205,24 @@ class TestJacobian:
         for field in killing_fields(v, norms):
             assert np.linalg.norm(jac @ field) <= 1e-12 * scale * np.linalg.norm(field)
 
-    @pytest.mark.parametrize("grid_n", [32, 64])
-    def test_rank_at_hopf(self, hopf, grid_n):
-        sv = np.linalg.svd(residual_jacobian(opt.encode_link(hopf), grid_n)[1],
-                           compute_uv=False)
-        assert sv[27] >= 4.4
-        assert sv[28] <= 4e-15
+    # the default cap K = 4 keeps the ids it had before the cap was a parameter
+    @pytest.mark.parametrize("modes, grid_n", [
+        pytest.param(modes, grid_n, id=str(grid_n) if modes == 4 else f"K{modes}-{grid_n}")
+        for modes in (2, 3, 4, 6, 8) for grid_n in (32, 64)])
+    def test_rank_at_hopf(self, hopf, monkeypatch, modes, grid_n):
+        """Rank 8K - 4 = 4(2K + 1) - 8 at mode cap K: at the Hopf link
+        dg = -h1'(s).y'(t) - x'(s).h2'(t), which sees the 4(2K + 1)
+        coefficients that move a component off its own plane, less the 8
+        Moebius directions (README, descent notes)."""
+        monkeypatch.setattr(opt, "K_OPT", modes)
+        opt._designs.cache_clear()  # keyed by grid only: built for the mode cap in force
+        try:
+            sv = np.linalg.svd(residual_jacobian(opt.encode_link(hopf), grid_n)[1],
+                               compute_uv=False)
+        finally:
+            opt._designs.cache_clear()
+        assert sv[8 * modes - 5] >= 4.4
+        assert sv[8 * modes - 4] <= (4e-15 if modes == 4 else 1e-13)
 
 
 class TestNormalEquations:
