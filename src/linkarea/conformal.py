@@ -16,14 +16,15 @@ magnitude_kernel gives g, |Omega| and the cosine of the angle, and checks
 that cosine; density_kernel adds theta and Re Omega for density_pairs and
 for the row blocks of the exported grid (functionals.grid_blocks).  The
 quadrature's levels call only the first part, since Re Omega = g/2, and
-its zero refinement only metric_kernel.  The finite-difference route broadcasts the same way.  The three share no code
-beyond the chart stacks that the chart and finite-difference routes both
-lay out."""
+its zero refinement only metric_kernel.  The finite-difference route
+broadcasts the same way.  The three share no code beyond the chart
+stacks, one chart_jet per curve, that the chart and finite-difference
+routes both lay out."""
 
 import numpy as np
 
-from .errors import CoincidentPoints, PoleOnCurve
-from .links import TWO_PI
+from .errors import CoincidentPoints, CosineOutOfRange, PoleOnCurve
+from .links import parameter_grid
 from .spheres import metric_kernel
 
 #: minimum clearance between a chart pole and either curve
@@ -63,7 +64,7 @@ _POLE_CANDIDATES = _POLE_CANDIDATES / np.linalg.norm(_POLE_CANDIDATES, axis=1, k
 def chart_pole(c1, c2):
     """First of 26 fixed candidate poles with clearance >= 0.3 from both
     curves, each sampled at 512 uniform parameters."""
-    s = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+    s = parameter_grid(512)
     pts = np.vstack([c1.point(s), c2.point(s)])
     for cand in _POLE_CANDIDATES:
         clearance = np.min(np.linalg.norm(pts - cand, axis=1))
@@ -77,38 +78,25 @@ def chart_basis(pole):
     return np.linalg.qr(pole[:, None], mode="complete")[0][:, 1:].T
 
 
-def chart_point(x, pole, basis):
-    """Stereographic chart coordinates of x, projecting from the pole."""
-    x = np.asarray(x, dtype=float)
-    d = 1.0 - x @ pole
+def chart_jet(x, xp, pole, basis):
+    """Stereographic chart coordinates of the points x, projecting from the
+    pole, and the chart images of their tangent vectors xp: with d = 1 - x.pole
+    and q = x - (x.pole) pole, the point is q/d and the vector
+    (xp - (xp.pole) pole)/d + q (xp.pole)/d^2."""
+    xn = (x @ pole)[..., None]
+    d = 1.0 - xn
     if not np.min(d) > 1e-12:
         raise CoincidentPoints("point at the chart pole")
-    q = (x - (x @ pole)[..., None] * pole) / d[..., None]
-    return q @ basis.T
-
-
-def chart_velocity(x, xp, pole, basis):
-    """Chart image of a tangent vector xp at x."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    d = (1.0 - x @ pole)[..., None]
-    xn = (x @ pole)[..., None]
+    q = x - xn * pole
     vn = (xp @ pole)[..., None]
-    q = (xp - vn * pole) / d + (x - xn * pole) * vn / d ** 2
-    return q @ basis.T
+    return (q / d) @ basis.T, ((xp - vn * pole) / d + q * vn / d ** 2) @ basis.T
 
 
 def _check_cosine(cos) -> None:
     """Reject a cosine that leaves [-1, 1] by more than _COSINE_SLACK."""
     excess = np.max(np.abs(cos)) - 1.0
     if excess > _COSINE_SLACK:
-        raise ValueError(f"cosine argument exceeds 1 by {excess:.3e}")
-
-
-def _clamped_arccos(arg):
-    a = np.asarray(arg, dtype=float)
-    _check_cosine(a)
-    return np.arccos(np.clip(a, -1.0, 1.0))
+        raise CosineOutOfRange(f"cosine argument exceeds 1 by {excess:.3e}")
 
 
 def magnitude_kernel(x, xp, y, yp):
@@ -169,7 +157,9 @@ def _chart_angle(xc, tx, yc, ty):
     u = u / np.linalg.norm(u, axis=-1, keepdims=True)
     proj = np.sum(tx[..., :, None, :] * u, axis=-1, keepdims=True)
     w = 2.0 * proj * u - tx[..., :, None, :]
-    return _clamped_arccos(np.sum(w * ty[..., None, :, :], axis=-1))
+    cos = np.sum(w * ty[..., None, :, :], axis=-1)
+    _check_cosine(cos)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 def _chart_stacks(c1, c2, s, t, pole):
@@ -179,8 +169,7 @@ def _chart_stacks(c1, c2, s, t, pole):
     basis = chart_basis(pole)
     x, xp = c1.evaluate(s)
     y, yp = c2.evaluate(t)
-    return (chart_point(x, pole, basis), chart_velocity(x, xp, pole, basis),
-            chart_point(y, pole, basis), chart_velocity(y, yp, pole, basis))
+    return (*chart_jet(x, xp, pole, basis), *chart_jet(y, yp, pole, basis))
 
 
 def conformal_angle_chart_pairs(c1, c2, s, t, pole=None):

@@ -38,6 +38,10 @@ class PoleOnCurve(LinkAreaError):
     """No chart pole with sufficient clearance from both curves exists."""
 
 
+class CosineOutOfRange(LinkAreaError):
+    """A cosine leaves [-1, 1] beyond roundoff: a defect of a route, not of the input."""
+
+
 class NoConvergence(LinkAreaError):
     """Grid refinement hit the resolution cap before meeting the tolerance."""
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .conformal import density_kernel, magnitude_kernel
 from .errors import NoConvergence
-from .links import N_MIN, TWO_PI, Link2
+from .links import N_MIN, TWO_PI, Link2, parameter_grid
 from .spheres import ROUNDOFF, metric_kernel
 
 N_MAX = 1024
@@ -55,9 +55,9 @@ _CUBIC = np.array([-_U * (_U - 1) * (_U - 2) / 6, (_U + 1) * (_U - 1) * (_U - 2)
                    -(_U + 1) * _U * (_U - 2) / 2, (_U + 1) * _U * (_U - 1) / 6])
 
 
-def _check_resolution(n: int) -> None:
-    if n < N_MIN or n > N_MAX or (n & (n - 1)) != 0:
-        raise ValueError(f"grid resolution must be a power of two in [{N_MIN}, {N_MAX}]")
+def _check_resolution(n: int, top: int = N_MAX) -> None:
+    if n < N_MIN or n > top or (n & (n - 1)) != 0:
+        raise ValueError(f"grid resolution must be a power of two in [{N_MIN}, {top}]")
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ class FunctionalReport:
     levels: tuple = ()
 
 
-def _nodes(n: int) -> np.ndarray:
-    return np.linspace(0.0, TWO_PI, n, endpoint=False)
-
-
 class _GridBlocks(Sequence):
     """density_kernel on the row blocks of a grid, run when a block is read."""
 
@@ -126,12 +122,12 @@ def grid_blocks(link: Link2, n_s: int, n_t: int):
     item k runs the kernel on that block alone, so a process reads only
     the blocks it writes (gridio.write_grid splits them between two), and
     a kernel error in block k (CoincidentPoints, the cosine check's
-    ValueError) is raised when block k is read.  The resolutions are
+    CosineOutOfRange) is raised when block k is read.  The resolutions are
     checked, and both curves evaluated, before this returns.
     """
     _check_resolution(n_s)
     _check_resolution(n_t)
-    s, t = _nodes(n_s), _nodes(n_t)
+    s, t = parameter_grid(n_s), parameter_grid(n_t)
     x, xp = link.c1.evaluate(s)
     y, yp = link.c2.evaluate(t)
     return s, t, _GridBlocks(x, xp, y, yp, _GRID_BLOCK_NODES // n_t)
@@ -161,8 +157,8 @@ def _level(link: Link2, n: int):
     cyclically: the one before node 0 is the row's last, at t = -h.  A g
     or |Omega| that is not finite anywhere raises NoConvergence.
     """
-    x, xp = link.c1.evaluate(_nodes(n))
-    y, yp = link.c2.evaluate(_nodes(n))
+    x, xp = link.c1.evaluate(parameter_grid(n))
+    y, yp = link.c2.evaluate(parameter_grid(n))
     sums, found = np.zeros((2, n)), []
     step = _BLOCK_NODES // n
     for r0 in range(0, n, step):
@@ -256,8 +252,9 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     That move is est_error, floored at ROUNDOFF times the area if the area
     is watched: a smaller difference says nothing of the area's error.  All
     three values of the last level are reported either way, with one
-    LevelRecord per level.  A start with no finer level under the cap
-    raises NoConvergence before any node is evaluated.  A level's stacks
+    LevelRecord per level.  A start above N_MAX / 2, which leaves no finer
+    level under the cap, raises ValueError before any node is evaluated,
+    as any start outside the resolutions does.  A level's stacks
     and brackets are dropped before the next is built: a 512 start on
     separated_link(0.5) peaks at 1.4 MiB traced.
 
@@ -270,13 +267,10 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
     """
     if not tol >= 1e-10:  # also rejects nan
         raise ValueError("tolerance below 1e-10 is not supported")
-    _check_resolution(n_start)
+    _check_resolution(n_start, N_MAX // 2)  # a start needs a finer level to compare
     if criterion not in _CRITERIA:
         raise ValueError(f"criterion must be one of {', '.join(map(repr, _CRITERIA))}")
     watch = _CRITERIA[criterion]
-    failure = NoConvergence(f"no convergence to {tol} within {N_MAX} nodes")
-    if 2 * n_start > N_MAX:
-        raise failure
     n = n_start
     levels = []
     while True:
@@ -296,7 +290,7 @@ def compute_functionals(link: Link2, tol: float = 1e-8, n_start: int = N_MIN,
                                         grid_used=(n, n), est_error=float(est),
                                         levels=tuple(levels))
         if n == N_MAX:
-            raise failure
+            raise NoConvergence(f"no convergence to {tol} within {N_MAX} nodes")
         n *= 2
 
 

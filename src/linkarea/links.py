@@ -9,6 +9,8 @@ interpolation, built with numpy alone: an FFT circulant solve gives the
 B-spline coefficients and a fixed six-term stencil evaluates them.
 Moebius images of either are evaluated through the light cone.
 Evaluation methods accept scalar or array parameters and broadcast.
+Every uniform parameter grid, of a curve probe, a sample set or a torus
+grid, is parameter_grid(n), the n parameters 2 pi k / n.
 """
 
 import json
@@ -38,6 +40,11 @@ K_MAX = 16
 N_MIN = 32
 
 
+def parameter_grid(n: int):
+    """The n uniform parameters 2 pi k / n, k = 0, ..., n - 1."""
+    return np.linspace(0.0, TWO_PI, n, endpoint=False)
+
+
 class LinkCurve:
     """Interface shared by all curve representations.
 
@@ -56,9 +63,6 @@ class LinkCurve:
         p, v = self._point_velocity(s)
         _speed_floor(v)
         return p, v
-
-    def reversed(self):
-        raise NotImplementedError
 
 
 def _speed_floor(v):
@@ -107,7 +111,7 @@ class FourierCurve(LinkCurve):
             raise BadParameter("fourier coefficients must be finite")
         self.coeffs = coeffs
         self.n_modes = (coeffs.shape[1] - 1) // 2
-        probe = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+        probe = parameter_grid(512)
         with np.errstate(all="ignore"):  # an overflow is reported below, as a bad parameter
             f, fp = (m @ coeffs.T for m in _fourier_design(probe, self.n_modes))
             radii, v = np.linalg.norm(f, axis=-1), radial_jet(f, fp)[1]
@@ -119,11 +123,6 @@ class FourierCurve(LinkCurve):
 
     def _point_velocity(self, s):
         return radial_jet(*(m @ self.coeffs.T for m in _fourier_design(s, self.n_modes)))
-
-    def reversed(self):
-        flipped = self.coeffs.copy()
-        flipped[:, 2::2] = -flipped[:, 2::2]
-        return FourierCurve(flipped)
 
 
 class CircleCurve(FourierCurve):
@@ -189,7 +188,7 @@ class SampledCurve(LinkCurve):
         w = TWO_PI * np.arange(n // 2 + 1) / n
         eig = (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)) / 120.0
         self._coeffs = np.fft.irfft(np.fft.rfft(self.nodes, axis=0) / eig[:, None], n, axis=0)
-        self.evaluate(np.linspace(0.0, TWO_PI, 4 * n, endpoint=False))
+        self.evaluate(parameter_grid(4 * n))
 
     def _point_velocity(self, s):
         n = len(self._coeffs)
@@ -202,21 +201,11 @@ class SampledCurve(LinkCurve):
         f, fp = np.moveaxis(weights.reshape(tau.shape + (2, 6)) @ local, -2, 0)
         return radial_jet(f, fp * (n / TWO_PI))
 
-    def reversed(self):
-        rev = np.vstack([self.nodes[:1], self.nodes[:0:-1]])
-        return SampledCurve(rev)
-
 
 def _moved_lift(matrix, v, lead=1.0):
     """matrix @ (lead, v): the light-cone lift of points (lead 1) or velocities (lead 0), moved."""
     v = np.asarray(v, dtype=float)
     return np.concatenate([np.full(v.shape[:-1] + (1,), lead), v], axis=-1) @ matrix.T
-
-
-def _mobius_point(matrix, x):
-    """Moebius image of points x: lift to the light cone, apply matrix, rescale to x0 = 1."""
-    w = _moved_lift(matrix, x)
-    return w[..., 1:] / w[..., :1]
 
 
 class TransformedCurve(LinkCurve):
@@ -233,9 +222,6 @@ class TransformedCurve(LinkCurve):
         wp = _moved_lift(self.matrix, xp, 0.0)
         w0 = w[..., :1]
         return w[..., 1:] / w0, wp[..., 1:] / w0 - w[..., 1:] * wp[..., :1] / w0 ** 2
-
-    def reversed(self):
-        return TransformedCurve(self.base.reversed(), self.matrix)
 
 
 class Link2:
@@ -256,7 +242,7 @@ class Link2:
         """Least chord over the sample pairs, refined near each pair that the
         sampled speeds cannot clear of DELTA_SEP, so that curves meeting
         between samples read about 0."""
-        s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
+        s = parameter_grid(N_SAMPLES)
         (x, xp), (y, yp) = self.c1._point_velocity(s), self.c2._point_velocity(s)
         dots = x @ y.T
         # the nearest sample pair has the largest x.y (both factors unit); its
@@ -361,7 +347,7 @@ def perturbed_hopf_link(eps: float, seed: int) -> Link2:
         raise BadParameter("perturbation amplitude must lie in [0, 0.3)")
     rng = Lcg64(seed)
     curves = []
-    probe = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+    probe = parameter_grid(512)
     for base in (_HOPF_COEFFS_1, _HOPF_COEFFS_2):
         coeffs = base.copy()
         if eps > 0.0:
@@ -411,7 +397,9 @@ class MobiusMap:
         self.matrix = A
 
     def act_point(self, x):
-        return _mobius_point(self.matrix, x)
+        """Moebius image of points x: lift, move, rescale to x0 = 1."""
+        w = _moved_lift(self.matrix, x)
+        return w[..., 1:] / w[..., :1]
 
     def transform_curve(self, c: LinkCurve) -> LinkCurve:
         return TransformedCurve(c, self.matrix)
@@ -504,8 +492,7 @@ def _component_to_dict(c: LinkCurve) -> dict:
         return {"kind": "fourier4", "coefficients": c.coeffs.tolist()}
     if isinstance(c, SampledCurve):
         return {"kind": "samples4", "nodes": c.nodes.tolist()}
-    s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
-    return {"kind": "samples4", "nodes": c.point(s).tolist()}
+    return {"kind": "samples4", "nodes": c.point(parameter_grid(N_SAMPLES)).tolist()}
 
 
 def link_text(link: Link2) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
 from .links import (N_MIN, N_SAMPLES, TWO_PI, FourierCurve, Link2, LinkCurve,
-                    _fourier_design, radial_jet)
+                    _fourier_design, parameter_grid, radial_jet)
 from .spheres import ROUNDOFF, lift, metric_kernel
 
 #: optimizer defaults: mode cap, quadrature resolution
@@ -50,8 +50,7 @@ def shape_dim() -> int:
 
 def to_fourier_coeffs(curve: LinkCurve):
     """Truncated Fourier fit, up to mode K_OPT, of a curve through N_SAMPLES uniform samples."""
-    s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
-    spectrum = np.fft.rfft(curve.point(s), axis=0)[:K_OPT + 1].T
+    spectrum = np.fft.rfft(curve.point(parameter_grid(N_SAMPLES)), axis=0)[:K_OPT + 1].T
     coeffs = np.empty((4, 2 * K_OPT + 1))
     coeffs[:, 0] = spectrum[:, 0].real / N_SAMPLES
     coeffs[:, 1::2] = 2.0 * spectrum[:, 1:].real / N_SAMPLES
@@ -89,8 +88,7 @@ def decode_link(vector) -> Link2:
 @lru_cache(maxsize=8)
 def _designs(grid_n: int):
     """Read-only Fourier design matrix and its derivative on grid_n nodes."""
-    s = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    mats = _fourier_design(s, K_OPT)
+    mats = _fourier_design(parameter_grid(grid_n), K_OPT)
     for m in mats:
         m.flags.writeable = False
     return mats
@@ -334,6 +332,5 @@ def circle_fit_residual(curve: LinkCurve) -> float:
     """σ₄/σ₃ of the N_SAMPLES x 5 light-cone lifts (1, x) of the curve's samples: 0
     exactly on round circles, whose lifts span a 3-space of R^{4,1}; on a circle of
     radius r, σ₂ = σ₃ ∝ r, so it reads the relative out-of-circle amplitude at any r."""
-    s = np.linspace(0.0, TWO_PI, N_SAMPLES, endpoint=False)
-    sigma = np.linalg.svd(lift(curve.point(s)), compute_uv=False)
+    sigma = np.linalg.svd(lift(curve.point(parameter_grid(N_SAMPLES))), compute_uv=False)
     return float(sigma[3] / sigma[2])

@@ -32,11 +32,8 @@ class Lcg64:
         """Uniform double in [0, 1) from the top 53 bits."""
         return (self._next() >> 11) * (1.0 / (1 << 53))
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def uniform_array(self, n: int, lo: float, hi: float):
-        """n draws of uniform_in(lo, hi) as an array, bit for bit, by jump-ahead.
+        """n draws of lo + (hi - lo) * uniform() as an array, bit for bit, by jump-ahead.
 
         After k steps the state is a^k x + c (1 + a + ... + a^(k-1)) mod 2^64,
         so the powers of a and their partial sums give all n states at once.

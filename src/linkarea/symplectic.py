@@ -16,7 +16,7 @@ variation of a between the row's zeros of g.
 
 import numpy as np
 
-from .links import TWO_PI
+from .links import parameter_grid
 from .spheres import metric_kernel, require_separated
 
 #: the sign in g = SIGN * da/dt, i.e. g = -da/dt
@@ -76,7 +76,7 @@ def exterior_derivative_check(c1, c2) -> float:
     """Residual of the 1-form route against the metric route: the largest
     |Re omega - SIGN * da/dt / 2| on the uniform N_GRID x N_GRID torus grid,
     where Re omega = g / 2."""
-    nodes = np.linspace(0.0, TWO_PI, N_GRID, endpoint=False)
+    nodes = parameter_grid(N_GRID)
     x, xp = c1.evaluate(nodes)
     y, yp = c2.evaluate(nodes)
     da_dt = spectral_t_derivative(tautological_pullback(x, xp, y))

@@ -85,8 +85,8 @@ def test_criterion_04_null_tangents(full_catalogue):
     rng = Lcg64(104)
     norms = []
     for link in full_catalogue.values():
-        s = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
-        t = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
+        s = rng.uniform_array(1000, 0, TWO_PI)
+        t = rng.uniform_array(1000, 0, TWO_PI)
         _, ss, st = sp.sigma_derivatives(link.c1, link.c2, s, t)
         norms += [mk.inner10(ss, ss), mk.inner10(st, st)]
     worst = np.max(np.abs(norms))
@@ -110,8 +110,7 @@ def test_criterion_05_density_routes(separated10, perturbed02):
         pole = cf.chart_pole(link.c1, link.c2)
         rng = Lcg64(105)
         for _ in range(20):
-            s0 = rng.uniform_in(0, TWO_PI)
-            t0 = rng.uniform_in(0, TWO_PI)
+            s0, t0 = rng.uniform_array(2, 0, TWO_PI)
             want = 0.5 * cf.density_pairs(link.c1, link.c2, s0, t0)[0]
             fd_devs.append(cf.cross_ratio_fd(link.c1, link.c2, s0, t0, pole=pole) - want)
     worst_grid = np.max(np.abs(grid_devs))

@@ -138,14 +138,21 @@ class TestArea:
         assert code == 0
         assert parse_report(out.strip())["area"] == "0"
 
-    def test_cosine_bound_is_input_error(self, capsys, link_files, monkeypatch):
+    def test_cosine_bound_is_numerical_failure(self, capsys, link_files, monkeypatch):
         from linkarea import conformal as cf
         original = cf.metric_kernel
         monkeypatch.setattr(cf, "metric_kernel", lambda *a: 1e6 * original(*a))
         code, out, err = run_cli(capsys, "area", link_files["sep15"])
-        assert code == 2
+        assert code == 3
         assert out == ""
         assert "cosine argument exceeds 1" in err
+
+    @pytest.mark.parametrize("grid", ["1024", "2048"])
+    def test_start_without_finer_level_is_input_error(self, capsys, link_files, grid):
+        code, out, err = run_cli(capsys, "area", link_files["p02"], "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid resolution must be a power of two in [32, 512]\n"
 
     def test_separated(self, capsys, link_files):
         code, out, _ = run_cli(capsys, "area", link_files["sep15"])
@@ -299,7 +306,7 @@ class TestAnglemap:
         out_path = tmp_path / "map.csv"
         code, out, err = run_cli(capsys, "anglemap", link_files["sep15"], "--grid", "64",
                                  "--out", str(out_path))
-        assert code == 2
+        assert code == 3
         assert out == ""
         assert "cosine argument exceeds 1" in err
         assert not out_path.exists()
@@ -335,12 +342,9 @@ class TestAnglemap:
             else:
                 code, out, err = run_cli(capsys, *argv)
                 assert out == ""
-                if error == "cosine":
-                    assert code == 2
-                    assert "cosine argument exceeds 1" in err
-                else:
-                    assert code == 3
-                    assert "coincident component points" in err
+                assert code == 3
+                assert ("cosine argument exceeds 1" if error == "cosine"
+                        else "coincident component points") in err
             assert not out_path.exists()
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)

@@ -10,7 +10,8 @@ from linkarea import cli
 from linkarea import conformal as cf
 from linkarea import functionals as fn
 from linkarea import gridio as gio
-from linkarea.errors import NoConvergence
+from linkarea.errors import CosineOutOfRange, NoConvergence
+from linkarea.links import FourierCurve, Link2, parameter_grid
 from linkarea.rng import Lcg64
 
 TWO_PI = 2 * np.pi
@@ -25,6 +26,19 @@ def separated_area(d_nominal):
     """Closed-form area 2 pi (4 - d^2) / d, with the offset separated_link builds in."""
     d = d_nominal * (1 + 1e-9)
     return 2 * np.pi * (4 - d * d) / d
+
+
+def torus_curve_link(p, q, r):
+    """The torus curve (R cos ps, R sin ps, r cos qs, r sin qs), R = sqrt(1 - r^2),
+    with its core circle (0, 0, cos t, sin t); mode k's cos and sin coefficients
+    sit in columns 2k - 1 and 2k."""
+    big = np.sqrt(1.0 - r * r)
+    curve = np.zeros((4, 2 * max(p, q) + 1))
+    curve[0, 2 * p - 1] = curve[1, 2 * p] = big
+    curve[2, 2 * q - 1] = curve[3, 2 * q] = r
+    core = np.zeros((4, 3))
+    core[2, 1] = core[3, 2] = 1.0
+    return Link2(FourierCurve(curve), FourierCurve(core)), big
 
 
 def energy(link, tol):
@@ -73,7 +87,7 @@ def _node_counts(link, monkeypatch):
     """Counts of the nodes of the N_MAX x N_MAX grid that reach
     magnitude_kernel, live, and the list of the paired off-grid points that
     the refinement of the zeros sends metric_kernel, one entry per call."""
-    nodes = fn._nodes(fn.N_MAX)
+    nodes = parameter_grid(fn.N_MAX)
     xs, ys = link.c1.point(nodes), link.c2.point(nodes)
     counts = np.zeros((fn.N_MAX, fn.N_MAX), int)
     paired = []
@@ -189,7 +203,7 @@ class TestNestedQuadrature:
             calls.append(args)
             raise AssertionError("the kernel must not run")
         monkeypatch.setattr(fn, "magnitude_kernel", counting_kernel)
-        with pytest.raises(NoConvergence, match="no convergence to 0.001 within 1024 nodes"):
+        with pytest.raises(ValueError, match=r"power of two in \[32, 512\]"):
             fn.compute_functionals(separated10, tol=1e-3, n_start=fn.N_MAX)
         assert calls == []
 
@@ -221,7 +235,7 @@ class TestNestedQuadrature:
         monkeypatch.setattr(cf, "metric_kernel", metric_beyond_bound)
         monkeypatch.setattr(fn, "metric_kernel", metric_beyond_bound)
         if raises:
-            with pytest.raises(ValueError, match="cosine argument exceeds 1"):
+            with pytest.raises(CosineOutOfRange, match="cosine argument exceeds 1"):
                 fn.compute_functionals(perturbed02, tol=1e-3)
         elif not alternating:
             fn.compute_functionals(perturbed02, tol=1e-3)
@@ -253,8 +267,8 @@ class TestSignedArea:
             assert abs(rep.signed_area) <= 1e-8
 
     def test_orientation_reversed_still_zero(self, separated15):
-        from linkarea.links import Link2
-        flipped = Link2(separated15.c1, separated15.c2.reversed())
+        # a one-mode circle runs backwards with its sine column negated
+        flipped = Link2(separated15.c1, FourierCurve(separated15.c2.coeffs * (1.0, 1.0, -1.0)))
         rep = la.signed_area(flipped, tol=1e-8)
         assert abs(rep.signed_area) <= 1e-8
 
@@ -307,6 +321,17 @@ class TestArea:
         # the Moebius cross energy of the isoclinic pair is 2 pi^2 / sin(alpha)
         link = la.great_circle_pair(alpha, alpha)
         assert energy(link, 1e-10) == pytest.approx(HOPF_ENERGY / np.sin(alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 2), (1, 4), (5, 2)])
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.9])
+    def test_torus_curve_with_core(self, p, q, r):
+        # outside the round pairs, with knotted curves at (2, 3), (3, 2) and (5, 2):
+        # area 8 pi q r / R and energy 2 pi^2 sqrt(p^2 R^2 + q^2 r^2) / R
+        link, big = torus_curve_link(p, q, r)
+        rep = fn.compute_functionals(link, tol=1e-10)
+        assert rep.area == pytest.approx(8 * np.pi * q * r / big, rel=1e-13, abs=0)
+        assert rep.energy == pytest.approx(
+            2 * np.pi ** 2 * np.hypot(p * big, q * r) / big, rel=1e-13, abs=0)
 
     def test_right_angled_great_circles_are_hopf(self):
         rep = la.area(la.great_circle_pair(np.pi / 2, np.pi / 2), tol=1e-3)

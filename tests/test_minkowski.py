@@ -9,7 +9,7 @@ E = np.eye(5)
 
 
 def rand5(rng, scale=1.0):
-    return np.array([rng.uniform_in(-scale, scale) for _ in range(5)])
+    return rng.uniform_array(5, -scale, scale)
 
 
 class TestInner5:
@@ -27,7 +27,7 @@ class TestInner5:
         rng = Lcg64(10)
         for _ in range(50):
             u, v, w = rand5(rng), rand5(rng), rand5(rng)
-            a, b = rng.uniform_in(-2, 2), rng.uniform_in(-2, 2)
+            a, b = rng.uniform_array(2, -2, 2)
             assert inner5(u, v) == pytest.approx(inner5(v, u), rel=1e-14, abs=1e-14)
             lhs = inner5(a * u + b * w, v)
             rhs = a * inner5(u, v) + b * inner5(w, v)
@@ -118,7 +118,7 @@ class TestMinorLift:
 
     def test_wedge_compatibility(self):
         rng = Lcg64(15)
-        A = np.array([[rng.uniform_in(-1, 1) for _ in range(5)] for _ in range(5)])
+        A = rng.uniform_array(25, -1, 1).reshape(5, 5)
         for _ in range(10):
             x, y = rand5(rng), rand5(rng)
             assert np.allclose(mk.minor_lift(A) @ mk.wedge(x, y), mk.wedge(A @ x, A @ y),

@@ -226,6 +226,22 @@ def test_nan_fails_the_commands(capsys, monkeypatch, p02_file, seed_defect, fail
     assert codes == {name: 3 if name in failing_commands else 0 for name in commands}
 
 
+def test_cosine_defect_is_numerical_failure(capsys, monkeypatch, tmp_path):
+    """g off by 1e-8 pushes a cosine past 1 on separated_link(1.0): the range
+    check reports that defect of a route as a numerical failure (exit 3) in
+    every command that meets it, never as an input error (exit 2)."""
+    path, out_path = tmp_path / "sep10.lk1", tmp_path / "map.csv"
+    la.write_link(la.separated_link(1.0), path)
+    _scaled_metric(monkeypatch, 1 + 1e-8)
+    for argv in (["area", str(path)], ["invariance", str(path), "--transforms", "2"],
+                 ["anglemap", str(path), "--grid", "64", "--out", str(out_path)]):
+        assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cosine argument exceeds 1 by 1.0"), argv
+    assert not out_path.exists()
+
+
 #: two points on S^3, far from each other, from the points _Y and from the
 #: pole _Y[0]; a velocity for each
 _X = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
@@ -238,7 +254,7 @@ NAN_POINTS = {
     "check_separated": lambda x: spheres._check_separated(x, _Y),
     "tautological_pullback": lambda x: symplectic.tautological_pullback(x, _V, _Y),
     "stereo_project": lambda x: symplectic.stereo_project(x, _Y),
-    "chart_point": lambda x: conformal.chart_point(x, _Y[0], np.eye(4)[:3]),
+    "chart_jet": lambda x: conformal.chart_jet(x, _V, _Y[0], np.eye(4)[:3]),
 }
 
 

@@ -141,8 +141,8 @@ class TestBatchObjective:
         rng = Lcg64(53)
         stacks = []
         for link in la.catalogue().values():
-            s = np.array([rng.uniform_in(0.0, TWO_PI) for _ in range(7)])
-            t = np.array([rng.uniform_in(0.0, TWO_PI) for _ in range(5)])
+            s = rng.uniform_array(7, 0.0, TWO_PI)
+            t = rng.uniform_array(5, 0.0, TWO_PI)
             x, xp = link.c1.evaluate(s)
             y, yp = link.c2.evaluate(t)
             g = sp.metric_kernel(x, xp, y, yp)

@@ -9,8 +9,9 @@ from linkarea.rng import Lcg64
 def test_uniform_array_is_the_scalar_sequence(seed, n):
     scalar, batched = Lcg64(seed), Lcg64(seed)
     scalar.uniform(), batched.uniform()  # start mid-stream
-    want = np.array([scalar.uniform_in(-0.5, 2.0 * np.pi) for _ in range(n)])
-    got = batched.uniform_array(n, -0.5, 2.0 * np.pi)
+    lo, hi = -0.5, 2.0 * np.pi
+    want = np.array([lo + (hi - lo) * scalar.uniform() for _ in range(n)])
+    got = batched.uniform_array(n, lo, hi)
     assert got.tobytes() == want.tobytes()
     assert batched._state == scalar._state
     assert batched.uniform() == scalar.uniform()

@@ -99,8 +99,8 @@ class TestSigmaDerivatives:
     def test_nullity_random_links(self, small_catalogue):
         rng = Lcg64(23)
         for link in small_catalogue.values():
-            s = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
-            t = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
+            s = rng.uniform_array(1000, 0, TWO_PI)
+            t = rng.uniform_array(1000, 0, TWO_PI)
             _, ss, st = sp.sigma_derivatives(link.c1, link.c2, s, t)
             assert np.max(np.abs(mk.inner10(ss, ss))) <= 1e-10
             assert np.max(np.abs(mk.inner10(st, st))) <= 1e-10
@@ -108,7 +108,7 @@ class TestSigmaDerivatives:
     def test_hopf_cross_term_vanishes(self, hopf):
         rng = Lcg64(24)
         for _ in range(100):
-            s0, t0 = rng.uniform_in(0, TWO_PI), rng.uniform_in(0, TWO_PI)
+            s0, t0 = rng.uniform_array(2, 0, TWO_PI)
             _, ss, st = sp.sigma_derivatives(hopf.c1, hopf.c2, s0, t0)
             assert abs(mk.inner10(ss, st)) <= 1e-10
 
@@ -133,8 +133,8 @@ class TestMetricCoefficient:
     def test_matches_explicit_route(self, small_catalogue):
         rng = Lcg64(25)
         for link in small_catalogue.values():
-            s = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
-            t = np.array([rng.uniform_in(0, TWO_PI) for _ in range(1000)])
+            s = rng.uniform_array(1000, 0, TWO_PI)
+            t = rng.uniform_array(1000, 0, TWO_PI)
             closed = cf.density_pairs(link.c1, link.c2, s, t)[0]
             _, ss, st = sp.sigma_derivatives(link.c1, link.c2, s, t)
             explicit = mk.inner10(ss, st)
