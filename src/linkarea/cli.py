@@ -160,12 +160,16 @@ def cmd_oracle(args) -> int:
 
 def cmd_minimize(args) -> int:
     from .links import link_text, read_link
-    from .optimize import circle_fit_residual, decode_link, encode_link, minimize
+    from .optimize import K_OPT, circle_fit_residual, decode_link, encode_link, minimize
 
     _distinct_files(("FILE", args.file), ("--trace-out", args.trace_out),
                     ("--link-out", args.link_out))
     link = read_link(args.file)
     v0 = encode_link(link)
+    try:  # the descent runs on this fit, so a fit that is not a link is an input error
+        decode_link(v0)
+    except LinkAreaError as exc:
+        raise BadParameter(f"FILE's mode-{K_OPT} Fourier fit is not a link: {exc}") from exc
     result = minimize(v0, steps=args.steps, grid_n=args.grid,
                       stop_below=args.stop_below)
     try:  # validated before either file is written

@@ -202,12 +202,6 @@ class SampledCurve(LinkCurve):
         return radial_jet(f, fp * (n / TWO_PI))
 
 
-def _moved_lift(matrix, v, lead=1.0):
-    """matrix @ (lead, v): the light-cone lift of points (lead 1) or velocities (lead 0), moved."""
-    v = np.asarray(v, dtype=float)
-    return np.concatenate([np.full(v.shape[:-1] + (1,), lead), v], axis=-1) @ matrix.T
-
-
 class TransformedCurve(LinkCurve):
     """Moebius image of another curve, evaluated through the light cone."""
 
@@ -218,8 +212,7 @@ class TransformedCurve(LinkCurve):
     def _point_velocity(self, s):
         """Moebius image of the base point and, by the quotient rule, its derivative."""
         x, xp = self.base._point_velocity(s)
-        w = _moved_lift(self.matrix, x)
-        wp = _moved_lift(self.matrix, xp, 0.0)
+        w, wp = mk.lift(x) @ self.matrix.T, mk.lift(xp, 0.0) @ self.matrix.T
         w0 = w[..., :1]
         return w[..., 1:] / w0, wp[..., 1:] / w0 - w[..., 1:] * wp[..., :1] / w0 ** 2
 
@@ -398,7 +391,7 @@ class MobiusMap:
 
     def act_point(self, x):
         """Moebius image of points x: lift, move, rescale to x0 = 1."""
-        w = _moved_lift(self.matrix, x)
+        w = mk.lift(x) @ self.matrix.T
         return w[..., 1:] / w[..., :1]
 
     def transform_curve(self, c: LinkCurve) -> LinkCurve:

@@ -4,14 +4,14 @@ Vectors live in R^5 with the indefinite inner product
 
     <u, v> = -u0*v0 + u1*v1 + u2*v2 + u3*v3 + u4*v4,
 
-coordinate 0 being the timelike one.  Decomposable 2-vectors are stored in
-the 10 wedge coordinates p_(i1 i2), i1 < i2, in fixed lexicographic order
+coordinate 0 being the timelike one; lift puts points x of S^3 on its light
+cone as (1, x), their velocities as (0, x').  Decomposable 2-vectors are
+stored in the 10 wedge coordinates p_(i1 i2), i1 < i2, in lexicographic order
 
     (01, 02, 03, 04, 12, 13, 14, 23, 24, 34),
 
 which fixes the array and file layouts everywhere in the package.  All
-functions broadcast over leading axes, so a stack of vectors of shape
-(n, 5) wedges into a stack of shape (n, 10).
+functions broadcast over leading axes: a stack (n, 5) wedges into a stack (n, 10).
 """
 
 import numpy as np
@@ -28,6 +28,13 @@ ETA5 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
 
 #: metric signs of the wedge square: +1 when i1 = 0, -1 when i1 >= 1
 EPS10 = np.where(_I1 == 0, 1.0, -1.0)
+
+
+def lift(v, lead=1.0):
+    """(lead, v) in R^5 (broadcasts): the light-cone lift of points v of S^3
+    at lead 1, of their velocities at lead 0."""
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([np.full(v.shape[:-1] + (1,), lead), v], axis=-1)
 
 
 def wedge(x, y):

@@ -1,22 +1,22 @@
 """Levenberg–Marquardt descent of the torus area over Fourier links.
 
-Shape vectors concatenate the Fourier coefficients of both components;
-the objective is the area functional at a fixed grid resolution so that
-runs are deterministic.  The area is the L1 norm of the metric field g,
-which vanishes identically on the Hopf link and its Moebius images, so
-each step solves the damped least-squares problem for the residual
-r = g·(2π/n) on the objective grid, evaluated once per point
-(_Linearization).  The partials of r in the four dot products that g is
-built from give its gradients in each component's points and velocities,
-and the chain rule through each node's 8x8 derivative of these in the
-Fourier values and the design rows gives J by blocks of s-rows; J^T J
-and J^T r are summed over them, so that the whole grid_n^2 x 72 Jacobian
-is never held.  Beside r, the normal equations carry gauge rows that tie
-each component's speed |x'| to its mean: x = F/|F| can move along its own
-curve without changing the link, and those reparametrizations are sloppy
-directions of J^T J that stall plain Levenberg–Marquardt near the minimum
-(M. K. Transtrum, B. B. Machta and J. P. Sethna, Phys. Rev. E 83, 2011);
-the rows make them stiff.  A step is accepted only if the area decreases.
+Shape vectors concatenate the Fourier coefficients of both components; the
+objective is the area functional at a fixed grid resolution so that runs are
+deterministic.  The area is the L1 norm of the metric field g, which vanishes
+identically on the Hopf link and its Moebius images, so each step solves the
+damped least-squares problem for the residual r = g·(2π/n) on the objective
+grid, evaluated once per point (_Linearization) by spheres.metric_kernel.  The
+partials of r in the four dot products that g is built from give its gradients
+in each component's points and velocities, and the chain rule through each
+node's 8x8 derivative of these in the Fourier values and the design rows gives
+J by blocks of s-rows; J^T J and J^T r are summed over them, so that the whole
+grid_n^2 x 72 Jacobian is never held.  Beside r, the normal equations carry
+gauge rows that tie each component's speed |x'| to its mean, their Jacobians
+built for both components in one pass: x = F/|F| can move along its own curve
+without changing the link, and those reparametrizations are sloppy directions
+of J^T J that stall plain Levenberg–Marquardt near the minimum
+(M. K. Transtrum, B. B. Machta and J. P. Sethna, Phys. Rev. E 83, 2011); the
+rows make them stiff.  A step is accepted only if the area decreases.
 """
 
 import itertools
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadParameter, CoincidentPoints, DisjointnessViolation
+from .errors import BadParameter, CoincidentPoints
 from .links import (N_MIN, N_SAMPLES, TWO_PI, FourierCurve, Link2, LinkCurve,
                     _fourier_design, parameter_grid, radial_jet)
 from .spheres import ROUNDOFF, lift, metric_kernel
@@ -103,13 +103,6 @@ def _grid_fields(vector, grid_n: int):
     return raw, draw, *radial_jet(raw, draw)
 
 
-def _metric_field(pts, vel):
-    try:
-        return metric_kernel(pts[0], vel[0], pts[1], vel[1])
-    except CoincidentPoints as exc:
-        raise DisjointnessViolation("components touch on the objective grid") from exc
-
-
 def objective(vector, grid_n: int = GRID_OPT) -> float:
     """Area of the decoded link at fixed grid resolution (no refinement)."""
     return _Linearization(vector, grid_n).area
@@ -147,15 +140,14 @@ class _Linearization:
     each component's _node_jacobian and design rows (_chain) turns the
     gradients of r in (x, x') and (y, y') into J: blocks() yields J a block
     at a time, and normal_equations() sums J^T J and J^T r over them and adds
-    the gauge rows' terms, from the lower half of the same _chain.
+    the gauge rows' terms, from the lower half of one _chain over both components.
     """
 
     def __init__(self, vector, grid_n: int):
         self.fields = _grid_fields(vector, grid_n)  # F, F', the points and their velocities
-        pts, vel = self.fields[2:]
-        self.x, self.xp, self.y, self.yp = pts[0], vel[0], pts[1], vel[1]
+        (self.x, self.y), (self.xp, self.yp) = self.fields[2:]
         self.n, self.cell = grid_n, TWO_PI / grid_n
-        g = _metric_field(pts, vel)
+        g = metric_kernel(self.x, self.xp, self.y, self.yp)
         self.area = float(np.sum(np.abs(g))) * self.cell ** 2
         self.r = np.multiply(g, self.cell, out=g).ravel()
 
@@ -171,15 +163,20 @@ class _Linearization:
         r_e *= over_b2
         return r_q, r_c, r_e
 
+    @cached_property
+    def speeds(self):
+        """The speeds |x'| and |y'| on the nodes, (2, n)."""
+        return np.linalg.norm(self.fields[3], axis=-1)
+
     def roundoff(self) -> float:
         """The area's roundoff, ROUNDOFF·Σ|Omega|·(2π/n)^2: |Omega|·2π/n = |x'||y'||r_q|/2."""
-        speed_x, speed_y = (np.linalg.norm(p, axis=-1) for p in (self.xp, self.yp))
+        speed_x, speed_y = self.speeds
         return ROUNDOFF * 0.5 * self.cell * float(speed_x @ np.abs(self._r_qce[0]) @ speed_y)
 
-    def _chain(self, comp: int, rows=slice(None)):
-        """The (nodes, 8, shape_dim()/2) derivative of component comp's points and
-        velocities on the nodes rows in its coefficients: its _node_jacobian
-        times the design block that maps the coefficients to (F, F')."""
+    def _chain(self, comp=slice(None), rows=slice(None)):
+        """The (nodes, 8, shape_dim()/2) derivative of component comp's points and velocities
+        (of both, (2, nodes, 8, ...), by default) on the nodes rows in its coefficients: its
+        _node_jacobian times the design block that maps the coefficients to (F, F')."""
         design = np.concatenate([np.eye(4)[:, :, None] * m[rows, None, None]
                                  for m in _designs(self.n)], axis=1)
         node_jac = _node_jacobian(*(f[comp, rows] for f in self.fields))
@@ -208,17 +205,15 @@ class _Linearization:
     def gauge(self):
         """The gauge rows (|x'| - mean|x'|)·√(2π/n), one per node of each
         component, (2, n): all 0 where each component runs at constant speed."""
-        speeds = np.linalg.norm(self.fields[3], axis=-1)
-        return (speeds - np.mean(speeds, axis=-1, keepdims=True)) * np.sqrt(self.cell)
+        return (self.speeds - np.mean(self.speeds, axis=-1, keepdims=True)) * np.sqrt(self.cell)
 
-    def gauge_jacobian(self, comp: int):
-        """The (n, shape_dim()/2) Jacobian of component comp's gauge rows in its
+    def gauge_jacobian(self):
+        """The (2, n, shape_dim()/2) Jacobian of each component's gauge rows in its
         coefficients: d|x'| = (x'/|x'|).dx', with dx' the lower half of its
         _chain, minus its mean over the nodes, times √(2π/n)."""
-        vel = self.fields[3][comp]
-        tangent = vel / np.linalg.norm(vel, axis=-1, keepdims=True)
-        d_speed = np.einsum("nj,njk->nk", tangent, self._chain(comp)[:, 4:])
-        return (d_speed - np.mean(d_speed, axis=0)) * np.sqrt(self.cell)
+        tangent = self.fields[3] / self.speeds[..., None]
+        d_speed = np.einsum("cnj,cnjk->cnk", tangent, self._chain()[:, :, 4:])
+        return (d_speed - np.mean(d_speed, axis=1, keepdims=True)) * np.sqrt(self.cell)
 
     def normal_equations(self):
         """J^T J and J^T r, summed over the blocks, with each component's
@@ -229,8 +224,8 @@ class _Linearization:
             grad += jac.T @ r
             del jac  # so that the next block is built without this one
         half = shape_dim() // 2
-        for comp, rows in enumerate(self.gauge):
-            jac, block = self.gauge_jacobian(comp), slice(comp * half, (comp + 1) * half)
+        for comp, (jac, rows) in enumerate(zip(self.gauge_jacobian(), self.gauge)):
+            block = slice(comp * half, (comp + 1) * half)
             normal[block, block] += jac.T @ jac
             grad[block] += jac.T @ rows
         return normal, grad, float(np.linalg.norm(self.r))
@@ -275,8 +270,8 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
     r with the gauge rows stacked under it, and its Jacobian J (see
     _Linearization), and tries the renormalized v + δ, whose one evaluation
     (a _Linearization, as the start's) is the next step's linearization if
-    the area decreases; otherwise, or if its
-    components touch, it is dropped, λ grows and the step is solved again.
+    the area decreases; otherwise, or if its components touch (the kernel's
+    CoincidentPoints), it is dropped, λ grows and the step is solved again.
     λ falls after an accepted step, but not below the float epsilon ε, under
     which λ·tr(J^T J)/dim no longer moves J^T J's diagonal.  The trace holds
     the area at the start and after each accepted step, hence strictly
@@ -313,7 +308,7 @@ def minimize(v0, steps: int, grid_n: int = GRID_OPT,
             trial = _renormalize(v + delta)
             try:
                 point = _Linearization(trial, grid_n)
-            except DisjointnessViolation:
+            except CoincidentPoints:
                 point = None  # a colliding trial is rejected like a non-decrease
             if point is not None and point.area < lin.area:
                 break

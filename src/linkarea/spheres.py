@@ -31,12 +31,7 @@ def lift(x):
     norms = np.linalg.norm(x, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise NotOnSphere(f"|x| deviates from 1 by {np.max(np.abs(norms - 1.0)):.3e}")
-    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-
-
-def _lift_velocity(v):
-    v = np.asarray(v, dtype=float)
-    return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
+    return mk.lift(x)
 
 
 def require_separated(chord2, what):
@@ -87,7 +82,7 @@ def sigma_derivatives(c1, c2, s, t):
     y, yp = c2.evaluate(t)
     _check_separated(x, y)
     xb, yb = lift(x), lift(y)
-    dp = np.stack([mk.wedge(_lift_velocity(xp), yb), mk.wedge(xb, _lift_velocity(yp))])
+    dp = np.stack([mk.wedge(mk.lift(xp, 0.0), yb), mk.wedge(xb, mk.lift(yp, 0.0))])
     sigma, (sigma_s, sigma_t) = _psi_jet(mk.wedge(xb, yb - xb), dp)
     return sigma, sigma_s, sigma_t
 
@@ -118,7 +113,7 @@ def _pair_tangent_vectors(x, y):
     dx, dy = (np.moveaxis(np.linalg.qr(b[..., None], mode="complete")[0], -1, 0)[1:]
               for b in (x, y))
     xb, yb = lift(x), lift(y)
-    dp = np.concatenate([mk.wedge(_lift_velocity(dx), yb), mk.wedge(xb, _lift_velocity(dy))])
+    dp = np.concatenate([mk.wedge(mk.lift(dx, 0.0), yb), mk.wedge(xb, mk.lift(dy, 0.0))])
     return np.moveaxis(_psi_jet(mk.wedge(xb, yb - xb), dp)[1], 0, -2)
 
 

@@ -79,6 +79,19 @@ def lk1_component(kind, factor=1.0, huge=False):
     return {"kind": kind, field: values}
 
 
+def torus_curve_link(p, q, r):
+    """The torus curve (R cos ps, R sin ps, r cos qs, r sin qs), R = sqrt(1 - r^2),
+    with its core circle (0, 0, cos t, sin t); mode k's cos and sin coefficients
+    sit in columns 2k - 1 and 2k."""
+    big = np.sqrt(1.0 - r * r)
+    curve = np.zeros((4, 2 * max(p, q) + 1))
+    curve[0, 2 * p - 1] = curve[1, 2 * p] = big
+    curve[2, 2 * q - 1] = curve[3, 2 * q] = r
+    core = np.zeros((4, 3))
+    core[2, 1] = core[3, 2] = 1.0
+    return la.Link2(la.FourierCurve(curve), la.FourierCurve(core)), big
+
+
 def random_unit4(rng):
     while True:
         v = np.array([rng.normal() for _ in range(4)])

@@ -11,7 +11,7 @@ import pytest
 import linkarea as la
 from linkarea import cli
 from linkarea.errors import CoincidentPoints
-from conftest import lk1_component
+from conftest import lk1_component, torus_curve_link
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +438,14 @@ class TestInvariance:
                                "--transforms", "101")
         assert code == 2
 
+    @pytest.mark.parametrize("p, q, r", [(2, 3, 0.5), (2, 3, 0.7), (2, 5, 0.5)])
+    def test_knotted_torus_curve_with_core(self, capsys, tmp_path, p, q, r):
+        path = tmp_path / "torus.lk1"
+        la.write_link(torus_curve_link(p, q, r)[0], path)
+        code, out, _ = run_cli(capsys, "invariance", str(path))
+        assert code == 0
+        assert float(parse_report(out.strip())["max_rel_density"]) <= 1e-13
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_transforms_rejected(self, capsys, link_files, count):
         code, out, err = run_cli(capsys, "invariance", link_files["hopf"], "--transforms", count)
@@ -529,6 +537,28 @@ class TestMinimize:
                                "--trace-out", str(trace), "--link-out", str(final))
         assert code == 3
         assert err.startswith("error: speed")
+        assert not trace.exists()
+        assert not final.exists()
+
+    @pytest.mark.parametrize("kind", ["fourier4", "samples4"])
+    def test_start_whose_fit_is_no_link_fails_without_outputs(self, capsys, tmp_path, kind):
+        """T(5, 6) at r = 0.7 has no mode up to 4: the fit that the descent starts
+        from is roundoff, which is no curve, so minimize rejects the input."""
+        link = torus_curve_link(5, 6, 0.7)[0]
+        start = tmp_path / "t56.lk1"
+        if kind == "fourier4":
+            la.write_link(link, start)
+        else:
+            s = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+            start.write_text(_lk1(*({"kind": "samples4", "nodes": c.point(s).tolist()}
+                                    for c in (link.c1, link.c2))))
+        trace, final = tmp_path / "t.csv", tmp_path / "f.lk1"
+        code, out, err = run_cli(capsys, "minimize", str(start), "--steps", "3",
+                                 "--trace-out", str(trace), "--link-out", str(final))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: FILE's mode-4 Fourier fit is not a link: "
+                       "fourier curve passes too close to the origin\n")
         assert not trace.exists()
         assert not final.exists()
 

@@ -165,9 +165,10 @@ MUTATIONS = {
     "lift_time_times_1p1e-6": (lambda mp: _patch(mp, (spheres,), "lift",
                                                  lambda f: lambda x: _scaled(f(x), 0, 1 + 1e-6)),
                                ["psi_equivariance", "tangent_nullity", "metric_two_routes"]),
-    "lift_velocity_times_1p1e-6": (lambda mp: _patch(mp, (spheres,), "_lift_velocity",
-                                                     lambda f: lambda v: (1 + 1e-6) * f(v)),
-                                   ["metric_two_routes"]),
+    "lift_velocity_times_1p1e-6": (lambda mp: _patch(
+        mp, (minkowski,), "lift",
+        lambda f: lambda v, lead=1.0: f(v, lead) * (1 + 1e-6 if lead == 0.0 else 1.0)),
+        ["metric_two_routes"]),
     "sigma_s_plus_1e-9_sigma_t": (lambda mp: _sheared_sigma_s(mp, 1e-9), ["tangent_nullity"]),
     # a tangent repeated leaves the 6 x 6 Gram matrix a zero eigenvalue
     "sixth_tangent_is_fifth": (lambda mp: _patch(mp, (spheres,), "_pair_tangent_vectors",

@@ -7,7 +7,7 @@ import linkarea as la
 from linkarea import minkowski as mk
 from linkarea import optimize as opt
 from linkarea import spheres as sp
-from linkarea.errors import BadParameter, DisjointnessViolation
+from linkarea.errors import BadParameter, CoincidentPoints
 from linkarea.links import CircleCurve, FourierCurve
 from linkarea.rng import Lcg64
 
@@ -34,11 +34,10 @@ def gauge_rows(vector, grid_n=opt.GRID_OPT):
 
 def gauge_jacobian(lin):
     """The (2 grid_n, shape_dim()) Jacobian of the joined gauge rows: each
-    component's gauge_jacobian in its own coefficients' columns."""
-    half = opt.shape_dim() // 2
-    jac = np.zeros((2, lin.n, 2, half))
-    for comp in range(2):
-        jac[comp, :, comp] = lin.gauge_jacobian(comp)
+    component's block of gauge_jacobian in its own coefficients' columns."""
+    jac = np.zeros((2, lin.n, 2, opt.shape_dim() // 2))
+    for comp, block in enumerate(lin.gauge_jacobian()):
+        jac[comp, :, comp] = block
     return jac.reshape(2 * lin.n, -1)
 
 
@@ -132,7 +131,7 @@ class TestObjective:
     def test_disjointness_violation(self, hopf):
         v = opt.encode_link(hopf)
         v[opt.shape_dim() // 2:] = v[:opt.shape_dim() // 2]  # both components equal
-        with pytest.raises(DisjointnessViolation):
+        with pytest.raises(CoincidentPoints):
             opt.objective(v)
 
 
@@ -319,11 +318,11 @@ class TestMinimize:
         trial is the next step's linearization: 1 + 19 grids over these 10 steps
         from a round pair, with 9 rejected trials."""
         rows, counts = [], {"objective": 0, "_Linearization": 0, "_grid_fields": 0}
-        real_field = opt._metric_field
+        real_kernel = opt.metric_kernel
 
-        def counted_field(pts, vel):
-            rows.append(len(pts[0]))  # s-rows
-            return real_field(pts, vel)
+        def counted_kernel(x, xp, y, yp):
+            rows.append(len(x))  # s-rows
+            return real_kernel(x, xp, y, yp)
 
         def counted(name):
             real = getattr(opt, name)
@@ -333,7 +332,7 @@ class TestMinimize:
                 return real(*args)
             return wrapper
 
-        monkeypatch.setattr(opt, "_metric_field", counted_field)
+        monkeypatch.setattr(opt, "metric_kernel", counted_kernel)
         for name in counts:
             monkeypatch.setattr(opt, name, counted(name))
         res = opt.minimize(opt.encode_link(la.great_circle_pair(0.3, 0.3)), steps=10)
@@ -442,16 +441,16 @@ class TestMinimize:
         trial's point."""
         link = la.perturbed_hopf_link(0.1, 1)
         v0 = opt.encode_link(link)
-        real = opt._metric_field
+        real = opt.metric_kernel
         calls = {"n": 0}
 
-        def guarded(pts, vel):
+        def guarded(*fields):
             calls["n"] += 1
             if calls["n"] > 1:
-                raise DisjointnessViolation("forced collision")
-            return real(pts, vel)
+                raise CoincidentPoints("forced collision")
+            return real(*fields)
 
-        monkeypatch.setattr(opt, "_metric_field", guarded)
+        monkeypatch.setattr(opt, "metric_kernel", guarded)
         res = opt.minimize(v0, steps=3, stop_below=-1.0)
         assert res.status == "stalled"
         assert len(res.trace) == 1
