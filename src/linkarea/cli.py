@@ -140,13 +140,12 @@ def cmd_oracle(args) -> int:
         raise BadParameter("at most 10000 samples")
     link = read_link(args.file)
     rng = Lcg64(args.seed)
-    pole = cf.chart_pole(link.c1, link.c2)
     # the draws alternate s, t
     s, t = rng.uniform_array(2 * args.samples, 0.0, TWO_PI).reshape(-1, 2).T
     _, theta, _, re = cf.density_pairs(link.c1, link.c2, s, t)
-    theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t, pole=pole)
+    theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s, t)
     dev_chart = float(np.max(np.abs(np.cos(theta) - np.cos(theta_chart))))
-    re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t, pole=pole)
+    re_fd = cf.cross_ratio_fd(link.c1, link.c2, s, t)
     dev_fd = float(np.max(np.abs(re - re_fd)))
     residual = sy.exterior_derivative_check(link.c1, link.c2)
     print(f"samples={args.samples} wedge_vs_chart={_fmt(dev_chart)} "

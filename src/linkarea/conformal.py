@@ -24,7 +24,7 @@ routes both lay out."""
 import numpy as np
 
 from .errors import CoincidentPoints, CosineOutOfRange, PoleOnCurve
-from .links import parameter_grid
+from .links import PROBE
 from .spheres import metric_kernel
 
 #: minimum clearance between a chart pole and either curve
@@ -63,9 +63,8 @@ _POLE_CANDIDATES = _POLE_CANDIDATES / np.linalg.norm(_POLE_CANDIDATES, axis=1, k
 
 def chart_pole(c1, c2):
     """First of 26 fixed candidate poles with clearance >= 0.3 from both
-    curves, each sampled at 512 uniform parameters."""
-    s = parameter_grid(512)
-    pts = np.vstack([c1.point(s), c2.point(s)])
+    curves, each sampled at the PROBE parameters."""
+    pts = np.vstack([c1.point(PROBE), c2.point(PROBE)])
     for cand in _POLE_CANDIDATES:
         clearance = np.min(np.linalg.norm(pts - cand, axis=1))
         if clearance >= POLE_CLEARANCE:
@@ -162,26 +161,25 @@ def _chart_angle(xc, tx, yc, ty):
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def _chart_stacks(c1, c2, s, t, pole):
-    """Chart points and tangents (xc, tx, yc, ty) of both curves at s and t."""
-    if pole is None:
-        pole = chart_pole(c1, c2)
+def _chart_stacks(c1, c2, s, t):
+    """Chart points and tangents (xc, tx, yc, ty) of both curves at s and t, by chart_pole."""
+    pole = chart_pole(c1, c2)
     basis = chart_basis(pole)
     x, xp = c1.evaluate(s)
     y, yp = c2.evaluate(t)
     return (*chart_jet(x, xp, pole, basis), *chart_jet(y, yp, pole, basis))
 
 
-def conformal_angle_chart_pairs(c1, c2, s, t, pole=None):
+def conformal_angle_chart_pairs(c1, c2, s, t):
     """Chart-route angle at the samples (s, t), broadcast as in density_pairs."""
-    stacks = _chart_stacks(c1, c2, np.asarray(s, dtype=float), np.asarray(t, dtype=float), pole)
+    stacks = _chart_stacks(c1, c2, np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     return _chart_angle(*(a[..., None, :] for a in stacks))[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
 # finite-difference cross-ratio oracle
 
-def cross_ratio_fd(c1, c2, s, t, pole=None):
+def cross_ratio_fd(c1, c2, s, t):
     """Real cross-ratio density at the samples (s, t) from four stencil points.
 
     The stencil p1,2 = xc -+ h tx, p3,4 = yc -+ h ty of spread eps = 2h lies
@@ -197,8 +195,7 @@ def cross_ratio_fd(c1, c2, s, t, pole=None):
     (4 R(eps/2) - R(eps))/3 at eps = FD_SPREAD is returned.  s and t
     broadcast as in density_pairs.
     """
-    xc, tx, yc, ty = _chart_stacks(c1, c2, np.asarray(s, dtype=float),
-                                   np.asarray(t, dtype=float), pole)
+    xc, tx, yc, ty = _chart_stacks(c1, c2, np.asarray(s, dtype=float), np.asarray(t, dtype=float))
 
     def dot(u, v):
         return np.sum(u * v, axis=-1)

@@ -10,10 +10,6 @@ class LinkAreaError(Exception):
     """Base class for all linkarea errors."""
 
 
-class NotOnSphere(LinkAreaError):
-    """A point expected on the unit 3-sphere is too far from it."""
-
-
 class CoincidentPoints(LinkAreaError):
     """Two points that must be distinct are closer than the separation floor."""
 
@@ -24,10 +20,6 @@ class ImmersionFailure(LinkAreaError):
 
 class BadParameter(LinkAreaError):
     """A catalogue or construction parameter is outside its documented range."""
-
-
-class BadPolygon(LinkAreaError):
-    """A polygonal node list cannot be turned into a closed curve."""
 
 
 class BadLinkFile(LinkAreaError):
@@ -44,10 +36,6 @@ class CosineOutOfRange(LinkAreaError):
 
 class NoConvergence(LinkAreaError):
     """Grid refinement hit the resolution cap before meeting the tolerance."""
-
-
-class DisjointnessViolation(LinkAreaError):
-    """The two components of a candidate link come closer than the floor."""
 
 
 class IoFailure(LinkAreaError):

@@ -18,8 +18,8 @@ import json
 import numpy as np
 
 from . import minkowski as mk
-from .errors import (BadLinkFile, BadParameter, BadPolygon, DisjointnessViolation,
-                     ImmersionFailure, LinkAreaError, open_output)
+from .errors import (BadLinkFile, BadParameter, CoincidentPoints, ImmersionFailure,
+                     LinkAreaError, open_output)
 from .rng import Lcg64
 
 TWO_PI = 2.0 * np.pi
@@ -30,9 +30,10 @@ DELTA_SEP = 1e-6
 #: minimum admissible parametric speed (immersion floor)
 V_MIN = 1e-4
 
-#: node count for sampled curves and for whole-curve probes, default Fourier mode cap
+#: samples per curve of Link2's disjointness probe, of a curve that a link file
+#: stores as samples4 nodes, and of the descent's Fourier fit and circle residual
 N_SAMPLES = 256
-K_MAX = 16
+K_MAX = 16  #: most Fourier modes of a curve
 
 #: coarsest torus grid, per side, that measures the area: the quadrature's first
 #: level and the descent's least objective grid, below which the descent zeroes g
@@ -43,6 +44,12 @@ N_MIN = 32
 def parameter_grid(n: int):
     """The n uniform parameters 2 pi k / n, k = 0, ..., n - 1."""
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
+
+
+#: parameters of a whole-curve probe: a Fourier curve's radius and speed checks,
+#: the sup norm of perturbed_hopf_link's noise, and chart_pole's clearance
+PROBE = parameter_grid(512)
+PROBE.flags.writeable = False
 
 
 class LinkCurve:
@@ -111,9 +118,8 @@ class FourierCurve(LinkCurve):
             raise BadParameter("fourier coefficients must be finite")
         self.coeffs = coeffs
         self.n_modes = (coeffs.shape[1] - 1) // 2
-        probe = parameter_grid(512)
         with np.errstate(all="ignore"):  # an overflow is reported below, as a bad parameter
-            f, fp = (m @ coeffs.T for m in _fourier_design(probe, self.n_modes))
+            f, fp = (m @ coeffs.T for m in _fourier_design(PROBE, self.n_modes))
             radii, v = np.linalg.norm(f, axis=-1), radial_jet(f, fp)[1]
         if np.min(radii) < 0.05:
             raise BadParameter("fourier curve passes too close to the origin")
@@ -177,12 +183,12 @@ class SampledCurve(LinkCurve):
     def __init__(self, nodes):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 4 or nodes.shape[0] < 8:
-            raise BadPolygon("need at least 8 nodes of dimension 4")
+            raise BadParameter("need at least 8 nodes of dimension 4")
         if not np.all(np.isfinite(nodes)):
-            raise BadPolygon("nodes must be finite")
+            raise BadParameter("nodes must be finite")
         norms = np.linalg.norm(nodes, axis=1)
         if np.any(norms < 0.5) or np.any(norms > 2.0):
-            raise BadPolygon("node norms too far from the unit sphere")
+            raise BadParameter("node norms too far from the unit sphere")
         self.nodes = nodes / norms[:, None]
         n = len(self.nodes)
         w = TWO_PI * np.arange(n // 2 + 1) / n
@@ -229,7 +235,7 @@ class Link2:
         self.c2 = c2
         sep = self.min_separation()
         if not sep > DELTA_SEP:
-            raise DisjointnessViolation(f"components approach to {sep:.3e}")
+            raise CoincidentPoints(f"components approach to {sep:.3e}")
 
     def min_separation(self) -> float:
         """Least chord over the sample pairs, refined near each pair that the
@@ -293,17 +299,15 @@ def separated_link(d: float) -> Link2:
     return Link2(c1, c2)
 
 
-def parallel_circles_link(r: float = 1.0, gap: float = 1.0) -> Link2:
-    """Two coaxial radius-r circles in planes z = +-gap/2, lifted to S^3."""
-    if r <= 0.0 or gap <= 0.0:
-        raise BadParameter("radius and gap must be positive")
+def parallel_circles_link() -> Link2:
+    """Two coaxial unit circles in the planes z = +-1/2 of R^3, lifted to S^3."""
 
     def lifted(z0):
-        q = r * r + z0 * z0 + 1.0
+        q = z0 * z0 + 2.0  # |u|^2 + 1 on the circle
         center = np.array([0.0, 0.0, 2.0 * z0 / q, (q - 2.0) / q])
-        return CircleCurve(center, _E[0], _E[1], 2.0 * r / q)
+        return CircleCurve(center, _E[0], _E[1], 2.0 / q)
 
-    return Link2(lifted(0.5 * gap), lifted(-0.5 * gap))
+    return Link2(lifted(0.5), lifted(-0.5))
 
 
 def great_circle_pair(alpha: float, beta: float) -> Link2:
@@ -340,14 +344,13 @@ def perturbed_hopf_link(eps: float, seed: int) -> Link2:
         raise BadParameter("perturbation amplitude must lie in [0, 0.3)")
     rng = Lcg64(seed)
     curves = []
-    probe = parameter_grid(512)
     for base in (_HOPF_COEFFS_1, _HOPF_COEFFS_2):
         coeffs = base.copy()
         if eps > 0.0:
             # per coordinate: a0 scaled by 1/2, the cosine and sine of mode k by 2^-k
             raw = (rng.uniform_array(28, -1.0, 1.0).reshape(4, 7)
                    * (0.5, 0.5, 0.5, 0.25, 0.25, 0.125, 0.125))
-            delta = _fourier_design(probe, 3)[0] @ raw.T
+            delta = _fourier_design(PROBE, 3)[0] @ raw.T
             top = np.max(np.linalg.norm(delta, axis=-1))
             coeffs = coeffs + (eps / top) * raw
         curves.append(FourierCurve(coeffs))
@@ -361,7 +364,7 @@ def catalogue() -> dict:
         "separated_1.0": separated_link(1.0),
         "separated_1.5": separated_link(1.5),
         "separated_1.9": separated_link(1.9),
-        "parallel_circles": parallel_circles_link(1.0, 1.0),
+        "parallel_circles": parallel_circles_link(),
     }
     for seed in range(5):
         links[f"perturbed_hopf_0.2_s{seed}"] = perturbed_hopf_link(0.2, seed)
@@ -467,13 +470,13 @@ def chart_lift(points) -> SampledCurve:
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise BadPolygon("expected an (N, 3) array of nodes")
+        raise BadParameter("expected an (N, 3) array of nodes")
     if pts.shape[0] < 8:
-        raise BadPolygon("need at least 8 nodes")
+        raise BadParameter("need at least 8 nodes")
     if not np.all(np.isfinite(pts)):
-        raise BadPolygon("nodes must be finite")
+        raise BadParameter("nodes must be finite")
     if _min_pairwise_distance(pts) < 1e-12:
-        raise BadPolygon("repeated nodes")
+        raise BadParameter("repeated nodes")
     return SampledCurve(inverse_stereographic(pts))
 
 
@@ -550,5 +553,5 @@ def read_link(path) -> Link2:
     c2 = _component_from_dict(comps[1], 1)
     try:
         return Link2(c1, c2)
-    except DisjointnessViolation as exc:
+    except CoincidentPoints as exc:
         raise BadLinkFile(f"components are not disjoint: {exc}") from exc

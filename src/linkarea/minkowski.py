@@ -18,7 +18,6 @@ import numpy as np
 
 #: lexicographic multi-index order for wedge coordinates
 PAIRS = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-PAIR_INDEX = {ij: k for k, ij in enumerate(PAIRS)}
 
 _I1 = np.array([ij[0] for ij in PAIRS])
 _I2 = np.array([ij[1] for ij in PAIRS])

@@ -9,7 +9,7 @@ independent routes, and tangent-space signature counting.
 import numpy as np
 
 from . import minkowski as mk
-from .errors import CoincidentPoints, NotOnSphere
+from .errors import BadParameter, CoincidentPoints
 from .links import DELTA_SEP
 
 #: zero threshold for Gram eigenvalues; theta_tangent_signature applies it
@@ -30,7 +30,7 @@ def lift(x):
     x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise NotOnSphere(f"|x| deviates from 1 by {np.max(np.abs(norms - 1.0)):.3e}")
+        raise BadParameter(f"|x| deviates from 1 by {np.max(np.abs(norms - 1.0)):.3e}")
     return mk.lift(x)
 
 
@@ -50,22 +50,26 @@ def psi_embed(x, y):
     """Unit 2-vector of the pair (x, y): wedge of lifts, normalized.
 
     Well defined for distinct points because the wedge has squared norm
-    <xbar, ybar>^2 = (|x - y|^2 / 2)^2 > 0.  Here, in sigma_derivatives and in
-    _pair_tangent_vectors, the wedge is xbar ^ (ybar - xbar), with ybar - xbar
-    = (0, y - x) taken exactly: each coordinate then carries the difference,
-    so that the norm keeps its accuracy down to DELTA_SEP.  Its derivatives
-    keep the form dxbar ^ ybar + xbar ^ dybar, as xbar ^ xbar = 0.
+    <xbar, ybar>^2 = (|x - y|^2 / 2)^2 > 0.
+    """
+    empty = np.empty((0,) + np.broadcast_shapes(np.shape(x), np.shape(y)))
+    return _psi_jet(x, y, empty, empty)[0]
+
+
+def _psi_jet(x, y, dx, dy):
+    """psi = p/|p| at the pairs (x, y) and its derivatives dp/|p| - p<p, dp>/|p|^3
+    along the tangent stacks dx and dy (k, ..., 4), stacked as (2k, ..., 10).
+
+    The wedge is p = xbar ^ (ybar - xbar), with ybar - xbar = (0, y - x) taken
+    exactly: each coordinate then carries the difference, so that the norm
+    keeps its accuracy down to DELTA_SEP.  Its derivatives keep the form
+    dxbar ^ ybar + xbar ^ dybar, as xbar ^ xbar = 0.
     """
     _check_separated(x, y)
-    xb = lift(x)
-    p = mk.wedge(xb, lift(y) - xb)
-    n2 = mk.inner10(p, p)
-    return p / np.sqrt(n2)[..., None]
-
-
-def _psi_jet(p, dp):
-    """psi = p/|p| and its derivatives dp/|p| - p<p, dp>/|p|^3 along a stack of
-    wedge derivatives dp (k, ..., 10) of p (..., 10)."""
+    xb, yb = lift(x), lift(y)
+    p = mk.wedge(xb, yb - xb)
+    dp = np.concatenate(np.broadcast_arrays(mk.wedge(mk.lift(dx, 0.0), yb),
+                                            mk.wedge(xb, mk.lift(dy, 0.0))))
     n2 = np.asarray(mk.inner10(p, p))[..., None]
     rn = np.sqrt(n2)
     return p / rn, dp / rn - p * (mk.inner10(p, dp)[..., None] / (n2 * rn))
@@ -80,10 +84,7 @@ def sigma_derivatives(c1, c2, s, t):
     """
     x, xp = c1.evaluate(s)
     y, yp = c2.evaluate(t)
-    _check_separated(x, y)
-    xb, yb = lift(x), lift(y)
-    dp = np.stack([mk.wedge(mk.lift(xp, 0.0), yb), mk.wedge(xb, mk.lift(yp, 0.0))])
-    sigma, (sigma_s, sigma_t) = _psi_jet(mk.wedge(xb, yb - xb), dp)
+    sigma, (sigma_s, sigma_t) = _psi_jet(x, y, xp[None], yp[None])
     return sigma, sigma_s, sigma_t
 
 
@@ -112,9 +113,7 @@ def _pair_tangent_vectors(x, y):
     last three columns of each point's complete QR, an orthonormal tangent basis."""
     dx, dy = (np.moveaxis(np.linalg.qr(b[..., None], mode="complete")[0], -1, 0)[1:]
               for b in (x, y))
-    xb, yb = lift(x), lift(y)
-    dp = np.concatenate([mk.wedge(mk.lift(dx, 0.0), yb), mk.wedge(xb, mk.lift(dy, 0.0))])
-    return np.moveaxis(_psi_jet(mk.wedge(xb, yb - xb), dp)[1], 0, -2)
+    return np.moveaxis(_psi_jet(x, y, dx, dy)[1], 0, -2)
 
 
 def theta_tangent_signature(x, y):
@@ -126,8 +125,7 @@ def theta_tangent_signature(x, y):
     (..., 3) counts, relative to each Gram's largest |lambda|; a pair whose
     tangents are non-finite or all zero has no signature and counts (0, 0, 0).
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    _check_separated(x, y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     # at DELTA_SEP, <p, p> is within 0.3 % of chord^4/4; a pair whose tangents
     # are not finite all the same counts (0, 0, 0)
     with np.errstate(divide="ignore", invalid="ignore"):

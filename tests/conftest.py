@@ -30,7 +30,7 @@ def separated19():
 
 @pytest.fixture(scope="session")
 def parallel():
-    return la.parallel_circles_link(1.0, 1.0)
+    return la.parallel_circles_link()
 
 
 @pytest.fixture(scope="session")
@@ -100,6 +100,10 @@ def random_unit4(rng):
             return v / n
 
 
+#: position of each index pair (i, j) among the ten wedge coordinates
+PAIR_INDEX = {ij: k for k, ij in enumerate(mk.PAIRS)}
+
+
 # reference routes of the Minkowski algebra, independent of its coordinate
 # forms: the inner product of R^5, the determinant form of inner10 and the
 # quadratic relations that vanish exactly on decomposable 2-vectors
@@ -125,7 +129,7 @@ def plucker_residuals(p):
     p = np.asarray(p, dtype=float)
 
     def at(i, j):
-        return p[..., mk.PAIR_INDEX[(i, j)]]
+        return p[..., PAIR_INDEX[(i, j)]]
 
     return np.stack([-(at(a, b) * at(c, d) - at(a, c) * at(b, d) + at(a, d) * at(b, c))
                      for a, b, c, d in _QUADS], axis=-1)

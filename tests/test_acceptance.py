@@ -107,12 +107,11 @@ def test_criterion_05_density_routes(separated10, perturbed02):
         theta_chart = cf.conformal_angle_chart_pairs(link.c1, link.c2, s[:, None], s)
         g_chart = 2.0 * absv * np.cos(theta_chart)
         grid_devs += [g_closed - g_explicit, g_closed - g_chart]
-        pole = cf.chart_pole(link.c1, link.c2)
         rng = Lcg64(105)
         for _ in range(20):
             s0, t0 = rng.uniform_array(2, 0, TWO_PI)
             want = 0.5 * cf.density_pairs(link.c1, link.c2, s0, t0)[0]
-            fd_devs.append(cf.cross_ratio_fd(link.c1, link.c2, s0, t0, pole=pole) - want)
+            fd_devs.append(cf.cross_ratio_fd(link.c1, link.c2, s0, t0) - want)
     worst_grid = np.max(np.abs(grid_devs))
     # the Richardson value within TOL_FD = 1e-10 also shows the stencil's
     # order: a first-order stencil would leave about FD_SPREAD |dRe Omega|,

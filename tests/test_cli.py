@@ -10,6 +10,7 @@ import pytest
 
 import linkarea as la
 from linkarea import cli
+from linkarea import errors
 from linkarea.errors import CoincidentPoints
 from conftest import lk1_component, torus_curve_link
 
@@ -698,6 +699,28 @@ class TestMinimize:
         assert rep["steps"] == "0"
 
 
+#: the exit code of each failure: 2 for an input error, 3 for a numerical failure
+EXIT_CODES = {errors.BadLinkFile: 2, errors.BadParameter: 2, errors.IoFailure: 2, ValueError: 2,
+              errors.CoincidentPoints: 3, errors.ImmersionFailure: 3, errors.PoleOnCurve: 3,
+              errors.CosineOutOfRange: 3, errors.NoConvergence: 3, errors.LinkAreaError: 3}
+
+
+class TestExitCodes:
+    def test_every_error_class_classified(self):
+        def descendants(cls):
+            return {d for sub in cls.__subclasses__() for d in {sub} | descendants(sub)}
+        assert descendants(errors.LinkAreaError) == set(EXIT_CODES) - {ValueError,
+                                                                       errors.LinkAreaError}
+
+    @pytest.mark.parametrize("error, code", list(EXIT_CODES.items()),
+                             ids=[e.__name__ for e in EXIT_CODES])
+    def test_exit_code(self, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error("the message")
+        monkeypatch.setitem(cli._COMMANDS, "verify", fail)
+        assert run_cli(capsys, "verify") == (code, "", "error: the message\n")
+
+
 class TestImports:
     @staticmethod
     def _fresh_python(script, blas_threads=None):
@@ -857,3 +880,43 @@ class TestReadmeSynopses:
     ])
     def test_disagreement_found(self, synopsis, error):
         assert error in check_synopsis(synopsis, cli.build_parser())[1]
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def install_job_script():
+    """The run block of the install job's "Run the linkarea entry point" step,
+    without the lines that set up the installed package: its PATH export and
+    its check that scipy is not installed."""
+    lines = WORKFLOW.read_text(encoding="utf-8").split("- name: Run the linkarea entry point\n")[1]
+    run = lines.split("run: |\n", 1)[1].splitlines()
+    indent = len(run[0]) - len(run[0].lstrip())
+    body = []
+    for line in run:
+        if line.strip() and len(line) - len(line.lstrip()) < indent:
+            break
+        body.append(line[indent:])
+    return [line for line in body if not line.startswith("export PATH=")
+            and "find_spec('scipy')" not in line]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="FIFOs and coreutils")
+def test_install_job_script_passes(tmp_path):
+    """The install job's checks, run on this source tree through a linkarea
+    wrapper on PATH in place of the installed console script."""
+    script = install_job_script()
+    assert any(line.startswith("linkarea anglemap") for line in script)
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "python").symlink_to(sys.executable)
+    wrapper = bin_dir / "linkarea"
+    wrapper.write_text('#!/bin/sh\nexec python -m linkarea.cli "$@"\n')
+    wrapper.chmod(0o755)
+    src = str(Path(la.__file__).resolve().parents[1])
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}", PYTHONPATH=src)
+    work = tmp_path / "work"
+    work.mkdir()
+    done = subprocess.run(["bash", "-e", "-c", "\n".join(script)], cwd=work, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

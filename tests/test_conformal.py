@@ -135,37 +135,35 @@ class TestCrossRatioDensity:
 
 class TestCrossRatioFd:
     def test_hopf_vanishes(self, hopf):
-        pole = cf.chart_pole(hopf.c1, hopf.c2)
         rng = Lcg64(36)
         for _ in range(10):
             s0, t0 = rng.uniform_array(2, 0, TWO_PI)
-            val = cf.cross_ratio_fd(hopf.c1, hopf.c2, s0, t0, pole=pole)
+            val = cf.cross_ratio_fd(hopf.c1, hopf.c2, s0, t0)
             assert abs(val) <= cf.TOL_FD
 
     def test_agreement(self, perturbed02):
-        pole = cf.chart_pole(perturbed02.c1, perturbed02.c2)
         rng = Lcg64(37)
         for _ in range(20):
             s0, t0 = rng.uniform_array(2, 0, TWO_PI)
             want = cf.density_pairs(perturbed02.c1, perturbed02.c2, s0, t0)[3]
-            val = cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s0, t0, pole=pole)
+            val = cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s0, t0)
             assert abs(val - want) <= cf.TOL_FD
 
     def test_formerly_concircular_stencil(self, hopf):
         # both stencil pairs on one planar circle through the chart
-        c, pole = hopf.c1, np.array([0.0, 0.0, 0.0, 1.0])
+        c = hopf.c1
         back = la.FourierCurve(c.coeffs * (1.0, 1.0, -1.0))  # c run backwards
-        val = cf.cross_ratio_fd(c, back, 0.0, np.pi / 2, pole=pole)
+        assert cf.chart_pole(c, back).tolist() == [0.0, 0.0, 0.0, 1.0]
+        val = cf.cross_ratio_fd(c, back, 0.0, np.pi / 2)
         want = 0.5 * cf.density_pairs(c, back, 0.0, np.pi / 2)[0]
         assert abs(val - want) <= cf.TOL_FD
 
     def test_array_call_matches_scalar_calls(self, perturbed02):
-        pole = cf.chart_pole(perturbed02.c1, perturbed02.c2)
         rng = Lcg64(38)
         s, t = rng.uniform_array(100, 0, TWO_PI).reshape(50, 2).T
-        batch = cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s, t, pole=pole)
+        batch = cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s, t)
         assert batch.shape == s.shape
-        single = [cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s0, t0, pole=pole)
+        single = [cf.cross_ratio_fd(perturbed02.c1, perturbed02.c2, s0, t0)
                   for s0, t0 in zip(s, t)]
         assert all(np.ndim(v) == 0 for v in single)
         # scalar and stacked curve evaluation may differ in the last bit,

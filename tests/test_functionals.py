@@ -642,6 +642,43 @@ class TestExportImport:
         with pytest.raises(IoFailure):
             la.write_grid(*la.grid_blocks(hopf, 32, 32), tmp_path / "missing" / "grid.csv")
 
+    def test_helper_ending_early_fails_the_write(self, hopf, tmp_path):
+        # the forked helper leaves at block 1 without an end of turn, once this
+        # process has sent the end of block 0, so that this process's wait
+        # for the end of block 1 reads the end of the pipe
+        import errno
+        from collections.abc import Sequence
+
+        from linkarea.errors import IoFailure
+        s, t, blocks = la.grid_blocks(hopf, 256, 256)
+        test_pid = os.getpid()
+        sent_r, sent_w = os.pipe()
+
+        class HelperQuits(Sequence):
+            def __len__(self):
+                return len(blocks)
+
+            def __getitem__(self, k):
+                if os.getpid() != test_pid:
+                    os.read(sent_r, 1)
+                    os._exit(0)
+                if k == 2:  # block 0 is written and its end of turn sent
+                    os.write(sent_w, b"\0")
+                return blocks[k]
+
+        assert len(blocks) >= 3 and gio._single_threaded()  # the forked path
+        path = tmp_path / "grid.csv"
+        try:
+            with pytest.raises(IoFailure, match="other writer of the grid ended early") as err:
+                la.write_grid(s, t, HelperQuits(), path)
+        finally:
+            os.close(sent_r)
+            os.close(sent_w)
+        assert err.value.__cause__.errno == errno.EPIPE
+        assert not path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 def _adversarial_doubles():
     """Values on which a "%.17g" digit generator is likely to slip."""

@@ -3,7 +3,7 @@ import pytest
 
 from linkarea import minkowski as mk
 from linkarea.rng import Lcg64
-from conftest import inner5, inner10_det, plucker_residuals
+from conftest import PAIR_INDEX, inner5, inner10_det, plucker_residuals
 
 E = np.eye(5)
 
@@ -38,7 +38,7 @@ class TestWedge:
     def test_basis_pair(self):
         p = mk.wedge(E[0], E[1])
         want = np.zeros(10)
-        want[mk.PAIR_INDEX[(0, 1)]] = 1.0
+        want[PAIR_INDEX[(0, 1)]] = 1.0
         assert np.array_equal(p, want)
 
     def test_antipodal_lift_minors(self):
@@ -47,7 +47,7 @@ class TestWedge:
         v = np.array([1.0, 0, 0, -1, 0])
         p = mk.wedge(u, v)
         want = np.zeros(10)
-        want[mk.PAIR_INDEX[(0, 3)]] = -2.0
+        want[PAIR_INDEX[(0, 3)]] = -2.0
         assert np.array_equal(p, want)
 
     def test_antisymmetry_and_self(self):

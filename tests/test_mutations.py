@@ -73,8 +73,8 @@ def _sheared_sigma_s(monkeypatch, shear):
     # product g with the null sigma_t; on the six tangents of a pair the shear
     # is a change of basis, which keeps their signature
     def wrap(f):
-        def sheared(p, dp):
-            psi, dpsi = f(p, dp)
+        def sheared(*args):
+            psi, dpsi = f(*args)
             return psi, np.concatenate([dpsi[:1] + shear * dpsi[1:2], dpsi[1:]])
         return sheared
     _patch(monkeypatch, (spheres,), "_psi_jet", wrap)

@@ -7,9 +7,9 @@ from linkarea import links as lk
 from linkarea import minkowski as mk
 from linkarea import spheres as sp
 from linkarea import symplectic as sy
-from linkarea.errors import CoincidentPoints, NotOnSphere
+from linkarea.errors import BadParameter, CoincidentPoints
 from linkarea.rng import Lcg64
-from conftest import inner5, plucker_residuals, random_unit4
+from conftest import PAIR_INDEX, inner5, plucker_residuals, random_unit4
 
 TWO_PI = 2 * np.pi
 E4 = np.eye(4)
@@ -40,7 +40,7 @@ class TestLift:
             assert inner5(sp.lift(x), sp.lift(y)) == pytest.approx(-1 + x @ y, abs=1e-14)
 
     def test_rejects_off_sphere(self):
-        with pytest.raises(NotOnSphere):
+        with pytest.raises(BadParameter):
             sp.lift(np.array([1.0, 0, 0, 1e-4]))
 
 
@@ -48,7 +48,7 @@ class TestPsiEmbed:
     def test_antipodal_pair(self):
         p = sp.psi_embed(np.array([0.0, 0, 1, 0]), np.array([0.0, 0, -1, 0]))
         want = np.zeros(10)
-        want[mk.PAIR_INDEX[(0, 3)]] = -1.0
+        want[PAIR_INDEX[(0, 3)]] = -1.0
         assert np.allclose(p, want, atol=1e-15)
 
     def test_unit_norm_and_decomposable(self):
@@ -96,6 +96,15 @@ class TestSeparationFloor:
 
 
 class TestSigmaDerivatives:
+    def test_grid_broadcast_matches_pairs(self, perturbed02):
+        s, t = np.linspace(0.0, 6.0, 5), np.linspace(0.5, 6.5, 7)
+        grid = sp.sigma_derivatives(perturbed02.c1, perturbed02.c2, s[:, None], t)
+        S, T = np.meshgrid(s, t, indexing="ij")
+        pairs = sp.sigma_derivatives(perturbed02.c1, perturbed02.c2, S.ravel(), T.ravel())
+        for a, b in zip(grid, pairs):
+            assert a.shape == (5, 7, 10)
+            np.testing.assert_allclose(a.reshape(-1, 10), b, rtol=0, atol=1e-14)
+
     def test_nullity_random_links(self, small_catalogue):
         rng = Lcg64(23)
         for link in small_catalogue.values():
@@ -178,6 +187,8 @@ class TestSignature:
         assert batched.tolist() == [sp.theta_tangent_signature(a, b).tolist() for a, b in pairs]
         assert np.all(batched == (3, 3, 0))
         assert sp.theta_tangent_signature(x[None], y[None]).shape == (1, 101, 3)
+        # one point against three others: as many pairs as tangents at a point
+        assert sp.theta_tangent_signature(E4[0], E4[1:]).tolist() == [[3, 3, 0]] * 3
 
     @staticmethod
     def pairs_at_chord(rng, chord, n):
@@ -211,9 +222,9 @@ class TestSignature:
     def test_batched_degenerate_pair_counts_zero(self, monkeypatch, fill):
         original = sp._psi_jet
 
-        def broken(p, dp):  # breaks the tangents where p_01 = y_0 - x_0 is large: the first pair
-            psi, dpsi = original(p, dp)
-            return psi, np.where(np.abs(p[..., :1]) > 0.5, fill, dpsi)
+        def broken(x, y, dx, dy):  # breaks the tangents where y_0 - x_0 is large: the first pair
+            psi, dpsi = original(x, y, dx, dy)
+            return psi, np.where(np.abs(y[..., :1] - x[..., :1]) > 0.5, fill, dpsi)
         monkeypatch.setattr(sp, "_psi_jet", broken)
         x = np.array([[1.0, 0, 0, 0], [0.0, 0, 1, 0]])
         y = np.array([[0.0, 1, 0, 0], [0.0, 0, -1, 0]])
@@ -239,7 +250,12 @@ def test_signature_counts():
 
 def test_degenerate_basis_detected(monkeypatch):
     # a pair without a tangent basis has no signature: it counts (0, 0, 0)
-    monkeypatch.setattr(sp, "_psi_jet", lambda p, dp: (p, np.zeros_like(dp)))
+    original = sp._psi_jet
+
+    def flat(*args):
+        psi, dpsi = original(*args)
+        return psi, np.zeros_like(dpsi)
+    monkeypatch.setattr(sp, "_psi_jet", flat)
     counts = sp.theta_tangent_signature(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
     assert counts.tolist() == [0, 0, 0]
 
